@@ -4,7 +4,8 @@ named verification suites.
 Every subcommand prints one JSON object (or a plain-text table with
 ``--out table``) and exits 0 on success, 1 when a verification suite
 mismatches its stored expectations, 2 on usage or input errors, and 3 when a
-computation refuses to start or finish inside the configured column budget.
+computation refuses to start or finish inside the configured column budget
+or the Adem rewrite budget.
 
 Results of the heavier commands are cached under ``$COHITLAB_CACHE``
 (default ``.cohitlab/``) as small JSON entries keyed by operation,
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from . import cohit, glaction, transferlab
 from .cohit import EngineConfig, ResourceLimit
-from .lambda_algebra import adem_reduce, ext_dim, is_cycle, psi
+from .lambda_algebra import RewriteBudget, adem_reduce, ext_dim, is_cycle, psi
 from .polyspace import DualElement, alpha, minimal_spike, mu, weight_vector
 from .steenrod import is_annihilated
 
@@ -71,7 +72,7 @@ def _cache_name(op: str, key: dict) -> str:
 
 
 def _cache_path(config: EngineConfig, op: str, key: dict) -> Path:
-    return Path(config.cache_dir) / _cache_name(op, key)
+    return config.cache_dir / _cache_name(op, key)
 
 
 def cache_fetch(config: EngineConfig, op: str, key: dict) -> dict | None:
@@ -548,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceLimit as exc:
         emit({"error": "resource-limit", "detail": str(exc)}, args.out)
+        return EXIT_RESOURCES
+    except RewriteBudget as exc:
+        emit({"error": "rewrite-budget", "detail": str(exc)}, args.out)
         return EXIT_RESOURCES
     emit(payload, args.out)
     return code

@@ -11,8 +11,7 @@ subquotient ``(Q_n)^w``.  These per-weight dimensions sum to ``dim Q_n`` by
 construction.
 
 Also here: the halving map on classes (divides all-odd exponent monomials by
-squaring-root; zero otherwise), its section ``g -> x_1...x_q g^2``, and the
-minimal-spike pruning filter for very large degrees.
+squaring-root; zero otherwise) and its section ``g -> x_1...x_q g^2``.
 
 Results are memoized in-process and, optionally, in a small JSON cache on
 disk (one file per (q, n); atomic writes; versioned format).
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import steenrod
-from .f2linalg import lsb
+from .f2linalg import echelonize, image_kernel, lsb
 from .polyspace import (
     Monomial,
     Polynomial,
@@ -50,7 +49,8 @@ class ResourceLimit(RuntimeError):
 class EngineConfig:
     """Knobs for the quotient engine.
 
-    cache_dir: where JSON results live (``$COHITLAB_CACHE`` or ``.cohitlab``).
+    cache_dir: where JSON results live (``$COHITLAB_CACHE`` or ``.cohitlab``);
+        a string is taken as a path.
     use_cache: read/write the on-disk cache.
     max_columns: refuse degrees whose monomial count exceeds this.
     prune: drop columns below the minimal-spike weight before eliminating
@@ -64,6 +64,9 @@ class EngineConfig:
     use_cache: bool = True
     max_columns: int = 1 << 21
     prune: bool = False
+
+    def __post_init__(self) -> None:
+        self.cache_dir = Path(self.cache_dir)
 
 
 def default_config() -> EngineConfig:
@@ -239,7 +242,10 @@ def weight_subquotient(
     table = span.weight_table()
     cols, pivots = table.get(omega, (0, 0))
     dim = cols - pivots
-    assert dim == len(basis)
+    if dim != len(basis):
+        raise RuntimeError(
+            f"weight {omega} has {dim} classes but {len(basis)} admissible monomials"
+        )
     return dim, basis
 
 
@@ -291,8 +297,6 @@ class KamekoMap:
         return list(self.images)
 
     def rank(self) -> int:
-        from .f2linalg import echelonize
-
         return echelonize(self.images, self.codomain.dim).rank
 
     def is_surjective(self) -> bool:
@@ -300,11 +304,7 @@ class KamekoMap:
 
     def kernel_coordinates(self) -> list[int]:
         """Basis of the kernel, as bit-vectors over the domain basis."""
-        from .f2linalg import BitMatrix
-
-        mat = BitMatrix(self.codomain.dim, self.images)
-        constraints = mat.transpose()
-        return constraints.kernel()
+        return image_kernel(self.images, self.codomain.dim)[1]
 
     def kernel_classes(self) -> list[Polynomial]:
         return [self.domain.from_coordinates(v) for v in self.kernel_coordinates()]
@@ -323,33 +323,3 @@ def kameko_matrix(q: int, n: int, config: EngineConfig | None = None) -> KamekoM
         d = kameko_down_monomial(b)
         images.append(0 if d is None else codomain.coordinates(Polynomial(q, [d])))
     return KamekoMap(q, n, domain, codomain, images)
-
-
-# -- pruning -------------------------------------------------------------------
-
-
-def singer_prune(
-    q: int, n: int, config: EngineConfig | None = None
-) -> tuple[WeightVector | None, list[Monomial]]:
-    """Monomials surviving the minimal-spike weight filter.
-
-    Monomials whose weight vector is left-lex below the minimal spike's are
-    hit, so they can be dropped from the column space.  Returns the weight
-    bound (None when no minimal spike exists, i.e. mu(n) > q) and the kept
-    monomials, ascending.
-    """
-    from .polyspace import enumerate_monomials
-
-    check_rank(q)
-    spike = minimal_spike(q, n)
-    monos = enumerate_monomials(q, n)
-    if spike is None:
-        return None, monos
-    bound = weight_vector(spike)
-    pad = n.bit_length() + 1
-
-    def padded(w: WeightVector) -> tuple[int, ...]:
-        return tuple(w) + (0,) * (pad - len(w))
-
-    kept = [m for m in monos if padded(weight_vector(m)) >= padded(bound)]
-    return bound, kept

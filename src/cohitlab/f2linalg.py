@@ -4,15 +4,13 @@ Vectors live in F2^ncols and are stored as Python ints used as bitsets: bit p
 is the coordinate in column p.  Echelon forms pivot on the *lowest* set bit,
 so column 0 has the highest elimination priority.  Callers that care about a
 particular column order (e.g. "largest monomial first") encode it by mapping
-their most-senior basis element to position 0, or by passing an explicit
-``column_order`` permutation.
+their most-senior basis element to position 0.
 
 Everything here is exact arithmetic; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -44,58 +42,6 @@ def support(v: int) -> list[int]:
     return out
 
 
-class BitVector:
-    """A vector in F2^n, wrapping an int bitset with its ambient length."""
-
-    __slots__ = ("bits", "n")
-
-    def __init__(self, bits: int, n: int):
-        if bits < 0 or bits >> n:
-            raise ValueError("bits outside ambient dimension")
-        self.bits = bits
-        self.n = n
-
-    @classmethod
-    def from_support(cls, positions: Iterable[int], n: int) -> "BitVector":
-        return cls(from_support(positions), n)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError("ambient dimensions differ")
-        return BitVector(self.bits ^ other.bits, self.n)
-
-    def dot(self, other: "BitVector") -> int:
-        return dot(self.bits, other.bits)
-
-    def __getitem__(self, p: int) -> int:
-        return (self.bits >> p) & 1
-
-    def support(self) -> list[int]:
-        return support(self.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.n))
-
-    def __repr__(self) -> str:
-        return f"BitVector({self.support()!r}, n={self.n})"
-
-
 class EchelonForm:
     """Incremental row echelon form over GF(2).
 
@@ -106,79 +52,31 @@ class EchelonForm:
     combination of the rows fed in.
     """
 
-    def __init__(self, ncols: int, column_order: Sequence[int] | None = None):
+    def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: dict[int, int] = {}
         self.tags: dict[int, int] = {}
-        self._nadded = 0
-        if column_order is None:
-            self._perm: list[int] | None = None
-            self._inv: list[int] | None = None
-        else:
-            if sorted(column_order) != list(range(ncols)):
-                raise ValueError("column_order must be a permutation of range(ncols)")
-            # column_order[i] = source column with elimination priority i
-            self._perm = [0] * ncols
-            for prio, col in enumerate(column_order):
-                self._perm[col] = prio
-            self._inv = list(column_order)
-
-    def _to_internal(self, bits: int) -> int:
-        if self._perm is None:
-            return bits
-        out = 0
-        perm = self._perm
-        while bits:
-            p = lsb(bits)
-            bits ^= 1 << p
-            out |= 1 << perm[p]
-        return out
-
-    def _to_external(self, bits: int) -> int:
-        if self._inv is None:
-            return bits
-        out = 0
-        inv = self._inv
-        while bits:
-            p = lsb(bits)
-            bits ^= 1 << p
-            out |= 1 << inv[p]
-        return out
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> list[int]:
-        """Pivot columns (external numbering), sorted by priority."""
-        return [self._to_external(1 << p).bit_length() - 1 for p in sorted(self.rows)]
-
-    def nonpivots(self) -> list[int]:
-        """Non-pivot columns (external numbering), sorted by priority."""
-        out = []
-        for p in range(self.ncols):
-            if p not in self.rows:
-                out.append(self._to_external(1 << p).bit_length() - 1)
-        return out
-
     def add(self, vec: int) -> bool:
         """Insert a row; return True if the rank grew."""
-        v = self._to_internal(vec)
+        v = vec
         rows = self.rows
         while v:
             p = lsb(v)
             row = rows.get(p)
             if row is None:
                 rows[p] = v
-                self._nadded += 1
                 return True
             v ^= row
-        self._nadded += 1
         return False
 
     def add_tagged(self, vec: int, tag: int) -> bool:
         """Insert a row carrying a coefficient tag; return True if rank grew."""
-        v = self._to_internal(vec)
+        v = vec
         rows, tags = self.rows, self.tags
         while v:
             p = lsb(v)
@@ -191,10 +89,6 @@ class EchelonForm:
             tag ^= tags.get(p, 0)
         return False
 
-    def extend(self, vecs: Iterable[int]) -> None:
-        for v in vecs:
-            self.add(v)
-
     def reduce(self, vec: int) -> int:
         """Residual of vec after eliminating pivot positions greedily.
 
@@ -202,7 +96,7 @@ class EchelonForm:
         exactly when vec lies in the row space.  For the canonical coset
         representative use :meth:`normal_form`.
         """
-        v = self._to_internal(vec)
+        v = vec
         rows = self.rows
         while v:
             p = lsb(v)
@@ -210,11 +104,11 @@ class EchelonForm:
             if row is None:
                 break
             v ^= row
-        return self._to_external(v)
+        return v
 
     def reduce_tagged(self, vec: int) -> tuple[int, int]:
         """Like :meth:`reduce` but also accumulate the coefficient tag."""
-        v = self._to_internal(vec)
+        v = vec
         rows, tags = self.rows, self.tags
         tag = 0
         while v:
@@ -224,7 +118,7 @@ class EchelonForm:
                 break
             v ^= row
             tag ^= tags.get(p, 0)
-        return self._to_external(v), tag
+        return v, tag
 
     def normal_form(self, vec: int) -> int:
         """Canonical representative of vec modulo the row space.
@@ -232,7 +126,7 @@ class EchelonForm:
         The result is supported on non-pivot columns only, and is 0 exactly
         when vec lies in the row space.
         """
-        v = self._to_internal(vec)
+        v = vec
         rows = self.rows
         out = 0
         while v:
@@ -243,7 +137,7 @@ class EchelonForm:
                 v ^= 1 << p
             else:
                 v ^= row
-        return self._to_external(out)
+        return out
 
     def contains(self, vec: int) -> bool:
         return self.reduce(vec) == 0
@@ -254,87 +148,62 @@ class EchelonForm:
         Back-substitutes over pivots in decreasing order, so the rows never
         need to be mutually reduced.  The basis vector for free column f is
         the unique kernel vector whose free-column support is exactly {f}.
+        Only pivots below f are visited: a row pivoted above f has no bit at
+        or below its pivot, so it never meets a vector supported up to f.
         """
         rows = self.rows
-        pivs_desc = sorted(rows, reverse=True)
+        pivs = sorted(rows)
+        below = 0  # pivs[:below] are the pivots below the current column
         out = []
         for f in range(self.ncols):
             if f in rows:
                 continue
+            while below < len(pivs) and pivs[below] < f:
+                below += 1
             x = 1 << f
-            for p in pivs_desc:
+            for k in range(below - 1, -1, -1):
+                p = pivs[k]
                 if (rows[p] & x).bit_count() & 1:
                     x |= 1 << p
-            out.append(self._to_external(x))
+            out.append(x)
         return out
 
 
-def echelonize(
-    rows: Iterable[int], ncols: int, column_order: Sequence[int] | None = None
-) -> EchelonForm:
+def echelonize(rows: Iterable[int], ncols: int) -> EchelonForm:
     """Echelonize an iterable of bit-vector rows."""
-    ech = EchelonForm(ncols, column_order)
+    ech = EchelonForm(ncols)
     for r in rows:
         ech.add(r)
     return ech
 
 
-def in_span(vec: int, echelon: EchelonForm) -> tuple[bool, int]:
-    """Membership in the row space, with the canonical residual."""
-    nf = echelon.normal_form(vec)
-    return nf == 0, nf
-
-
-def kernel_basis(
-    rows: Iterable[int], ncols: int, column_order: Sequence[int] | None = None
-) -> list[int]:
+def kernel_basis(rows: Iterable[int], ncols: int) -> list[int]:
     """Basis of the right kernel {x : r . x = 0 for all rows r}."""
-    return echelonize(rows, ncols, column_order).kernel_basis()
+    return echelonize(rows, ncols).kernel_basis()
 
 
-@dataclass
-class QuotientBasis:
-    """Basis data for F2^ncols modulo a row space.
+def image_kernel(images: Iterable[int], ncols: int) -> tuple[EchelonForm, list[int]]:
+    """Tagged echelon of the images of a map, and a basis of its kernel.
 
-    ``columns`` lists the non-pivot columns; their residue classes form a
-    basis of the quotient.  ``coordinates`` maps any vector to its
-    coefficient vector over that basis (bit i of the result multiplies
-    ``columns[i]``).
+    ``images[i]`` is the image of source basis vector i, a vector in
+    F2^ncols.  Each image is reduced against the echelon of the images
+    before it, the tag recording which source vectors it combines; one that
+    reduces to zero gives the kernel vector of its tag, whose highest bit is
+    i.  A stored tag only ever combines sources whose image was inserted, so
+    the kernel vector of a dependent source i meets no other dependent
+    source: it is the unique kernel vector whose support on the dependent
+    sources is exactly {i}, the same basis that :meth:`EchelonForm.kernel_basis`
+    gives for the transposed map, in the same order.
     """
-
-    echelon: EchelonForm
-    columns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        self._index = {c: i for i, c in enumerate(self.columns)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.columns)
-
-    def coordinates(self, vec: int) -> int:
-        nf = self.echelon.normal_form(vec)
-        out = 0
-        index = self._index
-        while nf:
-            p = lsb(nf)
-            nf ^= 1 << p
-            out |= 1 << index[p]
-        return out
-
-
-def quotient_basis(
-    rows: Iterable[int], ncols: int, column_order: Sequence[int] | None = None
-) -> QuotientBasis:
-    """Quotient of F2^ncols by the span of the rows, presented on non-pivot columns."""
-    ech = echelonize(rows, ncols, column_order)
-    cols = []
-    for p in range(ncols):
-        if p not in ech.rows:
-            cols.append(p)
-    if column_order is not None:
-        cols = sorted(ech._to_external(1 << p).bit_length() - 1 for p in cols)
-    return QuotientBasis(ech, tuple(cols))
+    ech = EchelonForm(ncols)
+    kernel = []
+    for i, image in enumerate(images):
+        residual, tag = ech.reduce_tagged(image)
+        if residual:
+            ech.add_tagged(residual, tag ^ 1 << i)
+        else:
+            kernel.append(tag ^ 1 << i)
+    return ech, kernel
 
 
 def solve_modulo(
@@ -378,8 +247,8 @@ class BitMatrix:
     def rank(self) -> int:
         return echelonize(self.rows, self.ncols).rank
 
-    def echelon(self, column_order: Sequence[int] | None = None) -> EchelonForm:
-        return echelonize(self.rows, self.ncols, column_order)
+    def echelon(self) -> EchelonForm:
+        return echelonize(self.rows, self.ncols)
 
     def kernel(self) -> list[int]:
         return kernel_basis(self.rows, self.ncols)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import cohit
-from .f2linalg import BitMatrix, EchelonForm, echelonize, lsb
+from .f2linalg import echelonize, image_kernel, lsb, support
 from .polyspace import (
     DualElement,
     Monomial,
@@ -220,15 +220,21 @@ def _padded_weight(w: WeightVector, n: int) -> tuple[int, ...]:
     return tuple(w) + (0,) * (pad - len(w))
 
 
-def _stack_constraints(
-    image_vectors: Sequence[Sequence[int]], dim: int
+def _joint_kernel(
+    image_vectors: Sequence[Sequence[int]], sources: int, dim: int
 ) -> list[int]:
-    """Rows of the joint constraint system from per-generator image vectors."""
-    rows: list[int] = []
-    for vectors in image_vectors:
-        mat = BitMatrix(dim, vectors)
-        rows.extend(mat.transpose())
-    return rows
+    """Common kernel of several maps from F2^sources to F2^dim.
+
+    ``image_vectors[g][i]`` is map g's image of source i.  Shifted by
+    ``g * dim``, the images of i stack into one vector, and the joint kernel
+    is the kernel of the stacked map.
+    """
+    stacked = [0] * sources
+    for g, vectors in enumerate(image_vectors):
+        shift = g * dim
+        for i, v in enumerate(vectors):
+            stacked[i] |= v << shift
+    return image_kernel(stacked, len(image_vectors) * dim)[1]
 
 
 def invariants(
@@ -276,11 +282,9 @@ def invariants(
                         v |= 1 << sub_index[p]
                 vectors.append(v)
             image_vectors.append(vectors)
-        kernel = echelonize(
-            _stack_constraints(image_vectors, dim), dim
-        ).kernel_basis()
+        kernel = _joint_kernel(image_vectors, dim, dim)
         reps = [
-            Polynomial(q, [sub_basis[i] for i in _bits(v)]) for v in kernel
+            Polynomial(q, [sub_basis[i] for i in support(v)]) for v in kernel
         ]
         return InvariantReport(q, n, group, omega, len(kernel), sub_basis, kernel, reps)
 
@@ -292,20 +296,11 @@ def invariants(
             moved = substitute(images, Polynomial(q, [mono]))
             vectors.append(data.coordinates(moved) ^ (1 << i))
         image_vectors.append(vectors)
-    kernel = echelonize(_stack_constraints(image_vectors, dim), dim).kernel_basis()
+    kernel = _joint_kernel(image_vectors, dim, dim)
     reps = [data.from_coordinates(v) for v in kernel]
     return InvariantReport(
         q, n, group, None, len(kernel), list(data.basis), kernel, reps
     )
-
-
-def _bits(v: int) -> list[int]:
-    out = []
-    while v:
-        p = lsb(v)
-        v ^= 1 << p
-        out.append(p)
-    return out
 
 
 # -- coinvariants ------------------------------------------------------------------
@@ -361,7 +356,11 @@ class CoinvariantData:
         free_positions = span.admissible_positions()
         self._index = {p: i for i, p in enumerate(free_positions)}
         self.primitive_dim = len(self.vectors)
-        assert self.primitive_dim == len(free_positions)
+        if self.primitive_dim != len(free_positions):
+            raise RuntimeError(
+                f"{self.primitive_dim} primitives but {len(free_positions)} "
+                "admissible positions"
+            )
 
         relation_rows = []
         gens = [transpose_images(g) for g in generator_images(q, group)]
@@ -379,7 +378,7 @@ class CoinvariantData:
 
     def _restrict(self, vec: int) -> int:
         out = 0
-        for p in _bits(vec):
+        for p in support(vec):
             i = self._index.get(p)
             if i is not None:
                 out |= 1 << i
@@ -387,7 +386,7 @@ class CoinvariantData:
 
     def _expand(self, coords: int) -> int:
         out = 0
-        for i in _bits(coords):
+        for i in support(coords):
             out ^= self.vectors[i]
         return out
 
@@ -403,7 +402,7 @@ class CoinvariantData:
         """Bit-vector of [theta] over the coinvariant basis."""
         nf = self.relations.normal_form(self._primitive_coordinates(theta))
         out = 0
-        for i in _bits(nf):
+        for i in support(nf):
             out |= 1 << self._quotient_index[i]
         return out
 
@@ -441,7 +440,6 @@ def kameko_kernel_invariants(
     km = cohit.kameko_matrix(q, n, config)
     data = km.domain
     kernel_vectors = km.kernel_coordinates()
-    k = len(kernel_vectors)
     gens = generator_images(q, group)
     image_vectors = []
     for images in gens:
@@ -451,14 +449,12 @@ def kameko_kernel_invariants(
             moved = substitute(images, f)
             vectors.append(data.coordinates(moved) ^ kv)
         image_vectors.append(vectors)
-    alphas = echelonize(
-        _stack_constraints(image_vectors, data.dim), k
-    ).kernel_basis()
+    alphas = _joint_kernel(image_vectors, len(kernel_vectors), data.dim)
     reps = []
     vecs = []
     for a in alphas:
         v = 0
-        for i in _bits(a):
+        for i in support(a):
             v ^= kernel_vectors[i]
         vecs.append(v)
         reps.append(data.from_coordinates(v))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .f2linalg import BitMatrix, EchelonForm, echelonize, lsb, solve_modulo
+from .f2linalg import EchelonForm, image_kernel, lsb, solve_modulo
 from .polyspace import DualElement
 from .steenrod import binom_odd, sq_dual_term
 
@@ -36,7 +36,7 @@ Word = tuple[int, ...]
 
 # Generous guard for runaway rewriting; never reached in supported degrees.
 MAX_REWRITES = 10_000_000
-_rewrite_count = 0
+_rewrite_count = 0  # pair rewrites made by the adem_reduce call in progress
 
 
 class RewriteBudget(RuntimeError):
@@ -172,7 +172,14 @@ def from_words(*words: Iterable[int]) -> LambdaElement:
 
 
 def adem_reduce(el: LambdaElement) -> LambdaElement:
-    """Rewrite into the admissible basis (leftmost inadmissible pair first)."""
+    """Rewrite into the admissible basis (leftmost inadmissible pair first).
+
+    Raises :class:`RewriteBudget` if this one reduction needs more than
+    ``MAX_REWRITES`` pair rewrites; words reduced before are memoized and
+    cost nothing.
+    """
+    global _rewrite_count
+    _rewrite_count = 0
     acc: set[Word] = set()
     for w in el.terms:
         acc ^= _reduce_word(w)
@@ -204,6 +211,15 @@ def is_cycle(el: LambdaElement) -> bool:
     return differential(el).is_zero()
 
 
+def _least_tail(j: int, slots: int) -> int:
+    """Least index sum of ``slots`` indices that may follow index j."""
+    total = 0
+    for _ in range(slots):
+        j = (j + 1) // 2
+        total += j
+    return total
+
+
 @lru_cache(maxsize=None)
 def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
     """Admissible words of length s and index sum n, lexicographically sorted."""
@@ -222,8 +238,10 @@ def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
             return
         lo = 0 if not prefix else (prefix[-1] + 1) // 2
         for j in range(lo, remaining + 1):
-            # remaining slots each need at least half the previous index;
-            # a cheap feasibility cut keeps the search shallow.
+            # each later slot needs at least half the index before it; once
+            # j leaves too little for that, every larger j does too
+            if remaining - j < _least_tail(j, slots - 1):
+                break
             rec(prefix + [j], remaining - j, slots - 1)
 
     rec([], n, s)
@@ -265,13 +283,20 @@ def _coords(s: int, n: int) -> _Coordinates:
 
 
 @lru_cache(maxsize=None)
+def _differential_images(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
+    """Echelon of d of (length s, degree n), and the kernel of d there."""
+    source = _coords(s, n)
+    target = _coords(s + 1, n - 1)
+    images = (
+        target.vector(differential(LambdaElement([w]))) for w in source.basis
+    )
+    ech, kernel = image_kernel(images, target.dim)
+    return ech, tuple(kernel)
+
+
 def _boundary_echelon(s: int, n: int) -> EchelonForm:
     """Echelonized image of d inside (length s, degree n) coordinates."""
-    target = _coords(s, n)
-    ech = EchelonForm(target.dim)
-    for w in admissible_basis(s - 1, n + 1):
-        ech.add(target.vector(differential(LambdaElement([w]))))
-    return ech
+    return _differential_images(s - 1, n + 1)[0]
 
 
 def boundary_space(s: int, n: int) -> list[LambdaElement]:
@@ -281,16 +306,9 @@ def boundary_space(s: int, n: int) -> list[LambdaElement]:
     return [target.element(row) for _, row in sorted(ech.rows.items())]
 
 
-@lru_cache(maxsize=None)
 def _cycle_vectors(s: int, n: int) -> tuple[int, ...]:
     """Kernel of d on (length s, degree n), as admissible-coordinate vectors."""
-    source = _coords(s, n)
-    target = _coords(s + 1, n - 1)
-    images = [
-        target.vector(differential(LambdaElement([w]))) for w in source.basis
-    ]
-    constraints = BitMatrix(target.dim, images).transpose()
-    return tuple(echelonize(constraints.rows, source.dim).kernel_basis())
+    return _differential_images(s, n)[1]
 
 
 def homology_basis(s: int, n: int) -> list[LambdaElement]:
@@ -350,7 +368,8 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
     solution = solve_modulo(
         coords.vector(el), reps, _boundary_echelon(s, n).rows.values(), coords.dim
     )
-    assert solution is not None, "cycle escaped the homology decomposition"
+    if solution is None:
+        raise RuntimeError("cycle escaped the homology decomposition")
     return solution
 
 
@@ -380,13 +399,10 @@ def psi(theta: DualElement) -> LambdaElement:
 
 
 def clear_caches() -> None:
-    global _rewrite_count
-    _rewrite_count = 0
     _reduce_word.cache_clear()
     adem_pair.cache_clear()
     _d_generator.cache_clear()
     admissible_basis.cache_clear()
     _coords.cache_clear()
-    _boundary_echelon.cache_clear()
-    _cycle_vectors.cache_clear()
+    _differential_images.cache_clear()
     _psi_term.cache_clear()

@@ -181,7 +181,8 @@ def minimal_spike(q: int, n: int) -> Monomial | None:
     if parts is None:
         return None
     mono = tuple(parts) + (0,) * (q - m)
-    assert is_minimal_spike(mono) and degree(mono) == n
+    if not is_minimal_spike(mono) or degree(mono) != n:
+        raise RuntimeError(f"built {mono}, not a minimal spike of degree {n}")
     return mono
 
 
@@ -384,13 +385,3 @@ def pairing(theta: DualElement, f: Polynomial) -> int:
     if theta.q != f.q:
         raise ValueError("mismatched variable counts")
     return len(theta.terms & f.monomials) & 1
-
-
-def parse_weight(text: str) -> WeightVector:
-    """Parse a weight vector given as comma-separated entries, e.g. '3,1,1'."""
-    w = tuple(int(s) for s in text.split(",") if s.strip() != "")
-    if any(x < 0 for x in w):
-        raise ValueError("weight entries must be nonnegative")
-    while w and w[-1] == 0:
-        w = w[:-1]
-    return w

@@ -135,6 +135,19 @@ def test_resource_limit_exit_code(sandbox, capsys):
     assert data["error"] == "resource-limit"
 
 
+def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
+    from cohitlab import lambda_algebra
+
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 0)
+    lambda_algebra.clear_caches()
+    try:
+        code, data = run_json(capsys, "ext", "--q", "4", "--n", "9", "--no-cache")
+    finally:
+        lambda_algebra.clear_caches()
+    assert code == 3
+    assert data["error"] == "rewrite-budget"
+
+
 def test_usage_errors(sandbox, capsys):
     code, _ = run(capsys, "cohit")  # missing --q/--n
     assert code == 2

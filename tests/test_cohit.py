@@ -158,6 +158,14 @@ def test_disk_cache_round_trip(tmp_path):
     assert rebuilt == first
 
 
+def test_string_cache_dir_is_a_path(tmp_path):
+    cfg = EngineConfig(cache_dir=str(tmp_path / "c"))
+    assert cfg.cache_dir == tmp_path / "c"
+    uncached = EngineConfig(use_cache=False)
+    assert cohit_dim(3, 8, config=cfg) == cohit_dim(3, 8, config=uncached)
+    assert (tmp_path / "c" / "q3_n8.json").is_file()
+
+
 def test_cache_disabled_matches_cached_results(tmp_path):
     cached = EngineConfig(cache_dir=tmp_path / "c")
     uncached = EngineConfig(cache_dir=tmp_path / "c", use_cache=False)

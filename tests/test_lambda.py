@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohitlab import refdata
+from cohitlab import lambda_algebra, refdata
 from cohitlab.lambda_algebra import (
     LambdaElement,
+    RewriteBudget,
     adem_pair,
     adem_reduce,
     admissible_basis,
@@ -99,6 +100,22 @@ def test_admissible_basis_enumerates_admissibles():
     assert sorted(words) == sorted(brute)
 
 
+def test_admissible_basis_matches_brute_force_with_the_feasibility_cut():
+    def compositions(total, parts):
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    for s in range(5):
+        for n in range(31):
+            brute = sorted(w for w in compositions(n, s) if is_admissible(w))
+            assert list(admissible_basis(s, n)) == brute, (s, n)
+
+
 def test_ext_dim_length_one_is_the_doubling_family():
     for n in range(1, 21):
         expected = 1 if (n + 1) & n == 0 else 0
@@ -116,6 +133,33 @@ def test_ext_dim_length_two_census_small():
     )
     for n in range(1, 21):
         assert ext_dim(2, n) == hits.count(n), f"n={n}"
+
+
+@pytest.fixture
+def fresh_lambda_caches():
+    lambda_algebra.clear_caches()
+    yield
+    lambda_algebra.clear_caches()
+
+
+def test_ext_tables_from_fresh_caches(fresh_lambda_caches):
+    for (s, n), dim in sorted(refdata.EXT_DIMS.items()):
+        if n > 37:
+            continue
+        assert ext_dim(s, n) == dim, (s, n)
+        basis = homology_basis(s, n)
+        assert len(basis) == dim
+        assert all(is_cycle(el) for el in basis)
+
+
+def test_rewrite_budget_is_per_reduction(fresh_lambda_caches, monkeypatch):
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 3)
+    # each needs at most 3 pair rewrites; together they need 8
+    for w in ((9, 3, 1), (13, 5, 1), (3, 1), (5, 1)):
+        reduced = adem_reduce(from_words(w))
+        assert all(is_admissible(v) for v in reduced.terms)
+    with pytest.raises(RewriteBudget):
+        adem_reduce(from_words((15, 6, 1)))  # needs 5
 
 
 def test_ext_dim_known_classes():
