@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import steenrod
-from .f2linalg import echelonize, image_kernel, lsb
+from .f2linalg import echelonize, image_kernel, support
 from .polyspace import (
     Monomial,
     Polynomial,
@@ -53,9 +53,6 @@ class EngineConfig:
         a string is taken as a path.
     use_cache: read/write the on-disk cache.
     max_columns: refuse degrees whose monomial count exceeds this.
-    prune: drop columns below the minimal-spike weight before eliminating
-        (sound because such monomials are always hit; intended for very
-        large degrees).
     """
 
     cache_dir: Path = field(
@@ -63,7 +60,6 @@ class EngineConfig:
     )
     use_cache: bool = True
     max_columns: int = 1 << 21
-    prune: bool = False
 
     def __post_init__(self) -> None:
         self.cache_dir = Path(self.cache_dir)
@@ -124,15 +120,17 @@ def _check_budget(config: EngineConfig, q: int, n: int) -> None:
 
 
 def span_for(q: int, n: int, config: EngineConfig | None = None) -> steenrod.HitSpan:
-    """The (memoized) hit-span echelon used for all degree-(q, n) queries."""
+    """The (memoized) hit-span echelon used for all degree-(q, n) queries.
+
+    Its columns stop at the minimal spike's weight: every monomial of
+    smaller weight is hit (Singer's criterion), so dropping those columns
+    leaves the same pivots, quotient basis, normal forms and primitives.
+    """
     config = config or default_config()
     check_rank(q)
     _check_budget(config, q, n)
-    bound: WeightVector | None = None
-    if config.prune:
-        spike = minimal_spike(q, n)
-        if spike is not None:
-            bound = weight_vector(spike)
+    spike = minimal_spike(q, n)
+    bound = None if spike is None else weight_vector(spike)
     return steenrod.hit_span(q, n, restrict_weight=bound)
 
 
@@ -156,19 +154,12 @@ class QuotientData:
         """Coefficient bit-vector of [f] over the admissible basis."""
         nf = self.span.echelon.normal_form(self.span.to_vector(f))
         out = 0
-        while nf:
-            p = lsb(nf)
-            nf ^= 1 << p
+        for p in support(nf):
             out |= 1 << self._pos_to_index[p]
         return out
 
     def from_coordinates(self, bits: int) -> Polynomial:
-        monos = []
-        while bits:
-            i = lsb(bits)
-            bits ^= 1 << i
-            monos.append(self.basis[i])
-        return Polynomial(self.span.q, monos)
+        return Polynomial(self.span.q, [self.basis[i] for i in support(bits)])
 
 
 def quotient(q: int, n: int, config: EngineConfig | None = None) -> QuotientData:
@@ -291,10 +282,6 @@ class KamekoMap:
     @property
     def target_degree(self) -> int:
         return (self.n - self.q) // 2
-
-    def matrix_rows(self) -> list[int]:
-        """Rows over codomain coordinates, one per domain basis element."""
-        return list(self.images)
 
     def rank(self) -> int:
         return echelonize(self.images, self.codomain.dim).rank

@@ -36,9 +36,9 @@ def support(v: int) -> list[int]:
     """Sorted list of column positions where the vector is 1."""
     out = []
     while v:
-        p = lsb(v)
-        out.append(p)
-        v ^= 1 << p
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
 
 
@@ -66,7 +66,7 @@ class EchelonForm:
         v = vec
         rows = self.rows
         while v:
-            p = lsb(v)
+            p = (v & -v).bit_length() - 1
             row = rows.get(p)
             if row is None:
                 rows[p] = v
@@ -79,7 +79,7 @@ class EchelonForm:
         v = vec
         rows, tags = self.rows, self.tags
         while v:
-            p = lsb(v)
+            p = (v & -v).bit_length() - 1
             row = rows.get(p)
             if row is None:
                 rows[p] = v
@@ -99,7 +99,7 @@ class EchelonForm:
         v = vec
         rows = self.rows
         while v:
-            p = lsb(v)
+            p = (v & -v).bit_length() - 1
             row = rows.get(p)
             if row is None:
                 break
@@ -112,7 +112,7 @@ class EchelonForm:
         rows, tags = self.rows, self.tags
         tag = 0
         while v:
-            p = lsb(v)
+            p = (v & -v).bit_length() - 1
             row = rows.get(p)
             if row is None:
                 break
@@ -130,7 +130,7 @@ class EchelonForm:
         rows = self.rows
         out = 0
         while v:
-            p = lsb(v)
+            p = (v & -v).bit_length() - 1
             row = rows.get(p)
             if row is None:
                 out |= 1 << p

@@ -17,18 +17,18 @@ primitives and all generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cohit
-from .f2linalg import echelonize, image_kernel, lsb, support
+from .f2linalg import echelonize, image_kernel, support
 from .polyspace import (
     DualElement,
     Monomial,
     Polynomial,
     WeightVector,
     check_rank,
-    monomial_key,
+    padded_weight,
     weight_vector,
 )
 
@@ -37,10 +37,6 @@ Images = tuple[tuple[int, ...], ...]
 
 class WeightLeak(RuntimeError):
     """A subquotient action produced a strictly larger weight (should not happen)."""
-
-
-def identity_images(q: int) -> Images:
-    return tuple((r,) for r in range(q))
 
 
 def transposition_images(q: int, j: int) -> Images:
@@ -215,11 +211,6 @@ class InvariantReport:
         }
 
 
-def _padded_weight(w: WeightVector, n: int) -> tuple[int, ...]:
-    pad = n.bit_length() + 1
-    return tuple(w) + (0,) * (pad - len(w))
-
-
 def _joint_kernel(
     image_vectors: Sequence[Sequence[int]], sources: int, dim: int
 ) -> list[int]:
@@ -260,7 +251,7 @@ def invariants(
         keep = [i for i, m in enumerate(data.basis) if weight_vector(m) == omega]
         sub_basis = [data.basis[i] for i in keep]
         sub_index = {i: k for k, i in enumerate(keep)}
-        bound = _padded_weight(omega, n)
+        bound = padded_weight(omega, n)
         dim = len(keep)
         image_vectors = []
         for images in gens:
@@ -270,10 +261,8 @@ def invariants(
                 moved = substitute(images, Polynomial(q, [mono]))
                 coords = data.coordinates(moved) ^ (1 << i)
                 v = 0
-                while coords:
-                    p = lsb(coords)
-                    coords ^= 1 << p
-                    w = _padded_weight(weight_vector(data.basis[p]), n)
+                for p in support(coords):
+                    w = padded_weight(weight_vector(data.basis[p]), n)
                     if w > bound:
                         raise WeightLeak(
                             f"sigma image of {mono} leaves weight {omega} upward"

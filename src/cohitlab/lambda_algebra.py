@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .f2linalg import EchelonForm, image_kernel, lsb, solve_modulo
+from .f2linalg import EchelonForm, image_kernel, solve_modulo, support
 from .polyspace import DualElement
 from .steenrod import binom_odd, sq_dual_term
 
@@ -269,12 +269,7 @@ class _Coordinates:
         return v
 
     def element(self, bits: int) -> LambdaElement:
-        words = []
-        while bits:
-            p = lsb(bits)
-            bits ^= 1 << p
-            words.append(self.basis[p])
-        return LambdaElement(words)
+        return LambdaElement([self.basis[p] for p in support(bits)])
 
 
 @lru_cache(maxsize=None)

@@ -76,16 +76,18 @@ def weight_degree(w: WeightVector) -> int:
     return sum(wi << i for i, wi in enumerate(w))
 
 
-def monomial_key(mono: Monomial) -> tuple[WeightVector, Monomial]:
-    """Sort key realizing the weight-then-exponent left-lex order.
+def padded_weight(w: WeightVector, n: int) -> tuple[int, ...]:
+    """w padded with zeros to a length shared by every weight in degree n.
 
-    Weight vectors are padded on the right so that left-lex comparison of
-    tuples of different lengths is correct for monomials of equal degree.
+    Left-lex comparison of padded weights is then correct for weights of
+    monomials of equal degree n.
     """
-    w = weight_vector(mono)
-    n = degree(mono)
-    pad = n.bit_length() + 1
-    return (w + (0,) * (pad - len(w)), mono)
+    return tuple(w) + (0,) * (n.bit_length() + 1 - len(w))
+
+
+def monomial_key(mono: Monomial) -> tuple[tuple[int, ...], Monomial]:
+    """Sort key realizing the weight-then-exponent left-lex order."""
+    return (padded_weight(weight_vector(mono), degree(mono)), mono)
 
 
 def compare(a: Monomial, b: Monomial) -> int:
@@ -96,22 +98,26 @@ def compare(a: Monomial, b: Monomial) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def enumerate_monomials(q: int, n: int) -> list[Monomial]:
-    """All degree-n monomials in q variables, ascending in the monomial order."""
+def enumerate_monomials(q: int, n: int, ordered: bool = True) -> list[Monomial]:
+    """All degree-n monomials in q variables, ascending in the monomial order.
+
+    With ``ordered`` false they come in the cheaper exponent-lex order.
+    """
     check_rank(q)
     if n < 0:
         return []
     out: list[Monomial] = []
 
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
+    def rec(prefix: Monomial, remaining: int, slots: int) -> None:
         if slots == 1:
-            out.append(tuple(prefix + [remaining]))
+            out.append(prefix + (remaining,))
             return
         for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
+            rec(prefix + (e,), remaining - e, slots - 1)
 
-    rec([], n, q)
-    out.sort(key=monomial_key)
+    rec((), n, q)
+    if ordered:
+        out.sort(key=monomial_key)
     return out
 
 

@@ -20,7 +20,11 @@ block by block.
 
 from __future__ import annotations
 
-from .f2linalg import EchelonForm, lsb
+from bisect import bisect_left
+from collections import Counter
+from functools import lru_cache
+
+from .f2linalg import EchelonForm, from_support, support
 from .polyspace import (
     DualElement,
     Monomial,
@@ -28,6 +32,8 @@ from .polyspace import (
     WeightVector,
     check_rank,
     enumerate_monomials,
+    monomial_key,
+    padded_weight,
     weight_vector,
 )
 
@@ -39,15 +45,10 @@ def binom_odd(a: int, b: int) -> bool:
     return (b & (a - b)) == 0
 
 
-def _submasks_upto(e: int, cap: int):
-    """All binary submasks d of e with d <= cap."""
-    d = e
-    while True:
-        if d <= cap:
-            yield d
-        if d == 0:
-            return
-        d = (d - 1) & e
+@lru_cache(maxsize=None)
+def _submasks(e: int) -> tuple[int, ...]:
+    """All binary submasks of e, ascending."""
+    return tuple(d for d in range(e + 1) if d & e == d)
 
 
 def sq_monomial(t: int, mono: Monomial) -> list[Monomial]:
@@ -56,27 +57,20 @@ def sq_monomial(t: int, mono: Monomial) -> list[Monomial]:
         raise ValueError("negative Steenrod square")
     if t == 0:
         return [mono]
-    q = len(mono)
-    out: list[Monomial] = []
-    deltas: list[int] = [0] * q
-    suffix_total = [0] * (q + 1)
-    for i in range(q - 1, -1, -1):
-        suffix_total[i] = suffix_total[i + 1] + mono[i]
-
-    def rec(i: int, remaining: int) -> None:
-        if i == q:
-            if remaining == 0:
-                out.append(tuple(e + d for e, d in zip(mono, deltas)))
-            return
-        if remaining > suffix_total[i]:
-            return
-        for d in _submasks_upto(mono[i], remaining):
-            deltas[i] = d
-            rec(i + 1, remaining - d)
-        deltas[i] = 0
-
-    rec(0, t)
-    return out
+    # (remaining degree, exponents so far); a d_i leaving more than the later
+    # exponents can take is cut, and the last d_i is whatever remains
+    partial: list[tuple[int, Monomial]] = [(t, ())]
+    cap = sum(mono)
+    for e in mono[:-1]:
+        cap -= e
+        partial = [
+            (r - d, done + (e + d,))
+            for r, done in partial
+            for d in _submasks(e)
+            if r - cap <= d <= r
+        ]
+    e = mono[-1]
+    return [done + (e + r,) for r, done in partial if r & e == r]
 
 
 def sq(t: int, f: Polynomial) -> Polynomial:
@@ -147,7 +141,8 @@ class HitSpan:
     of weight strictly below the given weight vector (callers must ensure the
     dropped monomials are hit, e.g. by the minimal-spike criterion; rows are
     then projected onto the surviving columns, which presents the same
-    quotient).
+    quotient).  ``dropped`` counts the dropped columns per weight, largest
+    weight first.
     """
 
     def __init__(
@@ -167,9 +162,13 @@ class HitSpan:
         self.generators = generators
         self.restrict_weight = restrict_weight
         cols = enumerate_monomials(q, n)
+        self.dropped: dict[WeightVector, int] = {}
         if restrict_weight is not None:
-            bound = _padded(restrict_weight, n)
-            cols = [m for m in cols if _padded(weight_vector(m), n) >= bound]
+            # ascending order compares padded weights first: a prefix drops
+            first_live = (padded_weight(restrict_weight, n),)
+            cut = bisect_left(cols, first_live, key=monomial_key)
+            self.dropped = dict(Counter(map(weight_vector, reversed(cols[:cut]))))
+            del cols[:cut]
         cols.reverse()  # largest first: column 0 is the most senior monomial
         self.columns: tuple[Monomial, ...] = tuple(cols)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(cols)}
@@ -177,30 +176,34 @@ class HitSpan:
         self._build()
 
     def _operation_degrees(self) -> list[int]:
+        """Degrees t of the squares used; Sq^t vanishes below degree t."""
         if self.generators == "all":
-            return list(range(1, self.n + 1))
+            return list(range(1, self.n // 2 + 1))
         out = []
         t = 1
-        while t <= self.n:
+        while 2 * t <= self.n:
             out.append(t)
             t <<= 1
         return out
 
     def _build(self) -> None:
+        bound = ()
+        if self.restrict_weight is not None:
+            bound = padded_weight(self.restrict_weight, self.n)
         pos = self.position
-        ech = self.echelon
+        supports = []
         for t in self._operation_degrees():
-            source_degree = self.n - t
-            if source_degree < 0:
-                continue
-            for g in enumerate_monomials(self.q, source_degree):
-                row = 0
-                for m in sq_monomial(t, g):
-                    p = pos.get(m)
-                    if p is not None:
-                        row ^= 1 << p
+            for g in enumerate_monomials(self.q, self.n - t, ordered=False):
+                if bound and not _may_reach(g, t, bound):
+                    continue
+                row = [p for p in map(pos.get, sq_monomial(t, g)) if p is not None]
                 if row:
-                    ech.add(row)
+                    supports.append(row)
+        # Rows offered least senior pivot first stay short while reducing:
+        # half the elimination time at degree 64.
+        supports.sort(key=min, reverse=True)
+        for row in supports:
+            self.echelon.add(from_support(row))
 
     # -- vector conversions -------------------------------------------------
 
@@ -226,26 +229,21 @@ class HitSpan:
         v = 0
         pos = self.position
         for t in theta.terms:
-            # duals of the (possibly restricted) quotient must pair to zero
-            # with dropped monomials, so every term must be a live column.
-            v ^= 1 << pos[t]
+            p = pos.get(t)
+            if p is None:
+                # a dropped monomial is hit, and theta pairs to 1 with it
+                raise ValueError(
+                    "dual element is not annihilated by all positive squares: "
+                    f"its term {t} pairs with a hit monomial"
+                )
+            v ^= 1 << p
         return v
 
     def to_polynomial(self, bits: int) -> Polynomial:
-        monos = []
-        while bits:
-            p = lsb(bits)
-            bits ^= 1 << p
-            monos.append(self.columns[p])
-        return Polynomial(self.q, monos)
+        return Polynomial(self.q, [self.columns[p] for p in support(bits)])
 
     def to_dual(self, bits: int) -> DualElement:
-        terms = []
-        while bits:
-            p = lsb(bits)
-            bits ^= 1 << p
-            terms.append(self.columns[p])
-        return DualElement(self.q, terms)
+        return DualElement(self.q, [self.columns[p] for p in support(bits)])
 
     # -- queries -------------------------------------------------------------
 
@@ -274,7 +272,12 @@ class HitSpan:
         return out
 
     def weight_table(self) -> dict[WeightVector, tuple[int, int]]:
-        """Per weight vector: (number of columns, number of pivots)."""
+        """Per weight vector: (number of columns, number of pivots).
+
+        Dropped columns are hit, so each of their weights has as many pivots
+        as columns; those weights follow the live ones, largest first, as
+        in the unrestricted span.
+        """
         table: dict[WeightVector, list[int]] = {}
         for p, m in enumerate(self.columns):
             w = weight_vector(m)
@@ -282,7 +285,9 @@ class HitSpan:
             entry[0] += 1
             if p in self.echelon.rows:
                 entry[1] += 1
-        return {w: (c, r) for w, (c, r) in table.items()}
+        out = {w: (c, r) for w, (c, r) in table.items()}
+        out.update((w, (c, c)) for w, c in self.dropped.items())
+        return out
 
     def primitive_vectors(self) -> list[int]:
         """Kernel of the hit span: bit-vectors orthogonal to every hit row."""
@@ -293,9 +298,23 @@ class HitSpan:
         return [self.to_dual(v) for v in self.primitive_vectors()]
 
 
-def _padded(w: WeightVector, n: int) -> tuple[int, ...]:
-    pad = n.bit_length() + 1
-    return tuple(w) + (0,) * (pad - len(w))
+def _may_reach(g: Monomial, t: int, bound: tuple[int, ...]) -> bool:
+    """False only when every term of Sq^t(g) has padded weight below bound.
+
+    A term g + d is odd exactly where g is odd and d even, and the number of
+    odd d_i has the parity of t, so its first weight is at most
+    top = (odd exponents of g) - (t mod 2).  When top equals bound[0] and t
+    is even, a term reaching it has every d_i even, and then the term halved
+    is a term of Sq^(t/2) of g halved, whose weight must reach bound[1:].
+    """
+    while bound:
+        top = sum(e & 1 for e in g) - (t & 1)
+        if top != bound[0] or t & 1:
+            return top >= bound[0]
+        g = tuple(e >> 1 for e in g)
+        t >>= 1
+        bound = bound[1:]
+    return True
 
 
 _SPAN_CACHE: dict[tuple, HitSpan] = {}

@@ -21,7 +21,7 @@ def config(tmp_path) -> EngineConfig:
     return EngineConfig(cache_dir=tmp_path / "cache")
 
 
-@pytest.fixture
-def warm_config() -> EngineConfig:
-    """The default config; shares the repository-local cache across tests."""
-    return EngineConfig()
+@pytest.fixture(scope="session")
+def warm_config(tmp_path_factory) -> EngineConfig:
+    """One disk cache shared by the whole session, empty when it starts."""
+    return EngineConfig(cache_dir=tmp_path_factory.mktemp("warm_cache"))

@@ -24,10 +24,11 @@ from cohitlab.polyspace import (
     Polynomial,
     enumerate_monomials,
     minimal_spike,
+    padded_weight,
     pairing,
     weight_vector,
 )
-from cohitlab.steenrod import sq, sq_dual
+from cohitlab.steenrod import hit_span, sq, sq_dual
 
 
 def check_differential_squares_to_zero(max_length: int, max_degree: int) -> int:
@@ -77,35 +78,68 @@ def check_primitives_match_cohit_dims(
     return count
 
 
-def check_spike_criterion_against_brute_force(
-    q: int, max_degree: int, config: EngineConfig | None = None
-) -> int:
+def check_spike_criterion_against_brute_force(q: int, max_degree: int) -> int:
     """Monomials of weight below the minimal spike are exactly hit, degreewise.
 
     The criterion prunes a monomial when its padded weight vector is
     lexicographically smaller than the minimal spike's; every pruned monomial
     must be hit, and in degrees where mu(n) <= q no admissible monomial may
-    be pruned.
+    be pruned.  Both are checked on the unpruned span, where no monomial is
+    dropped before it is tested.
     """
-
-    def padded(w, n):
-        pad = n.bit_length() + 1
-        return tuple(w) + (0,) * (pad - len(w))
-
     checked = 0
     for n in range(1, max_degree + 1):
         spike = minimal_spike(q, n)
-        span = span_for(q, n, config)
+        span = hit_span(q, n)
         admissible = set(span.admissible_monomials())
         if spike is None:
             continue
-        bound = padded(weight_vector(spike), n)
+        bound = padded_weight(weight_vector(spike), n)
         for m in enumerate_monomials(q, n):
-            if padded(weight_vector(m), n) < bound:
+            if padded_weight(weight_vector(m), n) < bound:
                 assert span.is_hit(Polynomial(q, [m])), (n, m)
                 assert m not in admissible
                 checked += 1
     return checked
+
+
+def check_pruned_span_matches_unpruned(
+    max_rank: int,
+    max_degree: int,
+    extra: tuple[tuple[int, int], ...] = (),
+    samples: int = 4,
+    seed: int = 2024,
+) -> int:
+    """The minimal-spike span presents the same quotient as the unpruned one.
+
+    Compares ``span_for`` with ``hit_span`` on admissible monomials, the
+    weight table (entries and their order), the primitive basis, and normal
+    forms of random polynomials, drawn both from all monomials and from the
+    columns that survive the prune.  Returns the number of degrees where the
+    prune dropped columns.
+    """
+    rng = random.Random(seed)
+    degrees = [
+        (q, n) for q in range(1, max_rank + 1) for n in range(1, max_degree + 1)
+    ]
+    pruned_degrees = 0
+    for q, n in degrees + list(extra):
+        pruned = span_for(q, n, EngineConfig(use_cache=False))
+        full = hit_span(q, n)
+        where = (q, n)
+        assert pruned.admissible_monomials() == full.admissible_monomials(), where
+        assert list(pruned.weight_table().items()) == list(
+            full.weight_table().items()
+        ), where
+        assert pruned.primitive_basis() == full.primitive_basis(), where
+        monomials = enumerate_monomials(q, n)
+        for _ in range(samples):
+            picks = rng.sample(monomials, min(len(monomials), 3))
+            picks += rng.sample(pruned.columns, min(pruned.ncols, 3))
+            f = Polynomial(q, set(picks))
+            assert pruned.normal_form(f) == full.normal_form(f), (where, f)
+        pruned_degrees += pruned.ncols < full.ncols
+    return pruned_degrees
 
 
 def check_weight_dims_sum_to_cohit_dim(

@@ -16,10 +16,12 @@ from cohitlab.cohit import (
     kameko_up,
     kameko_up_monomial,
     quotient,
+    span_for,
     weight_subquotient,
     weight_table,
 )
 from cohitlab.polyspace import Polynomial, mu, weight_vector
+from cohitlab.steenrod import hit_span
 
 
 def test_one_variable_dims(config):
@@ -139,9 +141,10 @@ def test_resource_limit_mentions_the_budget(config):
 
 
 def test_prune_reproduces_the_unpruned_dimension(config):
-    pruned = EngineConfig(cache_dir=config.cache_dir / "p", prune=True)
     for q, n in ((3, 8), (4, 9), (4, 17)):
-        assert cohit_dim(q, n, pruned) == cohit_dim(q, n, config)
+        full = hit_span(q, n)
+        assert span_for(q, n, config).ncols < full.ncols
+        assert cohit_dim(q, n, config) == full.ncols - full.rank
 
 
 def test_disk_cache_round_trip(tmp_path):

@@ -34,9 +34,13 @@ def test_primitive_dims_small(config):
     assert pc.check_primitives_match_cohit_dims(3, 10, config) == 30
 
 
-def test_spike_criterion_small(config):
-    assert pc.check_spike_criterion_against_brute_force(3, 10, config) > 20
-    assert pc.check_spike_criterion_against_brute_force(4, 8, config) > 20
+def test_spike_criterion_small():
+    assert pc.check_spike_criterion_against_brute_force(3, 10) > 20
+    assert pc.check_spike_criterion_against_brute_force(4, 8) > 20
+
+
+def test_pruned_span_matches_the_unpruned_span():
+    assert pc.check_pruned_span_matches_unpruned(4, 30, extra=((4, 37),)) > 50
 
 
 def test_weight_dims_small(config):
