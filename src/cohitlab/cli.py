@@ -7,10 +7,13 @@ mismatches its stored expectations, 2 on usage or input errors, and 3 when a
 computation refuses to start or finish inside the configured column budget
 or the Adem rewrite budget.
 
-Results of the heavier commands are cached under ``$COHITLAB_CACHE``
-(default ``.cohitlab/``) as small JSON entries keyed by operation,
-arguments, and a hash of the engine's ordering conventions, so stale
-entries from an incompatible build are ignored rather than trusted.
+The answers of the commands in ``CACHED`` are the only thing cohitlab keeps
+on disk: one JSON entry per answer under ``$COHITLAB_CACHE`` (default
+``.cohitlab/``, read on every call; ``--no-cache`` bypasses it).  ``main``
+fetches, computes and stores them on one path, keyed by command, q, n,
+group, omega, the schema version and a hash of the engine's ordering
+conventions, so stale entries from an incompatible build are ignored rather
+than trusted.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCES = 3
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # Ordering and sign-free conventions the numeric results depend on; any
 # change invalidates cached entries via the hash below.
 CONVENTIONS = (
@@ -45,19 +48,15 @@ CONVENTIONS = (
     "psi=prepend-first-factor",
 )
 
+# commands whose answers the result cache stores
+CACHED = frozenset(
+    "cohit weight invariants coinvariants primitives kameko ext transfer".split()
+)
+
 
 def convention_hash() -> str:
     blob = f"{SCHEMA_VERSION}:" + ";".join(CONVENTIONS)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def code_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("cohitlab")
-    except Exception:
-        return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -65,22 +64,18 @@ def code_version() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cache_name(op: str, key: dict) -> str:
+def _entry_path(cache_dir: Path, op: str, key: dict) -> Path:
     blob = json.dumps({"op": op, **key}, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return f"cli_{op}_{digest}.json"
+    return cache_dir / f"cli_{op}_{digest}.json"
 
 
-def _cache_path(config: EngineConfig, op: str, key: dict) -> Path:
-    return config.cache_dir / _cache_name(op, key)
-
-
-def cache_fetch(config: EngineConfig, op: str, key: dict) -> dict | None:
+def cache_fetch(cache_dir: Path | None, op: str, key: dict) -> dict | None:
     """Stored payload for (op, key), or None when absent or incompatible."""
-    if not config.use_cache:
+    if cache_dir is None:
         return None
     try:
-        with open(_cache_path(config, op, key)) as fh:
+        with open(_entry_path(cache_dir, op, key)) as fh:
             entry = json.load(fh)
     except (OSError, ValueError):
         return None
@@ -91,22 +86,21 @@ def cache_fetch(config: EngineConfig, op: str, key: dict) -> dict | None:
         return None
     if any(stored.get(k) != v for k, v in key.items()):
         return None
-    return _unpack_matrices(entry.get("payload"))
+    return entry.get("payload")
 
 
-def cache_put(config: EngineConfig, op: str, key: dict, payload: dict) -> None:
-    if not config.use_cache:
+def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None:
+    if cache_dir is None:
         return
     entry = {
         "schema": SCHEMA_VERSION,
         "key": {**key, "op": op, "conventions": convention_hash()},
-        "payload": _pack_matrices(payload),
+        "payload": payload,
         "provenance": {
-            "code_version": code_version(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }
-    path = _cache_path(config, op, key)
+    path = _entry_path(cache_dir, op, key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -117,45 +111,30 @@ def cache_put(config: EngineConfig, op: str, key: dict, payload: dict) -> None:
         return
 
 
-def _pack_matrices(payload: dict) -> dict:
-    """Hex-encode bit matrices for compact storage."""
-    if "matrix" in payload and isinstance(payload["matrix"], list):
-        rows = payload["matrix"]
-        packed = [
-            format(sum(1 << i for i, c in enumerate(row) if c), "x")
-            for row in rows
-        ]
-        out = dict(payload)
-        out["matrix_hex"] = packed
-        out["matrix_cols"] = payload.get("codomain_dim", 0)
-        del out["matrix"]
-        return out
-    return payload
+def _serve_cached(handler, args, config: EngineConfig, cache_dir: Path | None):
+    """Answer a command in ``CACHED``: its stored payload, or compute and store it.
 
-
-def _unpack_matrices(payload):
-    if isinstance(payload, dict) and "matrix_hex" in payload:
-        cols = payload.get("matrix_cols", 0)
-        rows = []
-        for hx in payload["matrix_hex"]:
-            bits = int(hx, 16)
-            rows.append([(bits >> i) & 1 for i in range(cols)])
-        out = dict(payload)
-        out["matrix"] = rows
-        del out["matrix_hex"]
-        del out["matrix_cols"]
-        return out
+    The key is the same for every such command: q, n, group and the parsed
+    ``--omega`` (written back to ``args.omega`` for the handler).
+    """
+    _require(args, "q", "n")
+    args.omega = _parse_omega(args.omega) if args.omega else None
+    key = {"q": args.q, "n": args.n, "group": args.group, "omega": args.omega}
+    payload = cache_fetch(cache_dir, args.command, key)
+    if payload is None:
+        payload = handler(args, config)
+        cache_put(cache_dir, args.command, key, payload)
     return payload
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (payload, exit_code)
+# subcommand handlers: return the JSON payload
 # ---------------------------------------------------------------------------
 
 
-def _parse_omega(text: str) -> tuple[int, ...]:
+def _parse_omega(text: str) -> list[int]:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        parts = [int(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"bad weight vector {text!r}; expected e.g. 3,1,1")
     if any(x < 0 for x in parts):
@@ -194,94 +173,48 @@ def _load_dual(args) -> DualElement:
 
 
 def cmd_cohit(args, config):
-    _require(args, "q", "n")
-    key = {"q": args.q, "n": args.n}
-    cached = cache_fetch(config, "cohit", key)
-    if cached is not None:
-        return cached, EXIT_OK
     basis = cohit.cohit_basis(args.q, args.n, config=config)
-    payload = {
+    return {
         "q": args.q,
         "n": args.n,
         "dim": len(basis),
         "basis": [list(m) for m in basis],
     }
-    cache_put(config, "cohit", key, payload)
-    return payload, EXIT_OK
 
 
 def cmd_weight(args, config):
-    _require(args, "q", "n")
     if args.omega:
-        omega = _parse_omega(args.omega)
-        key = {"q": args.q, "n": args.n, "omega": list(omega)}
-        cached = cache_fetch(config, "weight", key)
-        if cached is not None:
-            return cached, EXIT_OK
-        dim, basis = cohit.weight_subquotient(args.q, args.n, omega, config)
-        payload = {
+        dim, basis = cohit.weight_subquotient(args.q, args.n, args.omega, config)
+        return {
             "q": args.q,
             "n": args.n,
-            "omega": list(omega),
+            "omega": args.omega,
             "dim": dim,
             "basis": [list(m) for m in basis],
         }
-        cache_put(config, "weight", key, payload)
-        return payload, EXIT_OK
-    key = {"q": args.q, "n": args.n}
-    cached = cache_fetch(config, "weight_table", key)
-    if cached is not None:
-        return cached, EXIT_OK
     table = cohit.weight_table(args.q, args.n, config)
-    payload = {
+    return {
         "q": args.q,
         "n": args.n,
         "weights": {cohit.weight_key(w): d for w, d in sorted(table.items())},
         "total": sum(table.values()),
     }
-    cache_put(config, "weight_table", key, payload)
-    return payload, EXIT_OK
 
 
 def cmd_invariants(args, config):
-    _require(args, "q", "n")
-    omega = _parse_omega(args.omega) if args.omega else None
-    key = {
-        "q": args.q,
-        "n": args.n,
-        "group": args.group,
-        "omega": list(omega) if omega else None,
-    }
-    cached = cache_fetch(config, "invariants", key)
-    if cached is not None:
-        return cached, EXIT_OK
-    payload = glaction.invariants(
-        args.q, args.n, args.group, omega=omega, config=config
+    return glaction.invariants(
+        args.q, args.n, args.group, omega=args.omega, config=config
     ).to_json()
-    cache_put(config, "invariants", key, payload)
-    return payload, EXIT_OK
 
 
 def cmd_coinvariants(args, config):
-    _require(args, "q", "n")
-    key = {"q": args.q, "n": args.n, "group": args.group}
-    cached = cache_fetch(config, "coinvariants", key)
-    if cached is not None:
-        return cached, EXIT_OK
-    payload = glaction.coinvariants(args.q, args.n, args.group, config).to_json()
-    cache_put(config, "coinvariants", key, payload)
-    return payload, EXIT_OK
+    return glaction.coinvariants(args.q, args.n, args.group, config).to_json()
 
 
 def cmd_primitives(args, config):
-    _require(args, "q", "n")
-    key = {"q": args.q, "n": args.n}
-    cached = cache_fetch(config, "primitives", key)
-    if cached is not None:
-        return cached, EXIT_OK
     span = cohit.span_for(args.q, args.n, config)
     vectors = span.primitive_vectors()
-    payload = {
+    return {
         "q": args.q,
         "n": args.n,
         "dim": len(vectors),
@@ -289,34 +222,26 @@ def cmd_primitives(args, config):
             span.to_dual(v).to_json()["terms"] for v in vectors
         ],
     }
-    cache_put(config, "primitives", key, payload)
-    return payload, EXIT_OK
 
 
 def cmd_annihilated(args, config):
     element = _load_dual(args)
-    payload = {
+    return {
         "q": element.q,
         "degree": element.degree,
         "terms": len(element.terms),
         "annihilated": is_annihilated(element),
     }
-    return payload, EXIT_OK
 
 
 def cmd_kameko(args, config):
-    _require(args, "q", "n")
     if (args.n - args.q) % 2 or args.n < args.q:
         raise UsageError(
             f"halving map needs n = 2m + q; n={args.n}, q={args.q} do not fit"
         )
-    key = {"q": args.q, "n": args.n}
-    cached = cache_fetch(config, "kameko", key)
-    if cached is not None:
-        return cached, EXIT_OK
     km = cohit.kameko_matrix(args.q, args.n, config)
     kernel = km.kernel_coordinates()
-    payload = {
+    return {
         "q": args.q,
         "n": args.n,
         "target_degree": km.target_degree,
@@ -326,8 +251,6 @@ def cmd_kameko(args, config):
         "surjective": km.is_surjective(),
         "kernel_dim": len(kernel),
     }
-    cache_put(config, "kameko", key, payload)
-    return payload, EXIT_OK
 
 
 def cmd_psi(args, config):
@@ -335,35 +258,20 @@ def cmd_psi(args, config):
     if element.is_zero():
         raise UsageError("the zero element has no chain image worth printing")
     image = adem_reduce(psi(element))
-    payload = {
+    return {
         "q": element.q,
         "degree": element.degree,
         "words": [list(w) for w in image.sorted_words()],
         "is_cycle": image.is_zero() or is_cycle(image),
     }
-    return payload, EXIT_OK
 
 
 def cmd_ext(args, config):
-    _require(args, "q", "n")
-    key = {"s": args.q, "n": args.n}
-    cached = cache_fetch(config, "ext", key)
-    if cached is not None:
-        return cached, EXIT_OK
-    payload = {"s": args.q, "n": args.n, "dim": ext_dim(args.q, args.n)}
-    cache_put(config, "ext", key, payload)
-    return payload, EXIT_OK
+    return {"s": args.q, "n": args.n, "dim": ext_dim(args.q, args.n)}
 
 
 def cmd_transfer(args, config):
-    _require(args, "q", "n")
-    key = {"q": args.q, "n": args.n}
-    cached = cache_fetch(config, "transfer", key)
-    if cached is not None:
-        return cached, EXIT_OK
-    payload = transferlab.verdict(args.q, args.n, config).to_json()
-    cache_put(config, "transfer", key, payload)
-    return payload, EXIT_OK
+    return transferlab.verdict(args.q, args.n, config).to_json()
 
 
 def cmd_verify(args, config):
@@ -380,32 +288,28 @@ def cmd_verify(args, config):
     reports = transferlab.verify_all(
         tuple(names), config, stretch=stretch, jobs=args.jobs
     )
-    payload = {
+    return {
         "suites": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),
         "complete": all(r.complete for r in reports),
     }
-    code = EXIT_OK if payload["passed"] else EXIT_MISMATCH
-    return payload, code
 
 
 def cmd_spike(args, config):
     _require(args, "q", "n")
     m = minimal_spike(args.q, args.n)
-    payload = {
+    return {
         "q": args.q,
         "n": args.n,
         "mu": mu(args.n) if args.n > 0 else 0,
         "spike": list(m) if m is not None else None,
         "weight": list(weight_vector(m)) if m is not None else None,
     }
-    return payload, EXIT_OK
 
 
 def cmd_mu(args, config):
     _require(args, "n")
-    payload = {"n": args.n, "alpha": alpha(args.n), "mu": mu(args.n)}
-    return payload, EXIT_OK
+    return {"n": args.n, "alpha": alpha(args.n), "mu": mu(args.n)}
 
 
 HANDLERS = {
@@ -536,14 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = EngineConfig(
-        use_cache=not args.no_cache, max_columns=args.max_cols
+    args = build_parser().parse_args(argv)
+    config = EngineConfig(max_columns=args.max_cols)
+    cache_dir = (
+        None if args.no_cache else Path(os.environ.get("COHITLAB_CACHE", ".cohitlab"))
     )
     handler = HANDLERS[args.command]
     try:
-        payload, code = handler(args, config)
+        if args.command in CACHED:
+            payload = _serve_cached(handler, args, config, cache_dir)
+        else:
+            payload = handler(args, config)
     except UsageError as exc:
         print(f"cohitlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -554,7 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         emit({"error": "rewrite-budget", "detail": str(exc)}, args.out)
         return EXIT_RESOURCES
     emit(payload, args.out)
-    return code
+    if args.command == "verify" and not payload["passed"]:
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -13,17 +13,13 @@ construction.
 Also here: the halving map on classes (divides all-odd exponent monomials by
 squaring-root; zero otherwise) and its section ``g -> x_1...x_q g^2``.
 
-Results are memoized in-process and, optionally, in a small JSON cache on
-disk (one file per (q, n); atomic writes; versioned format).
+Hit spans are memoized in-process and the engine never touches the disk: the
+only persistent cache is the command line's result cache (:mod:`cohitlab.cli`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from . import steenrod
 from .f2linalg import echelonize, image_kernel, support
@@ -37,9 +33,6 @@ from .polyspace import (
     weight_vector,
 )
 
-CACHE_ENV = "COHITLAB_CACHE"
-CACHE_FORMAT = 1
-
 
 class ResourceLimit(RuntimeError):
     """Raised when a computation would exceed the configured column budget."""
@@ -47,64 +40,13 @@ class ResourceLimit(RuntimeError):
 
 @dataclass
 class EngineConfig:
-    """Knobs for the quotient engine.
+    """The quotient engine's column budget, its only setting.
 
-    cache_dir: where JSON results live (``$COHITLAB_CACHE`` or ``.cohitlab``);
-        a string is taken as a path.
-    use_cache: read/write the on-disk cache.
-    max_columns: refuse degrees whose monomial count exceeds this.
+    max_columns: refuse degrees whose monomial count exceeds this, with
+        :class:`ResourceLimit`.
     """
 
-    cache_dir: Path = field(
-        default_factory=lambda: Path(os.environ.get(CACHE_ENV, ".cohitlab"))
-    )
-    use_cache: bool = True
     max_columns: int = 1 << 21
-
-    def __post_init__(self) -> None:
-        self.cache_dir = Path(self.cache_dir)
-
-
-def default_config() -> EngineConfig:
-    return EngineConfig()
-
-
-# -- disk cache ---------------------------------------------------------------
-
-
-def _cache_path(config: EngineConfig, q: int, n: int) -> Path:
-    return config.cache_dir / f"q{q}_n{n}.json"
-
-
-def _cache_load(config: EngineConfig, q: int, n: int) -> dict:
-    if not config.use_cache:
-        return {}
-    path = _cache_path(config, q, n)
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if data.get("format") != CACHE_FORMAT:
-        return {}
-    return data
-
-
-def _cache_store(config: EngineConfig, q: int, n: int, updates: dict) -> None:
-    if not config.use_cache:
-        return
-    data = _cache_load(config, q, n)
-    data.update(updates)
-    data.update({"format": CACHE_FORMAT, "q": q, "n": n})
-    path = _cache_path(config, q, n)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)
-    except OSError:
-        return
 
 
 # -- the quotient engine ------------------------------------------------------
@@ -126,7 +68,7 @@ def span_for(q: int, n: int, config: EngineConfig | None = None) -> steenrod.Hit
     smaller weight is hit (Singer's criterion), so dropping those columns
     leaves the same pivots, quotient basis, normal forms and primitives.
     """
-    config = config or default_config()
+    config = config or EngineConfig()
     check_rank(q)
     _check_budget(config, q, n)
     spike = minimal_spike(q, n)
@@ -171,26 +113,11 @@ def cohit_basis(
     q: int, n: int, config: EngineConfig | None = None
 ) -> list[Monomial]:
     """Admissible-monomial basis of Q_n, ascending in the monomial order."""
-    config = config or default_config()
-    cached = _cache_load(config, q, n)
-    if "admissible" in cached:
-        return [tuple(m) for m in cached["admissible"]]
-    basis = quotient(q, n, config).basis
-    _cache_store(
-        config,
-        q,
-        n,
-        {"dim": len(basis), "admissible": [list(m) for m in basis]},
-    )
-    return list(basis)
+    return list(quotient(q, n, config).basis)
 
 
 def cohit_dim(q: int, n: int, config: EngineConfig | None = None) -> int:
-    config = config or default_config()
-    cached = _cache_load(config, q, n)
-    if "dim" in cached:
-        return int(cached["dim"])
-    return len(cohit_basis(q, n, config))
+    return quotient(q, n, config).dim
 
 
 def weight_key(w: WeightVector) -> str:
@@ -201,24 +128,10 @@ def weight_table(
     q: int, n: int, config: EngineConfig | None = None
 ) -> dict[WeightVector, int]:
     """dim (Q_n)^w for every weight w occurring in degree n."""
-    config = config or default_config()
-    cached = _cache_load(config, q, n)
-    if "weights" in cached:
-        return {
-            tuple(int(x) for x in key.split(",")): dim
-            for key, dim in cached["weights"].items()
-        }
     span = span_for(q, n, config)
-    table = {
+    return {
         w: cols - pivots for w, (cols, pivots) in span.weight_table().items()
     }
-    _cache_store(
-        config,
-        q,
-        n,
-        {"weights": {weight_key(w): d for w, d in sorted(table.items())}},
-    )
-    return table
 
 
 def weight_subquotient(

@@ -177,11 +177,6 @@ def echelonize(rows: Iterable[int], ncols: int) -> EchelonForm:
     return ech
 
 
-def kernel_basis(rows: Iterable[int], ncols: int) -> list[int]:
-    """Basis of the right kernel {x : r . x = 0 for all rows r}."""
-    return echelonize(rows, ncols).kernel_basis()
-
-
 def image_kernel(images: Iterable[int], ncols: int) -> tuple[EchelonForm, list[int]]:
     """Tagged echelon of the images of a map, and a basis of its kernel.
 
@@ -229,7 +224,7 @@ def solve_modulo(
 
 
 class BitMatrix:
-    """A list of bit-vector rows with a fixed number of columns."""
+    """A list of bit-vector rows with a fixed number of columns, and its transpose."""
 
     def __init__(self, ncols: int, rows: Iterable[int] = ()):
         self.ncols = ncols
@@ -238,20 +233,8 @@ class BitMatrix:
     def append(self, row: int) -> None:
         self.rows.append(row)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def __iter__(self):
         return iter(self.rows)
-
-    def rank(self) -> int:
-        return echelonize(self.rows, self.ncols).rank
-
-    def echelon(self) -> EchelonForm:
-        return echelonize(self.rows, self.ncols)
-
-    def kernel(self) -> list[int]:
-        return kernel_basis(self.rows, self.ncols)
 
     def transpose(self) -> "BitMatrix":
         out = BitMatrix(len(self.rows))
@@ -261,6 +244,3 @@ class BitMatrix:
                 v |= ((r >> j) & 1) << i
             out.append(v)
         return out
-
-    def column_space_contains(self, vec: int) -> bool:
-        return self.transpose().echelon().contains(vec)

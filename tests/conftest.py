@@ -16,12 +16,6 @@ settings.load_profile("ci")
 
 
 @pytest.fixture
-def config(tmp_path) -> EngineConfig:
-    """An engine config whose disk cache stays inside the test tmp dir."""
-    return EngineConfig(cache_dir=tmp_path / "cache")
-
-
-@pytest.fixture(scope="session")
-def warm_config(tmp_path_factory) -> EngineConfig:
-    """One disk cache shared by the whole session, empty when it starts."""
-    return EngineConfig(cache_dir=tmp_path_factory.mktemp("warm_cache"))
+def config() -> EngineConfig:
+    """The default engine config; the engine keeps nothing on disk."""
+    return EngineConfig()

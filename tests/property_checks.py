@@ -124,7 +124,7 @@ def check_pruned_span_matches_unpruned(
     ]
     pruned_degrees = 0
     for q, n in degrees + list(extra):
-        pruned = span_for(q, n, EngineConfig(use_cache=False))
+        pruned = span_for(q, n)
         full = hit_span(q, n)
         where = (q, n)
         assert pruned.admissible_monomials() == full.admissible_monomials(), where

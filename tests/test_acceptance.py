@@ -3,8 +3,8 @@
 Every criterion is gating.  Criterion 9 reaches degrees 64/65 (about a
 minute); a resource-cap refusal there is reported as a skip, not a failure.
 Each test prints a single summary line so a transcript of ``pytest -v``
-doubles as the checklist.  Every criterion computes from scratch: the disk
-cache they share starts empty in each session.
+doubles as the checklist.  Every criterion computes from scratch: the
+engine keeps nothing on disk, only in-process memos.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 import property_checks as pc
 from cohitlab import refdata
 from cohitlab.cohit import (
-    EngineConfig,
     ResourceLimit,
     cohit_basis,
     cohit_dim,
@@ -43,31 +42,31 @@ def _line(criterion: str, detail: str) -> None:
     print(f"criterion {criterion}: PASS - {detail}")
 
 
-def test_criterion_1_dimension_table(warm_config):
+def test_criterion_1_dimension_table(config):
     t0 = time.time()
-    dims = {n: cohit_dim(4, n, warm_config) for n in (9, 21, 45)}
+    dims = {n: cohit_dim(4, n, config) for n in (9, 21, 45)}
     elapsed = time.time() - t0
     assert dims == {9: 46, 21: 94, 45: 105}, dims
     assert elapsed < 300, f"budget 5 min, took {elapsed:.0f}s"
     _line("1", f"dim Q_9/21/45 = 46/94/105 in {elapsed:.1f}s")
 
 
-def test_criterion_2_printed_bases(warm_config):
-    basis_9 = cohit_basis(4, 9, config=warm_config)
+def test_criterion_2_printed_bases(config):
+    basis_9 = cohit_basis(4, 9, config=config)
     assert set(basis_9) == set(refdata.COHIT_BASIS_4_9)
     assert len(basis_9) == 46
-    basis_17 = cohit_basis(4, 17, config=warm_config)
+    basis_17 = cohit_basis(4, 17, config=config)
     assert len(basis_17) == 87
     assert set(basis_17) == set(refdata.COHIT_BASIS_4_17)
     _line("2", "printed bases reproduced at n=9 (46) and n=17 (87)")
 
 
-def test_criterion_3_coinvariants_and_the_pairing(warm_config):
+def test_criterion_3_coinvariants_and_the_pairing(config):
     t0 = time.time()
     dims = {}
     keep = {}
     for n in (9, 21, 45):
-        data = CoinvariantData(4, n, "gl", warm_config)
+        data = CoinvariantData(4, n, "gl", config)
         dims[n] = data.dim
         keep[n] = data
     assert dims == {9: 1, 21: 0, 45: 1}, dims
@@ -81,11 +80,11 @@ def test_criterion_3_coinvariants_and_the_pairing(warm_config):
                f"{elapsed:.1f}s")
 
 
-def test_criterion_4_degree_17_generator(warm_config):
+def test_criterion_4_degree_17_generator(config):
     zeta = DualElement(4, refdata.DUAL_GENERATOR_17)
     assert len(zeta.terms) == 44
     assert is_annihilated(zeta)
-    data = CoinvariantData(4, 17, "gl", warm_config)
+    data = CoinvariantData(4, 17, "gl", config)
     assert data.dim == 1
     assert data.class_coordinates(zeta) == 1
     image = adem_reduce(psi(zeta))
@@ -110,10 +109,10 @@ def test_criterion_5_printed_chain_images():
                "at (4, 9)")
 
 
-def test_criterion_6_halving_kernel(warm_config):
+def test_criterion_6_halving_kernel(config):
     for n in (4, 10):
-        assert kameko_kernel_invariants(4, n, "gl", warm_config).dim == 0, n
-    km = kameko_matrix(4, 4, warm_config)
+        assert kameko_kernel_invariants(4, n, "gl", config).dim == 0, n
+    km = kameko_matrix(4, 4, config)
     kernel = km.kernel_coordinates()
     assert len(kernel) == 20
     frozen = [
@@ -138,15 +137,15 @@ def test_criterion_7_homology_oracle():
                f"ext(4,9)=1 in {elapsed:.1f}s")
 
 
-def test_criterion_8_property_suites(warm_config):
+def test_criterion_8_property_suites(config):
     t0 = time.time()
     counts = {
         "d2": pc.check_differential_squares_to_zero(4, 52),
         "adjoint": pc.check_adjointness(1000),
-        "primitives": pc.check_primitives_match_cohit_dims(4, 20, warm_config),
+        "primitives": pc.check_primitives_match_cohit_dims(4, 20, config),
         "spikes": pc.check_spike_criterion_against_brute_force(4, 16),
-        "weights": pc.check_weight_dims_sum_to_cohit_dim(4, 21, warm_config),
-        "transfer": pc.check_low_rank_transfer_is_iso(3, 20, warm_config),
+        "weights": pc.check_weight_dims_sum_to_cohit_dim(4, 21, config),
+        "transfer": pc.check_low_rank_transfer_is_iso(3, 20, config),
     }
     elapsed = time.time() - t0
     assert all(v > 0 for v in counts.values())
@@ -155,13 +154,12 @@ def test_criterion_8_property_suites(warm_config):
         f"{k}={v}" for k, v in counts.items()) + f" in {elapsed:.1f}s")
 
 
-def test_criterion_9_stretch_degrees(warm_config):
-    budget = EngineConfig(cache_dir=warm_config.cache_dir, max_columns=1 << 21)
+def test_criterion_9_stretch_degrees(config):
     t0 = time.time()
     try:
-        assert cohit_dim(4, 65, budget) == 150
-        assert CoinvariantData(4, 65, "gl", budget).dim == 1
-        data64 = CoinvariantData(4, 64, "gl", budget)
+        assert cohit_dim(4, 65, config) == 150
+        assert CoinvariantData(4, 65, "gl", config).dim == 1
+        data64 = CoinvariantData(4, 64, "gl", config)
         assert data64.dim == 1
         zeta = DualElement(4, refdata.DUAL_GENERATOR_64)
         assert is_annihilated(zeta)

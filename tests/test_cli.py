@@ -190,7 +190,7 @@ def test_cache_round_trip_is_byte_identical(sandbox, capsys):
     entry = json.loads(entries[0].read_text())
     assert entry["schema"] == cli.SCHEMA_VERSION
     assert entry["key"]["conventions"] == cli.convention_hash()
-    assert "matrix_hex" in entry["payload"]
+    assert entry["payload"] == json.loads(out1)
     assert "timestamp" in entry["provenance"]
 
 
@@ -207,6 +207,13 @@ def test_stale_or_foreign_cache_entries_are_ignored(sandbox, capsys):
     entry.write_text("{broken")
     code, out3 = run(capsys, *args)
     assert out3 == out1
+    # an entry of the first schema, which stored hex-packed matrices
+    data = json.loads(entry.read_text())
+    data["schema"] = 1
+    data["payload"].update(dim=99, matrix_hex=["1"], matrix_cols=1)
+    entry.write_text(json.dumps(data))
+    code, out4 = run(capsys, *args)
+    assert out4 == out1
 
 
 def test_tampered_payload_with_matching_key_is_served(sandbox, capsys):
@@ -221,6 +228,14 @@ def test_tampered_payload_with_matching_key_is_served(sandbox, capsys):
     assert out["dim"] == 7
     _, fresh = run_json(capsys, *args, "--no-cache")
     assert fresh["dim"] == 1
+
+
+def test_cache_directory_is_read_on_every_call(sandbox, capsys, monkeypatch):
+    for name in ("first", "second"):
+        monkeypatch.setenv("COHITLAB_CACHE", str(sandbox / name))
+        run(capsys, "ext", "--q", "2", "--n", "3")
+    for name in ("first", "second"):
+        assert len(list((sandbox / name).glob("cli_ext_*.json"))) == 1
 
 
 def test_no_cache_writes_nothing(sandbox, capsys):

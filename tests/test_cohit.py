@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from cohitlab import refdata
@@ -135,7 +133,7 @@ def test_kameko_kernel_classes_map_to_zero(config):
 
 
 def test_resource_limit_mentions_the_budget(config):
-    tight = EngineConfig(cache_dir=config.cache_dir, max_columns=10)
+    tight = EngineConfig(max_columns=10)
     with pytest.raises(ResourceLimit, match="budget is 10"):
         cohit_dim(4, 9, tight)
 
@@ -147,41 +145,14 @@ def test_prune_reproduces_the_unpruned_dimension(config):
         assert cohit_dim(q, n, config) == full.ncols - full.rank
 
 
-def test_disk_cache_round_trip(tmp_path):
-    cfg = EngineConfig(cache_dir=tmp_path / "c")
-    first = cohit_basis(3, 8, config=cfg)
-    files = list((tmp_path / "c").glob("*.json"))
-    assert files, "expected a cache entry on disk"
-    again = cohit_basis(3, 8, config=EngineConfig(cache_dir=tmp_path / "c"))
-    assert first == again
-    # corrupt entries are ignored, not trusted
-    for f in files:
-        f.write_text("{not json")
-    rebuilt = cohit_basis(3, 8, config=EngineConfig(cache_dir=tmp_path / "c"))
-    assert rebuilt == first
+def test_the_engine_writes_nothing_to_disk(tmp_path, monkeypatch):
+    from cohitlab import steenrod
+    from cohitlab.glaction import coinvariants
 
-
-def test_string_cache_dir_is_a_path(tmp_path):
-    cfg = EngineConfig(cache_dir=str(tmp_path / "c"))
-    assert cfg.cache_dir == tmp_path / "c"
-    uncached = EngineConfig(use_cache=False)
-    assert cohit_dim(3, 8, config=cfg) == cohit_dim(3, 8, config=uncached)
-    assert (tmp_path / "c" / "q3_n8.json").is_file()
-
-
-def test_cache_disabled_matches_cached_results(tmp_path):
-    cached = EngineConfig(cache_dir=tmp_path / "c")
-    uncached = EngineConfig(cache_dir=tmp_path / "c", use_cache=False)
-    assert cohit_basis(3, 10, config=cached) == cohit_basis(
-        3, 10, config=uncached
-    )
-    assert not list((tmp_path / "c").glob("*n11*"))
-
-
-def test_cache_entry_is_json_with_format_tag(tmp_path):
-    cfg = EngineConfig(cache_dir=tmp_path / "c")
-    cohit_dim(2, 6, cfg)
-    (entry,) = (tmp_path / "c").glob("q2_n6.json")
-    data = json.loads(entry.read_text())
-    assert data["format"] == 1
-    assert data["q"] == 2 and data["n"] == 6
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COHITLAB_CACHE", str(tmp_path / "cache"))
+    steenrod.clear_cache()  # build the span here, not in an earlier test
+    assert len(cohit_basis(4, 9)) == 46
+    assert sum(weight_table(4, 9).values()) == 46
+    assert coinvariants(4, 9, "gl").dim == 1
+    assert list(tmp_path.iterdir()) == []

@@ -96,10 +96,10 @@ def test_fixture_dual_generators_are_annihilated():
 
 @given(st.integers(1, 3), st.integers(1, 10))
 def test_cohit_dim_is_cached_consistently(q, n):
-    from cohitlab.cohit import EngineConfig, cohit_dim
+    # a second call is served from the in-process span memo
+    from cohitlab.cohit import cohit_basis, cohit_dim
 
-    no_cache = EngineConfig(use_cache=False)
-    assert cohit_dim(q, n, no_cache) == cohit_dim(q, n, no_cache)
+    assert cohit_dim(q, n) == cohit_dim(q, n) == len(cohit_basis(q, n))
 
 
 @given(st.integers(0, 40))

@@ -105,8 +105,8 @@ def test_stretch_suites_skip_without_the_flag(config):
         assert "COHITLAB_STRETCH" in report.checks[0].detail
 
 
-def test_resource_caps_mark_checks_as_skipped(tmp_path):
-    tight = EngineConfig(cache_dir=tmp_path / "c", max_columns=40)
+def test_resource_caps_mark_checks_as_skipped():
+    tight = EngineConfig(max_columns=40)
     report = verify_suite("dlc2", tight)
     assert not report.complete
     skipped = [c for c in report.checks if c.status == "skipped"]
