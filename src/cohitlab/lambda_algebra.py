@@ -64,27 +64,27 @@ def adem_pair(a: int, b: int) -> frozenset[Word]:
     return frozenset(out)
 
 
-def _leftmost_inadmissible(word: Word) -> int | None:
-    for i in range(len(word) - 1):
-        if word[i] > 2 * word[i + 1]:
-            return i
-    return None
-
-
 @lru_cache(maxsize=None)
 def _reduce_word(word: Word) -> frozenset[Word]:
     """Admissible form of a single word, as a set of admissible words."""
     global _rewrite_count
-    i = _leftmost_inadmissible(word)
-    if i is None:
+    for i in range(len(word) - 1):
+        if word[i] > 2 * word[i + 1]:
+            break
+    else:
         return frozenset([word])
     _rewrite_count += 1
     if _rewrite_count > MAX_REWRITES:
         raise RewriteBudget(f"more than {MAX_REWRITES} pair rewrites")
-    acc: set[Word] = set()
     head, tail = word[:i], word[i + 2 :]
-    for c, d in adem_pair(word[i], word[i + 1]):
-        acc ^= _reduce_word(head + (c, d) + tail)
+    pairs = adem_pair(word[i], word[i + 1])
+    if len(pairs) == 1:
+        # share the child's set: no copy, and the memo holds one set for both
+        (pair,) = pairs
+        return _reduce_word(head + pair + tail)
+    acc: set[Word] = set()
+    for pair in pairs:
+        acc ^= _reduce_word(head + pair + tail)
     return frozenset(acc)
 
 
@@ -102,6 +102,13 @@ class LambdaElement:
             if any(j < 0 for j in w):
                 raise ValueError(f"negative index in word {w}")
         self.terms = ts
+
+    @classmethod
+    def _trusted(cls, terms: frozenset[Word]) -> "LambdaElement":
+        """An element over a homogeneous term set the engine built: no checks."""
+        el = object.__new__(cls)
+        el.terms = terms
+        return el
 
     @classmethod
     def zero(cls) -> "LambdaElement":
@@ -132,7 +139,7 @@ class LambdaElement:
             other.internal_degree,
         ):
             raise ValueError("cannot add inhomogeneous elements")
-        return LambdaElement(self.terms ^ other.terms)
+        return LambdaElement._trusted(self.terms ^ other.terms)
 
     __add__ = __xor__
 
@@ -183,7 +190,7 @@ def adem_reduce(el: LambdaElement) -> LambdaElement:
     acc: set[Word] = set()
     for w in el.terms:
         acc ^= _reduce_word(w)
-    return LambdaElement(acc)
+    return LambdaElement._trusted(frozenset(acc))
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +209,9 @@ def differential(el: LambdaElement) -> LambdaElement:
         for i, m in enumerate(w):
             head, tail = w[:i], w[i + 1 :]
             for pair in _d_generator(m):
-                acc ^= {head + pair + tail}
-    out = LambdaElement(acc)
-    return adem_reduce(out)
+                t = head + pair + tail
+                acc.remove(t) if t in acc else acc.add(t)
+    return adem_reduce(LambdaElement._trusted(frozenset(acc)))
 
 
 def is_cycle(el: LambdaElement) -> bool:
@@ -269,7 +276,8 @@ class _Coordinates:
         return v
 
     def element(self, bits: int) -> LambdaElement:
-        return LambdaElement([self.basis[p] for p in support(bits)])
+        terms = frozenset(self.basis[p] for p in support(bits))
+        return LambdaElement._trusted(terms)
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +389,8 @@ def _psi_term(term: tuple[int, ...]) -> frozenset[Word]:
         k = j1 + t
         for sub in sq_dual_term(t, rest):
             for w in _psi_term(sub):
-                acc ^= {(k,) + w}
+                word = (k,) + w
+                acc.remove(word) if word in acc else acc.add(word)
     return frozenset(acc)
 
 
@@ -390,7 +399,7 @@ def psi(theta: DualElement) -> LambdaElement:
     acc: set[Word] = set()
     for term in theta.terms:
         acc ^= _psi_term(term)
-    return adem_reduce(LambdaElement(acc))
+    return adem_reduce(LambdaElement._trusted(frozenset(acc)))
 
 
 def clear_caches() -> None:

@@ -238,6 +238,30 @@ def test_cache_directory_is_read_on_every_call(sandbox, capsys, monkeypatch):
         assert len(list((sandbox / name).glob("cli_ext_*.json"))) == 1
 
 
+def test_group_is_keyed_only_where_it_is_read(sandbox, capsys):
+    cohit = ("cohit", "--q", "2", "--n", "3")
+    _, plain = run(capsys, *cohit)
+    _, sigma = run(capsys, *cohit, "--group", "sigma")
+    assert sigma == plain
+    assert len(list((sandbox / "cache").glob("cli_cohit_*.json"))) == 1
+    invariants = ("invariants", "--q", "2", "--n", "3")
+    _, gl = run_json(capsys, *invariants)
+    _, sigma = run_json(capsys, *invariants, "--group", "sigma")
+    assert (gl["dim"], sigma["dim"]) == (1, 2)
+    assert len(list((sandbox / "cache").glob("cli_invariants_*.json"))) == 2
+
+
+def test_column_budget_limits_computing_not_serving(sandbox, capsys):
+    args = ("cohit", "--q", "4", "--n", "9")
+    code, cold = run(capsys, *args)
+    assert code == 0
+    code, warm = run(capsys, *args, "--max-cols", "10")
+    assert code == 0 and warm == cold
+    code, data = run_json(capsys, *args, "--max-cols", "10", "--no-cache")
+    assert code == 3
+    assert data["error"] == "resource-limit"
+
+
 def test_no_cache_writes_nothing(sandbox, capsys):
     run(capsys, "ext", "--q", "2", "--n", "4", "--no-cache")
     assert not list((sandbox / "cache").glob("cli_ext_*"))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -162,6 +165,52 @@ def test_rewrite_budget_is_per_reduction(fresh_lambda_caches, monkeypatch):
         adem_reduce(from_words((15, 6, 1)))  # needs 5
 
 
+def reference_reduce(words) -> frozenset:
+    """Rewrite the leftmost inadmissible pair of some word until none is left.
+
+    No memo and no shortcut: the plain rewriting the engine must agree with.
+    """
+    current = set(words)
+    while True:
+        word = next((w for w in current if not is_admissible(w)), None)
+        if word is None:
+            return frozenset(current)
+        current.remove(word)
+        i = next(i for i in range(len(word) - 1) if word[i] > 2 * word[i + 1])
+        for pair in adem_pair(word[i], word[i + 1]):
+            current ^= {word[:i] + pair + word[i + 2 :]}
+
+
+def reference_derivation(word) -> set:
+    """d(word) by the Leibniz rule, with d(l_m) from the binomials, unreduced."""
+    out: set = set()
+    for i, m in enumerate(word):
+        for j in range(1, m + 1):
+            if comb(m - j, j) % 2:
+                out ^= {word[:i] + (j - 1, m - j) + word[i + 1 :]}
+    return out
+
+
+def test_adem_reduce_matches_the_reference_rewriting(fresh_lambda_caches):
+    rng = random.Random(5)
+    for _ in range(400):
+        s, n = rng.randint(1, 4), rng.randint(0, 24)
+        words = set()
+        for _ in range(rng.randint(1, 3)):
+            cuts = sorted(rng.randint(0, n) for _ in range(s - 1))
+            words.add(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+        got = adem_reduce(LambdaElement(words))
+        assert got.terms == reference_reduce(words), words
+
+
+def test_differential_matches_the_reference_derivation(fresh_lambda_caches):
+    for s in range(1, 4):
+        for n in range(21):
+            for w in admissible_basis(s, n):
+                want = reference_reduce(reference_derivation(w))
+                assert differential(LambdaElement([w])).terms == want, w
+
+
 def test_ext_dim_known_classes():
     assert ext_dim(3, 8) == 1
     assert ext_dim(4, 9) == 1
@@ -249,3 +298,12 @@ def test_mixed_length_elements_are_rejected():
         LambdaElement([(1, 2), (1,)])
     with pytest.raises(ValueError):
         LambdaElement([(1, 2), (2, 2)])  # mixed internal degree
+
+
+def test_negative_indices_are_rejected():
+    with pytest.raises(ValueError, match="negative index"):
+        LambdaElement([(3, -1)])
+    with pytest.raises(ValueError, match="negative index"):
+        from_words((2, 1), (4, -1))
+    with pytest.raises(ValueError, match="negative index"):
+        LambdaElement.from_json({"terms": [[-1]]})
