@@ -11,9 +11,9 @@ The answers of the commands in ``CACHED`` are the only thing cohitlab keeps
 on disk: one JSON entry per answer under ``$COHITLAB_CACHE`` (default
 ``.cohitlab/``, read on every call; ``--no-cache`` bypasses it).  ``main``
 fetches, computes and stores them on one path, keyed by command, q, n,
-omega, the group (only for ``GROUPED``), the schema version and a hash of
-the engine's ordering conventions, so stale entries from an incompatible
-build are ignored rather than trusted.
+omega (only for ``WEIGHTED``), the group (only for ``GROUPED``), the schema
+version and a hash of the engine's ordering conventions, so stale entries
+from an incompatible build are ignored rather than trusted.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ CACHED = frozenset(
 )
 # the cached commands whose answer depends on --group
 GROUPED = frozenset(("invariants", "coinvariants"))
+# the cached commands whose answer depends on --omega
+WEIGHTED = frozenset(("weight", "invariants"))
 
 
 def convention_hash() -> str:
@@ -116,12 +118,15 @@ def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None
 def _serve_cached(handler, args, config: EngineConfig, cache_dir: Path | None):
     """Answer a command in ``CACHED``: its stored payload, or compute and store it.
 
-    The key is q, n, the parsed ``--omega`` (written back to ``args.omega``
-    for the handler) and, for the commands in ``GROUPED``, the group.
+    The key is q, n, for the commands in ``WEIGHTED`` the parsed ``--omega``
+    (written back to ``args.omega`` for the handler), and for the commands
+    in ``GROUPED`` the group.
     """
     _require(args, "q", "n")
     args.omega = _parse_omega(args.omega) if args.omega else None
-    key = {"q": args.q, "n": args.n, "omega": args.omega}
+    key = {"q": args.q, "n": args.n}
+    if args.command in WEIGHTED:
+        key["omega"] = args.omega
     if args.command in GROUPED:
         key["group"] = args.group
     payload = cache_fetch(cache_dir, args.command, key)

@@ -11,6 +11,7 @@ Everything here is exact arithmetic; there is no floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 
@@ -142,31 +143,28 @@ class EchelonForm:
     def contains(self, vec: int) -> bool:
         return self.reduce(vec) == 0
 
-    def kernel_basis(self) -> list[int]:
-        """Basis of {x : r . x = 0 for every row r}, one vector per free column.
+    def kernel_vector(self, f: int, pivots: Sequence[int] | None = None) -> int:
+        """The kernel vector whose free-column support is exactly {f}.
 
-        Back-substitutes over pivots in decreasing order, so the rows never
-        need to be mutually reduced.  The basis vector for free column f is
-        the unique kernel vector whose free-column support is exactly {f}.
-        Only pivots below f are visited: a row pivoted above f has no bit at
-        or below its pivot, so it never meets a vector supported up to f.
+        Back-substitutes over the pivots below f in decreasing order, so the
+        rows never need to be mutually reduced: a row pivoted above f never
+        meets a vector supported up to f.  ``pivots`` is ``sorted(self.rows)``.
         """
         rows = self.rows
-        pivs = sorted(rows)
-        below = 0  # pivs[:below] are the pivots below the current column
-        out = []
-        for f in range(self.ncols):
-            if f in rows:
-                continue
-            while below < len(pivs) and pivs[below] < f:
-                below += 1
-            x = 1 << f
-            for k in range(below - 1, -1, -1):
-                p = pivs[k]
-                if (rows[p] & x).bit_count() & 1:
-                    x |= 1 << p
-            out.append(x)
-        return out
+        if pivots is None:
+            pivots = sorted(rows)
+        x = 1 << f
+        for k in range(bisect_left(pivots, f) - 1, -1, -1):
+            p = pivots[k]
+            if (rows[p] & x).bit_count() & 1:
+                x |= 1 << p
+        return x
+
+    def kernel_basis(self) -> list[int]:
+        """Basis of {x : r . x = 0 for every row r}, one vector per free column."""
+        pivots = sorted(self.rows)
+        free = (f for f in range(self.ncols) if f not in self.rows)
+        return [self.kernel_vector(f, pivots) for f in free]
 
 
 def echelonize(rows: Iterable[int], ncols: int) -> EchelonForm:

@@ -1,18 +1,23 @@
-"""The GL_q(F2) action on polynomials and divided powers.
+"""The GL_q(F2) action on Q_n: invariants and coinvariants.
 
 Generators: the adjacent transpositions (x_j <-> x_{j+1}) and the transvection
 x_1 -> x_1 + x_2.  A group element is encoded by its variable images: row r
 lists the variables appearing in the image of x_{r+1}.
 
-On the divided-power dual the adjoint action (transposed images) satisfies
-``<act_dual(transpose(s), theta), f> = <theta, substitute(s, f)>``; the
-invariant/coinvariant dimensions computed here do not depend on that choice
-because transposition permutes the generating set of the group.
+Both sides are read from one matrix per generator g: the matrix of g + 1 on
+Q_n in admissible coordinates (:func:`plus_one_images`).  Invariants are the
+joint kernel of these matrices.  Coinvariants are the primitives (duals
+killed by every positive square) modulo the span of theta + g(theta).  The
+primitives pair perfectly with Q_n, primitive k being dual to admissible
+monomial k counted from the top, and the adjoint action on divided powers
+satisfies ``<act_dual(transpose(g), theta), f> = <theta, substitute(g, f)>``.
+So the relation row of (theta_v, transpose(g)) is row v of the transposed
+matrix of g + 1, and the transposed generators generate the same group:
+coinvariants of the primitives are dual to invariants of Q_n (Singer 1989;
+Boardman 1993), and no dual element is ever acted on.
 
-Everything is computed in admissible coordinates: invariants are joint
-kernels of (sigma + 1) constraint matrices on the quotient, coinvariants are
-the primitive space modulo span{theta + sigma(theta)} over a basis of
-primitives and all generators.
+:func:`act_dual`, the divided-power action itself, has no engine caller: it
+is the reference the tests check that duality against.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cohit
-from .f2linalg import echelonize, image_kernel, support
+from .f2linalg import dot, echelonize, from_support, image_kernel, support
 from .polyspace import (
     DualElement,
     Monomial,
@@ -186,6 +191,44 @@ def act_dual(images: Images, theta: DualElement) -> DualElement:
     return DualElement(theta.q, acc)
 
 
+# -- the matrices of g + 1 on Q_n ---------------------------------------------------
+
+_PLUS_ONE: dict[tuple[int, int, str], tuple[tuple[int, ...], ...]] = {}
+
+
+def plus_one_images(
+    q: int,
+    n: int,
+    group: str = "gl",
+    config: cohit.EngineConfig | None = None,
+) -> tuple[tuple[int, ...], ...]:
+    """Per generator g, the image of g + 1 on each basis class of Q_n (memoized).
+
+    Entry ``[g][i]`` is the coordinate vector of ``(g + 1) x^{a_i}`` over the
+    admissible basis of :func:`cohit.quotient`.
+    """
+    data = cohit.quotient(q, n, config)  # enforces the column budget
+    key = (q, n, group)
+    images = _PLUS_ONE.get(key)
+    if images is None:
+        images = _PLUS_ONE[key] = tuple(
+            tuple(
+                data.coordinates(substitute(g, Polynomial(q, [mono]))) ^ (1 << i)
+                for i, mono in enumerate(data.basis)
+            )
+            for g in generator_images(q, group)
+        )
+    return images
+
+
+def _combine(vectors: Sequence[int], bits: int) -> int:
+    """Sum of the vectors selected by the set bits."""
+    out = 0
+    for i in support(bits):
+        out ^= vectors[i]
+    return out
+
+
 # -- invariants -------------------------------------------------------------------
 
 
@@ -243,53 +286,39 @@ def invariants(
     preserve or lower the weight filtration, so a leak means a bug.
     """
     data = cohit.quotient(q, n, config)
-    gens = generator_images(q, group)
-    if omega is not None:
-        omega = tuple(omega)
-        while omega and omega[-1] == 0:
-            omega = omega[:-1]
-        keep = [i for i, m in enumerate(data.basis) if weight_vector(m) == omega]
-        sub_basis = [data.basis[i] for i in keep]
-        sub_index = {i: k for k, i in enumerate(keep)}
-        bound = padded_weight(omega, n)
-        dim = len(keep)
-        image_vectors = []
-        for images in gens:
-            vectors = []
-            for i in keep:
-                mono = data.basis[i]
-                moved = substitute(images, Polynomial(q, [mono]))
-                coords = data.coordinates(moved) ^ (1 << i)
-                v = 0
-                for p in support(coords):
-                    w = padded_weight(weight_vector(data.basis[p]), n)
-                    if w > bound:
-                        raise WeightLeak(
-                            f"sigma image of {mono} leaves weight {omega} upward"
-                        )
-                    if w == bound:
-                        v |= 1 << sub_index[p]
-                vectors.append(v)
-            image_vectors.append(vectors)
-        kernel = _joint_kernel(image_vectors, dim, dim)
-        reps = [
-            Polynomial(q, [sub_basis[i] for i in support(v)]) for v in kernel
-        ]
-        return InvariantReport(q, n, group, omega, len(kernel), sub_basis, kernel, reps)
+    images = plus_one_images(q, n, group, config)
+    if omega is None:
+        kernel = _joint_kernel(images, data.dim, data.dim)
+        reps = [data.from_coordinates(v) for v in kernel]
+        return InvariantReport(
+            q, n, group, None, len(kernel), list(data.basis), kernel, reps
+        )
 
-    dim = data.dim
+    omega = tuple(omega)
+    while omega and omega[-1] == 0:
+        omega = omega[:-1]
+    keep = [i for i, m in enumerate(data.basis) if weight_vector(m) == omega]
+    sub_basis = [data.basis[i] for i in keep]
+    sub_index = {i: k for k, i in enumerate(keep)}
+    bound = padded_weight(omega, n)
     image_vectors = []
-    for images in gens:
+    for g_images in images:
         vectors = []
-        for i, mono in enumerate(data.basis):
-            moved = substitute(images, Polynomial(q, [mono]))
-            vectors.append(data.coordinates(moved) ^ (1 << i))
+        for i in keep:
+            v = 0
+            for p in support(g_images[i]):
+                w = padded_weight(weight_vector(data.basis[p]), n)
+                if w > bound:
+                    raise WeightLeak(
+                        f"sigma image of {data.basis[i]} leaves weight {omega} upward"
+                    )
+                if w == bound:
+                    v |= 1 << sub_index[p]
+            vectors.append(v)
         image_vectors.append(vectors)
-    kernel = _joint_kernel(image_vectors, dim, dim)
-    reps = [data.from_coordinates(v) for v in kernel]
-    return InvariantReport(
-        q, n, group, None, len(kernel), list(data.basis), kernel, reps
-    )
+    kernel = _joint_kernel(image_vectors, len(keep), len(keep))
+    reps = [Polynomial(q, [sub_basis[i] for i in support(v)]) for v in kernel]
+    return InvariantReport(q, n, group, omega, len(kernel), sub_basis, kernel, reps)
 
 
 # -- coinvariants ------------------------------------------------------------------
@@ -316,17 +345,19 @@ class CoinvariantReport:
 
 
 class CoinvariantData:
-    """The primitive space modulo the span of theta + sigma(theta).
-
-    Primitives (duals killed by all positive squares) form a module over the
-    group; the quotient by all (sigma + 1) images over a basis of primitives
-    and a generating set of the group is the space of coinvariants.  Uses the
-    adjoint (transposed) action on divided powers.
+    """The primitive space modulo the span of theta + g(theta).
 
     A primitive is determined by its coordinates at the admissible (non-pivot)
-    positions of the hit span, so the relation rows live in that coordinate
-    space and a class is the normal form of those coordinates modulo the
-    relation echelon, read off at the surviving free positions.
+    positions of the hit span, ascending: primitive k is the kernel vector
+    of the hit echelon whose admissible support is position k alone, and it
+    is dual to admissible monomial ``dim - 1 - k`` of Q_n, since
+    ``QuotientData.basis`` runs the other way.  The relation rows live in
+    that coordinate space: the row of (primitive v, generator g) is row v of
+    the transposed matrix of g + 1 on Q_n (see the module docstring), read
+    with that index map.  A class is the normal form of a primitive's
+    coordinates modulo the relation echelon, read off at the surviving free
+    positions.  Only the representatives' kernel vectors are built, never
+    the whole primitive basis.
     """
 
     def __init__(
@@ -339,74 +370,43 @@ class CoinvariantData:
         self.q = q
         self.n = n
         self.group = group
-        span = cohit.span_for(q, n, config)
-        self.span = span
-        self.vectors = span.primitive_vectors()
-        free_positions = span.admissible_positions()
-        self._index = {p: i for i, p in enumerate(free_positions)}
-        self.primitive_dim = len(self.vectors)
-        if self.primitive_dim != len(free_positions):
-            raise RuntimeError(
-                f"{self.primitive_dim} primitives but {len(free_positions)} "
-                "admissible positions"
-            )
-
-        relation_rows = []
-        gens = [transpose_images(g) for g in generator_images(q, group)]
-        for v in self.vectors:
-            theta = span.to_dual(v)
-            for images in gens:
-                delta = act_dual(images, theta) ^ theta
-                relation_rows.append(self._primitive_coordinates(delta))
-        self.relations = echelonize(relation_rows, self.primitive_dim)
-        self.free = [
-            i for i in range(self.primitive_dim) if i not in self.relations.rows
-        ]
-        self._quotient_index = {i: k for k, i in enumerate(self.free)}
+        self.span = span = cohit.span_for(q, n, config)
+        positions = span.admissible_positions()
+        self._index = {p: k for k, p in enumerate(positions)}
+        dim = self.primitive_dim = len(positions)
+        images = plus_one_images(q, n, group, config)
+        rows = [[0] * len(images) for _ in range(dim)]
+        for g, g_images in enumerate(images):
+            for i, image in enumerate(g_images):
+                bit = 1 << (dim - 1 - i)
+                for j in support(image):
+                    rows[dim - 1 - j][g] |= bit
+        self.relations = echelonize((r for v in rows for r in v), dim)
+        self.free = [k for k in range(dim) if k not in self.relations.rows]
+        self._quotient_index = {k: c for c, k in enumerate(self.free)}
         self.dim = len(self.free)
-
-    def _restrict(self, vec: int) -> int:
-        out = 0
-        for p in support(vec):
-            i = self._index.get(p)
-            if i is not None:
-                out |= 1 << i
-        return out
-
-    def _expand(self, coords: int) -> int:
-        out = 0
-        for i in support(coords):
-            out ^= self.vectors[i]
-        return out
+        kernel_vector = span.echelon.kernel_vector
+        self._representatives = [kernel_vector(positions[k]) for k in self.free]
 
     def _primitive_coordinates(self, theta: DualElement) -> int:
         """Coordinates over the primitive basis; theta must be primitive."""
         vec = self.span.dual_to_vector(theta)
-        coords = self._restrict(vec)
-        if self._expand(coords) != vec:
+        if any(dot(row, vec) for row in self.span.echelon.rows.values()):
             raise ValueError("element is not annihilated by all positive squares")
-        return coords
+        index = self._index
+        return from_support(index[p] for p in support(vec) if p in index)
 
     def class_coordinates(self, theta: DualElement) -> int:
         """Bit-vector of [theta] over the coinvariant basis."""
         nf = self.relations.normal_form(self._primitive_coordinates(theta))
-        out = 0
-        for i in support(nf):
-            out |= 1 << self._quotient_index[i]
-        return out
+        return from_support(self._quotient_index[k] for k in support(nf))
 
     def representatives(self) -> list[DualElement]:
-        return [self.span.to_dual(self.vectors[i]) for i in self.free]
+        return [self.span.to_dual(v) for v in self._representatives]
 
     def report(self) -> CoinvariantReport:
-        return CoinvariantReport(
-            self.q,
-            self.n,
-            self.group,
-            self.dim,
-            self.primitive_dim,
-            self.representatives(),
-        )
+        return CoinvariantReport(self.q, self.n, self.group, self.dim,
+                                 self.primitive_dim, self.representatives())
 
 
 def coinvariants(
@@ -425,28 +425,21 @@ def kameko_kernel_invariants(
     group: str = "gl",
     config: cohit.EngineConfig | None = None,
 ) -> InvariantReport:
-    """Fixed classes inside the kernel of the halving map on Q_n."""
+    """Fixed classes inside the kernel of the halving map on Q_n.
+
+    By linearity, the image of g + 1 on a kernel vector is the sum of its
+    images on the basis classes in the vector's support.
+    """
     km = cohit.kameko_matrix(q, n, config)
     data = km.domain
     kernel_vectors = km.kernel_coordinates()
-    gens = generator_images(q, group)
-    image_vectors = []
-    for images in gens:
-        vectors = []
-        for kv in kernel_vectors:
-            f = data.from_coordinates(kv)
-            moved = substitute(images, f)
-            vectors.append(data.coordinates(moved) ^ kv)
-        image_vectors.append(vectors)
+    image_vectors = [
+        [_combine(g_images, kv) for kv in kernel_vectors]
+        for g_images in plus_one_images(q, n, group, config)
+    ]
     alphas = _joint_kernel(image_vectors, len(kernel_vectors), data.dim)
-    reps = []
-    vecs = []
-    for a in alphas:
-        v = 0
-        for i in support(a):
-            v ^= kernel_vectors[i]
-        vecs.append(v)
-        reps.append(data.from_coordinates(v))
+    vecs = [_combine(kernel_vectors, a) for a in alphas]
+    reps = [data.from_coordinates(v) for v in vecs]
     return InvariantReport(
         q, n, group, None, len(alphas), list(data.basis), vecs, reps
     )

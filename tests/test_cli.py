@@ -251,6 +251,19 @@ def test_group_is_keyed_only_where_it_is_read(sandbox, capsys):
     assert len(list((sandbox / "cache").glob("cli_invariants_*.json"))) == 2
 
 
+def test_omega_is_keyed_only_where_it_is_read(sandbox, capsys):
+    cohit = ("cohit", "--q", "2", "--n", "3")
+    _, plain = run(capsys, *cohit)
+    _, weighted = run(capsys, *cohit, "--omega", "3")
+    assert weighted == plain
+    assert len(list((sandbox / "cache").glob("cli_cohit_*.json"))) == 1
+    weight = ("weight", "--q", "2", "--n", "3")
+    _, table = run_json(capsys, *weight)
+    _, one = run_json(capsys, *weight, "--omega", "3")
+    assert "weights" in table and one["omega"] == [3]
+    assert len(list((sandbox / "cache").glob("cli_weight_*.json"))) == 2
+
+
 def test_column_budget_limits_computing_not_serving(sandbox, capsys):
     args = ("cohit", "--q", "4", "--n", "9")
     code, cold = run(capsys, *args)

@@ -3,19 +3,23 @@ from __future__ import annotations
 import pytest
 
 from cohitlab import refdata
-from cohitlab.cohit import quotient
+from cohitlab.cohit import quotient, span_for
+from cohitlab.f2linalg import EchelonForm, echelonize, from_support, support
 from cohitlab.glaction import (
     CoinvariantData,
+    act_dual,
     coinvariants,
     generator_images,
     invariants,
     kameko_kernel_invariants,
     substitute,
+    transpose_images,
     transvection_images,
     transposition_images,
 )
-from cohitlab.polyspace import DualElement, Polynomial, pairing
+from cohitlab.polyspace import DualElement, Polynomial, enumerate_monomials, pairing
 from cohitlab.steenrod import is_annihilated
+from cohitlab.transferlab import verdict
 
 
 def test_generator_images_shapes():
@@ -107,13 +111,51 @@ def test_coinvariants_report_shape(config):
     assert js["dim"] == report.dim
 
 
+SMALL_DEGREES = [(q, n) for q in (2, 3) for n in range(1, 13)]
+
+
 def test_coinvariant_dims_match_invariant_dims(config):
     # the pairing between cohits and primitives is perfect and group-aware
-    for q in (2, 3):
-        for n in range(1, 9):
-            inv = invariants(q, n, "gl", config=config).dim
-            coinv = coinvariants(q, n, "gl", config).dim
-            assert inv == coinv, f"q={q} n={n}"
+    degrees = SMALL_DEGREES + [(4, n) for n in [*range(1, 23), 37, 45]]
+    for q, n in degrees:
+        for group in ("gl", "sigma"):
+            inv = invariants(q, n, group, config=config).dim
+            coinv = coinvariants(q, n, group, config).dim
+            assert inv == coinv, f"q={q} n={n} {group}"
+
+
+def divided_power_relations(q: int, n: int, group: str, config) -> EchelonForm:
+    """Relation echelon built the divided-power way: act_dual on every primitive."""
+    span = span_for(q, n, config)
+    index = {p: k for k, p in enumerate(span.admissible_positions())}
+    gens = [transpose_images(g) for g in generator_images(q, group)]
+    rows = []
+    for v in span.primitive_vectors():
+        theta = span.to_dual(v)
+        for images in gens:
+            moved = span.dual_to_vector(act_dual(images, theta) ^ theta)
+            rows.append(from_support(index[p] for p in support(moved) if p in index))
+    return echelonize(rows, len(index))
+
+
+def test_relations_match_the_divided_power_action(config):
+    for q, n in SMALL_DEGREES + [(4, 9), (4, 17), (4, 21), (4, 22)]:
+        for group in ("gl", "sigma"):
+            data = CoinvariantData(q, n, group, config)
+            reference = divided_power_relations(q, n, group, config)
+            assert set(data.relations.rows) == set(reference.rows), (q, n, group)
+            for k in range(data.primitive_dim):
+                unit = 1 << k
+                assert data.relations.normal_form(unit) == reference.normal_form(unit)
+
+
+def test_coinvariants_never_build_the_primitive_basis(config, monkeypatch):
+    def refuse(self):
+        raise AssertionError("kernel_basis called")
+
+    monkeypatch.setattr(EchelonForm, "kernel_basis", refuse)
+    assert coinvariants(4, 45, "gl", config).dim == 1
+    assert verdict(4, 22, config).isomorphism
 
 
 def test_class_coordinates_on_the_degree_nine_generator(config):
@@ -122,8 +164,6 @@ def test_class_coordinates_on_the_degree_nine_generator(config):
     theta = DualElement(4, refdata.DUAL_GENERATOR_9)
     assert data.class_coordinates(theta) == 1
     # acting by any generator leaves the class unchanged
-    from cohitlab.glaction import act_dual, transpose_images
-
     for images in generator_images(4, "gl"):
         moved = act_dual(transpose_images(images), theta)
         assert data.class_coordinates(moved) == 1
@@ -133,6 +173,14 @@ def test_class_coordinates_reject_non_primitives(config):
     data = CoinvariantData(2, 2, "gl", config)
     with pytest.raises(ValueError, match="not annihilated"):
         data.class_coordinates(DualElement(2, [(2, 0)]))
+    # at a pruned degree: a term on a pivot column, and one on a dropped column
+    data = CoinvariantData(4, 37, "gl", config)
+    span = data.span
+    pivot = span.columns[min(span.echelon.rows)]
+    dropped = next(m for m in enumerate_monomials(4, 37) if m not in span.position)
+    for term in (pivot, dropped):
+        with pytest.raises(ValueError, match="not annihilated by all positive squares"):
+            data.class_coordinates(DualElement(4, [term]))
 
 
 def test_representatives_have_unit_coordinates(config):

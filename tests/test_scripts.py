@@ -1,0 +1,33 @@
+"""Smoke tests: each script under scripts/ runs and prints a row per degree."""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> list[int]:
+    """Run a script with the package on its path; the degrees of its rows."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [int(n) for n in re.findall(r"^n=\s*(\d+) ", proc.stdout, re.M)]
+
+
+def test_degree_scan_with_coinvariants():
+    degrees = run_script(
+        "degree_scan.py", "--q", "3", "--start", "0", "--stop", "10", "--coinvariants"
+    )
+    assert degrees == list(range(11))
+
+
+def test_transfer_report():
+    assert run_script("transfer_report.py", "--q", "3", "--stop", "12") == list(range(13))
