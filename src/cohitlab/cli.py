@@ -293,10 +293,7 @@ def cmd_verify(args, config):
                 f"unknown suite {name!r}; choose from "
                 f"{', '.join(transferlab.SUITE_NAMES)} or 'all'"
             )
-    stretch = os.environ.get("COHITLAB_STRETCH") == "1"
-    reports = transferlab.verify_all(
-        tuple(names), config, stretch=stretch, jobs=args.jobs
-    )
+    reports = transferlab.verify_all(tuple(names), config, jobs=args.jobs)
     return {
         "suites": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),

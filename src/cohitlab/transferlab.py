@@ -182,28 +182,62 @@ class _Suite:
             return
         self.check(name, got, want)
 
-    def skip(self, name: str, why: str) -> None:
-        self.report.checks.append(
-            CheckResult(self.report.name, name, "skipped", why)
-        )
-
 
 def _verdict_tuple(q: int, n: int, config) -> tuple[int, int, bool]:
     rep = verdict(q, n, config)
     return (rep.domain_dim, rep.codomain_dim, rep.isomorphism)
 
 
+# the (q, n) bidegrees each suite checks against the tables below; every
+# bidegree belongs to one suite, so each frozen value is checked once
+SUITE_DEGREES = {
+    "dlc1": ((4, 9), (4, 21), (4, 45)),
+    "dlc2": ((4, 17), (4, 37)),
+    "dlct": ((4, 65),),
+    "dlc3": ((4, 4), (4, 10), (4, 22), (4, 46), (3, 19)),
+    "dlct2": ((4, 64),),
+    "exttables": ((4, 61),),
+}
+
+# check kind -> (refdata tables holding its frozen values, computation)
+_TABLE_CHECKS = {
+    "cohit dim": (("COHIT_DIMS", "COHIT_DIMS_REGRESSION"), cohit.cohit_dim),
+    "coinvariant dim": (
+        ("COINVARIANT_DIMS", "COINVARIANT_DIMS_STRETCH"),
+        lambda q, n, cfg: glaction.coinvariants(q, n, "gl", cfg).dim,
+    ),
+    "kernel invariants": (
+        ("KAMEKO_KERNEL_INVARIANT_DIMS",),
+        lambda q, n, cfg: glaction.kameko_kernel_invariants(q, n, "gl", cfg).dim,
+    ),
+    "transfer verdict": (
+        ("TRANSFER_VERDICTS", "TRANSFER_VERDICTS_STRETCH"),
+        _verdict_tuple,
+    ),
+}
+
+
+def _table_checks(s: _Suite, kind: str, q: int = 4) -> None:
+    """One ``kind`` check per rank-q bidegree of the suite its tables hold."""
+    tables, compute = _TABLE_CHECKS[kind]
+    want = {}
+    for table in tables:
+        want.update(getattr(refdata, table))
+    prefix = "" if q == 4 else f"rank-{q} "
+    for bideg in SUITE_DEGREES[s.report.name]:
+        if bideg[0] == q and bideg in want:
+            s.run(f"{prefix}{kind} n={bideg[1]}", lambda b=bideg: (
+                compute(*b, s.config), want[b]))
+
+
 def _suite_family_a(s: _Suite) -> None:
     """Degrees 6*2^s - 3: dims, generators, and verdicts at s = 1, 2, 3."""
     cfg = s.config
-    for deg, dim in ((9, 46), (21, 94), (45, 105)):
-        s.run(f"cohit dim n={deg}", lambda d=deg, v=dim: (
-            cohit.cohit_dim(4, d, cfg), v))
+    _table_checks(s, "cohit dim")
     s.run("basis n=9", lambda: (
-        set(cohit.cohit_basis(4, 9, config=cfg)), set(refdata.COHIT_BASIS_4_9)))
-    for deg, dim in ((9, 1), (21, 0), (45, 1)):
-        s.run(f"coinvariant dim n={deg}", lambda d=deg, v=dim: (
-            glaction.coinvariants(4, d, "gl", cfg).dim, v))
+        sorted(cohit.cohit_basis(4, 9, config=cfg)),
+        sorted(refdata.COHIT_BASIS_4_9)))
+    _table_checks(s, "coinvariant dim")
     s.run("invariant generator n=9", lambda: (
         _class_coords(4, 9, refdata.GL_INVARIANT_GENERATOR_9, cfg)
         == _invariant_vector(4, 9, cfg), True))
@@ -223,9 +257,7 @@ def _suite_family_a(s: _Suite) -> None:
     s.run("dual generator class n=45", lambda: (
         CoinvariantData(4, 45, "gl", cfg).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_45)) != 0, True))
-    for deg in (9, 21, 45):
-        s.run(f"transfer verdict n={deg}", lambda d=deg: (
-            _verdict_tuple(4, d, cfg), refdata.TRANSFER_VERDICTS[(4, d)]))
+    _table_checks(s, "transfer verdict")
     # chain image of the single-term dual: nonzero class at s = 3, boundary
     # at s = 2
     s.run("image class n=45", lambda: (
@@ -239,14 +271,11 @@ def _suite_family_a(s: _Suite) -> None:
 def _suite_family_b(s: _Suite) -> None:
     """Degrees 10*2^s - 3: dims, the 44-term generator, verdicts at s = 1, 2."""
     cfg = s.config
-    for deg, dim in ((17, 87), (37, 135)):
-        s.run(f"cohit dim n={deg}", lambda d=deg, v=dim: (
-            cohit.cohit_dim(4, d, cfg), v))
+    _table_checks(s, "cohit dim")
     s.run("basis n=17", lambda: (
-        set(cohit.cohit_basis(4, 17, config=cfg)), set(refdata.COHIT_BASIS_4_17)))
-    for deg, dim in ((17, 1), (37, 0)):
-        s.run(f"coinvariant dim n={deg}", lambda d=deg, v=dim: (
-            glaction.coinvariants(4, d, "gl", cfg).dim, v))
+        sorted(cohit.cohit_basis(4, 17, config=cfg)),
+        sorted(refdata.COHIT_BASIS_4_17)))
+    _table_checks(s, "coinvariant dim")
     s.run("44-term dual annihilated", lambda: (
         _annihilated(4, refdata.DUAL_GENERATOR_17), True))
     s.run("dual generator class n=17", lambda: (
@@ -255,69 +284,50 @@ def _suite_family_b(s: _Suite) -> None:
     s.run("invariant generator n=17", lambda: (
         _class_coords(4, 17, refdata.GL_INVARIANT_GENERATOR_17, cfg)
         == _invariant_vector(4, 17, cfg), True))
-    for deg in (17, 37):
-        s.run(f"transfer verdict n={deg}", lambda d=deg: (
-            _verdict_tuple(4, d, cfg), refdata.TRANSFER_VERDICTS[(4, d)]))
+    _table_checks(s, "transfer verdict")
 
 
 def _suite_family_c(s: _Suite) -> None:
     """Degrees 3*2^s - 2: halving-kernel invariants and the degree-22 class."""
     cfg = s.config
-    for deg in (4, 10, 22, 46):
-        s.run(f"kernel invariants n={deg}", lambda d=deg: (
-            glaction.kameko_kernel_invariants(4, d, "gl", cfg).dim,
-            refdata.KAMEKO_KERNEL_INVARIANT_DIMS[(4, d)]))
+    _table_checks(s, "cohit dim")
+    _table_checks(s, "kernel invariants")
     s.run("kernel basis n=4", lambda: (
         _kameko_kernel_matches(4, 4, refdata.KAMEKO_KERNEL_BASIS_4_4, cfg), True))
-    for deg, dim in ((4, 0), (10, 0), (22, 1), (46, 0)):
-        s.run(f"coinvariant dim n={deg}", lambda d=deg, v=dim: (
-            glaction.coinvariants(4, d, "gl", cfg).dim, v))
+    _table_checks(s, "coinvariant dim")
     s.run("dual generator annihilated n=22", lambda: (
         _annihilated(4, refdata.DUAL_GENERATOR_22), True))
     s.run("image words n=22", lambda: (
         adem_reduce(psi(DualElement(4, refdata.DUAL_GENERATOR_22))).terms,
         frozenset({(3, 7, 7, 5)})))
-    for deg in (4, 10, 22, 46):
-        s.run(f"transfer verdict n={deg}", lambda d=deg: (
-            _verdict_tuple(4, d, cfg), refdata.TRANSFER_VERDICTS[(4, d)]))
+    _table_checks(s, "transfer verdict")
     # the rank-3 shadow in degree 19
     s.run("rank-3 dual annihilated n=19", lambda: (
         _annihilated(3, refdata.DUAL_GENERATOR_19_RANK3), True))
-    s.run("rank-3 transfer verdict n=19", lambda: (
-        _verdict_tuple(3, 19, cfg), refdata.TRANSFER_VERDICTS[(3, 19)]))
+    _table_checks(s, "coinvariant dim", q=3)
+    _table_checks(s, "transfer verdict", q=3)
 
 
-def _suite_family_d(s: _Suite, stretch: bool) -> None:
+def _suite_family_d(s: _Suite) -> None:
     """Degrees 3(2^s-1) + 2^s(2^{t+1}-1), t >= 4; smallest case n = 65."""
-    cfg = s.config
-    if not stretch:
-        s.skip("n=65 block", "stretch degrees disabled (set COHITLAB_STRETCH=1)")
-        return
-    s.run("cohit dim n=65", lambda: (cohit.cohit_dim(4, 65, cfg), 150))
-    s.run("coinvariant dim n=65", lambda: (
-        glaction.coinvariants(4, 65, "gl", cfg).dim, 1))
+    _table_checks(s, "cohit dim")
+    _table_checks(s, "coinvariant dim")
     s.run("dual generator class n=65", lambda: (
-        CoinvariantData(4, 65, "gl", cfg).class_coordinates(
+        CoinvariantData(4, 65, "gl", s.config).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_65)) != 0, True))
-    s.run("transfer verdict n=65", lambda: (
-        _verdict_tuple(4, 65, cfg), refdata.TRANSFER_VERDICTS_STRETCH[(4, 65)]))
+    _table_checks(s, "transfer verdict")
 
 
-def _suite_family_e(s: _Suite, stretch: bool) -> None:
+def _suite_family_e(s: _Suite) -> None:
     """Degrees 2(2^s-1) + 2^s(2^t-1), t >= 5; smallest case n = 64."""
-    cfg = s.config
-    if not stretch:
-        s.skip("n=64 block", "stretch degrees disabled (set COHITLAB_STRETCH=1)")
-        return
+    _table_checks(s, "cohit dim")
     s.run("dual generator annihilated n=64", lambda: (
         _annihilated(4, refdata.DUAL_GENERATOR_64), True))
-    s.run("coinvariant dim n=64", lambda: (
-        glaction.coinvariants(4, 64, "gl", cfg).dim, 1))
+    _table_checks(s, "coinvariant dim")
     s.run("dual generator class n=64", lambda: (
-        CoinvariantData(4, 64, "gl", cfg).class_coordinates(
+        CoinvariantData(4, 64, "gl", s.config).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_64)) != 0, True))
-    s.run("transfer verdict n=64", lambda: (
-        _verdict_tuple(4, 64, cfg), refdata.TRANSFER_VERDICTS_STRETCH[(4, 64)]))
+    _table_checks(s, "transfer verdict")
 
 
 def _suite_peel_identities(s: _Suite) -> None:
@@ -349,60 +359,42 @@ def _suite_boundary_identity(s: _Suite) -> None:
     s.run("homology dim", lambda: (ext_dim(4, 17), 1))
 
 
-def _suite_ext_tables(s: _Suite, stretch: bool) -> None:
-    """Homology dimension censuses at the suite bidegrees."""
-    for (length, deg), dim in sorted(refdata.EXT_DIMS.items()):
+def _suite_ext_tables(s: _Suite) -> None:
+    """Homology dimension censuses, then the degree-61 non-isomorphism."""
+    ext = {**refdata.EXT_DIMS, **refdata.EXT_DIMS_STRETCH}
+    for (length, deg), dim in sorted(ext.items()):
         s.run(f"ext({length},{deg})", lambda a=length, b=deg, v=dim: (
             ext_dim(a, b), v))
-    for (length, deg), dim in sorted(refdata.EXT_DIMS_STRETCH.items()):
-        if stretch:
-            s.run(f"ext({length},{deg})", lambda a=length, b=deg, v=dim: (
-                ext_dim(a, b), v))
-        else:
-            s.skip(f"ext({length},{deg})",
-                   "stretch degrees disabled (set COHITLAB_STRETCH=1)")
+    _table_checks(s, "cohit dim")
+    _table_checks(s, "coinvariant dim")
+    _table_checks(s, "transfer verdict")
 
-
-SUITE_NAMES = (
-    "dlc1",
-    "dlc2",
-    "dlct",
-    "dlc3",
-    "dlct2",
-    "remark26",
-    "eq6",
-    "exttables",
-)
 
 _SUITE_RUNNERS = {
-    "dlc1": lambda s, stretch: _suite_family_a(s),
-    "dlc2": lambda s, stretch: _suite_family_b(s),
+    "dlc1": _suite_family_a,
+    "dlc2": _suite_family_b,
     "dlct": _suite_family_d,
-    "dlc3": lambda s, stretch: _suite_family_c(s),
+    "dlc3": _suite_family_c,
     "dlct2": _suite_family_e,
-    "remark26": lambda s, stretch: _suite_peel_identities(s),
-    "eq6": lambda s, stretch: _suite_boundary_identity(s),
+    "remark26": _suite_peel_identities,
+    "eq6": _suite_boundary_identity,
     "exttables": _suite_ext_tables,
 }
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
-def verify_suite(
-    name: str,
-    config: EngineConfig | None = None,
-    stretch: bool = False,
-) -> SuiteReport:
+def verify_suite(name: str, config: EngineConfig | None = None) -> SuiteReport:
     """Run one named suite; unknown names raise ValueError."""
     if name not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suite = _Suite(name, config)
-    _SUITE_RUNNERS[name](suite, stretch)
+    _SUITE_RUNNERS[name](suite)
     return suite.report
 
 
 def verify_all(
     names: tuple[str, ...] = SUITE_NAMES,
     config: EngineConfig | None = None,
-    stretch: bool = False,
     jobs: int = 1,
 ) -> list[SuiteReport]:
     """Run several suites, optionally fanning out over processes.
@@ -410,16 +402,10 @@ def verify_all(
     Reports come back in the order of ``names`` regardless of job count.
     """
     if jobs <= 1:
-        return [verify_suite(n, config, stretch) for n in names]
+        return [verify_suite(n, config) for n in names]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            n: pool.submit(_suite_job, n, config, stretch) for n in names
-        }
+        futures = {n: pool.submit(verify_suite, n, config) for n in names}
         return [futures[n].result() for n in names]
-
-
-def _suite_job(name: str, config, stretch: bool) -> SuiteReport:
-    return verify_suite(name, config, stretch)
 
 
 # ---------------------------------------------------------------------------

@@ -96,13 +96,23 @@ def test_identity_suites_pass(config):
         assert js["name"] == name and js["passed"] is True
 
 
-def test_stretch_suites_skip_without_the_flag(config):
-    for name in ("dlct", "dlct2"):
-        report = verify_suite(name, config, stretch=False)
-        assert report.passed  # skipped is not failed
-        assert not report.complete
-        assert all(c.status == "skipped" for c in report.checks)
-        assert "COHITLAB_STRETCH" in report.checks[0].detail
+def test_suite_degrees_cover_every_frozen_table_once():
+    tables = (
+        "COHIT_DIMS",
+        "COHIT_DIMS_REGRESSION",
+        "COINVARIANT_DIMS",
+        "COINVARIANT_DIMS_STRETCH",
+        "KAMEKO_KERNEL_INVARIANT_DIMS",
+        "TRANSFER_VERDICTS",
+        "TRANSFER_VERDICTS_STRETCH",
+    )
+    suite_degrees = transferlab.SUITE_DEGREES
+    owned = [b for degrees in suite_degrees.values() for b in degrees]
+    assert len(owned) == len(set(owned))  # no bidegree in two suites
+    assert set(suite_degrees) <= set(SUITE_NAMES)
+    for table in tables:
+        missing = set(getattr(refdata, table)) - set(owned)
+        assert not missing, (table, missing)
 
 
 def test_resource_caps_mark_checks_as_skipped():
