@@ -409,6 +409,24 @@ class CoinvariantData:
                                  self.primitive_dim, self.representatives())
 
 
+_COINVARIANTS: dict[tuple[int, int, str], CoinvariantData] = {}
+
+
+def coinvariant_data(
+    q: int,
+    n: int,
+    group: str = "gl",
+    config: cohit.EngineConfig | None = None,
+) -> CoinvariantData:
+    """Memoized :class:`CoinvariantData` for one (q, n, group)."""
+    cohit.span_for(q, n, config)  # enforces the column budget
+    key = (q, n, group)
+    data = _COINVARIANTS.get(key)
+    if data is None:
+        data = _COINVARIANTS[key] = CoinvariantData(q, n, group, config)
+    return data
+
+
 def coinvariants(
     q: int,
     n: int,
@@ -416,7 +434,7 @@ def coinvariants(
     config: cohit.EngineConfig | None = None,
 ) -> CoinvariantReport:
     """Coinvariants of the primitive space; see :class:`CoinvariantData`."""
-    return CoinvariantData(q, n, group, config).report()
+    return coinvariant_data(q, n, group, config).report()
 
 
 def kameko_kernel_invariants(

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .f2linalg import EchelonForm, image_kernel, solve_modulo, support
 from .polyspace import DualElement
-from .steenrod import binom_odd, sq_dual_term
+from .steenrod import binom_odd, sq_dual_all
 
 Word = tuple[int, ...]
 
@@ -269,10 +269,17 @@ class _Coordinates:
         return len(self.basis)
 
     def vector(self, el: LambdaElement) -> int:
-        red = adem_reduce(el)
+        """Coordinates of an element already in admissible form."""
+        index = self.index
         v = 0
-        for w in red.terms:
-            v ^= 1 << self.index[w]
+        for w in el.terms:
+            i = index.get(w)
+            if i is None:
+                raise ValueError(
+                    f"word {w} is not an admissible word of length {self.s} "
+                    f"and degree {self.n}"
+                )
+            v ^= 1 << i
         return v
 
     def element(self, bits: int) -> LambdaElement:
@@ -385,12 +392,11 @@ def _psi_term(term: tuple[int, ...]) -> frozenset[Word]:
         return frozenset([(term[0],)])
     j1, rest = term[0], term[1:]
     acc: set[Word] = set()
-    for t in range(0, sum(rest) // 2 + 1):
-        k = j1 + t
-        for sub in sq_dual_term(t, rest):
-            for w in _psi_term(sub):
-                word = (k,) + w
-                acc.remove(word) if word in acc else acc.add(word)
+    for t, sub in sq_dual_all(rest):
+        k = (j1 + t,)
+        for w in _psi_term(sub):
+            word = k + w
+            acc.remove(word) if word in acc else acc.add(word)
     return frozenset(acc)
 
 

@@ -121,6 +121,22 @@ def enumerate_monomials(q: int, n: int, ordered: bool = True) -> list[Monomial]:
     return out
 
 
+def weight_vectors(q: int, n: int) -> list[WeightVector]:
+    """The weight vectors of the degree-n monomials in q variables, ascending.
+
+    Entry i is at most q and has the parity of the degree left at bit i.
+    Weights of one degree compare as tuples the way their padded forms do,
+    so the order is the monomial order's.
+    """
+    if n == 0:
+        return [()]
+    return [
+        (w0,) + rest
+        for w0 in range(n & 1, min(q, n) + 1, 2)
+        for rest in weight_vectors(q, (n - w0) >> 1)
+    ]
+
+
 def count_monomials(q: int, n: int) -> int:
     """Number of degree-n monomials in q variables: C(n+q-1, q-1)."""
     from math import comb

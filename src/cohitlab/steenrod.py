@@ -20,9 +20,10 @@ block by block.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from functools import lru_cache
+from itertools import product
+from math import comb, prod
+from operator import add
 
 from .f2linalg import EchelonForm, from_support, support
 from .polyspace import (
@@ -35,6 +36,7 @@ from .polyspace import (
     monomial_key,
     padded_weight,
     weight_vector,
+    weight_vectors,
 )
 
 
@@ -73,6 +75,66 @@ def sq_monomial(t: int, mono: Monomial) -> list[Monomial]:
     return [done + (e + r,) for r, done in partial if r & e == r]
 
 
+def live_monomials(
+    q: int, m: int, t: int, bound: tuple[int, ...]
+) -> list[Monomial]:
+    """Degree-m monomials g that Sq^t may carry to padded weight >= bound.
+
+    Exponent-lex ascending, like ``enumerate_monomials(q, m, ordered=False)``;
+    with t = 0 these are the monomials of padded weight at least bound, and
+    with ``bound = ()`` all of them.  A monomial is left out only when every
+    term of Sq^t(g) has padded weight below bound.  Built bit plane by bit
+    plane from the low end: g = low + 2h with c odd exponents.  A term g + d
+    is odd exactly where g is odd and d even, and the number of odd d_i has
+    the parity of t, so the first weight of a term is at most
+    top = c - (t mod 2).  Above bound[0] every h is kept, below it none; on
+    a tie with t odd every h is kept, and with t even a term reaching it has
+    every d_i even, so its half is a term of Sq^(t/2)(h) that must reach
+    bound[1:].
+    """
+    out: list[Monomial] = []
+    _live(q, m, t, bound, (0,) * q, 0, out)
+    out.sort()
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bit_planes(q: int, shift: int) -> tuple[tuple[int, Monomial], ...]:
+    """(c, low << shift) for each 0/1 exponent tuple low with c ones, c ascending."""
+    lows = sorted((sum(low), low) for low in product((0, 1), repeat=q))
+    return tuple((c, tuple(e << shift for e in low)) for c, low in lows)
+
+
+def _live(
+    q: int,
+    m: int,
+    t: int,
+    bound: tuple[int, ...],
+    base: Monomial,
+    shift: int,
+    out: list[Monomial],
+) -> None:
+    """Append base + (h << shift) for each live h of degree m."""
+    if not bound:
+        if m == 0:
+            out.append(base)
+            return
+        out.extend(
+            tuple(b + (e << shift) for b, e in zip(base, h))
+            for h in enumerate_monomials(q, m, ordered=False)
+        )
+        return
+    for c, low in _bit_planes(q, shift):
+        if c > m:
+            break
+        top = c - (t & 1)
+        if (m - c) & 1 or top < bound[0]:
+            continue
+        rest = bound[1:] if top == bound[0] and not t & 1 else ()
+        low_base = tuple(map(add, base, low))
+        _live(q, (m - c) >> 1, t >> 1, rest, low_base, shift + 1, out)
+
+
 def sq(t: int, f: Polynomial) -> Polynomial:
     """Left Steenrod square Sq^t on a homogeneous polynomial."""
     acc: set[Monomial] = set()
@@ -81,30 +143,44 @@ def sq(t: int, f: Polynomial) -> Polynomial:
     return Polynomial(f.q, acc)
 
 
+@lru_cache(maxsize=None)
+def _dual_steps(e: int) -> tuple[int, ...]:
+    """The d, ascending, with C(e - d, d) odd: (a^(e)) Sq^d = a^(e - d)."""
+    return tuple(d for d in range(e // 2 + 1) if binom_odd(e - d, d))
+
+
 def sq_dual_term(t: int, term: Monomial) -> list[Monomial]:
     """Terms of (a^(term)) Sq^t in the divided-power dual (no cancellation)."""
     if t < 0:
         raise ValueError("negative Steenrod square")
     if t == 0:
         return [term]
-    q = len(term)
-    out: list[Monomial] = []
-    deltas: list[int] = [0] * q
+    # as in sq_monomial; factor e lowers by at most e // 2
+    cap = sum(e >> 1 for e in term)
+    if t > cap:
+        return []
+    partial: list[tuple[int, Monomial]] = [(t, ())]
+    for e in term[:-1]:
+        cap -= e >> 1
+        partial = [
+            (r - d, done + (e - d,))
+            for r, done in partial
+            for d in _dual_steps(e)
+            if r - cap <= d <= r
+        ]
+    # the last factor takes the rest r <= e // 2, if C(e - r, r) is odd
+    e = term[-1]
+    return [done + (e - r,) for r, done in partial if not r & (e - 2 * r)]
 
-    def rec(i: int, remaining: int) -> None:
-        if i == q:
-            if remaining == 0:
-                out.append(tuple(e - d for e, d in zip(term, deltas)))
-            return
-        e = term[i]
-        for d in range(min(remaining, e // 2) + 1):
-            if binom_odd(e - d, d):
-                deltas[i] = d
-                rec(i + 1, remaining - d)
-        deltas[i] = 0
 
-    rec(0, t)
-    return out
+def sq_dual_all(term: Monomial) -> list[tuple[int, Monomial]]:
+    """(t, u) for each term u of (a^(term)) Sq^t, over every t >= 0 (for psi)."""
+    partial: list[tuple[int, Monomial]] = [(0, ())]
+    for e in term:
+        partial = [
+            (s + d, done + (e - d,)) for s, done in partial for d in _dual_steps(e)
+        ]
+    return partial
 
 
 def sq_dual(t: int, theta: DualElement) -> DualElement:
@@ -161,15 +237,17 @@ class HitSpan:
         self.n = n
         self.generators = generators
         self.restrict_weight = restrict_weight
-        cols = enumerate_monomials(q, n)
-        self.dropped: dict[WeightVector, int] = {}
-        if restrict_weight is not None:
-            # ascending order compares padded weights first: a prefix drops
-            first_live = (padded_weight(restrict_weight, n),)
-            cut = bisect_left(cols, first_live, key=monomial_key)
-            self.dropped = dict(Counter(map(weight_vector, reversed(cols[:cut]))))
-            del cols[:cut]
-        cols.reverse()  # largest first: column 0 is the most senior monomial
+        self._bound = bound = (
+            () if restrict_weight is None else padded_weight(restrict_weight, n)
+        )
+        cols = live_monomials(q, n, 0, bound)
+        cols.sort(key=monomial_key, reverse=True)  # column 0 is the most senior
+        # a weight w is carried by prod C(q, w_i) monomials
+        self.dropped: dict[WeightVector, int] = {
+            w: prod(comb(q, wi) for wi in w)
+            for w in reversed(weight_vectors(q, n))
+            if padded_weight(w, n) < bound
+        }
         self.columns: tuple[Monomial, ...] = tuple(cols)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(cols)}
         self.echelon = EchelonForm(len(cols))
@@ -187,15 +265,10 @@ class HitSpan:
         return out
 
     def _build(self) -> None:
-        bound = ()
-        if self.restrict_weight is not None:
-            bound = padded_weight(self.restrict_weight, self.n)
         pos = self.position
         supports = []
         for t in self._operation_degrees():
-            for g in enumerate_monomials(self.q, self.n - t, ordered=False):
-                if bound and not _may_reach(g, t, bound):
-                    continue
+            for g in live_monomials(self.q, self.n - t, t, self._bound):
                 row = [p for p in map(pos.get, sq_monomial(t, g)) if p is not None]
                 if row:
                     supports.append(row)
@@ -296,25 +369,6 @@ class HitSpan:
     def primitive_basis(self) -> list[DualElement]:
         """Dual elements annihilated by every positive Steenrod square."""
         return [self.to_dual(v) for v in self.primitive_vectors()]
-
-
-def _may_reach(g: Monomial, t: int, bound: tuple[int, ...]) -> bool:
-    """False only when every term of Sq^t(g) has padded weight below bound.
-
-    A term g + d is odd exactly where g is odd and d even, and the number of
-    odd d_i has the parity of t, so its first weight is at most
-    top = (odd exponents of g) - (t mod 2).  When top equals bound[0] and t
-    is even, a term reaching it has every d_i even, and then the term halved
-    is a term of Sq^(t/2) of g halved, whose weight must reach bound[1:].
-    """
-    while bound:
-        top = sum(e & 1 for e in g) - (t & 1)
-        if top != bound[0] or t & 1:
-            return top >= bound[0]
-        g = tuple(e >> 1 for e in g)
-        t >>= 1
-        bound = bound[1:]
-    return True
 
 
 _SPAN_CACHE: dict[tuple, HitSpan] = {}

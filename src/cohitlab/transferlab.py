@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import cohit, glaction, lambda_algebra, refdata
 from .cohit import EngineConfig, ResourceLimit
 from .f2linalg import echelonize
-from .glaction import CoinvariantData
+from .glaction import CoinvariantData, coinvariant_data
 from .lambda_algebra import (
     LambdaElement,
     adem_reduce,
@@ -83,7 +83,7 @@ def transfer_matrix(
     classes killed by all positive squares always map to cycles, so a
     non-cycle is an engine bug, not a property of the input.
     """
-    data = CoinvariantData(q, n, "gl", config)
+    data = coinvariant_data(q, n, "gl", config)
     rows = []
     for rep in data.representatives():
         image = adem_reduce(psi(rep))
@@ -249,13 +249,13 @@ def _suite_family_a(s: _Suite) -> None:
         pairing(DualElement(4, refdata.DUAL_GENERATOR_9),
                 Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)), 1))
     s.run("dual generator class n=9", lambda: (
-        CoinvariantData(4, 9, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 9, "gl", cfg).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_9)) != 0, True))
     s.run("spike class vanishes n=21", lambda: (
-        CoinvariantData(4, 21, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 21, "gl", cfg).class_coordinates(
             DualElement(4, refdata.DUAL_SPIKE_21)), 0))
     s.run("dual generator class n=45", lambda: (
-        CoinvariantData(4, 45, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 45, "gl", cfg).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_45)) != 0, True))
     _table_checks(s, "transfer verdict")
     # chain image of the single-term dual: nonzero class at s = 3, boundary
@@ -279,7 +279,7 @@ def _suite_family_b(s: _Suite) -> None:
     s.run("44-term dual annihilated", lambda: (
         _annihilated(4, refdata.DUAL_GENERATOR_17), True))
     s.run("dual generator class n=17", lambda: (
-        CoinvariantData(4, 17, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 17, "gl", cfg).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_17)) != 0, True))
     s.run("invariant generator n=17", lambda: (
         _class_coords(4, 17, refdata.GL_INVARIANT_GENERATOR_17, cfg)
@@ -313,7 +313,7 @@ def _suite_family_d(s: _Suite) -> None:
     _table_checks(s, "cohit dim")
     _table_checks(s, "coinvariant dim")
     s.run("dual generator class n=65", lambda: (
-        CoinvariantData(4, 65, "gl", s.config).class_coordinates(
+        coinvariant_data(4, 65, "gl", s.config).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_65)) != 0, True))
     _table_checks(s, "transfer verdict")
 
@@ -325,7 +325,7 @@ def _suite_family_e(s: _Suite) -> None:
         _annihilated(4, refdata.DUAL_GENERATOR_64), True))
     _table_checks(s, "coinvariant dim")
     s.run("dual generator class n=64", lambda: (
-        CoinvariantData(4, 64, "gl", s.config).class_coordinates(
+        coinvariant_data(4, 64, "gl", s.config).class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_64)) != 0, True))
     _table_checks(s, "transfer verdict")
 

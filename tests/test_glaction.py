@@ -3,11 +3,12 @@ from __future__ import annotations
 import pytest
 
 from cohitlab import refdata
-from cohitlab.cohit import quotient, span_for
+from cohitlab.cohit import EngineConfig, ResourceLimit, quotient, span_for
 from cohitlab.f2linalg import EchelonForm, echelonize, from_support, support
 from cohitlab.glaction import (
     CoinvariantData,
     act_dual,
+    coinvariant_data,
     coinvariants,
     generator_images,
     invariants,
@@ -219,3 +220,11 @@ def test_kernel_invariants_see_the_full_kernel(config):
     ech = echelonize(kernel, km.domain.dim)
     assert all(ech.contains(v) for v in frozen)
     assert echelonize(frozen, km.domain.dim).rank == 20
+
+
+def test_coinvariant_data_is_memoized_behind_the_column_budget():
+    data = coinvariant_data(4, 9, "gl")
+    assert coinvariant_data(4, 9, "gl") is data
+    assert coinvariant_data(4, 9, "sigma") is not data
+    with pytest.raises(ResourceLimit, match="budget is 10"):
+        coinvariant_data(4, 9, "gl", EngineConfig(max_columns=10))

@@ -307,3 +307,12 @@ def test_negative_indices_are_rejected():
         from_words((2, 1), (4, -1))
     with pytest.raises(ValueError, match="negative index"):
         LambdaElement.from_json({"terms": [[-1]]})
+
+
+def test_coordinates_reject_words_outside_the_admissible_basis():
+    coords = lambda_algebra._coords(2, 3)
+    assert coords.element(coords.vector(from_words((1, 2)))) == from_words((1, 2))
+    with pytest.raises(ValueError, match="not an admissible word"):
+        coords.vector(from_words((3, 0)))  # inadmissible: 3 > 2 * 0
+    with pytest.raises(ValueError, match="not an admissible word"):
+        coords.vector(from_words((1, 1)))  # wrong degree

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cohitlab.cohit import span_for
 from cohitlab.polyspace import (
     DualElement,
     Polynomial,
     enumerate_monomials,
+    minimal_spike,
     monomial_key,
+    padded_weight,
     pairing,
+    weight_vector,
 )
 from cohitlab.steenrod import (
     HitSpan,
@@ -20,10 +26,58 @@ from cohitlab.steenrod import (
     hit_span,
     is_annihilated,
     is_hit,
+    live_monomials,
     sq,
     sq_dual,
+    sq_dual_all,
+    sq_dual_term,
     sq_monomial,
 )
+
+
+# -- references: the per-monomial filter and the recursive dual square that
+# live_monomials and sq_dual_term (and sq_dual_all, for psi) replaced --------
+
+
+def _may_reach(g, t, bound):
+    """False only when every term of Sq^t(g) has padded weight below bound."""
+    while bound:
+        top = sum(e & 1 for e in g) - (t & 1)
+        if top != bound[0] or t & 1:
+            return top >= bound[0]
+        g = tuple(e >> 1 for e in g)
+        t >>= 1
+        bound = bound[1:]
+    return True
+
+
+def _sq_dual_term_reference(t, term):
+    """Terms of (a^(term)) Sq^t, one factor at a time, deltas lex ascending."""
+    if t == 0:
+        return [term]
+    q = len(term)
+    out = []
+    deltas = [0] * q
+
+    def rec(i, remaining):
+        if i == q:
+            if remaining == 0:
+                out.append(tuple(e - d for e, d in zip(term, deltas)))
+            return
+        e = term[i]
+        for d in range(min(remaining, e // 2) + 1):
+            if binom_odd(e - d, d):
+                deltas[i] = d
+                rec(i + 1, remaining - d)
+        deltas[i] = 0
+
+    rec(0, t)
+    return out
+
+
+def _spike_bound(q, n):
+    spike = minimal_spike(q, n)
+    return None if spike is None else padded_weight(weight_vector(spike), n)
 
 
 def test_binom_odd_is_lucas():
@@ -193,3 +247,57 @@ def test_rejects_bad_arguments():
         HitSpan(2, 3, "some")
     with pytest.raises(ValueError):
         HitSpan(9, 3)
+
+
+def test_live_monomials_equal_the_filter_in_order():
+    for q in range(1, 5):
+        for n in range(1, 41):
+            bound = _spike_bound(q, n)
+            if bound is None:
+                continue
+            for t in [0] + [1 << i for i in range(n.bit_length())]:
+                if t > n:
+                    break
+                want = [
+                    g
+                    for g in enumerate_monomials(q, n - t, ordered=False)
+                    if _may_reach(g, t, bound)
+                ]
+                assert live_monomials(q, n - t, t, bound) == want, (q, n, t)
+
+
+def test_live_monomials_without_a_bound_are_all_monomials():
+    for q, m in ((1, 5), (3, 7), (4, 6)):
+        for t in (0, 1, 2):
+            assert live_monomials(q, m, t, ()) == enumerate_monomials(
+                q, m, ordered=False
+            )
+
+
+def test_dropped_equals_the_census_of_dropped_columns():
+    for q in range(1, 5):
+        for n in range(1, 33):
+            bound = _spike_bound(q, n)
+            if bound is None:
+                continue
+            below = [
+                m
+                for m in reversed(enumerate_monomials(q, n))
+                if padded_weight(weight_vector(m), n) < bound
+            ]
+            census = Counter(map(weight_vector, below))
+            span = span_for(q, n)
+            assert list(span.dropped.items()) == list(census.items()), (q, n)
+            assert span.ncols + sum(census.values()) == len(
+                enumerate_monomials(q, n)
+            )
+
+
+def test_sq_dual_term_equals_the_recursive_reference():
+    for q, top in ((1, 40), (2, 16), (3, 10), (4, 6)):
+        for term in itertools.product(range(top + 1), repeat=q):
+            every_t = sq_dual_all(term)
+            for t in range(sum(term) // 2 + 2):
+                want = _sq_dual_term_reference(t, term)
+                assert sq_dual_term(t, term) == want
+                assert [u for s, u in every_t if s == t] == want
