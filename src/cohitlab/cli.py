@@ -29,8 +29,15 @@ from pathlib import Path
 
 from . import cohit, glaction, transferlab
 from .cohit import EngineConfig, ResourceLimit
-from .lambda_algebra import RewriteBudget, adem_reduce, ext_dim, is_cycle, psi
-from .polyspace import DualElement, alpha, minimal_spike, mu, weight_vector
+from .lambda_algebra import RewriteBudget, ext_dim, is_cycle, psi
+from .polyspace import (
+    DualElement,
+    alpha,
+    check_rank,
+    minimal_spike,
+    mu,
+    weight_vector,
+)
 from .steenrod import is_annihilated
 
 EXIT_OK = 0
@@ -56,6 +63,11 @@ CACHED = frozenset(
 GROUPED = frozenset(("invariants", "coinvariants"))
 # the cached commands whose answer depends on --omega
 WEIGHTED = frozenset(("weight", "invariants"))
+# the commands whose --q counts variables (for ext it is a word length)
+POLYNOMIAL = frozenset(
+    "cohit weight invariants coinvariants primitives annihilated kameko psi "
+    "transfer spike".split()
+)
 
 
 def convention_hash() -> str:
@@ -159,6 +171,17 @@ def _require(args, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise UsageError(f"--{name} is required for this command")
+
+
+def _check_ranges(args) -> None:
+    """Reject a negative --n, and a --q out of range for a polynomial command."""
+    if args.n is not None and args.n < 0:
+        raise UsageError(f"--n must be nonnegative, got {args.n}")
+    if args.q is not None and args.command in POLYNOMIAL:
+        try:
+            check_rank(args.q)
+        except ValueError as exc:
+            raise UsageError(f"--q: {exc}")
 
 
 def _load_dual(args) -> DualElement:
@@ -266,7 +289,7 @@ def cmd_psi(args, config):
     element = _load_dual(args)
     if element.is_zero():
         raise UsageError("the zero element has no chain image worth printing")
-    image = adem_reduce(psi(element))
+    image = psi(element)
     return {
         "q": element.q,
         "degree": element.degree,
@@ -453,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     handler = HANDLERS[args.command]
     try:
+        _check_ranges(args)
         if args.command in CACHED:
             payload = _serve_cached(handler, args, config, cache_dir)
         else:

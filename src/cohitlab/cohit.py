@@ -11,7 +11,7 @@ subquotient ``(Q_n)^w``.  These per-weight dimensions sum to ``dim Q_n`` by
 construction.
 
 Also here: the halving map on classes (divides all-odd exponent monomials by
-squaring-root; zero otherwise) and its section ``g -> x_1...x_q g^2``.
+squaring-root; zero otherwise).
 
 Hit spans are memoized in-process and the engine never touches the disk: the
 only persistent cache is the command line's result cache (:mod:`cohitlab.cli`).
@@ -30,6 +30,7 @@ from .polyspace import (
     check_rank,
     count_monomials,
     minimal_spike,
+    trim_weight,
     weight_vector,
 )
 
@@ -138,9 +139,7 @@ def weight_subquotient(
     q: int, n: int, omega: WeightVector, config: EngineConfig | None = None
 ) -> tuple[int, list[Monomial]]:
     """(dimension, admissible monomials) of the weight-omega subquotient."""
-    omega = tuple(omega)
-    while omega and omega[-1] == 0:
-        omega = omega[:-1]
+    omega = trim_weight(omega)
     span = span_for(q, n, config)
     basis = [m for m in span.admissible_monomials() if weight_vector(m) == omega]
     table = span.weight_table()
@@ -161,25 +160,6 @@ def kameko_down_monomial(mono: Monomial) -> Monomial | None:
     if any(e % 2 == 0 for e in mono):
         return None
     return tuple((e - 1) // 2 for e in mono)
-
-
-def kameko_up_monomial(mono: Monomial) -> Monomial:
-    return tuple(2 * e + 1 for e in mono)
-
-
-def kameko_down(f: Polynomial) -> Polynomial:
-    """The squaring-operation quotient map on polynomials (kills non-all-odd)."""
-    acc: set[Monomial] = set()
-    for m in f.monomials:
-        d = kameko_down_monomial(m)
-        if d is not None:
-            acc ^= {d}
-    return Polynomial(f.q, acc)
-
-
-def kameko_up(g: Polynomial) -> Polynomial:
-    """g -> x_1...x_q g^2, the section of the halving map."""
-    return Polynomial(g.q, (kameko_up_monomial(m) for m in g.monomials))
 
 
 @dataclass
@@ -205,9 +185,6 @@ class KamekoMap:
     def kernel_coordinates(self) -> list[int]:
         """Basis of the kernel, as bit-vectors over the domain basis."""
         return image_kernel(self.images, self.codomain.dim)[1]
-
-    def kernel_classes(self) -> list[Polynomial]:
-        return [self.domain.from_coordinates(v) for v in self.kernel_coordinates()]
 
 
 def kameko_matrix(q: int, n: int, config: EngineConfig | None = None) -> KamekoMap:

@@ -20,11 +20,6 @@ def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-def lsb(v: int) -> int:
-    """Index of the lowest set bit of a nonzero int."""
-    return (v & -v).bit_length() - 1
-
-
 def from_support(positions: Iterable[int]) -> int:
     """Bit-vector with ones exactly at the given column positions."""
     bits = 0

@@ -34,6 +34,7 @@ from .polyspace import (
     WeightVector,
     check_rank,
     padded_weight,
+    trim_weight,
     weight_vector,
 )
 
@@ -294,9 +295,7 @@ def invariants(
             q, n, group, None, len(kernel), list(data.basis), kernel, reps
         )
 
-    omega = tuple(omega)
-    while omega and omega[-1] == 0:
-        omega = omega[:-1]
+    omega = trim_weight(omega)
     keep = [i for i, m in enumerate(data.basis) if weight_vector(m) == omega]
     sub_basis = [data.basis[i] for i in keep]
     sub_index = {i: k for k, i in enumerate(keep)}

@@ -43,10 +43,6 @@ class RewriteBudget(RuntimeError):
     """Raised if a single reduction exceeds MAX_REWRITES pair rewrites."""
 
 
-def word_degree(word: Word) -> int:
-    return sum(word)
-
-
 def is_admissible(word: Word) -> bool:
     return all(a <= 2 * b for a, b in zip(word, word[1:]))
 

@@ -66,14 +66,15 @@ def weight_vector(mono: Monomial) -> WeightVector:
             w[i] += e & 1
             e >>= 1
             i += 1
-    while w and w[-1] == 0:
-        w.pop()
-    return tuple(w)
+    return tuple(w)  # the largest exponent sets the last entry
 
 
-def weight_degree(w: WeightVector) -> int:
-    """Degree of any monomial with weight vector w."""
-    return sum(wi << i for i, wi in enumerate(w))
+def trim_weight(omega: Iterable[int]) -> WeightVector:
+    """omega as a weight vector: a tuple without trailing zeros."""
+    omega = tuple(omega)
+    while omega and omega[-1] == 0:
+        omega = omega[:-1]
+    return omega
 
 
 def padded_weight(w: WeightVector, n: int) -> tuple[int, ...]:
@@ -90,18 +91,10 @@ def monomial_key(mono: Monomial) -> tuple[tuple[int, ...], Monomial]:
     return (padded_weight(weight_vector(mono), degree(mono)), mono)
 
 
-def compare(a: Monomial, b: Monomial) -> int:
-    """-1, 0, 1 as a <, =, > b in the weight-then-exponent order."""
-    if degree(a) != degree(b):
-        raise ValueError("monomials must have the same degree to compare")
-    ka, kb = monomial_key(a), monomial_key(b)
-    return (ka > kb) - (ka < kb)
+def enumerate_monomials(q: int, n: int) -> list[Monomial]:
+    """All degree-n monomials in q variables, exponent-lex ascending.
 
-
-def enumerate_monomials(q: int, n: int, ordered: bool = True) -> list[Monomial]:
-    """All degree-n monomials in q variables, ascending in the monomial order.
-
-    With ``ordered`` false they come in the cheaper exponent-lex order.
+    Sort with :func:`monomial_key` for the monomial order.
     """
     check_rank(q)
     if n < 0:
@@ -116,8 +109,6 @@ def enumerate_monomials(q: int, n: int, ordered: bool = True) -> list[Monomial]:
             rec(prefix + (e,), remaining - e, slots - 1)
 
     rec((), n, q)
-    if ordered:
-        out.sort(key=monomial_key)
     return out
 
 
@@ -208,34 +199,18 @@ def minimal_spike(q: int, n: int) -> Monomial | None:
     return mono
 
 
-def generic_degree_decompositions(n: int, q: int) -> list[tuple[int, int, int]]:
-    """All (r, s, v) with n = r(2^s - 1) + v 2^s, mu(v) < r < q, s >= 0."""
-    check_rank(q)
-    out = []
-    for r in range(1, q):
-        s = 0
-        while r * ((1 << s) - 1) <= n:
-            rem = n - r * ((1 << s) - 1)
-            if rem % (1 << s) == 0:
-                v = rem >> s
-                if mu(v) < r:
-                    out.append((r, s, v))
-            s += 1
-    return sorted(out)
-
-
 def mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     if len(a) != len(b):
         raise ValueError("monomials live in different variable counts")
     return tuple(x + y for x, y in zip(a, b))
 
 
-def format_monomial(mono: Monomial, letter: str = "x") -> str:
+def format_monomial(mono: Monomial) -> str:
     parts = []
     for i, e in enumerate(mono, start=1):
         if e == 0:
             continue
-        parts.append(f"{letter}{i}" + (f"^{e}" if e > 1 else ""))
+        parts.append(f"x{i}" + (f"^{e}" if e > 1 else ""))
     return " ".join(parts) if parts else "1"
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 # ---------------------------------------------------------------------------
 # degree families
 #
-# The four structured families handled at rank 4, parametrized by s >= 1
+# The five structured families handled at rank 4, parametrized by s >= 1
 # (and a second parameter t where applicable):
 #
 #   family A:  n = 3(2^s - 1) + 3 * 2^s        = 6 * 2^s - 3
@@ -31,27 +31,6 @@ from __future__ import annotations
 #   family D:  n = 3(2^s - 1) + 2^s (2^{t+1} - 1),   t >= 4
 #   family E:  n = 2(2^s - 1) + 2^s (2^t - 1),       t >= 5
 # ---------------------------------------------------------------------------
-
-
-def family_a_degree(s: int) -> int:
-    return 6 * 2**s - 3
-
-
-def family_b_degree(s: int) -> int:
-    return 10 * 2**s - 3
-
-
-def family_c_degree(s: int) -> int:
-    return 3 * 2**s - 2
-
-
-def family_d_degree(s: int, t: int) -> int:
-    return 3 * (2**s - 1) + 2**s * (2 ** (t + 1) - 1)
-
-
-def family_e_degree(s: int, t: int) -> int:
-    return 2 * (2**s - 1) + 2**s * (2**t - 1)
-
 
 # dim Q_n at rank 4 for the family degrees reached by the test-suite
 # (closed-form censuses: family A stabilizes at s >= 3, family B at s >= 3,

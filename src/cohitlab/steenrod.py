@@ -80,7 +80,7 @@ def live_monomials(
 ) -> list[Monomial]:
     """Degree-m monomials g that Sq^t may carry to padded weight >= bound.
 
-    Exponent-lex ascending, like ``enumerate_monomials(q, m, ordered=False)``;
+    Exponent-lex ascending, like ``enumerate_monomials(q, m)``;
     with t = 0 these are the monomials of padded weight at least bound, and
     with ``bound = ()`` all of them.  A monomial is left out only when every
     term of Sq^t(g) has padded weight below bound.  Built bit plane by bit
@@ -121,7 +121,7 @@ def _live(
             return
         out.extend(
             tuple(b + (e << shift) for b, e in zip(base, h))
-            for h in enumerate_monomials(q, m, ordered=False)
+            for h in enumerate_monomials(q, m)
         )
         return
     for c, low in _bit_planes(q, shift):
@@ -222,20 +222,13 @@ class HitSpan:
     """
 
     def __init__(
-        self,
-        q: int,
-        n: int,
-        generators: str = "powers",
-        restrict_weight: WeightVector | None = None,
+        self, q: int, n: int, restrict_weight: WeightVector | None = None
     ):
         check_rank(q)
         if n < 0:
             raise ValueError("degree must be nonnegative")
-        if generators not in ("powers", "all"):
-            raise ValueError("generators must be 'powers' or 'all'")
         self.q = q
         self.n = n
-        self.generators = generators
         self.restrict_weight = restrict_weight
         self._bound = bound = (
             () if restrict_weight is None else padded_weight(restrict_weight, n)
@@ -253,25 +246,16 @@ class HitSpan:
         self.echelon = EchelonForm(len(cols))
         self._build()
 
-    def _operation_degrees(self) -> list[int]:
-        """Degrees t of the squares used; Sq^t vanishes below degree t."""
-        if self.generators == "all":
-            return list(range(1, self.n // 2 + 1))
-        out = []
-        t = 1
-        while 2 * t <= self.n:
-            out.append(t)
-            t <<= 1
-        return out
-
     def _build(self) -> None:
         pos = self.position
         supports = []
-        for t in self._operation_degrees():
+        t = 1
+        while 2 * t <= self.n:  # Sq^t vanishes below degree t
             for g in live_monomials(self.q, self.n - t, t, self._bound):
                 row = [p for p in map(pos.get, sq_monomial(t, g)) if p is not None]
                 if row:
                     supports.append(row)
+            t <<= 1
         # Rows offered least senior pivot first stay short while reducing:
         # half the elimination time at degree 64.
         supports.sort(key=min, reverse=True)
@@ -328,9 +312,6 @@ class HitSpan:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def is_hit(self, f: Polynomial) -> bool:
-        return self.echelon.contains(self.to_vector(f))
-
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Canonical representative of [f]: supported on admissible monomials."""
         return self.to_polynomial(self.echelon.normal_form(self.to_vector(f)))
@@ -366,41 +347,21 @@ class HitSpan:
         """Kernel of the hit span: bit-vectors orthogonal to every hit row."""
         return self.echelon.kernel_basis()
 
-    def primitive_basis(self) -> list[DualElement]:
-        """Dual elements annihilated by every positive Steenrod square."""
-        return [self.to_dual(v) for v in self.primitive_vectors()]
-
 
 _SPAN_CACHE: dict[tuple, HitSpan] = {}
 
 
 def hit_span(
-    q: int,
-    n: int,
-    generators: str = "powers",
-    restrict_weight: WeightVector | None = None,
+    q: int, n: int, restrict_weight: WeightVector | None = None
 ) -> HitSpan:
     """Memoized hit span for one (q, n); see :class:`HitSpan`."""
-    key = (q, n, generators, restrict_weight)
+    key = (q, n, restrict_weight)
     span = _SPAN_CACHE.get(key)
     if span is None:
-        span = HitSpan(q, n, generators, restrict_weight)
+        span = HitSpan(q, n, restrict_weight)
         _SPAN_CACHE[key] = span
     return span
 
 
 def clear_cache() -> None:
     _SPAN_CACHE.clear()
-
-
-def is_hit(f: Polynomial) -> bool:
-    """True when f is a sum of positive Steenrod squares of lower classes."""
-    n = f.degree
-    if n is None:
-        return True
-    return hit_span(f.q, n).is_hit(f)
-
-
-def primitive_basis(q: int, n: int) -> list[DualElement]:
-    """Basis of the degree-n dual classes killed by every positive square."""
-    return hit_span(q, n).primitive_basis()

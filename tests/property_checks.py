@@ -12,6 +12,7 @@ import random
 
 from cohitlab import transferlab
 from cohitlab.cohit import EngineConfig, cohit_dim, span_for, weight_table
+from cohitlab.f2linalg import echelonize, from_support
 from cohitlab.lambda_algebra import (
     LambdaElement,
     adem_reduce,
@@ -24,11 +25,28 @@ from cohitlab.polyspace import (
     Polynomial,
     enumerate_monomials,
     minimal_spike,
+    monomial_key,
     padded_weight,
     pairing,
     weight_vector,
 )
-from cohitlab.steenrod import hit_span, sq, sq_dual
+from cohitlab.steenrod import hit_span, sq, sq_dual, sq_monomial
+
+
+def ordered_monomials(q: int, n: int) -> list:
+    """The degree-n monomials in q variables, ascending in the monomial order."""
+    return sorted(enumerate_monomials(q, n), key=monomial_key)
+
+
+def every_square_hit_rank(q: int, n: int) -> int:
+    """Rank of the span of Sq^t(g) over every t >= 1, not only t = 2^i."""
+    position = {m: i for i, m in enumerate(enumerate_monomials(q, n))}
+    rows = [
+        from_support(position[m] for m in sq_monomial(t, g))
+        for t in range(1, n // 2 + 1)
+        for g in enumerate_monomials(q, n - t)
+    ]
+    return echelonize(rows, len(position)).rank
 
 
 def check_differential_squares_to_zero(max_length: int, max_degree: int) -> int:
@@ -51,8 +69,8 @@ def check_adjointness(pairs: int, seed: int = 2024) -> int:
         q = rng.randint(1, 4)
         t = rng.randint(1, 5)
         n = rng.randint(t + 1, t + 7)
-        high = enumerate_monomials(q, n)
-        low = enumerate_monomials(q, n - t)
+        high = ordered_monomials(q, n)
+        low = ordered_monomials(q, n - t)
         theta = DualElement(q, rng.sample(high, min(len(high), 3)))
         f = Polynomial(q, rng.sample(low, min(len(low), 3)))
         assert pairing(sq_dual(t, theta), f) == pairing(theta, sq(t, f)), (
@@ -97,7 +115,8 @@ def check_spike_criterion_against_brute_force(q: int, max_degree: int) -> int:
         bound = padded_weight(weight_vector(spike), n)
         for m in enumerate_monomials(q, n):
             if padded_weight(weight_vector(m), n) < bound:
-                assert span.is_hit(Polynomial(q, [m])), (n, m)
+                f = Polynomial(q, [m])
+                assert span.echelon.contains(span.to_vector(f)), (n, m)
                 assert m not in admissible
                 checked += 1
     return checked
@@ -131,8 +150,10 @@ def check_pruned_span_matches_unpruned(
         assert list(pruned.weight_table().items()) == list(
             full.weight_table().items()
         ), where
-        assert pruned.primitive_basis() == full.primitive_basis(), where
-        monomials = enumerate_monomials(q, n)
+        assert [pruned.to_dual(v) for v in pruned.primitive_vectors()] == [
+            full.to_dual(v) for v in full.primitive_vectors()
+        ], where
+        monomials = ordered_monomials(q, n)
         for _ in range(samples):
             picks = rng.sample(monomials, min(len(monomials), 3))
             picks += rng.sample(pruned.columns, min(pruned.ncols, 3))

@@ -151,6 +151,22 @@ def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
 def test_usage_errors(sandbox, capsys):
     code, _ = run(capsys, "cohit")  # missing --q/--n
     assert code == 2
+    for argv in (
+        ("cohit", "--q", "0", "--n", "3"),
+        ("weight", "--q", "9", "--n", "3"),
+        ("kameko", "--q", "0", "--n", "4"),
+        ("invariants", "--q", "4", "--n", "-1"),
+        ("transfer", "--q", "4", "--n", "-1"),
+        ("mu", "--n", "-1"),
+    ):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith(f"cohitlab {argv[0]}: ")
+    assert not (sandbox / "cache").exists()
+    # for ext, --q is a word length, not a number of variables
+    code, data = run_json(capsys, "ext", "--q", "6", "--n", "5")
+    assert (code, data) == (0, {"dim": 0, "n": 5, "s": 6})
     code, _ = run(capsys, "verify", "bogus")
     assert code == 2
     with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,6 @@ from cohitlab.f2linalg import (
     echelonize,
     from_support,
     image_kernel,
-    lsb,
     solve_modulo,
     support,
 )
@@ -62,7 +61,6 @@ def naive_kernel(rows: list[int], ncols: int) -> list[int]:
 def test_bit_helpers():
     assert dot(0b1011, 0b1110) == 0
     assert dot(0b1011, 0b0110) == 1
-    assert lsb(0b101000) == 3
     assert from_support([0, 3, 5]) == 0b101001
     assert support(0b101001) == [0, 3, 5]
     assert support(0) == []

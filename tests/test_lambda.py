@@ -24,7 +24,6 @@ from cohitlab.lambda_algebra import (
     is_admissible,
     is_cycle,
     psi,
-    word_degree,
 )
 from cohitlab.polyspace import DualElement
 
@@ -91,7 +90,7 @@ def test_differential_squares_to_zero_small():
 
 def test_admissible_basis_enumerates_admissibles():
     words = admissible_basis(2, 6)
-    assert all(is_admissible(w) and word_degree(w) == 6 for w in words)
+    assert all(is_admissible(w) and sum(w) == 6 for w in words)
     assert len(set(words)) == len(words)
     # independent recount by brute force
     brute = [

@@ -19,7 +19,6 @@ from cohitlab.glaction import (
 )
 from cohitlab.lambda_algebra import adem_reduce, homology_coordinates, psi
 from cohitlab.polyspace import DualElement
-from cohitlab.steenrod import HitSpan
 
 
 def test_differential_squares_to_zero_small():
@@ -58,12 +57,6 @@ def test_length_one_homology_small():
 
 def test_length_two_homology_small():
     pc.check_length_two_homology_census(20)
-
-
-def test_power_generators_suffice_small():
-    for q in (1, 2, 3):
-        for n in range(1, 9):
-            assert HitSpan(q, n, "powers").rank == HitSpan(q, n, "all").rank
 
 
 def test_transfer_rows_do_not_depend_on_the_representative(config):

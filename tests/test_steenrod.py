@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import property_checks as pc
 from cohitlab.cohit import span_for
 from cohitlab.polyspace import (
     DualElement,
@@ -25,7 +26,6 @@ from cohitlab.steenrod import (
     binom_odd,
     hit_span,
     is_annihilated,
-    is_hit,
     live_monomials,
     sq,
     sq_dual,
@@ -115,7 +115,7 @@ def test_sq_one_is_the_derivation_on_squares():
 @st.composite
 def homogeneous_polys(draw, q=3, max_degree=7, max_terms=4):
     n = draw(st.integers(1, max_degree))
-    monos = enumerate_monomials(q, n)
+    monos = pc.ordered_monomials(q, n)
     picks = draw(st.lists(st.sampled_from(monos), max_size=max_terms))
     return Polynomial(q, set(picks))
 
@@ -180,7 +180,8 @@ def test_hit_membership_one_variable():
         span = hit_span(1, n)
         expected = 0 if (n + 1) & n == 0 else 1
         assert span.rank == expected
-        assert is_hit(Polynomial(1, [(n,)])) == (expected == 1)
+        hit = span.echelon.contains(span.to_vector(Polynomial(1, [(n,)])))
+        assert hit == (expected == 1)
 
 
 def test_hit_span_columns_are_sorted_largest_first():
@@ -193,7 +194,7 @@ def test_hit_span_columns_are_sorted_largest_first():
 def test_round_trips_through_span_coordinates():
     span = hit_span(3, 5)
     rng = random.Random(3)
-    monos = enumerate_monomials(3, 5)
+    monos = pc.ordered_monomials(3, 5)
     for _ in range(10):
         f = Polynomial(3, set(rng.sample(monos, 4)))
         assert span.to_polynomial(span.to_vector(f)) == f
@@ -204,10 +205,10 @@ def test_round_trips_through_span_coordinates():
 def test_normal_form_kills_hit_elements():
     span = hit_span(2, 4)
     f = sq(1, Polynomial(2, [(2, 1)])) ^ sq(2, Polynomial(2, [(1, 1)]))
-    assert span.is_hit(f)
+    assert span.echelon.contains(span.to_vector(f))
     assert span.normal_form(f).is_zero()
     g = Polynomial(2, [(3, 1)])  # a spike: never hit
-    assert not span.is_hit(g)
+    assert not span.echelon.contains(span.to_vector(g))
     assert span.normal_form(span.normal_form(g)) == span.normal_form(g)
 
 
@@ -215,12 +216,12 @@ def test_power_generators_span_the_full_hit_space():
     # Sq^1, Sq^2, Sq^4, ... generate: same span as using every Sq^t
     for q in (1, 2, 3):
         for n in range(1, 11):
-            assert HitSpan(q, n, "powers").rank == HitSpan(q, n, "all").rank
+            assert HitSpan(q, n).rank == pc.every_square_hit_rank(q, n)
 
 
 def test_primitive_basis_is_annihilated_and_spans_the_kernel():
     span = hit_span(2, 6)
-    prims = span.primitive_basis()
+    prims = [span.to_dual(v) for v in span.primitive_vectors()]
     assert len(prims) == len(span.admissible_positions())
     for theta in prims:
         assert is_annihilated(theta)
@@ -244,8 +245,6 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         HitSpan(2, -1)
     with pytest.raises(ValueError):
-        HitSpan(2, 3, "some")
-    with pytest.raises(ValueError):
         HitSpan(9, 3)
 
 
@@ -260,7 +259,7 @@ def test_live_monomials_equal_the_filter_in_order():
                     break
                 want = [
                     g
-                    for g in enumerate_monomials(q, n - t, ordered=False)
+                    for g in enumerate_monomials(q, n - t)
                     if _may_reach(g, t, bound)
                 ]
                 assert live_monomials(q, n - t, t, bound) == want, (q, n, t)
@@ -269,9 +268,7 @@ def test_live_monomials_equal_the_filter_in_order():
 def test_live_monomials_without_a_bound_are_all_monomials():
     for q, m in ((1, 5), (3, 7), (4, 6)):
         for t in (0, 1, 2):
-            assert live_monomials(q, m, t, ()) == enumerate_monomials(
-                q, m, ordered=False
-            )
+            assert live_monomials(q, m, t, ()) == enumerate_monomials(q, m)
 
 
 def test_dropped_equals_the_census_of_dropped_columns():
@@ -282,7 +279,7 @@ def test_dropped_equals_the_census_of_dropped_columns():
                 continue
             below = [
                 m
-                for m in reversed(enumerate_monomials(q, n))
+                for m in reversed(pc.ordered_monomials(q, n))
                 if padded_weight(weight_vector(m), n) < bound
             ]
             census = Counter(map(weight_vector, below))
