@@ -174,9 +174,11 @@ def _require(args, *names: str) -> None:
 
 
 def _check_ranges(args) -> None:
-    """Reject a negative --n, and a --q out of range for a polynomial command."""
+    """Reject a negative --n or ext word length, and a polynomial --q out of range."""
     if args.n is not None and args.n < 0:
         raise UsageError(f"--n must be nonnegative, got {args.n}")
+    if args.command == "ext" and args.q is not None and args.q < 0:
+        raise UsageError(f"--q (the word length) must be nonnegative, got {args.q}")
     if args.q is not None and args.command in POLYNOMIAL:
         try:
             check_rank(args.q)

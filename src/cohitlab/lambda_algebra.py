@@ -11,11 +11,20 @@ inadmissible pair rewrites as
 
     d(l_m)  =  sum_{j >= 1} C(m-j, j) l_{j-1} l_{m-j},
 
-extended as a derivation.  The differential raises word length by one and
-lowers the internal degree (the index sum) by one; the homology of
-``(length s, index sum n)`` computes the degree-(s, s+n) derived functors of
-GF(2) over the Steenrod algebra, so ``ext_dim(s, n)`` below is the dimension
-of that trigraded piece.
+extended as a derivation.  On an admissible word ``l_m u`` it is computed one
+leading generator at a time,
+
+    D(l_m u)  =  d(l_m) u + l_m D(u),
+
+with ``D(u)`` already admissible.  The first term needs no rewriting: an odd
+C(m-j, j) forces j <= m-j, so j-1 <= 2(m-j), and m-j <= m <= 2 u_1.  The
+second rewrites only the products ``l_m v`` with m > 2 v_1 (``_left``).  An
+inadmissible input word is reduced first; d is well defined on the algebra.
+
+The differential raises word length by one and lowers the internal degree
+(the index sum) by one; the homology of ``(length s, index sum n)`` computes
+the degree-(s, s+n) derived functors of GF(2) over the Steenrod algebra, so
+``ext_dim(s, n)`` below is the dimension of that trigraded piece.
 
 ``psi`` sends a product of divided powers ``a_1^(j_1) ... a_q^(j_q)`` to
 ``sum_{k >= j_1} l_k psi(a_2^(j_2) ... a_q^(j_q) . Sq^{k - j_1})`` with
@@ -36,7 +45,7 @@ Word = tuple[int, ...]
 
 # Generous guard for runaway rewriting; never reached in supported degrees.
 MAX_REWRITES = 10_000_000
-_rewrite_count = 0  # pair rewrites made by the adem_reduce call in progress
+_rewrite_count = 0  # pair rewrites made by the reduction or differential in progress
 
 
 class RewriteBudget(RuntimeError):
@@ -198,16 +207,62 @@ def _d_generator(m: int) -> frozenset[Word]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _left(a: int, u: Word) -> frozenset[Word]:
+    """l_a times the admissible word u, for a > 2 u[0], in admissible form."""
+    global _rewrite_count
+    _rewrite_count += 1
+    if _rewrite_count > MAX_REWRITES:
+        raise RewriteBudget(f"more than {MAX_REWRITES} pair rewrites")
+    rest = u[1:]
+    acc: set[Word] = set()
+    for p, q in adem_pair(a, u[0]):
+        if not rest or q <= 2 * rest[0]:
+            tails: Iterable[Word] = ((q,) + rest,)
+        else:
+            tails = _left(q, rest)
+        for v in tails:
+            if p <= 2 * v[0]:
+                t = (p,) + v
+                acc.remove(t) if t in acc else acc.add(t)
+            else:
+                acc ^= _left(p, v)
+    return frozenset(acc)
+
+
+@lru_cache(maxsize=None)
+def _d_admissible(w: Word) -> frozenset[Word]:
+    """d of a nonempty admissible word, in admissible form."""
+    m, u = w[0], w[1:]
+    acc: set[Word] = set()
+    for pair in _d_generator(m):  # admissible as it stands
+        t = pair + u
+        acc.remove(t) if t in acc else acc.add(t)
+    if not u:
+        return frozenset(acc)
+    for v in _d_admissible(u):
+        if m <= 2 * v[0]:
+            t = (m,) + v
+            acc.remove(t) if t in acc else acc.add(t)
+        else:
+            acc ^= _left(m, v)
+    return frozenset(acc)
+
+
 def differential(el: LambdaElement) -> LambdaElement:
-    """The derivation with d(l_m) = sum C(m-j, j) l_{j-1} l_{m-j}; reduced output."""
+    """d in admissible form; inadmissible input words are reduced first.
+
+    Shares :func:`adem_reduce`'s per-call budget of ``MAX_REWRITES``.
+    """
+    global _rewrite_count
+    _rewrite_count = 0
     acc: set[Word] = set()
     for w in el.terms:
-        for i, m in enumerate(w):
-            head, tail = w[:i], w[i + 1 :]
-            for pair in _d_generator(m):
-                t = head + pair + tail
-                acc.remove(t) if t in acc else acc.add(t)
-    return adem_reduce(LambdaElement._trusted(frozenset(acc)))
+        # an admissible word would only add a singleton to _reduce_word's memo
+        for v in (w,) if is_admissible(w) else _reduce_word(w):
+            if v:
+                acc ^= _d_admissible(v)
+    return LambdaElement._trusted(frozenset(acc))
 
 
 def is_cycle(el: LambdaElement) -> bool:
@@ -408,6 +463,8 @@ def clear_caches() -> None:
     _reduce_word.cache_clear()
     adem_pair.cache_clear()
     _d_generator.cache_clear()
+    _left.cache_clear()
+    _d_admissible.cache_clear()
     admissible_basis.cache_clear()
     _coords.cache_clear()
     _differential_images.cache_clear()

@@ -158,6 +158,7 @@ def test_usage_errors(sandbox, capsys):
         ("invariants", "--q", "4", "--n", "-1"),
         ("transfer", "--q", "4", "--n", "-1"),
         ("mu", "--n", "-1"),
+        ("ext", "--q", "-1", "--n", "3"),
     ):
         code = cli.main(list(argv))
         out, err = capsys.readouterr()
@@ -167,6 +168,8 @@ def test_usage_errors(sandbox, capsys):
     # for ext, --q is a word length, not a number of variables
     code, data = run_json(capsys, "ext", "--q", "6", "--n", "5")
     assert (code, data) == (0, {"dim": 0, "n": 5, "s": 6})
+    code, data = run_json(capsys, "ext", "--q", "0", "--n", "0")
+    assert (code, data) == (0, {"dim": 1, "n": 0, "s": 0})
     code, _ = run(capsys, "verify", "bogus")
     assert code == 2
     with pytest.raises(SystemExit) as exc:

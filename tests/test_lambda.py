@@ -190,24 +190,80 @@ def reference_derivation(word) -> set:
     return out
 
 
+def random_composition(rng, s: int, n: int) -> tuple:
+    """A uniformly cut word of length s and index sum n, admissible or not."""
+    cuts = sorted(rng.randint(0, n) for _ in range(s - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
 def test_adem_reduce_matches_the_reference_rewriting(fresh_lambda_caches):
     rng = random.Random(5)
     for _ in range(400):
         s, n = rng.randint(1, 4), rng.randint(0, 24)
-        words = set()
-        for _ in range(rng.randint(1, 3)):
-            cuts = sorted(rng.randint(0, n) for _ in range(s - 1))
-            words.add(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+        words = {random_composition(rng, s, n) for _ in range(rng.randint(1, 3))}
         got = adem_reduce(LambdaElement(words))
         assert got.terms == reference_reduce(words), words
 
 
+# length-4 words up to this degree keep the check under a second
+LENGTH_4_TOP = 28
+
+
 def test_differential_matches_the_reference_derivation(fresh_lambda_caches):
-    for s in range(1, 4):
-        for n in range(21):
+    for s, top in ((1, 20), (2, 20), (3, 20), (4, LENGTH_4_TOP)):
+        for n in range(top + 1):
             for w in admissible_basis(s, n):
                 want = reference_reduce(reference_derivation(w))
                 assert differential(LambdaElement([w])).terms == want, w
+
+
+def test_differential_of_inadmissible_words_matches_the_reference(
+    fresh_lambda_caches,
+):
+    rng = random.Random(11)
+    for _ in range(400):
+        s, n = rng.randint(1, 4), rng.randint(0, 24)
+        words = {random_composition(rng, s, n) for _ in range(rng.randint(1, 3))}
+        expansion: set = set()
+        for w in words:
+            expansion ^= reference_derivation(w)
+        want = reference_reduce(expansion)
+        assert differential(LambdaElement(words)).terms == want, words
+
+
+def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
+    # l6 l0 l0 rewrites to l3 (l1 l2) among others: a product that needs
+    # _left again on its leading index, which d does not reach at small degree
+    for s in range(1, 4):
+        for n in range(13):
+            for u in admissible_basis(s, n):
+                for a in range(2 * u[0] + 1, 2 * u[0] + 9):
+                    want = reference_reduce({(a,) + u})
+                    assert lambda_algebra._left(a, u) == want, (a, u)
+
+
+def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 3)
+    # d(l4 l2 l1) needs 2 pair rewrites, d(l8 l8 l8 l8) needs 16
+    got = differential(from_words((4, 2, 1)))
+    assert got.terms == reference_reduce(reference_derivation((4, 2, 1)))
+    with pytest.raises(RewriteBudget):
+        differential(from_words((8, 8, 8, 8)))
+
+
+def test_clear_caches_empties_every_lambda_memo():
+    ext_dim(4, 9)
+    psi(DualElement(4, refdata.DUAL_GENERATOR_9))
+    memos = {
+        name: f
+        for name, f in vars(lambda_algebra).items()
+        if hasattr(f, "cache_info") and f.__module__ == lambda_algebra.__name__
+    }
+    assert memos["_left"].cache_info().currsize > 0
+    assert memos["_d_admissible"].cache_info().currsize > 0
+    lambda_algebra.clear_caches()
+    sizes = {name: f.cache_info().currsize for name, f in memos.items()}
+    assert sizes == dict.fromkeys(memos, 0)
 
 
 def test_ext_dim_known_classes():
