@@ -20,6 +20,10 @@ with ``D(u)`` already admissible.  The first term needs no rewriting: an odd
 C(m-j, j) forces j <= m-j, so j-1 <= 2(m-j), and m-j <= m <= 2 u_1.  The
 second rewrites only the products ``l_m v`` with m > 2 v_1 (``_left``).  An
 inadmissible input word is reduced first; d is well defined on the algebra.
+The words of an element are grouped by their leading generator, and the
+``D(u)`` of one group are summed before l_m multiplies them, so terms cancel
+before any rewriting.  Only tails ``u`` are memoized (``_d_admissible``):
+the words of the element itself are differentiated once.
 
 The differential raises word length by one and lowers the internal degree
 (the index sum) by one; the homology of ``(length s, index sum n)`` computes
@@ -29,7 +33,10 @@ the degree-(s, s+n) derived functors of GF(2) over the Steenrod algebra, so
 ``psi`` sends a product of divided powers ``a_1^(j_1) ... a_q^(j_q)`` to
 ``sum_{k >= j_1} l_k psi(a_2^(j_2) ... a_q^(j_q) . Sq^{k - j_1})`` with
 ``psi(a^(j)) = l_j``; on classes killed by all positive squares it lands in
-cycles and induces the algebraic transfer.
+cycles and induces the algebraic transfer.  It is applied to a whole element
+one variable at a time, the terms grouped by their leading generator l_k, so
+they cancel in each group before any word is built; the words are reduced
+once at the end.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .f2linalg import EchelonForm, image_kernel, solve_modulo, support
-from .polyspace import DualElement
+from .polyspace import DualElement, DualMonomial
 from .steenrod import binom_odd, sq_dual_all
 
 Word = tuple[int, ...]
@@ -53,7 +60,13 @@ class RewriteBudget(RuntimeError):
 
 
 def is_admissible(word: Word) -> bool:
-    return all(a <= 2 * b for a, b in zip(word, word[1:]))
+    it = iter(word)
+    prev = next(it, 0)
+    for j in it:
+        if prev > 2 * j:
+            return False
+        prev = j
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -230,39 +243,54 @@ def _left(a: int, u: Word) -> frozenset[Word]:
     return frozenset(acc)
 
 
-@lru_cache(maxsize=None)
-def _d_admissible(w: Word) -> frozenset[Word]:
-    """d of a nonempty admissible word, in admissible form."""
-    m, u = w[0], w[1:]
+def _d_grouped(tails: dict[int, Iterable[Word]]) -> set[Word]:
+    """d of the sum of l_m u over m and the admissible tails u listed under m.
+
+    Each l_m u is admissible.  The tails of one leading index share one left
+    product: their D(u) are summed first, so terms cancel before ``_left``.
+    """
     acc: set[Word] = set()
-    for pair in _d_generator(m):  # admissible as it stands
-        t = pair + u
-        acc.remove(t) if t in acc else acc.add(t)
-    if not u:
-        return frozenset(acc)
-    for v in _d_admissible(u):
-        if m <= 2 * v[0]:
-            t = (m,) + v
-            acc.remove(t) if t in acc else acc.add(t)
-        else:
-            acc ^= _left(m, v)
-    return frozenset(acc)
+    for m, us in tails.items():
+        d_m = _d_generator(m)
+        below: set[Word] = set()  # sum of D(u) over the tails u
+        for u in us:
+            for pair in d_m:  # admissible as it stands
+                t = pair + u
+                acc.remove(t) if t in acc else acc.add(t)
+            if u:
+                below ^= _d_admissible(u)
+        for v in below:
+            if m <= 2 * v[0]:
+                t = (m,) + v
+                acc.remove(t) if t in acc else acc.add(t)
+            else:
+                acc ^= _left(m, v)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _d_admissible(u: Word) -> frozenset[Word]:
+    """d of a nonempty admissible tail, in admissible form."""
+    return frozenset(_d_grouped({u[0]: (u[1:],)}))
 
 
 def differential(el: LambdaElement) -> LambdaElement:
     """d in admissible form; inadmissible input words are reduced first.
 
+    Only tails are memoized: a word of the input is differentiated once.
     Shares :func:`adem_reduce`'s per-call budget of ``MAX_REWRITES``.
     """
     global _rewrite_count
     _rewrite_count = 0
-    acc: set[Word] = set()
+    tails: dict[int, set[Word]] = {}
     for w in el.terms:
         # an admissible word would only add a singleton to _reduce_word's memo
         for v in (w,) if is_admissible(w) else _reduce_word(w):
             if v:
-                acc ^= _d_admissible(v)
-    return LambdaElement._trusted(frozenset(acc))
+                us = tails.setdefault(v[0], set())
+                u = v[1:]
+                us.remove(u) if u in us else us.add(u)
+    return LambdaElement._trusted(frozenset(_d_grouped(tails)))
 
 
 def is_cycle(el: LambdaElement) -> bool:
@@ -437,26 +465,32 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
 # -- the divided-power to lambda transfer map -----------------------------------
 
 
-@lru_cache(maxsize=None)
-def _psi_term(term: tuple[int, ...]) -> frozenset[Word]:
-    if len(term) == 1:
-        return frozenset([(term[0],)])
-    j1, rest = term[0], term[1:]
-    acc: set[Word] = set()
-    for t, sub in sq_dual_all(rest):
-        k = (j1 + t,)
-        for w in _psi_term(sub):
-            word = k + w
-            acc.remove(word) if word in acc else acc.add(word)
-    return frozenset(acc)
+def _psi_words(q: int, terms: Iterable[DualMonomial]) -> set[Word]:
+    """psi of a sum of dual monomials in q variables, before Adem reduction.
+
+    The sum is pushed down one variable: its image is the sum over k of
+    l_k psi(bucket k), where bucket k sums (rest) Sq^(k - j_1) over the terms
+    (j_1, rest).  Terms cancel inside each bucket before any word is built.
+    """
+    if q <= 1:
+        return set(terms)  # psi(a^(j)) = l_j
+    buckets: dict[int, set[DualMonomial]] = {}
+    for term in terms:
+        j1 = term[0]
+        for t, sub in sq_dual_all(term[1:]):
+            bucket = buckets.setdefault(j1 + t, set())
+            bucket.remove(sub) if sub in bucket else bucket.add(sub)
+    words: set[Word] = set()
+    for k, bucket in buckets.items():
+        if bucket:
+            words.update((k,) + w for w in _psi_words(q - 1, bucket))
+    return words
 
 
 def psi(theta: DualElement) -> LambdaElement:
     """The chain-level transfer on divided powers, in admissible form."""
-    acc: set[Word] = set()
-    for term in theta.terms:
-        acc ^= _psi_term(term)
-    return adem_reduce(LambdaElement._trusted(frozenset(acc)))
+    words = _psi_words(theta.q, theta.terms)
+    return adem_reduce(LambdaElement._trusted(frozenset(words)))
 
 
 def clear_caches() -> None:
@@ -468,4 +502,3 @@ def clear_caches() -> None:
     admissible_basis.cache_clear()
     _coords.cache_clear()
     _differential_images.cache_clear()
-    _psi_term.cache_clear()

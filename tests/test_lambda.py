@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import property_checks as pc
 from cohitlab import lambda_algebra, refdata
 from cohitlab.lambda_algebra import (
     LambdaElement,
@@ -25,7 +26,9 @@ from cohitlab.lambda_algebra import (
     is_cycle,
     psi,
 )
-from cohitlab.polyspace import DualElement
+from cohitlab.cohit import span_for
+from cohitlab.polyspace import DualElement, enumerate_monomials
+from cohitlab.steenrod import is_annihilated, sq_dual_all
 
 
 def test_admissibility_is_the_doubling_condition():
@@ -231,6 +234,42 @@ def test_differential_of_inadmissible_words_matches_the_reference(
         assert differential(LambdaElement(words)).terms == want, words
 
 
+def test_grouped_differential_matches_the_per_word_reference(
+    fresh_lambda_caches,
+):
+    # d groups the words of an element by their leading index; sums whose
+    # words share leading indices must still give the per-word XOR
+    rng = random.Random(17)
+    elements = []
+    for s, top in ((3, 18), (4, 16)):
+        for n in range(top + 1):
+            for w in admissible_basis(s, n):
+                image = differential(LambdaElement([w])).sorted_words()
+                if len(image) > 1:  # length s + 1, shared leading indices
+                    elements.append(rng.sample(image, rng.randint(2, len(image))))
+    for _ in range(150):
+        s, n = rng.randint(1, 4), rng.randint(0, 26)
+        basis = admissible_basis(s, n)
+        if len(basis) > 1:
+            elements.append(rng.sample(basis, rng.randint(2, min(len(basis), 8))))
+    shared = 0
+    for words in elements:
+        shared += len({w[0] for w in words}) < len(words)
+        want: set = set()
+        for w in words:
+            want ^= reference_reduce(reference_derivation(w))
+        assert differential(LambdaElement(words)).terms == want, words
+    assert shared > 100
+
+
+def test_d_memo_holds_tails_only(fresh_lambda_caches):
+    # the words of an element are differentiated once and not memoized: after
+    # d(d(w)) over every length-4 word w, the memo holds no length-5 word
+    pc.check_differential_squares_to_zero(4, 30)
+    tails = sum(len(admissible_basis(s, n)) for s in range(1, 5) for n in range(31))
+    assert lambda_algebra._d_admissible.cache_info().currsize <= tails
+
+
 def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
     # l6 l0 l0 rewrites to l3 (l1 l2) among others: a product that needs
     # _left again on its leading index, which d does not reach at small degree
@@ -328,6 +367,64 @@ def test_psi_is_additive():
     a = DualElement(2, [(1, 2)])
     b = DualElement(2, [(3, 0)])
     assert psi(a ^ b) == adem_reduce(psi(a) ^ psi(b))
+
+
+def reference_psi(theta: DualElement) -> LambdaElement:
+    """psi term by term: each term expanded into words, cancelled at the end.
+
+    psi(a_1^(j_1) rest) is the sum of l_(j_1 + t) psi(sub) over the terms
+    (t, sub) of rest Sq^t, with psi(a^(j)) = l_j.
+    """
+
+    def words(term: tuple) -> set:
+        if len(term) == 1:
+            return {term}
+        out: set = set()
+        for t, sub in sq_dual_all(term[1:]):
+            for w in words(sub):
+                out ^= {(term[0] + t,) + w}
+        return out
+
+    acc: set = set()
+    for term in theta.terms:
+        acc ^= words(term)
+    return adem_reduce(LambdaElement(acc))
+
+
+def random_annihilated_dual(rng, q: int, n: int) -> DualElement:
+    span = span_for(q, n)
+    prims = span.primitive_vectors()
+    bits = 0
+    for v in rng.sample(prims, min(len(prims), rng.randint(1, 3))):
+        bits ^= v
+    return span.to_dual(bits)
+
+
+def test_psi_matches_the_term_by_term_reference(fresh_lambda_caches):
+    rng = random.Random(23)
+    duals = []
+    for annihilated in (False, True) * 40:
+        q, n = rng.randint(1, 4), rng.randint(1, 30)
+        if annihilated:
+            theta = random_annihilated_dual(rng, q, n)
+            assert is_annihilated(theta)
+        else:
+            monomials = enumerate_monomials(q, n)
+            theta = DualElement(q, rng.sample(monomials, min(len(monomials), 12)))
+        duals.append(theta)
+    for table in (refdata.PSI_IMAGES, refdata.PSI_IMAGES_STRETCH):
+        duals += [DualElement(q, dual) for (q, _), (dual, _) in table.items()]
+    duals.append(DualElement(4, refdata.DUAL_GENERATOR_17))
+    duals += [DualElement(4, [term]) for term in refdata.PSI_RAW_TERM_IMAGES_9]
+    for theta in duals:
+        assert psi(theta) == reference_psi(theta), theta
+
+
+def test_psi_stretch_images_from_the_fixture():
+    for (q, _), (dual, image) in refdata.PSI_IMAGES_STRETCH.items():
+        got = psi(DualElement(q, dual))
+        assert got == LambdaElement(image), dual
+        assert is_cycle(got)
 
 
 def test_psi_raw_identities_from_the_fixture():
