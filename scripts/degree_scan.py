@@ -15,27 +15,27 @@ import json
 import sys
 import time
 
-from cohitlab.cohit import EngineConfig, ResourceLimit, cohit_dim, weight_table
+from cohitlab.cohit import ResourceLimit, cohit_dim, weight_table
 from cohitlab.glaction import coinvariants, invariants
-from cohitlab.polyspace import mu
+from cohitlab.polyspace import check_rank, mu
 
 
-def scan_row(q: int, n: int, config: EngineConfig, with_groups: bool) -> dict:
+def scan_row(q: int, n: int, with_groups: bool) -> dict:
     row: dict = {"n": n, "mu": mu(n)}
     if mu(n) > q:
         row.update(dim=0, weights={}, note="mu > q")
         if with_groups:
             row.update(invariants=0, coinvariants=0)
         return row
-    row["dim"] = cohit_dim(q, n, config)
+    row["dim"] = cohit_dim(q, n)
     row["weights"] = {
         "(" + ",".join(map(str, w)) + ")": d
-        for w, d in sorted(weight_table(q, n, config).items())
+        for w, d in sorted(weight_table(q, n).items())
         if d
     }
     if with_groups:
-        row["invariants"] = invariants(q, n, "gl", config=config).dim
-        row["coinvariants"] = coinvariants(q, n, "gl", config).dim
+        row["invariants"] = invariants(q, n, "gl").dim
+        row["coinvariants"] = coinvariants(q, n, "gl").dim
     return row
 
 
@@ -48,14 +48,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="also compute invariant/coinvariant dimensions")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object per degree")
-    parser.add_argument("--max-cols", type=int, default=1 << 21)
     args = parser.parse_args(argv)
+    try:
+        check_rank(args.q)
+        if args.start < 0:
+            raise ValueError(f"--start must be nonnegative, got {args.start}")
+    except ValueError as exc:
+        print(f"degree_scan: {exc}", file=sys.stderr)
+        return 2
 
-    config = EngineConfig(max_columns=args.max_cols)
     t0 = time.time()
     for n in range(args.start, args.stop + 1):
         try:
-            row = scan_row(args.q, n, config, args.coinvariants)
+            row = scan_row(args.q, n, args.coinvariants)
         except ResourceLimit as exc:
             print(f"n={n}: stopped ({exc})", file=sys.stderr)
             return 3

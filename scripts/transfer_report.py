@@ -17,7 +17,8 @@ import json
 import sys
 import time
 
-from cohitlab.cohit import EngineConfig, ResourceLimit
+from cohitlab.cohit import ResourceLimit
+from cohitlab.polyspace import check_rank
 from cohitlab.transferlab import verdict
 
 
@@ -40,20 +41,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--degrees", type=str, default=None,
                         help="comma-separated list; overrides --start/--stop")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--max-cols", type=int, default=1 << 21)
     args = parser.parse_args(argv)
+    try:
+        check_rank(args.q)
+        if args.degrees:
+            degrees = [int(tok) for tok in args.degrees.split(",")]
+        else:
+            degrees = list(range(args.start, args.stop + 1))
+        if any(n < 0 for n in degrees):
+            raise ValueError(f"degrees must be nonnegative, got {min(degrees)}")
+    except ValueError as exc:
+        print(f"transfer_report: {exc}", file=sys.stderr)
+        return 2
 
-    if args.degrees:
-        degrees = [int(tok) for tok in args.degrees.split(",")]
-    else:
-        degrees = list(range(args.start, args.stop + 1))
-
-    config = EngineConfig(max_columns=args.max_cols)
     defects = []
     t0 = time.time()
     for n in degrees:
         try:
-            report = verdict(args.q, n, config)
+            report = verdict(args.q, n)
         except ResourceLimit as exc:
             print(f"n={n}: stopped ({exc})", file=sys.stderr)
             return 3

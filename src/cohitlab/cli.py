@@ -4,8 +4,9 @@ named verification suites.
 Every subcommand prints one JSON object (or a plain-text table with
 ``--out table``) and exits 0 on success, 1 when a verification suite
 mismatches its stored expectations, 2 on usage or input errors, and 3 when a
-computation refuses to start or finish inside the configured column budget
-or the Adem rewrite budget.
+computation refuses to start or finish inside the column budget
+(``cohit.MAX_COLUMNS``) or the Adem rewrite budget
+(``lambda_algebra.MAX_REWRITES``).
 
 The answers of the commands in ``CACHED`` are the only thing cohitlab keeps
 on disk: one JSON entry per answer under ``$COHITLAB_CACHE`` (default
@@ -28,7 +29,7 @@ import time
 from pathlib import Path
 
 from . import cohit, glaction, transferlab
-from .cohit import EngineConfig, ResourceLimit
+from .cohit import ResourceLimit
 from .lambda_algebra import RewriteBudget, ext_dim, is_cycle, psi
 from .polyspace import (
     DualElement,
@@ -127,7 +128,7 @@ def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None
         return
 
 
-def _serve_cached(handler, args, config: EngineConfig, cache_dir: Path | None):
+def _serve_cached(handler, args, cache_dir: Path | None):
     """Answer a command in ``CACHED``: its stored payload, or compute and store it.
 
     The key is q, n, for the commands in ``WEIGHTED`` the parsed ``--omega``
@@ -143,7 +144,7 @@ def _serve_cached(handler, args, config: EngineConfig, cache_dir: Path | None):
         key["group"] = args.group
     payload = cache_fetch(cache_dir, args.command, key)
     if payload is None:
-        payload = handler(args, config)
+        payload = handler(args)
         cache_put(cache_dir, args.command, key, payload)
     return payload
 
@@ -206,8 +207,8 @@ def _load_dual(args) -> DualElement:
     return element
 
 
-def cmd_cohit(args, config):
-    basis = cohit.cohit_basis(args.q, args.n, config=config)
+def cmd_cohit(args):
+    basis = cohit.cohit_basis(args.q, args.n)
     return {
         "q": args.q,
         "n": args.n,
@@ -216,9 +217,9 @@ def cmd_cohit(args, config):
     }
 
 
-def cmd_weight(args, config):
+def cmd_weight(args):
     if args.omega:
-        dim, basis = cohit.weight_subquotient(args.q, args.n, args.omega, config)
+        dim, basis = cohit.weight_subquotient(args.q, args.n, args.omega)
         return {
             "q": args.q,
             "n": args.n,
@@ -226,7 +227,7 @@ def cmd_weight(args, config):
             "dim": dim,
             "basis": [list(m) for m in basis],
         }
-    table = cohit.weight_table(args.q, args.n, config)
+    table = cohit.weight_table(args.q, args.n)
     return {
         "q": args.q,
         "n": args.n,
@@ -235,18 +236,16 @@ def cmd_weight(args, config):
     }
 
 
-def cmd_invariants(args, config):
-    return glaction.invariants(
-        args.q, args.n, args.group, omega=args.omega, config=config
-    ).to_json()
+def cmd_invariants(args):
+    return glaction.invariants(args.q, args.n, args.group, omega=args.omega).to_json()
 
 
-def cmd_coinvariants(args, config):
-    return glaction.coinvariants(args.q, args.n, args.group, config).to_json()
+def cmd_coinvariants(args):
+    return glaction.coinvariants(args.q, args.n, args.group).to_json()
 
 
-def cmd_primitives(args, config):
-    span = cohit.span_for(args.q, args.n, config)
+def cmd_primitives(args):
+    span = cohit.span_for(args.q, args.n)
     vectors = span.primitive_vectors()
     return {
         "q": args.q,
@@ -258,7 +257,7 @@ def cmd_primitives(args, config):
     }
 
 
-def cmd_annihilated(args, config):
+def cmd_annihilated(args):
     element = _load_dual(args)
     return {
         "q": element.q,
@@ -268,12 +267,12 @@ def cmd_annihilated(args, config):
     }
 
 
-def cmd_kameko(args, config):
+def cmd_kameko(args):
     if (args.n - args.q) % 2 or args.n < args.q:
         raise UsageError(
             f"halving map needs n = 2m + q; n={args.n}, q={args.q} do not fit"
         )
-    km = cohit.kameko_matrix(args.q, args.n, config)
+    km = cohit.kameko_matrix(args.q, args.n)
     kernel = km.kernel_coordinates()
     return {
         "q": args.q,
@@ -287,7 +286,7 @@ def cmd_kameko(args, config):
     }
 
 
-def cmd_psi(args, config):
+def cmd_psi(args):
     element = _load_dual(args)
     if element.is_zero():
         raise UsageError("the zero element has no chain image worth printing")
@@ -300,15 +299,15 @@ def cmd_psi(args, config):
     }
 
 
-def cmd_ext(args, config):
+def cmd_ext(args):
     return {"s": args.q, "n": args.n, "dim": ext_dim(args.q, args.n)}
 
 
-def cmd_transfer(args, config):
-    return transferlab.verdict(args.q, args.n, config).to_json()
+def cmd_transfer(args):
+    return transferlab.verdict(args.q, args.n).to_json()
 
 
-def cmd_verify(args, config):
+def cmd_verify(args):
     names = args.suites or ["all"]
     if names == ["all"]:
         names = list(transferlab.SUITE_NAMES)
@@ -318,7 +317,7 @@ def cmd_verify(args, config):
                 f"unknown suite {name!r}; choose from "
                 f"{', '.join(transferlab.SUITE_NAMES)} or 'all'"
             )
-    reports = transferlab.verify_all(tuple(names), config, jobs=args.jobs)
+    reports = transferlab.verify_all(tuple(names), jobs=args.jobs)
     return {
         "suites": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),
@@ -326,7 +325,7 @@ def cmd_verify(args, config):
     }
 
 
-def cmd_spike(args, config):
+def cmd_spike(args):
     _require(args, "q", "n")
     m = minimal_spike(args.q, args.n)
     return {
@@ -338,7 +337,7 @@ def cmd_spike(args, config):
     }
 
 
-def cmd_mu(args, config):
+def cmd_mu(args):
     _require(args, "n")
     return {"n": args.n, "alpha": alpha(args.n), "mu": mu(args.n)}
 
@@ -426,13 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     common.add_argument(
-        "--max-cols",
-        type=int,
-        default=1 << 21,
-        help="refuse degrees with more monomials than this",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for suite runs"
+        "--jobs", type=int, default=1, help="parallel workers, one per suite at most"
     )
 
     parser = argparse.ArgumentParser(
@@ -472,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = EngineConfig(max_columns=args.max_cols)
     cache_dir = (
         None if args.no_cache else Path(os.environ.get("COHITLAB_CACHE", ".cohitlab"))
     )
@@ -480,9 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_ranges(args)
         if args.command in CACHED:
-            payload = _serve_cached(handler, args, config, cache_dir)
+            payload = _serve_cached(handler, args, cache_dir)
         else:
-            payload = handler(args, config)
+            payload = handler(args)
     except UsageError as exc:
         print(f"cohitlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,43 +35,32 @@ from .polyspace import (
 )
 
 
+# The column budget: degrees with more monomials than this are refused.
+MAX_COLUMNS = 1 << 21
+
+
 class ResourceLimit(RuntimeError):
-    """Raised when a computation would exceed the configured column budget."""
-
-
-@dataclass
-class EngineConfig:
-    """The quotient engine's column budget, its only setting.
-
-    max_columns: refuse degrees whose monomial count exceeds this, with
-        :class:`ResourceLimit`.
-    """
-
-    max_columns: int = 1 << 21
+    """Raised when a degree has more monomials than ``MAX_COLUMNS``."""
 
 
 # -- the quotient engine ------------------------------------------------------
 
 
-def _check_budget(config: EngineConfig, q: int, n: int) -> None:
-    cols = count_monomials(q, n)
-    if cols > config.max_columns:
-        raise ResourceLimit(
-            f"degree {n} in {q} variables needs {cols} columns; "
-            f"budget is {config.max_columns}"
-        )
-
-
-def span_for(q: int, n: int, config: EngineConfig | None = None) -> steenrod.HitSpan:
+def span_for(q: int, n: int) -> steenrod.HitSpan:
     """The (memoized) hit-span echelon used for all degree-(q, n) queries.
 
     Its columns stop at the minimal spike's weight: every monomial of
     smaller weight is hit (Singer's criterion), so dropping those columns
     leaves the same pivots, quotient basis, normal forms and primitives.
+    Raises :class:`ResourceLimit` past the column budget, memo or not.
     """
-    config = config or EngineConfig()
     check_rank(q)
-    _check_budget(config, q, n)
+    cols = count_monomials(q, n)
+    if cols > MAX_COLUMNS:
+        raise ResourceLimit(
+            f"degree {n} in {q} variables needs {cols} columns; "
+            f"budget is {MAX_COLUMNS}"
+        )
     spike = minimal_spike(q, n)
     bound = None if spike is None else weight_vector(spike)
     return steenrod.hit_span(q, n, restrict_weight=bound)
@@ -105,42 +94,38 @@ class QuotientData:
         return Polynomial(self.span.q, [self.basis[i] for i in support(bits)])
 
 
-def quotient(q: int, n: int, config: EngineConfig | None = None) -> QuotientData:
-    span = span_for(q, n, config)
+def quotient(q: int, n: int) -> QuotientData:
+    span = span_for(q, n)
     return QuotientData(span, tuple(span.admissible_monomials()))
 
 
-def cohit_basis(
-    q: int, n: int, config: EngineConfig | None = None
-) -> list[Monomial]:
+def cohit_basis(q: int, n: int) -> list[Monomial]:
     """Admissible-monomial basis of Q_n, ascending in the monomial order."""
-    return list(quotient(q, n, config).basis)
+    return list(quotient(q, n).basis)
 
 
-def cohit_dim(q: int, n: int, config: EngineConfig | None = None) -> int:
-    return quotient(q, n, config).dim
+def cohit_dim(q: int, n: int) -> int:
+    return quotient(q, n).dim
 
 
 def weight_key(w: WeightVector) -> str:
     return ",".join(str(x) for x in w)
 
 
-def weight_table(
-    q: int, n: int, config: EngineConfig | None = None
-) -> dict[WeightVector, int]:
+def weight_table(q: int, n: int) -> dict[WeightVector, int]:
     """dim (Q_n)^w for every weight w occurring in degree n."""
-    span = span_for(q, n, config)
+    span = span_for(q, n)
     return {
         w: cols - pivots for w, (cols, pivots) in span.weight_table().items()
     }
 
 
 def weight_subquotient(
-    q: int, n: int, omega: WeightVector, config: EngineConfig | None = None
+    q: int, n: int, omega: WeightVector
 ) -> tuple[int, list[Monomial]]:
     """(dimension, admissible monomials) of the weight-omega subquotient."""
     omega = trim_weight(omega)
-    span = span_for(q, n, config)
+    span = span_for(q, n)
     basis = [m for m in span.admissible_monomials() if weight_vector(m) == omega]
     table = span.weight_table()
     cols, pivots = table.get(omega, (0, 0))
@@ -187,14 +172,14 @@ class KamekoMap:
         return image_kernel(self.images, self.codomain.dim)[1]
 
 
-def kameko_matrix(q: int, n: int, config: EngineConfig | None = None) -> KamekoMap:
+def kameko_matrix(q: int, n: int) -> KamekoMap:
     """The halving map on classes; requires n >= q and n = q mod 2."""
     check_rank(q)
     if n < q or (n - q) % 2:
         raise ValueError(f"halving map undefined for q={q}, n={n}")
     m = (n - q) // 2
-    domain = quotient(q, n, config)
-    codomain = quotient(q, m, config)
+    domain = quotient(q, n)
+    codomain = quotient(q, m)
     images = []
     for b in domain.basis:
         d = kameko_down_monomial(b)

@@ -197,21 +197,16 @@ def act_dual(images: Images, theta: DualElement) -> DualElement:
 _PLUS_ONE: dict[tuple[int, int, str], tuple[tuple[int, ...], ...]] = {}
 
 
-def plus_one_images(
-    q: int,
-    n: int,
-    group: str = "gl",
-    config: cohit.EngineConfig | None = None,
-) -> tuple[tuple[int, ...], ...]:
+def plus_one_images(q: int, n: int, group: str = "gl") -> tuple[tuple[int, ...], ...]:
     """Per generator g, the image of g + 1 on each basis class of Q_n (memoized).
 
     Entry ``[g][i]`` is the coordinate vector of ``(g + 1) x^{a_i}`` over the
     admissible basis of :func:`cohit.quotient`.
     """
-    data = cohit.quotient(q, n, config)  # enforces the column budget
     key = (q, n, group)
     images = _PLUS_ONE.get(key)
     if images is None:
+        data = cohit.quotient(q, n)
         images = _PLUS_ONE[key] = tuple(
             tuple(
                 data.coordinates(substitute(g, Polynomial(q, [mono]))) ^ (1 << i)
@@ -273,11 +268,7 @@ def _joint_kernel(
 
 
 def invariants(
-    q: int,
-    n: int,
-    group: str = "gl",
-    omega: WeightVector | None = None,
-    config: cohit.EngineConfig | None = None,
+    q: int, n: int, group: str = "gl", omega: WeightVector | None = None
 ) -> InvariantReport:
     """Fixed classes of the quotient (or of one weight subquotient).
 
@@ -286,8 +277,8 @@ def invariants(
     image raises :class:`WeightLeak` — the substitution action can only
     preserve or lower the weight filtration, so a leak means a bug.
     """
-    data = cohit.quotient(q, n, config)
-    images = plus_one_images(q, n, group, config)
+    data = cohit.quotient(q, n)
+    images = plus_one_images(q, n, group)
     if omega is None:
         kernel = _joint_kernel(images, data.dim, data.dim)
         reps = [data.from_coordinates(v) for v in kernel]
@@ -359,21 +350,15 @@ class CoinvariantData:
     the whole primitive basis.
     """
 
-    def __init__(
-        self,
-        q: int,
-        n: int,
-        group: str = "gl",
-        config: cohit.EngineConfig | None = None,
-    ):
+    def __init__(self, q: int, n: int, group: str = "gl"):
         self.q = q
         self.n = n
         self.group = group
-        self.span = span = cohit.span_for(q, n, config)
+        self.span = span = cohit.span_for(q, n)
         positions = span.admissible_positions()
         self._index = {p: k for k, p in enumerate(positions)}
         dim = self.primitive_dim = len(positions)
-        images = plus_one_images(q, n, group, config)
+        images = plus_one_images(q, n, group)
         rows = [[0] * len(images) for _ in range(dim)]
         for g, g_images in enumerate(images):
             for i, image in enumerate(g_images):
@@ -411,48 +396,32 @@ class CoinvariantData:
 _COINVARIANTS: dict[tuple[int, int, str], CoinvariantData] = {}
 
 
-def coinvariant_data(
-    q: int,
-    n: int,
-    group: str = "gl",
-    config: cohit.EngineConfig | None = None,
-) -> CoinvariantData:
+def coinvariant_data(q: int, n: int, group: str = "gl") -> CoinvariantData:
     """Memoized :class:`CoinvariantData` for one (q, n, group)."""
-    cohit.span_for(q, n, config)  # enforces the column budget
     key = (q, n, group)
     data = _COINVARIANTS.get(key)
     if data is None:
-        data = _COINVARIANTS[key] = CoinvariantData(q, n, group, config)
+        data = _COINVARIANTS[key] = CoinvariantData(q, n, group)
     return data
 
 
-def coinvariants(
-    q: int,
-    n: int,
-    group: str = "gl",
-    config: cohit.EngineConfig | None = None,
-) -> CoinvariantReport:
+def coinvariants(q: int, n: int, group: str = "gl") -> CoinvariantReport:
     """Coinvariants of the primitive space; see :class:`CoinvariantData`."""
-    return coinvariant_data(q, n, group, config).report()
+    return coinvariant_data(q, n, group).report()
 
 
-def kameko_kernel_invariants(
-    q: int,
-    n: int,
-    group: str = "gl",
-    config: cohit.EngineConfig | None = None,
-) -> InvariantReport:
+def kameko_kernel_invariants(q: int, n: int, group: str = "gl") -> InvariantReport:
     """Fixed classes inside the kernel of the halving map on Q_n.
 
     By linearity, the image of g + 1 on a kernel vector is the sum of its
     images on the basis classes in the vector's support.
     """
-    km = cohit.kameko_matrix(q, n, config)
+    km = cohit.kameko_matrix(q, n)
     data = km.domain
     kernel_vectors = km.kernel_coordinates()
     image_vectors = [
         [_combine(g_images, kv) for kv in kernel_vectors]
-        for g_images in plus_one_images(q, n, group, config)
+        for g_images in plus_one_images(q, n, group)
     ]
     alphas = _joint_kernel(image_vectors, len(kernel_vectors), data.dim)
     vecs = [_combine(kernel_vectors, a) for a in alphas]

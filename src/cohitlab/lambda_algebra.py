@@ -25,6 +25,11 @@ The words of an element are grouped by their leading generator, and the
 before any rewriting.  Only tails ``u`` are memoized (``_d_admissible``):
 the words of the element itself are differentiated once.
 
+There is one rewriting path: the left product ``_left`` of l_m with an
+admissible word, reached through ``_times``.  ``adem_reduce`` groups words
+the same way, reduces the tails under each leading index together and
+multiplies them back by l_m.
+
 The differential raises word length by one and lowers the internal degree
 (the index sum) by one; the homology of ``(length s, index sum n)`` computes
 the degree-(s, s+n) derived functors of GF(2) over the Steenrod algebra, so
@@ -42,7 +47,7 @@ once at the end.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .f2linalg import EchelonForm, image_kernel, solve_modulo, support
 from .polyspace import DualElement, DualMonomial
@@ -50,13 +55,15 @@ from .steenrod import binom_odd, sq_dual_all
 
 Word = tuple[int, ...]
 
-# Generous guard for runaway rewriting; never reached in supported degrees.
+# Generous guard for runaway rewriting: the most left products (``_left``
+# memo misses) one reduction or differential may compute; never reached in
+# supported degrees.
 MAX_REWRITES = 10_000_000
-_rewrite_count = 0  # pair rewrites made by the reduction or differential in progress
+_rewrite_count = 0  # left products of the reduction or differential in progress
 
 
 class RewriteBudget(RuntimeError):
-    """Raised if a single reduction exceeds MAX_REWRITES pair rewrites."""
+    """Raised if one reduction or differential needs over MAX_REWRITES left products."""
 
 
 def is_admissible(word: Word) -> bool:
@@ -80,30 +87,6 @@ def adem_pair(a: int, b: int) -> frozenset[Word]:
         if binom_odd(n - 1 - j, j):
             out.add((2 * b + 1 + j, a - b - 1 - j))
     return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _reduce_word(word: Word) -> frozenset[Word]:
-    """Admissible form of a single word, as a set of admissible words."""
-    global _rewrite_count
-    for i in range(len(word) - 1):
-        if word[i] > 2 * word[i + 1]:
-            break
-    else:
-        return frozenset([word])
-    _rewrite_count += 1
-    if _rewrite_count > MAX_REWRITES:
-        raise RewriteBudget(f"more than {MAX_REWRITES} pair rewrites")
-    head, tail = word[:i], word[i + 2 :]
-    pairs = adem_pair(word[i], word[i + 1])
-    if len(pairs) == 1:
-        # share the child's set: no copy, and the memo holds one set for both
-        (pair,) = pairs
-        return _reduce_word(head + pair + tail)
-    acc: set[Word] = set()
-    for pair in pairs:
-        acc ^= _reduce_word(head + pair + tail)
-    return frozenset(acc)
 
 
 class LambdaElement:
@@ -196,19 +179,41 @@ def from_words(*words: Iterable[int]) -> LambdaElement:
     return LambdaElement(tuple(w) for w in words)
 
 
-def adem_reduce(el: LambdaElement) -> LambdaElement:
-    """Rewrite into the admissible basis (leftmost inadmissible pair first).
+def _by_leading(words: Iterable[Word]) -> dict[int, set[Word]]:
+    """The tails of the nonempty words, summed under their leading index."""
+    groups: dict[int, set[Word]] = {}
+    for w in words:
+        if w:
+            us = groups.setdefault(w[0], set())
+            u = w[1:]
+            us.remove(u) if u in us else us.add(u)
+    return groups
 
-    Raises :class:`RewriteBudget` if this one reduction needs more than
-    ``MAX_REWRITES`` pair rewrites; words reduced before are memoized and
-    cost nothing.
+
+def _reduce(words: Collection[Word]) -> set[Word]:
+    """Admissible form of a sum of words of one length.
+
+    The tails under each leading index m are reduced together, then
+    multiplied by l_m once.
+    """
+    if () in words:
+        return {()}
+    acc: set[Word] = set()
+    for m, us in _by_leading(words).items():
+        _times(m, _reduce(us), acc)
+    return acc
+
+
+def adem_reduce(el: LambdaElement) -> LambdaElement:
+    """Rewrite into the admissible basis.
+
+    Raises :class:`RewriteBudget` if this one reduction computes more than
+    ``MAX_REWRITES`` left products; products computed before are memoized
+    and cost nothing.
     """
     global _rewrite_count
     _rewrite_count = 0
-    acc: set[Word] = set()
-    for w in el.terms:
-        acc ^= _reduce_word(w)
-    return LambdaElement._trusted(frozenset(acc))
+    return LambdaElement._trusted(frozenset(_reduce(el.terms)))
 
 
 @lru_cache(maxsize=None)
@@ -220,13 +225,28 @@ def _d_generator(m: int) -> frozenset[Word]:
     return frozenset(out)
 
 
+def _times(m: int, words: Iterable[Word], acc: set[Word]) -> set[Word]:
+    """Add l_m v to acc for each admissible word v, in admissible form."""
+    for v in words:
+        if not v or m <= 2 * v[0]:
+            t = (m,) + v
+            acc.remove(t) if t in acc else acc.add(t)
+        else:
+            acc ^= _left(m, v)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _left(a: int, u: Word) -> frozenset[Word]:
-    """l_a times the admissible word u, for a > 2 u[0], in admissible form."""
+    """l_a times the admissible word u, for a > 2 u[0], in admissible form.
+
+    The only place an inadmissible pair is rewritten; each product computed
+    (a memo miss) counts against ``MAX_REWRITES``.
+    """
     global _rewrite_count
     _rewrite_count += 1
     if _rewrite_count > MAX_REWRITES:
-        raise RewriteBudget(f"more than {MAX_REWRITES} pair rewrites")
+        raise RewriteBudget(f"more than {MAX_REWRITES} left products")
     rest = u[1:]
     acc: set[Word] = set()
     for p, q in adem_pair(a, u[0]):
@@ -234,12 +254,7 @@ def _left(a: int, u: Word) -> frozenset[Word]:
             tails: Iterable[Word] = ((q,) + rest,)
         else:
             tails = _left(q, rest)
-        for v in tails:
-            if p <= 2 * v[0]:
-                t = (p,) + v
-                acc.remove(t) if t in acc else acc.add(t)
-            else:
-                acc ^= _left(p, v)
+        _times(p, tails, acc)
     return frozenset(acc)
 
 
@@ -259,12 +274,7 @@ def _d_grouped(tails: dict[int, Iterable[Word]]) -> set[Word]:
                 acc.remove(t) if t in acc else acc.add(t)
             if u:
                 below ^= _d_admissible(u)
-        for v in below:
-            if m <= 2 * v[0]:
-                t = (m,) + v
-                acc.remove(t) if t in acc else acc.add(t)
-            else:
-                acc ^= _left(m, v)
+        _times(m, below, acc)
     return acc
 
 
@@ -282,15 +292,8 @@ def differential(el: LambdaElement) -> LambdaElement:
     """
     global _rewrite_count
     _rewrite_count = 0
-    tails: dict[int, set[Word]] = {}
-    for w in el.terms:
-        # an admissible word would only add a singleton to _reduce_word's memo
-        for v in (w,) if is_admissible(w) else _reduce_word(w):
-            if v:
-                us = tails.setdefault(v[0], set())
-                u = v[1:]
-                us.remove(u) if u in us else us.add(u)
-    return LambdaElement._trusted(frozenset(_d_grouped(tails)))
+    words = el.terms if all(map(is_admissible, el.terms)) else _reduce(el.terms)
+    return LambdaElement._trusted(frozenset(_d_grouped(_by_leading(words))))
 
 
 def is_cycle(el: LambdaElement) -> bool:
@@ -494,7 +497,6 @@ def psi(theta: DualElement) -> LambdaElement:
 
 
 def clear_caches() -> None:
-    _reduce_word.cache_clear()
     adem_pair.cache_clear()
     _d_generator.cache_clear()
     _left.cache_clear()

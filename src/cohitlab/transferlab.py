@@ -19,7 +19,7 @@ import concurrent.futures
 from dataclasses import dataclass, field
 
 from . import cohit, glaction, refdata
-from .cohit import EngineConfig, ResourceLimit
+from .cohit import ResourceLimit
 from .f2linalg import echelonize
 from .glaction import CoinvariantData, coinvariant_data
 from .lambda_algebra import (
@@ -74,9 +74,7 @@ class TransferReport:
         }
 
 
-def transfer_matrix(
-    q: int, n: int, config: EngineConfig | None = None
-) -> tuple[CoinvariantData, list[tuple[int, ...]]]:
+def transfer_matrix(q: int, n: int) -> tuple[CoinvariantData, list[tuple[int, ...]]]:
     """Coinvariant data and the homology coordinates of each representative.
 
     ``homology_coordinates`` raises ValueError if a representative's chain
@@ -84,14 +82,14 @@ def transfer_matrix(
     map to cycles, so a non-cycle is an engine bug, not a property of the
     input.
     """
-    data = coinvariant_data(q, n, "gl", config)
+    data = coinvariant_data(q, n, "gl")
     rows = [homology_coordinates(psi(rep), q, n) for rep in data.representatives()]
     return data, rows
 
 
-def verdict(q: int, n: int, config: EngineConfig | None = None) -> TransferReport:
+def verdict(q: int, n: int) -> TransferReport:
     """Transfer verdict at one bidegree."""
-    data, rows = transfer_matrix(q, n, config)
+    data, rows = transfer_matrix(q, n)
     codomain = ext_dim(q, n)
     packed = [sum(1 << i for i, c in enumerate(row) if c) for row in rows]
     rank = echelonize(packed, max(codomain, 1)).rank
@@ -150,9 +148,8 @@ class SuiteReport:
 class _Suite:
     """Collects named equality checks into a SuiteReport."""
 
-    def __init__(self, name: str, config: EngineConfig | None):
+    def __init__(self, name: str):
         self.report = SuiteReport(name)
-        self.config = config
 
     def check(self, name: str, got, want) -> None:
         if got == want:
@@ -176,8 +173,8 @@ class _Suite:
         self.check(name, got, want)
 
 
-def _verdict_tuple(q: int, n: int, config) -> tuple[int, int, bool]:
-    rep = verdict(q, n, config)
+def _verdict_tuple(q: int, n: int) -> tuple[int, int, bool]:
+    rep = verdict(q, n)
     return (rep.domain_dim, rep.codomain_dim, rep.isomorphism)
 
 
@@ -197,11 +194,11 @@ _TABLE_CHECKS = {
     "cohit dim": (("COHIT_DIMS", "COHIT_DIMS_REGRESSION"), cohit.cohit_dim),
     "coinvariant dim": (
         ("COINVARIANT_DIMS", "COINVARIANT_DIMS_STRETCH"),
-        lambda q, n, cfg: glaction.coinvariants(q, n, "gl", cfg).dim,
+        lambda q, n: glaction.coinvariants(q, n, "gl").dim,
     ),
     "kernel invariants": (
         ("KAMEKO_KERNEL_INVARIANT_DIMS",),
-        lambda q, n, cfg: glaction.kameko_kernel_invariants(q, n, "gl", cfg).dim,
+        lambda q, n: glaction.kameko_kernel_invariants(q, n, "gl").dim,
     ),
     "transfer verdict": (
         ("TRANSFER_VERDICTS", "TRANSFER_VERDICTS_STRETCH"),
@@ -219,36 +216,34 @@ def _table_checks(s: _Suite, kind: str, q: int = 4) -> None:
     prefix = "" if q == 4 else f"rank-{q} "
     for bideg in SUITE_DEGREES[s.report.name]:
         if bideg[0] == q and bideg in want:
-            s.run(f"{prefix}{kind} n={bideg[1]}", lambda b=bideg: (
-                compute(*b, s.config), want[b]))
+            s.run(f"{prefix}{kind} n={bideg[1]}",
+                  lambda b=bideg: (compute(*b), want[b]))
 
 
 def _suite_family_a(s: _Suite) -> None:
     """Degrees 6*2^s - 3: dims, generators, and verdicts at s = 1, 2, 3."""
-    cfg = s.config
     _table_checks(s, "cohit dim")
     s.run("basis n=9", lambda: (
-        sorted(cohit.cohit_basis(4, 9, config=cfg)),
+        sorted(cohit.cohit_basis(4, 9)),
         sorted(refdata.COHIT_BASIS_4_9)))
     _table_checks(s, "coinvariant dim")
     s.run("invariant generator n=9", lambda: (
-        _class_coords(4, 9, refdata.GL_INVARIANT_GENERATOR_9, cfg)
-        == _invariant_vector(4, 9, cfg), True))
+        _class_coords(4, 9, refdata.GL_INVARIANT_GENERATOR_9)
+        == _invariant_vector(4, 9), True))
     s.run("weight-fixed generator n=45", lambda: (
         _weight_invariant_ok(
-            4, 45, (3, 3, 3, 3), refdata.GL_INVARIANT_GENERATOR_45_WEIGHT, cfg),
-        True))
+            4, 45, (3, 3, 3, 3), refdata.GL_INVARIANT_GENERATOR_45_WEIGHT), True))
     s.run("pairing n=9", lambda: (
         pairing(DualElement(4, refdata.DUAL_GENERATOR_9),
                 Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)), 1))
     s.run("dual generator class n=9", lambda: (
-        coinvariant_data(4, 9, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 9, "gl").class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_9)) != 0, True))
     s.run("spike class vanishes n=21", lambda: (
-        coinvariant_data(4, 21, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 21, "gl").class_coordinates(
             DualElement(4, refdata.DUAL_SPIKE_21)), 0))
     s.run("dual generator class n=45", lambda: (
-        coinvariant_data(4, 45, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 45, "gl").class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_45)) != 0, True))
     _table_checks(s, "transfer verdict")
     # chain image of the single-term dual: nonzero class at s = 3, boundary
@@ -263,30 +258,28 @@ def _suite_family_a(s: _Suite) -> None:
 
 def _suite_family_b(s: _Suite) -> None:
     """Degrees 10*2^s - 3: dims, the 44-term generator, verdicts at s = 1, 2."""
-    cfg = s.config
     _table_checks(s, "cohit dim")
     s.run("basis n=17", lambda: (
-        sorted(cohit.cohit_basis(4, 17, config=cfg)),
+        sorted(cohit.cohit_basis(4, 17)),
         sorted(refdata.COHIT_BASIS_4_17)))
     _table_checks(s, "coinvariant dim")
     s.run("44-term dual annihilated", lambda: (
         _annihilated(4, refdata.DUAL_GENERATOR_17), True))
     s.run("dual generator class n=17", lambda: (
-        coinvariant_data(4, 17, "gl", cfg).class_coordinates(
+        coinvariant_data(4, 17, "gl").class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_17)) != 0, True))
     s.run("invariant generator n=17", lambda: (
-        _class_coords(4, 17, refdata.GL_INVARIANT_GENERATOR_17, cfg)
-        == _invariant_vector(4, 17, cfg), True))
+        _class_coords(4, 17, refdata.GL_INVARIANT_GENERATOR_17)
+        == _invariant_vector(4, 17), True))
     _table_checks(s, "transfer verdict")
 
 
 def _suite_family_c(s: _Suite) -> None:
     """Degrees 3*2^s - 2: halving-kernel invariants and the degree-22 class."""
-    cfg = s.config
     _table_checks(s, "cohit dim")
     _table_checks(s, "kernel invariants")
     s.run("kernel basis n=4", lambda: (
-        _kameko_kernel_matches(4, 4, refdata.KAMEKO_KERNEL_BASIS_4_4, cfg), True))
+        _kameko_kernel_matches(4, 4, refdata.KAMEKO_KERNEL_BASIS_4_4), True))
     _table_checks(s, "coinvariant dim")
     s.run("dual generator annihilated n=22", lambda: (
         _annihilated(4, refdata.DUAL_GENERATOR_22), True))
@@ -306,7 +299,7 @@ def _suite_family_d(s: _Suite) -> None:
     _table_checks(s, "cohit dim")
     _table_checks(s, "coinvariant dim")
     s.run("dual generator class n=65", lambda: (
-        coinvariant_data(4, 65, "gl", s.config).class_coordinates(
+        coinvariant_data(4, 65, "gl").class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_65)) != 0, True))
     _table_checks(s, "transfer verdict")
 
@@ -318,7 +311,7 @@ def _suite_family_e(s: _Suite) -> None:
         _annihilated(4, refdata.DUAL_GENERATOR_64), True))
     _table_checks(s, "coinvariant dim")
     s.run("dual generator class n=64", lambda: (
-        coinvariant_data(4, 64, "gl", s.config).class_coordinates(
+        coinvariant_data(4, 64, "gl").class_coordinates(
             DualElement(4, refdata.DUAL_GENERATOR_64)) != 0, True))
     _table_checks(s, "transfer verdict")
 
@@ -376,28 +369,28 @@ _SUITE_RUNNERS = {
 SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
-def verify_suite(name: str, config: EngineConfig | None = None) -> SuiteReport:
+def verify_suite(name: str) -> SuiteReport:
     """Run one named suite; unknown names raise ValueError."""
     if name not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    suite = _Suite(name, config)
+    suite = _Suite(name)
     _SUITE_RUNNERS[name](suite)
     return suite.report
 
 
 def verify_all(
-    names: tuple[str, ...] = SUITE_NAMES,
-    config: EngineConfig | None = None,
-    jobs: int = 1,
+    names: tuple[str, ...] = SUITE_NAMES, jobs: int = 1
 ) -> list[SuiteReport]:
     """Run several suites, optionally fanning out over processes.
 
-    Reports come back in the order of ``names`` regardless of job count.
+    Reports come back in the order of ``names`` regardless of job count.  A
+    pool starts all its workers at once, so it gets one per suite at most.
     """
     if jobs <= 1:
-        return [verify_suite(n, config) for n in names]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {n: pool.submit(verify_suite, n, config) for n in names}
+        return [verify_suite(n) for n in names]
+    workers = min(jobs, len(names))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {n: pool.submit(verify_suite, n) for n in names}
         return [futures[n].result() for n in names]
 
 
@@ -412,22 +405,22 @@ def _annihilated(q: int, terms) -> bool:
     return is_annihilated(DualElement(q, terms))
 
 
-def _class_coords(q: int, n: int, monomials, config) -> int:
-    return cohit.quotient(q, n, config).coordinates(Polynomial(q, monomials))
+def _class_coords(q: int, n: int, monomials) -> int:
+    return cohit.quotient(q, n).coordinates(Polynomial(q, monomials))
 
 
-def _invariant_vector(q: int, n: int, config) -> int | None:
+def _invariant_vector(q: int, n: int) -> int | None:
     """Generator of one-dimensional invariants; None, so the check fails, otherwise."""
-    report = glaction.invariants(q, n, "gl", config=config)
+    report = glaction.invariants(q, n, "gl")
     return report.vectors[0] if report.dim == 1 else None
 
 
-def _weight_invariant_ok(q, n, omega, monomials, config) -> bool:
+def _weight_invariant_ok(q, n, omega, monomials) -> bool:
     """The class of the given sum generates the weight-fixed points."""
-    report = glaction.invariants(q, n, "gl", omega=omega, config=config)
+    report = glaction.invariants(q, n, "gl", omega=omega)
     if report.dim != 1:
         return False
-    data = cohit.quotient(q, n, config)
+    data = cohit.quotient(q, n)
     full = data.coordinates(Polynomial(q, monomials))
     positions = {m: i for i, m in enumerate(data.basis)}
     proj = 0
@@ -437,9 +430,9 @@ def _weight_invariant_ok(q, n, omega, monomials, config) -> bool:
     return proj == report.vectors[0]
 
 
-def _kameko_kernel_matches(q, n, monomials, config) -> bool:
+def _kameko_kernel_matches(q, n, monomials) -> bool:
     """The frozen class list spans the halving-map kernel."""
-    km = cohit.kameko_matrix(q, n, config)
+    km = cohit.kameko_matrix(q, n)
     kernel = km.kernel_coordinates()
     ech = echelonize(kernel, km.domain.dim)
     frozen = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from cohitlab import transferlab
-from cohitlab.cohit import EngineConfig, cohit_dim, span_for, weight_table
+from cohitlab.cohit import cohit_dim, span_for, weight_table
 from cohitlab.f2linalg import echelonize, from_support
 from cohitlab.lambda_algebra import (
     LambdaElement,
@@ -82,14 +82,12 @@ def check_adjointness(pairs: int, seed: int = 2024) -> int:
     return done
 
 
-def check_primitives_match_cohit_dims(
-    max_rank: int, max_degree: int, config: EngineConfig | None = None
-) -> int:
+def check_primitives_match_cohit_dims(max_rank: int, max_degree: int) -> int:
     """The annihilated dual space has the same dimension as the quotient."""
     count = 0
     for q in range(1, max_rank + 1):
         for n in range(1, max_degree + 1):
-            span = span_for(q, n, config)
+            span = span_for(q, n)
             prims = span.primitive_vectors()
             assert len(prims) == span.ncols - span.rank, (q, n)
             count += 1
@@ -163,24 +161,20 @@ def check_pruned_span_matches_unpruned(
     return pruned_degrees
 
 
-def check_weight_dims_sum_to_cohit_dim(
-    q: int, max_degree: int, config: EngineConfig | None = None
-) -> int:
+def check_weight_dims_sum_to_cohit_dim(q: int, max_degree: int) -> int:
     count = 0
     for n in range(1, max_degree + 1):
-        table = weight_table(q, n, config)
-        assert sum(table.values()) == cohit_dim(q, n, config), n
+        table = weight_table(q, n)
+        assert sum(table.values()) == cohit_dim(q, n), n
         count += 1
     return count
 
 
-def check_low_rank_transfer_is_iso(
-    max_rank: int, max_degree: int, config: EngineConfig | None = None
-) -> int:
+def check_low_rank_transfer_is_iso(max_rank: int, max_degree: int) -> int:
     count = 0
     for q in range(1, max_rank + 1):
         for n in range(0, max_degree + 1):
-            report = transferlab.verdict(q, n, config)
+            report = transferlab.verdict(q, n)
             assert report.isomorphism, (
                 q,
                 n,

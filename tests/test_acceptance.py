@@ -29,31 +29,31 @@ def _line(criterion: str, detail: str) -> None:
     print(f"criterion {criterion}: PASS - {detail}")
 
 
-def _suites_pass(config, *names: str) -> None:
+def _suites_pass(*names: str) -> None:
     for name in names:
-        report = verify_suite(name, config)
+        report = verify_suite(name)
         failed = [c.to_json() for c in report.checks if c.status != "pass"]
         assert report.passed and report.complete, failed
 
 
-def test_criterion_1_dimension_table(config):
+def test_criterion_1_dimension_table():
     t0 = time.time()
-    _suites_pass(config, "dlc1")
+    _suites_pass("dlc1")
     elapsed = time.time() - t0
     assert elapsed < 300, f"budget 5 min, took {elapsed:.0f}s"
     _line("1", f"dim Q_9/21/45 = 46/94/105 in {elapsed:.1f}s")
 
 
-def test_criterion_2_printed_bases(config):
-    _suites_pass(config, "dlc1", "dlc2")
+def test_criterion_2_printed_bases():
+    _suites_pass("dlc1", "dlc2")
     _line("2", "printed bases reproduced at n=9 (46) and n=17 (87)")
 
 
-def test_criterion_3_coinvariants_and_the_pairing(config):
+def test_criterion_3_coinvariants_and_the_pairing():
     t0 = time.time()
-    _suites_pass(config, "dlc1")
+    _suites_pass("dlc1")
     # the computed degree-9 representative pairs to 1 against the invariant
-    (rep,) = CoinvariantData(4, 9, "gl", config).representatives()
+    (rep,) = CoinvariantData(4, 9, "gl").representatives()
     invariant = Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)
     assert pairing(rep, invariant) == 1
     elapsed = time.time() - t0
@@ -62,22 +62,22 @@ def test_criterion_3_coinvariants_and_the_pairing(config):
                f"{elapsed:.1f}s")
 
 
-def test_criterion_4_degree_17_generator(config):
+def test_criterion_4_degree_17_generator():
     assert len(refdata.DUAL_GENERATOR_17) == 44
-    _suites_pass(config, "dlc2", "eq6")
+    _suites_pass("dlc2", "eq6")
     _line("4", "44-term generator: annihilated, class-1, image = printed "
                "cycle + d(printed preimage)")
 
 
-def test_criterion_5_printed_chain_images(config):
-    _suites_pass(config, "remark26")
+def test_criterion_5_printed_chain_images():
+    _suites_pass("remark26")
     _line("5", "four printed images reproduce; [l1 l3 l3 l2] is nonzero "
                "at (4, 9)")
 
 
-def test_criterion_6_halving_kernel(config):
+def test_criterion_6_halving_kernel():
     assert len(refdata.KAMEKO_KERNEL_BASIS_4_4) == 20
-    _suites_pass(config, "dlc3")
+    _suites_pass("dlc3")
     _line("6", "kernel fixed points trivial at n=4, 10; 20-element kernel "
                "basis matches")
 
@@ -93,15 +93,15 @@ def test_criterion_7_homology_oracle():
                f"ext(4,9)=1 in {elapsed:.1f}s")
 
 
-def test_criterion_8_property_suites(config):
+def test_criterion_8_property_suites():
     t0 = time.time()
     counts = {
         "d2": pc.check_differential_squares_to_zero(4, 52),
         "adjoint": pc.check_adjointness(1000),
-        "primitives": pc.check_primitives_match_cohit_dims(4, 20, config),
+        "primitives": pc.check_primitives_match_cohit_dims(4, 20),
         "spikes": pc.check_spike_criterion_against_brute_force(4, 16),
-        "weights": pc.check_weight_dims_sum_to_cohit_dim(4, 21, config),
-        "transfer": pc.check_low_rank_transfer_is_iso(3, 20, config),
+        "weights": pc.check_weight_dims_sum_to_cohit_dim(4, 21),
+        "transfer": pc.check_low_rank_transfer_is_iso(3, 20),
     }
     elapsed = time.time() - t0
     assert all(v > 0 for v in counts.values())
@@ -110,10 +110,10 @@ def test_criterion_8_property_suites(config):
         f"{k}={v}" for k, v in counts.items()) + f" in {elapsed:.1f}s")
 
 
-def test_criterion_9_stretch_degrees(config):
+def test_criterion_9_stretch_degrees():
     t0 = time.time()
     try:
-        reports = [verify_suite(name, config) for name in ("dlct", "dlct2")]
+        reports = [verify_suite(name) for name in ("dlct", "dlct2")]
     except MemoryError as exc:
         pytest.skip(f"resource cap exceeded, reported not failed: {exc}")
     checks = [c for r in reports for c in r.checks]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cohitlab import cli, refdata
+from cohitlab import cli, cohit, refdata
 
 
 @pytest.fixture
@@ -127,12 +127,12 @@ def test_psi_rejects_bad_files(sandbox, capsys, tmp_path):
     assert code == 2  # --file is required
 
 
-def test_resource_limit_exit_code(sandbox, capsys):
-    code, data = run_json(
-        capsys, "cohit", "--q", "4", "--n", "45", "--max-cols", "100"
-    )
+def test_resource_limit_exit_code(sandbox, capsys, monkeypatch):
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", 100)
+    code, data = run_json(capsys, "cohit", "--q", "4", "--n", "45")
     assert code == 3
     assert data["error"] == "resource-limit"
+    assert data["detail"].endswith("budget is 100")
 
 
 def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
@@ -283,13 +283,14 @@ def test_omega_is_keyed_only_where_it_is_read(sandbox, capsys):
     assert len(list((sandbox / "cache").glob("cli_weight_*.json"))) == 2
 
 
-def test_column_budget_limits_computing_not_serving(sandbox, capsys):
+def test_column_budget_limits_computing_not_serving(sandbox, capsys, monkeypatch):
     args = ("cohit", "--q", "4", "--n", "9")
     code, cold = run(capsys, *args)
     assert code == 0
-    code, warm = run(capsys, *args, "--max-cols", "10")
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", 10)
+    code, warm = run(capsys, *args)
     assert code == 0 and warm == cold
-    code, data = run_json(capsys, *args, "--max-cols", "10", "--no-cache")
+    code, data = run_json(capsys, *args, "--no-cache")
     assert code == 3
     assert data["error"] == "resource-limit"
 

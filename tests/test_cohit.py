@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from cohitlab import refdata
+from cohitlab import cohit, refdata
 from cohitlab.cohit import (
-    EngineConfig,
     ResourceLimit,
     cohit_basis,
     cohit_dim,
@@ -25,24 +24,24 @@ def kameko_down(f: Polynomial) -> Polynomial:
     return Polynomial(f.q, [d for d in halves if d is not None])
 
 
-def test_one_variable_dims(config):
+def test_one_variable_dims():
     for n in range(1, 32):
         expected = 1 if (n + 1) & n == 0 else 0
-        assert cohit_dim(1, n, config) == expected
+        assert cohit_dim(1, n) == expected
 
 
-def test_two_variable_dims_against_the_frozen_table(config):
+def test_two_variable_dims_against_the_frozen_table():
     for n, dim in refdata.COHIT_DIMS_RANK2.items():
-        assert cohit_dim(2, n, config) == dim, f"n={n}"
+        assert cohit_dim(2, n) == dim, f"n={n}"
 
 
-def test_three_variable_dims_small(config):
+def test_three_variable_dims_small():
     for n, dim in refdata.COHIT_DIMS_RANK3.items():
         if n <= 12:
-            assert cohit_dim(3, n, config) == dim, f"n={n}"
+            assert cohit_dim(3, n) == dim, f"n={n}"
 
 
-def test_dims_vanish_exactly_when_mu_exceeds_the_rank(config):
+def test_dims_vanish_exactly_when_mu_exceeds_the_rank():
     for q in (2, 3):
         table = (
             refdata.COHIT_DIMS_RANK2 if q == 2 else refdata.COHIT_DIMS_RANK3
@@ -51,8 +50,8 @@ def test_dims_vanish_exactly_when_mu_exceeds_the_rank(config):
             assert (dim == 0) == (mu(n) > q), f"q={q} n={n}"
 
 
-def test_quotient_coordinates_round_trip(config):
-    data = quotient(3, 6, config)
+def test_quotient_coordinates_round_trip():
+    data = quotient(3, 6)
     for i, m in enumerate(data.basis):
         f = Polynomial(3, [m])
         assert data.coordinates(f) == 1 << i
@@ -65,30 +64,30 @@ def test_quotient_coordinates_round_trip(config):
         assert data.coordinates(hit) == 0
 
 
-def test_basis_monomials_are_not_hit(config):
+def test_basis_monomials_are_not_hit():
     span = hit_span(3, 8)
-    for m in cohit_basis(3, 8, config=config):
+    for m in cohit_basis(3, 8):
         assert not span.echelon.contains(span.to_vector(Polynomial(3, [m])))
 
 
-def test_weight_table_totals(config):
+def test_weight_table_totals():
     for q, n in ((2, 6), (3, 8), (4, 9)):
-        table = weight_table(q, n, config)
-        assert sum(table.values()) == cohit_dim(q, n, config)
+        table = weight_table(q, n)
+        assert sum(table.values()) == cohit_dim(q, n)
 
 
-def test_weight_subquotient_matches_the_table(config):
-    table = weight_table(4, 9, config)
+def test_weight_subquotient_matches_the_table():
+    table = weight_table(4, 9)
     for w, dim in table.items():
-        got_dim, basis = weight_subquotient(4, 9, w, config)
+        got_dim, basis = weight_subquotient(4, 9, w)
         assert got_dim == dim
         assert len(basis) == dim
         assert all(weight_vector(m) == w for m in basis)
 
 
-def test_weight_subquotient_ignores_trailing_zeros(config):
-    a = weight_subquotient(4, 9, (3, 1, 1), config)
-    b = weight_subquotient(4, 9, (3, 1, 1, 0, 0), config)
+def test_weight_subquotient_ignores_trailing_zeros():
+    a = weight_subquotient(4, 9, (3, 1, 1))
+    b = weight_subquotient(4, 9, (3, 1, 1, 0, 0))
     assert a == b
 
 
@@ -99,9 +98,9 @@ def test_kameko_monomial_maps():
     assert kameko_down(f) == Polynomial(2, [(1, 1), (0, 2)])
 
 
-def test_kameko_iso_when_mu_says_so(config):
+def test_kameko_iso_when_mu_says_so():
     # mu(11) = 3, so the halving map Q_11 -> Q_4 at rank 3 is an isomorphism
-    km = kameko_matrix(3, 11, config)
+    km = kameko_matrix(3, 11)
     assert km.target_degree == 4
     assert km.domain.dim == refdata.COHIT_DIMS_RANK3[11] == 8
     assert km.codomain.dim == refdata.COHIT_DIMS_RANK3[4] == 8
@@ -110,9 +109,9 @@ def test_kameko_iso_when_mu_says_so(config):
     assert km.kernel_coordinates() == []
 
 
-def test_kameko_surjective_with_kernel(config):
+def test_kameko_surjective_with_kernel():
     # mu(10) = 2 < 4: surjective but far from injective
-    km = kameko_matrix(4, 10, config)
+    km = kameko_matrix(4, 10)
     assert km.target_degree == 3
     assert km.is_surjective()
     assert len(km.kernel_coordinates()) == km.domain.dim - km.codomain.dim
@@ -126,25 +125,26 @@ def test_kameko_surjective_with_kernel(config):
         assert image == 0
 
 
-def test_kameko_kernel_classes_map_to_zero(config):
-    km = kameko_matrix(4, 4, config)
+def test_kameko_kernel_classes_map_to_zero():
+    km = kameko_matrix(4, 4)
     kernel = [km.domain.from_coordinates(v) for v in km.kernel_coordinates()]
     assert kernel
     for g in kernel:
         assert km.codomain.coordinates(kameko_down(g)) == 0
 
 
-def test_resource_limit_mentions_the_budget(config):
-    tight = EngineConfig(max_columns=10)
+def test_resource_limit_mentions_the_budget(monkeypatch):
+    cohit_dim(4, 9)  # memoized: the budget still applies to the next call
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", 10)
     with pytest.raises(ResourceLimit, match="budget is 10"):
-        cohit_dim(4, 9, tight)
+        cohit_dim(4, 9)
 
 
-def test_prune_reproduces_the_unpruned_dimension(config):
+def test_prune_reproduces_the_unpruned_dimension():
     for q, n in ((3, 8), (4, 9), (4, 17)):
         full = hit_span(q, n)
-        assert span_for(q, n, config).ncols < full.ncols
-        assert cohit_dim(q, n, config) == full.ncols - full.rank
+        assert span_for(q, n).ncols < full.ncols
+        assert cohit_dim(q, n) == full.ncols - full.rank
 
 
 def test_the_engine_writes_nothing_to_disk(tmp_path, monkeypatch):

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from cohitlab import refdata
-from cohitlab.cohit import EngineConfig, ResourceLimit, quotient, span_for
+from cohitlab import cohit, glaction, refdata
+from cohitlab.cohit import ResourceLimit, quotient, span_for
 from cohitlab.f2linalg import EchelonForm, echelonize, from_support, support
 from cohitlab.glaction import (
     CoinvariantData,
@@ -47,8 +47,8 @@ def test_substitute_transvection_expands_binomially():
     assert moved == Polynomial(2, [(2, 0), (0, 2)])
 
 
-def test_substitutions_are_involutions_on_the_quotient(config):
-    data = quotient(3, 6, config)
+def test_substitutions_are_involutions_on_the_quotient():
+    data = quotient(3, 6)
     for images in generator_images(3, "gl"):
         for i in range(data.dim):
             f = data.from_coordinates(1 << i)
@@ -57,52 +57,57 @@ def test_substitutions_are_involutions_on_the_quotient(config):
             assert twice == 1 << i
 
 
-def test_rank_one_invariants_are_everything(config):
+def test_rank_one_invariants_are_everything():
     for n in (1, 3, 7):
-        report = invariants(1, n, "gl", config=config)
+        report = invariants(1, n, "gl")
         assert report.dim == 1
 
 
-def test_rank_two_invariants_in_degree_two(config):
-    report = invariants(2, 2, "gl", config=config)
+def test_rank_two_invariants_in_degree_two():
+    report = invariants(2, 2, "gl")
     assert report.dim == 1
     (rep,) = report.representatives
-    assert quotient(2, 2, config).coordinates(rep) != 0
+    assert quotient(2, 2).coordinates(rep) != 0
 
 
-def test_gl_invariants_refine_symmetric_ones(config):
+def test_gl_invariants_refine_symmetric_ones():
     for q, n in ((2, 3), (3, 4), (4, 9)):
-        gl = invariants(q, n, "gl", config=config).dim
-        sigma = invariants(q, n, "sigma", config=config).dim
+        gl = invariants(q, n, "gl").dim
+        sigma = invariants(q, n, "sigma").dim
         assert gl <= sigma
 
 
-def test_symmetric_invariants_match_fixtures(config):
+def test_symmetric_invariants_match_fixtures():
     for (q, n), dim in refdata.SYMMETRIC_INVARIANT_DIMS.items():
         if n <= 9:
-            assert invariants(q, n, "sigma", config=config).dim == dim
+            assert invariants(q, n, "sigma").dim == dim
 
 
-def test_the_degree_nine_invariant_is_the_printed_sum(config):
-    report = invariants(4, 9, "gl", config=config)
+def test_the_degree_nine_invariant_is_the_printed_sum():
+    report = invariants(4, 9, "gl")
     assert report.dim == 1
-    data = quotient(4, 9, config)
+    data = quotient(4, 9)
     printed = Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)
     assert data.coordinates(printed) != 0
     (rep,) = report.representatives
     assert data.coordinates(printed) == data.coordinates(rep)
 
 
-def test_weight_restricted_invariants(config):
+def test_weight_restricted_invariants():
     # the weight-(3,1,1) stratum of Q_9 holds no fixed classes; (3,3) holds one
-    small = invariants(4, 9, "gl", omega=(3, 3), config=config)
-    large = invariants(4, 9, "gl", omega=(3, 1, 1), config=config)
+    small = invariants(4, 9, "gl", omega=(3, 3))
+    large = invariants(4, 9, "gl", omega=(3, 1, 1))
     assert {small.dim, large.dim} == {0, 1}
-    assert small.dim + large.dim == invariants(4, 9, "gl", config=config).dim
+    assert small.dim + large.dim == invariants(4, 9, "gl").dim
 
 
-def test_coinvariants_report_shape(config):
-    report = coinvariants(3, 8, "gl", config)
+def test_gl_invariant_dims_by_weight_at_45():
+    for omega, dim in refdata.GL_INVARIANT_DIMS_BY_WEIGHT_45.items():
+        assert invariants(4, 45, "gl", omega=omega).dim == dim, omega
+
+
+def test_coinvariants_report_shape():
+    report = coinvariants(3, 8, "gl")
     assert report.q == 3 and report.n == 8
     assert report.dim == len(report.representatives)
     assert report.primitive_dim >= report.dim
@@ -115,19 +120,19 @@ def test_coinvariants_report_shape(config):
 SMALL_DEGREES = [(q, n) for q in (2, 3) for n in range(1, 13)]
 
 
-def test_coinvariant_dims_match_invariant_dims(config):
+def test_coinvariant_dims_match_invariant_dims():
     # the pairing between cohits and primitives is perfect and group-aware
     degrees = SMALL_DEGREES + [(4, n) for n in [*range(1, 23), 37, 45]]
     for q, n in degrees:
         for group in ("gl", "sigma"):
-            inv = invariants(q, n, group, config=config).dim
-            coinv = coinvariants(q, n, group, config).dim
+            inv = invariants(q, n, group).dim
+            coinv = coinvariants(q, n, group).dim
             assert inv == coinv, f"q={q} n={n} {group}"
 
 
-def divided_power_relations(q: int, n: int, group: str, config) -> EchelonForm:
+def divided_power_relations(q: int, n: int, group: str) -> EchelonForm:
     """Relation echelon built the divided-power way: act_dual on every primitive."""
-    span = span_for(q, n, config)
+    span = span_for(q, n)
     index = {p: k for k, p in enumerate(span.admissible_positions())}
     gens = [transpose_images(g) for g in generator_images(q, group)]
     rows = []
@@ -139,28 +144,28 @@ def divided_power_relations(q: int, n: int, group: str, config) -> EchelonForm:
     return echelonize(rows, len(index))
 
 
-def test_relations_match_the_divided_power_action(config):
+def test_relations_match_the_divided_power_action():
     for q, n in SMALL_DEGREES + [(4, 9), (4, 17), (4, 21), (4, 22)]:
         for group in ("gl", "sigma"):
-            data = CoinvariantData(q, n, group, config)
-            reference = divided_power_relations(q, n, group, config)
+            data = CoinvariantData(q, n, group)
+            reference = divided_power_relations(q, n, group)
             assert set(data.relations.rows) == set(reference.rows), (q, n, group)
             for k in range(data.primitive_dim):
                 unit = 1 << k
                 assert data.relations.normal_form(unit) == reference.normal_form(unit)
 
 
-def test_coinvariants_never_build_the_primitive_basis(config, monkeypatch):
+def test_coinvariants_never_build_the_primitive_basis(monkeypatch):
     def refuse(self):
         raise AssertionError("kernel_basis called")
 
     monkeypatch.setattr(EchelonForm, "kernel_basis", refuse)
-    assert coinvariants(4, 45, "gl", config).dim == 1
-    assert verdict(4, 22, config).isomorphism
+    assert coinvariants(4, 45, "gl").dim == 1
+    assert verdict(4, 22).isomorphism
 
 
-def test_class_coordinates_on_the_degree_nine_generator(config):
-    data = CoinvariantData(4, 9, "gl", config)
+def test_class_coordinates_on_the_degree_nine_generator():
+    data = CoinvariantData(4, 9, "gl")
     assert data.dim == 1
     theta = DualElement(4, refdata.DUAL_GENERATOR_9)
     assert data.class_coordinates(theta) == 1
@@ -170,12 +175,12 @@ def test_class_coordinates_on_the_degree_nine_generator(config):
         assert data.class_coordinates(moved) == 1
 
 
-def test_class_coordinates_reject_non_primitives(config):
-    data = CoinvariantData(2, 2, "gl", config)
+def test_class_coordinates_reject_non_primitives():
+    data = CoinvariantData(2, 2, "gl")
     with pytest.raises(ValueError, match="not annihilated"):
         data.class_coordinates(DualElement(2, [(2, 0)]))
     # at a pruned degree: a term on a pivot column, and one on a dropped column
-    data = CoinvariantData(4, 37, "gl", config)
+    data = CoinvariantData(4, 37, "gl")
     span = data.span
     pivot = span.columns[min(span.echelon.rows)]
     dropped = next(m for m in enumerate_monomials(4, 37) if m not in span.position)
@@ -184,13 +189,13 @@ def test_class_coordinates_reject_non_primitives(config):
             data.class_coordinates(DualElement(4, [term]))
 
 
-def test_representatives_have_unit_coordinates(config):
-    data = CoinvariantData(3, 8, "gl", config)
+def test_representatives_have_unit_coordinates():
+    data = CoinvariantData(3, 8, "gl")
     for k, rep in enumerate(data.representatives()):
         assert data.class_coordinates(rep) == 1 << k
 
 
-def test_pairing_witnesses(config):
+def test_pairing_witnesses():
     for q, n, monomials, terms in refdata.PAIRING_WITNESSES:
         if n <= 17:
             f = Polynomial(q, monomials)
@@ -198,19 +203,19 @@ def test_pairing_witnesses(config):
             assert pairing(theta, f) == 1
 
 
-def test_kameko_kernel_invariants_trivial_at_four(config):
-    report = kameko_kernel_invariants(4, 4, "gl", config)
+def test_kameko_kernel_invariants_trivial_at_four():
+    report = kameko_kernel_invariants(4, 4, "gl")
     assert report.dim == 0
     js = report.to_json()
     assert js["dim"] == 0
 
 
-def test_kernel_invariants_see_the_full_kernel(config):
+def test_kernel_invariants_see_the_full_kernel():
     # at n = 4 the kernel has dimension 20 and the fixture basis spans it
     from cohitlab.cohit import kameko_matrix
     from cohitlab.f2linalg import echelonize
 
-    km = kameko_matrix(4, 4, config)
+    km = kameko_matrix(4, 4)
     kernel = km.kernel_coordinates()
     assert len(kernel) == len(refdata.KAMEKO_KERNEL_BASIS_4_4) == 20
     frozen = [
@@ -222,9 +227,13 @@ def test_kernel_invariants_see_the_full_kernel(config):
     assert echelonize(frozen, km.domain.dim).rank == 20
 
 
-def test_coinvariant_data_is_memoized_behind_the_column_budget():
+def test_coinvariant_data_is_memoized_behind_the_column_budget(monkeypatch):
+    monkeypatch.setattr(glaction, "_COINVARIANTS", {})
     data = coinvariant_data(4, 9, "gl")
     assert coinvariant_data(4, 9, "gl") is data
     assert coinvariant_data(4, 9, "sigma") is not data
+    # an entry is made only after the budget check passed
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", 10)
     with pytest.raises(ResourceLimit, match="budget is 10"):
-        coinvariant_data(4, 9, "gl", EngineConfig(max_columns=10))
+        coinvariant_data(4, 10, "gl")
+    assert set(glaction._COINVARIANTS) == {(4, 9, "gl"), (4, 9, "sigma")}

@@ -158,13 +158,14 @@ def test_ext_tables_from_fresh_caches(fresh_lambda_caches):
 
 
 def test_rewrite_budget_is_per_reduction(fresh_lambda_caches, monkeypatch):
-    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 3)
-    # each needs at most 3 pair rewrites; together they need 8
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 4)
+    # each needs at most 4 left products; together they need 5 (7 with no
+    # product shared through the memo)
     for w in ((9, 3, 1), (13, 5, 1), (3, 1), (5, 1)):
         reduced = adem_reduce(from_words(w))
         assert all(is_admissible(v) for v in reduced.terms)
     with pytest.raises(RewriteBudget):
-        adem_reduce(from_words((15, 6, 1)))  # needs 5
+        adem_reduce(from_words((15, 6, 1)))  # needs 6
 
 
 def reference_reduce(words) -> frozenset:
@@ -283,7 +284,7 @@ def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
 
 def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):
     monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 3)
-    # d(l4 l2 l1) needs 2 pair rewrites, d(l8 l8 l8 l8) needs 16
+    # d(l4 l2 l1) needs 2 left products, d(l8 l8 l8 l8) needs 16
     got = differential(from_words((4, 2, 1)))
     assert got.terms == reference_reduce(reference_derivation((4, 2, 1)))
     with pytest.raises(RewriteBudget):
@@ -303,6 +304,11 @@ def test_clear_caches_empties_every_lambda_memo():
     lambda_algebra.clear_caches()
     sizes = {name: f.cache_info().currsize for name, f in memos.items()}
     assert sizes == dict.fromkeys(memos, 0)
+
+
+def test_ext_class_names_name_exactly_the_nonzero_classes():
+    ext = {**refdata.EXT_DIMS, **refdata.EXT_DIMS_STRETCH}
+    assert set(refdata.EXT_CLASS_NAMES) == {b for b, dim in ext.items() if dim}
 
 
 def test_ext_dim_known_classes():

@@ -29,8 +29,8 @@ def test_adjointness_small():
     assert pc.check_adjointness(120) == 120
 
 
-def test_primitive_dims_small(config):
-    assert pc.check_primitives_match_cohit_dims(3, 10, config) == 30
+def test_primitive_dims_small():
+    assert pc.check_primitives_match_cohit_dims(3, 10) == 30
 
 
 def test_spike_criterion_small():
@@ -42,13 +42,13 @@ def test_pruned_span_matches_the_unpruned_span():
     assert pc.check_pruned_span_matches_unpruned(4, 30, extra=((4, 37),)) > 50
 
 
-def test_weight_dims_small(config):
-    assert pc.check_weight_dims_sum_to_cohit_dim(3, 12, config) == 12
-    assert pc.check_weight_dims_sum_to_cohit_dim(4, 8, config) == 8
+def test_weight_dims_small():
+    assert pc.check_weight_dims_sum_to_cohit_dim(3, 12) == 12
+    assert pc.check_weight_dims_sum_to_cohit_dim(4, 8) == 8
 
 
-def test_low_rank_transfer_small(config):
-    assert pc.check_low_rank_transfer_is_iso(2, 10, config) == 22
+def test_low_rank_transfer_small():
+    assert pc.check_low_rank_transfer_is_iso(2, 10) == 22
 
 
 def test_length_one_homology_small():
@@ -59,10 +59,10 @@ def test_length_two_homology_small():
     pc.check_length_two_homology_census(20)
 
 
-def test_transfer_rows_do_not_depend_on_the_representative(config):
+def test_transfer_rows_do_not_depend_on_the_representative():
     """Replacing a representative by a group translate fixes its row."""
     for q, n in ((4, 9), (3, 8), (2, 2)):
-        data = CoinvariantData(q, n, "gl", config)
+        data = CoinvariantData(q, n, "gl")
         for rep in data.representatives():
             base = homology_coordinates(adem_reduce(psi(rep)), q, n)
             for images in generator_images(q, "gl"):

@@ -11,13 +11,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> list[int]:
-    """Run a script with the package on its path; the degrees of its rows."""
+def run_raw(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script with the package on its path."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def run_script(name: str, *args: str) -> list[int]:
+    """Run a script that must succeed; the degrees of its rows."""
+    proc = run_raw(name, *args)
     assert proc.returncode == 0, proc.stderr
     return [int(n) for n in re.findall(r"^n=\s*(\d+) ", proc.stdout, re.M)]
 
@@ -31,3 +36,14 @@ def test_degree_scan_with_coinvariants():
 
 def test_transfer_report():
     assert run_script("transfer_report.py", "--q", "3", "--stop", "12") == list(range(13))
+
+
+def test_bad_input_is_one_line_and_exit_2():
+    for name, args in (
+        ("degree_scan.py", ("--q", "7")),
+        ("transfer_report.py", ("--degrees", "-1")),
+    ):
+        proc = run_raw(name, *args)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not proc.stdout

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import pytest
 
-from cohitlab import refdata, transferlab
-from cohitlab.cohit import EngineConfig
+from cohitlab import cohit, refdata, transferlab
 from cohitlab.transferlab import (
     SUITE_NAMES,
     CheckResult,
@@ -25,16 +26,16 @@ def test_report_flag_semantics():
     assert rep.isomorphism
 
 
-def test_degree_zero_is_the_identity(config):
+def test_degree_zero_is_the_identity():
     for q in (1, 2, 3, 4):
-        rep = verdict(q, 0, config)
+        rep = verdict(q, 0)
         assert (rep.domain_dim, rep.codomain_dim, rep.rank) == (1, 1, 1)
         assert rep.isomorphism
         assert rep.matrix == [(1,)]
 
 
-def test_degree_nine_is_an_isomorphism(config):
-    rep = verdict(4, 9, config)
+def test_degree_nine_is_an_isomorphism():
+    rep = verdict(4, 9)
     assert rep.domain_dim == rep.codomain_dim == rep.rank == 1
     assert rep.matrix == [(1,)]
     assert rep.isomorphism
@@ -44,28 +45,28 @@ def test_degree_nine_is_an_isomorphism(config):
     assert len(js["representatives"]) == 1
 
 
-def test_empty_domain_gives_the_empty_matrix(config):
-    rep = verdict(4, 21, config)
+def test_empty_domain_gives_the_empty_matrix():
+    rep = verdict(4, 21)
     assert rep.domain_dim == 0 and rep.codomain_dim == 0
     assert rep.matrix == []
     assert rep.isomorphism  # vacuously
 
 
-def test_rank_three_degree_eight(config):
-    rep = verdict(3, 8, config)
+def test_rank_three_degree_eight():
+    rep = verdict(3, 8)
     assert (rep.domain_dim, rep.codomain_dim, rep.isomorphism) == (1, 1, True)
 
 
-def test_transfer_matrix_rows_are_homology_coordinates(config):
-    data, rows = transfer_matrix(4, 9, config)
+def test_transfer_matrix_rows_are_homology_coordinates():
+    data, rows = transfer_matrix(4, 9)
     assert data.dim == len(rows) == 1
     assert rows[0] == (1,)
 
 
-def test_small_fixture_verdicts(config):
+def test_small_fixture_verdicts():
     for (q, n), want in refdata.TRANSFER_VERDICTS.items():
         if n <= 10:
-            rep = verdict(q, n, config)
+            rep = verdict(q, n)
             assert (rep.domain_dim, rep.codomain_dim, rep.isomorphism) == want
 
 
@@ -87,9 +88,9 @@ def test_suite_names_are_stable():
     )
 
 
-def test_identity_suites_pass(config):
+def test_identity_suites_pass():
     for name in ("remark26", "eq6"):
-        report = verify_suite(name, config)
+        report = verify_suite(name)
         assert report.passed and report.complete
         assert all(c.status == "pass" for c in report.checks)
         js = report.to_json()
@@ -115,9 +116,9 @@ def test_suite_degrees_cover_every_frozen_table_once():
         assert not missing, (table, missing)
 
 
-def test_resource_caps_mark_checks_as_skipped():
-    tight = EngineConfig(max_columns=40)
-    report = verify_suite("dlc2", tight)
+def test_resource_caps_mark_checks_as_skipped(monkeypatch):
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", 40)
+    report = verify_suite("dlc2")
     assert not report.complete
     skipped = [c for c in report.checks if c.status == "skipped"]
     assert skipped
@@ -126,26 +127,57 @@ def test_resource_caps_mark_checks_as_skipped():
     assert report.passed
 
 
-def test_mismatch_is_reported_with_a_diff(config, monkeypatch):
+def test_mismatch_is_reported_with_a_diff(monkeypatch):
     broken = dict(refdata.PSI_RAW_TERM_IMAGES_9)
     broken[(1, 6, 1, 1)] = ((2, 5, 1, 1),)
     monkeypatch.setattr(refdata, "PSI_RAW_TERM_IMAGES_9", broken)
-    report = verify_suite("remark26", config)
+    report = verify_suite("remark26")
     assert not report.passed
     bad = [c for c in report.checks if c.status == "fail"]
     assert any("(1, 6, 1, 1)" in c.name for c in bad)
     assert all("got" in c.detail and "want" in c.detail for c in bad)
 
 
-def test_verify_all_preserves_order(config):
-    reports = verify_all(("eq6", "remark26"), config)
+def test_verify_all_preserves_order():
+    reports = verify_all(("eq6", "remark26"))
     assert [r.name for r in reports] == ["eq6", "remark26"]
 
 
-def test_verify_all_with_process_fanout(config):
-    reports = verify_all(("remark26", "eq6"), config, jobs=2)
+def test_verify_all_with_process_fanout():
+    reports = verify_all(("remark26", "eq6"), jobs=2)
     assert [r.name for r in reports] == ["remark26", "eq6"]
     assert all(r.passed for r in reports)
+
+
+class RecordingPool:
+    """Stands in for the process pool: records its size, runs nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def submit(self, fn, name: str) -> Future:
+        done = Future()
+        done.set_result(SuiteReport(name))
+        return done
+
+
+def test_verify_all_asks_for_one_worker_per_suite_at_most(monkeypatch):
+    futures = transferlab.concurrent.futures
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    reports = verify_all(("remark26", "eq6"), jobs=64)
+    assert [r.name for r in reports] == ["remark26", "eq6"]
+    assert RecordingPool.sizes == [2]
+    verify_all(SUITE_NAMES, jobs=3)
+    assert RecordingPool.sizes == [2, 3]
 
 
 def test_check_result_json_round_trip():
