@@ -47,8 +47,10 @@ once at the end.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Collection, Iterable
 
+from . import cohit
 from .f2linalg import EchelonForm, image_kernel, solve_modulo, support
 from .polyspace import DualElement, DualMonomial
 from .steenrod import binom_odd, sq_dual_all
@@ -338,6 +340,53 @@ def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
+def _pairs(r: int, lo: int) -> int:
+    """Admissible words (a, b) with a + b = r and a >= lo: a <= 2b is a <= 2r/3."""
+    return max(0, 2 * r // 3 - lo + 1)
+
+
+def admissible_count(s: int, n: int, cap: int) -> int:
+    """``len(admissible_basis(s, n))`` when at most cap, else a count above cap.
+
+    No word is built.  With c(k, r, lo) the number of admissible words of
+    length k and index sum r whose first index is at least lo,
+
+        c(k, r, lo) = c(k, r, lo + 1) + c(k - 1, r - lo, ceil(lo / 2)),
+
+    and two slots have a closed form.  Longer words are counted one index
+    sum r at a time, in one loop that stops once the count passes cap: it
+    never falls as r grows (raising the last index keeps a word admissible).
+    """
+    if s < 0 or n < 0:
+        return 0
+    # the nonzero indices of a word are a tail of at most n: longer words
+    # only add leading zeros
+    s = min(s, max(n, 1))
+    if s < 2:
+        return 1 if s == 1 or n == 0 else 0
+    if s == 2:
+        return _pairs(n, 0)
+    tables: list[list[list[int]]] = [[] for _ in range(3, s)]  # c(3..s-1, r, lo)
+
+    def below(k: int, r: int, lo: int) -> int:
+        if k == 2:
+            return _pairs(r, lo)
+        return tables[k - 3][r][lo] if lo <= r else 0
+
+    for r in range(n + 1) if tables else (n,):
+        for k, table in enumerate(tables, 3):
+            row = [0] * (r + 2)
+            for lo in range(r, -1, -1):
+                row[lo] = row[lo + 1] + below(k - 1, r - lo, (lo + 1) // 2)
+            table.append(row)
+        count = 0
+        for lo in range(r + 1):
+            count += below(s - 1, r - lo, (lo + 1) // 2)
+            if count > cap:
+                return count
+    return count
+
+
 class _Coordinates:
     """Bit coordinates over the admissible basis of one (length, degree)."""
 
@@ -420,11 +469,25 @@ def homology_basis(s: int, n: int) -> list[LambdaElement]:
 
 
 def ext_dim(s: int, n: int) -> int:
-    """Dimension of the homology at (length s, internal degree n)."""
+    """Dimension of the homology at (length s, internal degree n).
+
+    Raises :class:`cohit.ResourceLimit` before any basis is built when the
+    target of either map, (s, n) or (s + 1, n - 1), has more admissible
+    words than ``cohit.MAX_COLUMNS``.
+    """
     if s == 0:
         return 1 if n == 0 else 0
     if n < 0:
         return 0
+    cap = cohit.MAX_COLUMNS
+    for length, degree in ((s, n), (s + 1, n - 1)):
+        # the words are compositions of degree, so most degrees need no count
+        compositions = comb(degree + length - 1, length - 1)
+        if compositions > cap and admissible_count(length, degree, cap) > cap:
+            raise cohit.ResourceLimit(
+                f"length {length} and degree {degree} have more admissible "
+                f"words than the budget of {cap}"
+            )
     return len(_cycle_vectors(s, n)) - _boundary_echelon(s, n).rank
 
 

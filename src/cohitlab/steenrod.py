@@ -15,15 +15,18 @@ A ``HitSpan`` is the echelonized subspace of degree-n polynomials of the form
 generate the whole algebra of squares.  Columns are ordered with the largest
 monomial first (weight-then-exponent order), which makes the non-pivot
 columns a canonical basis of the quotient and respects the weight filtration
-block by block.
+block by block.  The span is built one orbit of the variable permutations
+at a time: Sq^t is computed on the orbit representatives only, and a
+representative already in the span stands for its whole orbit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import comb, prod
-from operator import add
+from operator import add, itemgetter
+from typing import Callable
 
 from .f2linalg import EchelonForm, from_support, support
 from .polyspace import (
@@ -76,7 +79,7 @@ def sq_monomial(t: int, mono: Monomial) -> list[Monomial]:
 
 
 def live_monomials(
-    q: int, m: int, t: int, bound: tuple[int, ...]
+    q: int, m: int, t: int, bound: tuple[int, ...], descending: bool = False
 ) -> list[Monomial]:
     """Degree-m monomials g that Sq^t may carry to padded weight >= bound.
 
@@ -91,11 +94,24 @@ def live_monomials(
     a tie with t odd every h is kept, and with t even a term reaching it has
     every d_i even, so its half is a term of Sq^(t/2)(h) that must reach
     bound[1:].
+
+    The set is closed under permuting the exponents (the test depends on
+    counts of odd exponents only).  With ``descending`` only its orbit
+    representatives are built, the g with non-increasing exponents.
     """
     out: list[Monomial] = []
-    _live(q, m, t, bound, (0,) * q, 0, out)
+    _live(q, m, t, bound, (0,) * q, 0, descending, out)
     out.sort()
     return out
+
+
+def _is_descending(g: Monomial) -> bool:
+    return all(a >= b for a, b in zip(g, g[1:]))
+
+
+@lru_cache(maxsize=None)
+def _descending_monomials(q: int, m: int) -> tuple[Monomial, ...]:
+    return tuple(filter(_is_descending, enumerate_monomials(q, m)))
 
 
 @lru_cache(maxsize=None)
@@ -112,17 +128,18 @@ def _live(
     bound: tuple[int, ...],
     base: Monomial,
     shift: int,
+    descending: bool,
     out: list[Monomial],
 ) -> None:
     """Append base + (h << shift) for each live h of degree m."""
     if not bound:
         if m == 0:
-            out.append(base)
-            return
-        out.extend(
-            tuple(b + (e << shift) for b, e in zip(base, h))
-            for h in enumerate_monomials(q, m)
-        )
+            gs = (base,)
+        else:
+            # base < 1 << shift, so base + (h << shift) descends only if h does
+            hs = (_descending_monomials if descending else enumerate_monomials)(q, m)
+            gs = (tuple(b + (e << shift) for b, e in zip(base, h)) for h in hs)
+        out.extend(filter(_is_descending, gs) if descending else gs)
         return
     for c, low in _bit_planes(q, shift):
         if c > m:
@@ -132,7 +149,15 @@ def _live(
             continue
         rest = bound[1:] if top == bound[0] and not t & 1 else ()
         low_base = tuple(map(add, base, low))
-        _live(q, (m - c) >> 1, t >> 1, rest, low_base, shift + 1, out)
+        _live(q, (m - c) >> 1, t >> 1, rest, low_base, shift + 1, descending, out)
+
+
+@lru_cache(maxsize=None)
+def _permutations(q: int) -> tuple[Callable[[Monomial], Monomial], ...]:
+    """The permutations of q exponents, as maps of monomials."""
+    if q == 1:
+        return (tuple,)
+    return tuple(itemgetter(*p) for p in permutations(range(q)))
 
 
 def sq(t: int, f: Polynomial) -> Polynomial:
@@ -219,6 +244,19 @@ class HitSpan:
     then projected onto the surviving columns, which presents the same
     quotient).  ``dropped`` counts the dropped columns per weight, largest
     weight first.
+
+    The rows are the Sq^t(g), t = 2^i, projected onto the columns, and they
+    are offered one orbit of the symmetric group Σ_q at a time.  Σ_q permutes
+    the variables, commutes with every Sq^t and keeps weight vectors, so the
+    live generators, the columns and the set of rows are Σ_q-stable.  For
+    each orbit representative (the g with non-increasing exponents) Sq^t(g)
+    is computed once; if it reduces to zero the orbit is skipped, else the
+    row of every distinct σg is inserted, made by permuting its terms.  The
+    row space is Σ_q-stable after every orbit, so a representative in it
+    shows that its whole orbit is, and the final row space is the span of
+    all the rows.  The stored rows depend on this order, but the pivots,
+    normal forms, kernel vectors, admissible monomials and weight tables
+    depend only on the row space, and nothing reads a stored row as it is.
     """
 
     def __init__(
@@ -247,20 +285,28 @@ class HitSpan:
         self._build()
 
     def _build(self) -> None:
+        """Offer the rows one Σ_q orbit of (t, g) at a time; see the class."""
         pos = self.position
-        supports = []
+        reps = []  # (row, g, the terms of Sq^t(g) on live columns)
         t = 1
         while 2 * t <= self.n:  # Sq^t vanishes below degree t
-            for g in live_monomials(self.q, self.n - t, t, self._bound):
-                row = [p for p in map(pos.get, sq_monomial(t, g)) if p is not None]
-                if row:
-                    supports.append(row)
+            gens = live_monomials(self.q, self.n - t, t, self._bound, descending=True)
+            for g in gens:
+                terms = [m for m in sq_monomial(t, g) if m in pos]
+                if terms:
+                    reps.append((from_support(map(pos.__getitem__, terms)), g, terms))
             t <<= 1
-        # Rows offered least senior pivot first stay short while reducing:
-        # half the elimination time at degree 64.
-        supports.sort(key=min, reverse=True)
-        for row in supports:
-            self.echelon.add(from_support(row))
+        # Rows offered least senior pivot first stay short while reducing.
+        reps.sort(key=lambda rep: rep[0] & -rep[0], reverse=True)
+        perms = _permutations(self.q)
+        for row, g, terms in reps:
+            if not self.echelon.reduce(row):
+                continue  # the whole orbit lies in the span already
+            members = {}  # one permutation per distinct permuted generator
+            for perm in perms:
+                members.setdefault(perm(g), perm)
+            for perm in members.values():
+                self.echelon.add(from_support(pos[perm(m)] for m in terms))
 
     # -- vector conversions -------------------------------------------------
 

@@ -135,6 +135,20 @@ def test_resource_limit_exit_code(sandbox, capsys, monkeypatch):
     assert data["detail"].endswith("budget is 100")
 
 
+def test_ext_budget_refuses_before_building_a_basis(sandbox, capsys, monkeypatch):
+    from cohitlab import lambda_algebra
+
+    def no_basis(s, n):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", 1000)
+    monkeypatch.setattr(lambda_algebra, "admissible_basis", no_basis)
+    code, data = run_json(capsys, "ext", "--q", "4", "--n", "40", "--no-cache")
+    assert code == 3
+    assert data["error"] == "resource-limit"
+    assert data["detail"].endswith("budget of 1000")
+
+
 def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 

@@ -15,6 +15,7 @@ from cohitlab.lambda_algebra import (
     adem_pair,
     adem_reduce,
     admissible_basis,
+    admissible_count,
     boundary_space,
     classes_equal,
     differential,
@@ -119,6 +120,16 @@ def test_admissible_basis_matches_brute_force_with_the_feasibility_cut():
         for n in range(31):
             brute = sorted(w for w in compositions(n, s) if is_admissible(w))
             assert list(admissible_basis(s, n)) == brute, (s, n)
+
+
+def test_admissible_count_is_the_basis_size():
+    for s in range(6):
+        for n in range(41):
+            size = len(admissible_basis(s, n))
+            assert admissible_count(s, n, size) == size, (s, n)
+            if size:
+                # past the cap the count stops early, somewhere above it
+                assert admissible_count(s, n, size - 1) > size - 1, (s, n)
 
 
 def test_ext_dim_length_one_is_the_doubling_family():

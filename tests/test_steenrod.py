@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import property_checks as pc
 from cohitlab.cohit import span_for
+from cohitlab.f2linalg import from_support
 from cohitlab.polyspace import (
     DualElement,
     Polynomial,
@@ -35,8 +36,9 @@ from cohitlab.steenrod import (
 )
 
 
-# -- references: the per-monomial filter and the recursive dual square that
-# live_monomials and sq_dual_term (and sq_dual_all, for psi) replaced --------
+# -- references: the per-monomial filter, the recursive dual square and the
+# per-row span build that live_monomials, sq_dual_term (and sq_dual_all, for
+# psi) and the orbit build of HitSpan replaced ------------------------------
 
 
 def _may_reach(g, t, bound):
@@ -73,6 +75,23 @@ def _sq_dual_term_reference(t, term):
 
     rec(0, t)
     return out
+
+
+class _PerRowSpan(HitSpan):
+    """The hit span with every row Sq^t(g) offered, least senior pivot first."""
+
+    def _build(self):
+        pos = self.position
+        self.rows = []
+        t = 1
+        while 2 * t <= self.n:
+            for g in live_monomials(self.q, self.n - t, t, self._bound):
+                row = [p for p in map(pos.get, sq_monomial(t, g)) if p is not None]
+                if row:
+                    self.rows.append(from_support(row))
+            t <<= 1
+        for row in sorted(self.rows, key=lambda r: r & -r, reverse=True):
+            self.echelon.add(row)
 
 
 def _spike_bound(q, n):
@@ -298,3 +317,43 @@ def test_sq_dual_term_equals_the_recursive_reference():
                 want = _sq_dual_term_reference(t, term)
                 assert sq_dual_term(t, term) == want
                 assert [u for s, u in every_t if s == t] == want
+
+
+def test_live_monomials_are_closed_under_permuting_the_variables():
+    for q, degrees in ((1, range(1, 25)), (2, range(1, 25)), (3, range(1, 25)),
+                       (4, (7, 10, 17, 22, 29, 33, 37)), (5, (5, 9, 12, 15, 20))):
+        for n in degrees:
+            bounds = [()]
+            if _spike_bound(q, n) is not None:
+                bounds.append(_spike_bound(q, n))
+            for t in (0, 1, 2, 4, 8):
+                if t > n:
+                    break
+                for bound in bounds:
+                    live = live_monomials(q, n - t, t, bound)
+                    found = set(live)
+                    # adjacent transpositions generate every permutation
+                    for j in range(q - 1):
+                        swap = lambda g: g[:j] + (g[j + 1], g[j]) + g[j + 2:]
+                        assert set(map(swap, live)) == found, (q, n, t, j)
+                    reps = [g for g in live if list(g) == sorted(g, reverse=True)]
+                    assert live_monomials(q, n - t, t, bound, True) == reps
+
+
+def _same_span(span, ref):
+    assert span.rank == ref.rank
+    assert sorted(span.echelon.rows) == sorted(ref.echelon.rows)
+    assert span.admissible_monomials() == ref.admissible_monomials()
+    assert span.weight_table() == ref.weight_table()
+    assert span.primitive_vectors() == ref.primitive_vectors()
+    assert all(span.echelon.contains(row) for row in ref.rows)
+
+
+def test_orbit_build_equals_the_per_row_reference():
+    for q, top in ((1, 40), (2, 30), (3, 24), (4, 20), (5, 12)):
+        for n in range(1, top + 1):
+            _same_span(hit_span(q, n), _PerRowSpan(q, n))
+    for q, degrees in ((3, range(25, 41)), (4, (29, 30, 33, 37)), (5, (15, 20))):
+        for n in degrees:
+            span = span_for(q, n)
+            _same_span(span, _PerRowSpan(q, n, span.restrict_weight))
