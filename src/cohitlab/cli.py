@@ -8,18 +8,22 @@ computation refuses to start or finish inside the column budget
 (``cohit.MAX_COLUMNS``) or the Adem rewrite budget
 (``lambda_algebra.MAX_REWRITES``).
 
-The answers of the commands in ``CACHED`` are the only thing cohitlab keeps
-on disk: one JSON entry per answer under ``$COHITLAB_CACHE`` (default
-``.cohitlab/``, read on every call; ``--no-cache`` bypasses it).  ``main``
-fetches, computes and stores them on one path, keyed by command, q, n,
-omega (only for ``WEIGHTED``), the group (only for ``GROUPED``), the schema
-version and a hash of the engine's ordering conventions, so stale entries
-from an incompatible build are ignored rather than trusted.
+Everything the front end knows about a subcommand is its row of
+``COMMANDS``.  The answers of the commands whose row has a key are the only
+thing cohitlab keeps on disk: one JSON entry per answer under
+``$COHITLAB_CACHE`` (default ``.cohitlab/``, read on every call;
+``--no-cache`` bypasses it).  ``main`` fetches, computes and stores them on
+one path.  An entry is served only when its stored key equals the query
+(the row's key options), the command and :func:`engine_digest`, a hash of
+the package's source; so any edit to the engine, or to the entry format
+this module defines, recomputes every answer instead of serving one stored
+before it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -27,6 +31,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import cohit, glaction, transferlab
 from .cohit import ResourceLimit
@@ -46,49 +51,35 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCES = 3
 
-SCHEMA_VERSION = 2
-# Ordering and sign-free conventions the numeric results depend on; any
-# change invalidates cached entries via the hash below.
-CONVENTIONS = (
-    "monomials=weight-desc-then-lex-desc",
-    "pivots=largest-column-first",
-    "lambda=admissible-iff-doubling",
-    "psi=prepend-first-factor",
-)
 
-# commands whose answers the result cache stores
-CACHED = frozenset(
-    "cohit weight invariants coinvariants primitives kameko ext transfer".split()
-)
-# the cached commands whose answer depends on --group
-GROUPED = frozenset(("invariants", "coinvariants"))
-# the cached commands whose answer depends on --omega
-WEIGHTED = frozenset(("weight", "invariants"))
-# the commands whose --q counts variables (for ext it is a word length)
-POLYNOMIAL = frozenset(
-    "cohit weight invariants coinvariants primitives annihilated kameko psi "
-    "transfer spike".split()
-)
+@functools.cache
+def engine_digest() -> str:
+    """SHA-256 of the package's ``*.py`` files: the version in every cache key.
 
-
-def convention_hash() -> str:
-    blob = f"{SCHEMA_VERSION}:" + ";".join(CONVENTIONS)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    Read once per process, at the first cache access, so ``--no-cache``
+    never reads it.
+    """
+    sha = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        sha.update(path.name.encode() + hashlib.sha256(path.read_bytes()).digest())
+    return sha.hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# result cache (entry = schema + key + payload + provenance)
+# result cache (entry = key + payload + provenance)
 # ---------------------------------------------------------------------------
 
 
 def _entry_path(cache_dir: Path, op: str, key: dict) -> Path:
+    # no engine digest here: an entry of another engine is overwritten in place
     blob = json.dumps({"op": op, **key}, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
     return cache_dir / f"cli_{op}_{digest}.json"
 
 
 def cache_fetch(cache_dir: Path | None, op: str, key: dict) -> dict | None:
-    """Stored payload for (op, key), or None when absent or incompatible."""
+    """Stored payload for (op, key), or None when absent, not shaped as
+    :func:`cache_put` writes it, or stored for another query or engine."""
     if cache_dir is None:
         return None
     try:
@@ -96,22 +87,19 @@ def cache_fetch(cache_dir: Path | None, op: str, key: dict) -> dict | None:
             entry = json.load(fh)
     except (OSError, ValueError):
         return None
-    if entry.get("schema") != SCHEMA_VERSION:
+    if not isinstance(entry, dict):
         return None
-    stored = entry.get("key", {})
-    if stored.get("conventions") != convention_hash():
+    if entry.get("key") != {**key, "op": op, "engine": engine_digest()}:
         return None
-    if any(stored.get(k) != v for k, v in key.items()):
-        return None
-    return entry.get("payload")
+    payload = entry.get("payload")
+    return payload if isinstance(payload, dict) else None
 
 
 def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None:
     if cache_dir is None:
         return
     entry = {
-        "schema": SCHEMA_VERSION,
-        "key": {**key, "op": op, "conventions": convention_hash()},
+        "key": {**key, "op": op, "engine": engine_digest()},
         "payload": payload,
         "provenance": {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -128,23 +116,18 @@ def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None
         return
 
 
-def _serve_cached(handler, args, cache_dir: Path | None):
-    """Answer a command in ``CACHED``: its stored payload, or compute and store it.
+def _serve_cached(command: Command, args, cache_dir: Path | None):
+    """Answer a command with a key: its stored payload, or compute and store it.
 
-    The key is q, n, for the commands in ``WEIGHTED`` the parsed ``--omega``
-    (written back to ``args.omega`` for the handler), and for the commands
-    in ``GROUPED`` the group.
+    Every key holds q and n.  The parsed ``--omega`` is written back to
+    ``args.omega`` for the handler.
     """
     _require(args, "q", "n")
     args.omega = _parse_omega(args.omega) if args.omega else None
-    key = {"q": args.q, "n": args.n}
-    if args.command in WEIGHTED:
-        key["omega"] = args.omega
-    if args.command in GROUPED:
-        key["group"] = args.group
+    key = {name: getattr(args, name) for name in command.key}
     payload = cache_fetch(cache_dir, args.command, key)
     if payload is None:
-        payload = handler(args)
+        payload = command.handler(args)
         cache_put(cache_dir, args.command, key, payload)
     return payload
 
@@ -174,17 +157,20 @@ def _require(args, *names: str) -> None:
             raise UsageError(f"--{name} is required for this command")
 
 
-def _check_ranges(args) -> None:
-    """Reject a negative --n or ext word length, and a polynomial --q out of range."""
+def _check_ranges(command: Command, args) -> None:
+    """Reject a negative --n, a polynomial --q out of range, and a negative
+    --q that keys an answer as a word length (for ext)."""
     if args.n is not None and args.n < 0:
         raise UsageError(f"--n must be nonnegative, got {args.n}")
-    if args.command == "ext" and args.q is not None and args.q < 0:
-        raise UsageError(f"--q (the word length) must be nonnegative, got {args.q}")
-    if args.q is not None and args.command in POLYNOMIAL:
+    if args.q is None:
+        return
+    if command.polynomial:
         try:
             check_rank(args.q)
         except ValueError as exc:
             raise UsageError(f"--q: {exc}")
+    elif "q" in command.key and args.q < 0:
+        raise UsageError(f"--q (the word length) must be nonnegative, got {args.q}")
 
 
 def _load_dual(args) -> DualElement:
@@ -342,20 +328,41 @@ def cmd_mu(args):
     return {"n": args.n, "alpha": alpha(args.n), "mu": mu(args.n)}
 
 
-HANDLERS = {
-    "cohit": cmd_cohit,
-    "weight": cmd_weight,
-    "invariants": cmd_invariants,
-    "coinvariants": cmd_coinvariants,
-    "primitives": cmd_primitives,
-    "annihilated": cmd_annihilated,
-    "kameko": cmd_kameko,
-    "psi": cmd_psi,
-    "ext": cmd_ext,
-    "transfer": cmd_transfer,
-    "verify": cmd_verify,
-    "spike": cmd_spike,
-    "mu": cmd_mu,
+class Command(NamedTuple):
+    """A subcommand: its handler, the parsed options that key its stored
+    answer (none: never stored), its help, whether its --q counts variables
+    (for ext it is a word length), and its positional arguments."""
+
+    handler: Callable[[argparse.Namespace], dict]
+    key: tuple[str, ...]
+    help: str
+    polynomial: bool = True
+    positionals: tuple[tuple[str, dict], ...] = ()  # (name, add_argument keywords)
+
+
+COMMANDS = {
+    "cohit": Command(cmd_cohit, ("q", "n"),
+                     "basis and dimension of the degree-n quotient"),
+    "weight": Command(cmd_weight, ("q", "n", "omega"),
+                      "weight table, or one weight subquotient with --omega"),
+    "invariants": Command(cmd_invariants, ("q", "n", "omega", "group"),
+                          "fixed classes of the quotient under the chosen group"),
+    "coinvariants": Command(cmd_coinvariants, ("q", "n", "group"),
+                            "dual classes modulo the group action"),
+    "primitives": Command(cmd_primitives, ("q", "n"),
+                          "duals killed by every positive square"),
+    "annihilated": Command(cmd_annihilated, (), "test one dual element from --file"),
+    "kameko": Command(cmd_kameko, ("q", "n"),
+                      "halving map Q_n -> Q_{(n-q)/2}: rank and kernel"),
+    "psi": Command(cmd_psi, (), "chain image of a dual element from --file, reduced"),
+    "ext": Command(cmd_ext, ("q", "n"),
+                   "homology dimension at word length --q, degree --n", False),
+    "transfer": Command(cmd_transfer, ("q", "n"), "transfer verdict at (--q, --n)"),
+    "verify": Command(cmd_verify, (), "run named verification suites", False, (
+        ("suites", dict(nargs="*", metavar="SUITE", help=(
+            f"one of {', '.join(transferlab.SUITE_NAMES)}, or 'all'"))),)),
+    "spike": Command(cmd_spike, (), "minimal spike of degree n in q variables"),
+    "mu": Command(cmd_mu, (), "alpha and mu of a degree", False),
 }
 
 
@@ -436,30 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "cohit": "basis and dimension of the degree-n quotient",
-        "weight": "weight table, or one weight subquotient with --omega",
-        "invariants": "fixed classes of the quotient under the chosen group",
-        "coinvariants": "dual classes modulo the group action",
-        "primitives": "duals killed by every positive square",
-        "annihilated": "test one dual element from --file",
-        "kameko": "halving map Q_n -> Q_{(n-q)/2}: rank and kernel",
-        "psi": "chain image of a dual element from --file, reduced",
-        "ext": "homology dimension at word length --q, degree --n",
-        "transfer": "transfer verdict at (--q, --n)",
-        "verify": "run named verification suites",
-        "spike": "minimal spike of degree n in q variables",
-        "mu": "alpha and mu of a degree",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, parents=[common], help=desc, description=desc)
-        if name == "verify":
-            p.add_argument(
-                "suites",
-                nargs="*",
-                metavar="SUITE",
-                help=f"one of {', '.join(transferlab.SUITE_NAMES)}, or 'all'",
-            )
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(
+            name, parents=[common], help=command.help, description=command.help
+        )
+        for arg, options in command.positionals:
+            p.add_argument(arg, **options)
     return parser
 
 
@@ -468,13 +457,13 @@ def main(argv: list[str] | None = None) -> int:
     cache_dir = (
         None if args.no_cache else Path(os.environ.get("COHITLAB_CACHE", ".cohitlab"))
     )
-    handler = HANDLERS[args.command]
+    command = COMMANDS[args.command]
     try:
-        _check_ranges(args)
-        if args.command in CACHED:
-            payload = _serve_cached(handler, args, cache_dir)
+        _check_ranges(command, args)
+        if command.key:
+            payload = _serve_cached(command, args, cache_dir)
         else:
-            payload = handler(args)
+            payload = command.handler(args)
     except UsageError as exc:
         print(f"cohitlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -485,9 +474,8 @@ def main(argv: list[str] | None = None) -> int:
         emit({"error": "rewrite-budget", "detail": str(exc)}, args.out)
         return EXIT_RESOURCES
     emit(payload, args.out)
-    if args.command == "verify" and not payload["passed"]:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    # only a verification report has "passed"
+    return EXIT_MISMATCH if payload.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ def span_for(q: int, n: int) -> steenrod.HitSpan:
         )
     spike = minimal_spike(q, n)
     bound = None if spike is None else weight_vector(spike)
-    return steenrod.hit_span(q, n, restrict_weight=bound)
+    return steenrod.hit_span(q, n, bound)
 
 
 @dataclass

@@ -23,6 +23,7 @@ is the reference the tests check that duality against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from . import cohit
@@ -71,15 +72,6 @@ def generator_images(q: int, group: str = "gl") -> list[Images]:
     if group == "gl" and q >= 2:
         gens.append(transvection_images(q))
     return gens
-
-
-def transpose_images(images: Images) -> Images:
-    q = len(images)
-    rows: list[list[int]] = [[] for _ in range(q)]
-    for r, S in enumerate(images):
-        for j in S:
-            rows[j].append(r)
-    return tuple(tuple(sorted(r)) for r in rows)
 
 
 def is_permutation(images: Images) -> bool:
@@ -194,27 +186,22 @@ def act_dual(images: Images, theta: DualElement) -> DualElement:
 
 # -- the matrices of g + 1 on Q_n ---------------------------------------------------
 
-_PLUS_ONE: dict[tuple[int, int, str], tuple[tuple[int, ...], ...]] = {}
 
-
-def plus_one_images(q: int, n: int, group: str = "gl") -> tuple[tuple[int, ...], ...]:
+@cache
+def plus_one_images(q: int, n: int, group: str) -> tuple[tuple[int, ...], ...]:
     """Per generator g, the image of g + 1 on each basis class of Q_n (memoized).
 
     Entry ``[g][i]`` is the coordinate vector of ``(g + 1) x^{a_i}`` over the
     admissible basis of :func:`cohit.quotient`.
     """
-    key = (q, n, group)
-    images = _PLUS_ONE.get(key)
-    if images is None:
-        data = cohit.quotient(q, n)
-        images = _PLUS_ONE[key] = tuple(
-            tuple(
-                data.coordinates(substitute(g, Polynomial(q, [mono]))) ^ (1 << i)
-                for i, mono in enumerate(data.basis)
-            )
-            for g in generator_images(q, group)
+    data = cohit.quotient(q, n)
+    return tuple(
+        tuple(
+            data.coordinates(substitute(g, Polynomial(q, [mono]))) ^ (1 << i)
+            for i, mono in enumerate(data.basis)
         )
-    return images
+        for g in generator_images(q, group)
+    )
 
 
 def _combine(vectors: Sequence[int], bits: int) -> int:
@@ -393,16 +380,10 @@ class CoinvariantData:
                                  self.primitive_dim, self.representatives())
 
 
-_COINVARIANTS: dict[tuple[int, int, str], CoinvariantData] = {}
-
-
-def coinvariant_data(q: int, n: int, group: str = "gl") -> CoinvariantData:
+@cache
+def coinvariant_data(q: int, n: int, group: str) -> CoinvariantData:
     """Memoized :class:`CoinvariantData` for one (q, n, group)."""
-    key = (q, n, group)
-    data = _COINVARIANTS.get(key)
-    if data is None:
-        data = _COINVARIANTS[key] = CoinvariantData(q, n, group)
-    return data
+    return CoinvariantData(q, n, group)
 
 
 def coinvariants(q: int, n: int, group: str = "gl") -> CoinvariantReport:

@@ -46,7 +46,7 @@ once at the end.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from math import comb
 from typing import Collection, Iterable
 
@@ -78,7 +78,7 @@ def is_admissible(word: Word) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def adem_pair(a: int, b: int) -> frozenset[Word]:
     """Admissible-direction expansion of one inadmissible pair l_a l_b."""
     if a <= 2 * b:
@@ -218,7 +218,7 @@ def adem_reduce(el: LambdaElement) -> LambdaElement:
     return LambdaElement._trusted(frozenset(_reduce(el.terms)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _d_generator(m: int) -> frozenset[Word]:
     out = set()
     for j in range(1, m + 1):
@@ -238,7 +238,7 @@ def _times(m: int, words: Iterable[Word], acc: set[Word]) -> set[Word]:
     return acc
 
 
-@lru_cache(maxsize=None)
+@cache
 def _left(a: int, u: Word) -> frozenset[Word]:
     """l_a times the admissible word u, for a > 2 u[0], in admissible form.
 
@@ -280,7 +280,7 @@ def _d_grouped(tails: dict[int, Iterable[Word]]) -> set[Word]:
     return acc
 
 
-@lru_cache(maxsize=None)
+@cache
 def _d_admissible(u: Word) -> frozenset[Word]:
     """d of a nonempty admissible tail, in admissible form."""
     return frozenset(_d_grouped({u[0]: (u[1:],)}))
@@ -311,7 +311,7 @@ def _least_tail(j: int, slots: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@cache
 def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
     """Admissible words of length s and index sum n, lexicographically sorted."""
     if s < 0 or n < 0:
@@ -418,12 +418,12 @@ class _Coordinates:
         return LambdaElement._trusted(terms)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _coords(s: int, n: int) -> _Coordinates:
     return _Coordinates(s, n)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _differential_images(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
     """Echelon of d of (length s, degree n), and the kernel of d there."""
     source = _coords(s, n)
@@ -438,13 +438,6 @@ def _differential_images(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
 def _boundary_echelon(s: int, n: int) -> EchelonForm:
     """Echelonized image of d inside (length s, degree n) coordinates."""
     return _differential_images(s - 1, n + 1)[0]
-
-
-def boundary_space(s: int, n: int) -> list[LambdaElement]:
-    """A basis of the boundaries inside (length s, degree n)."""
-    target = _coords(s, n)
-    ech = _boundary_echelon(s, n)
-    return [target.element(row) for _, row in sorted(ech.rows.items())]
 
 
 def _cycle_vectors(s: int, n: int) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ representative already in the span stands for its whole orbit.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import permutations, product
 from math import comb, prod
 from operator import add, itemgetter
@@ -50,7 +50,7 @@ def binom_odd(a: int, b: int) -> bool:
     return (b & (a - b)) == 0
 
 
-@lru_cache(maxsize=None)
+@cache
 def _submasks(e: int) -> tuple[int, ...]:
     """All binary submasks of e, ascending."""
     return tuple(d for d in range(e + 1) if d & e == d)
@@ -109,12 +109,12 @@ def _is_descending(g: Monomial) -> bool:
     return all(a >= b for a, b in zip(g, g[1:]))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _descending_monomials(q: int, m: int) -> tuple[Monomial, ...]:
     return tuple(filter(_is_descending, enumerate_monomials(q, m)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _bit_planes(q: int, shift: int) -> tuple[tuple[int, Monomial], ...]:
     """(c, low << shift) for each 0/1 exponent tuple low with c ones, c ascending."""
     lows = sorted((sum(low), low) for low in product((0, 1), repeat=q))
@@ -152,7 +152,7 @@ def _live(
         _live(q, (m - c) >> 1, t >> 1, rest, low_base, shift + 1, descending, out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _permutations(q: int) -> tuple[Callable[[Monomial], Monomial], ...]:
     """The permutations of q exponents, as maps of monomials."""
     if q == 1:
@@ -168,7 +168,7 @@ def sq(t: int, f: Polynomial) -> Polynomial:
     return Polynomial(f.q, acc)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _dual_steps(e: int) -> tuple[int, ...]:
     """The d, ascending, with C(e - d, d) odd: (a^(e)) Sq^d = a^(e - d)."""
     return tuple(d for d in range(e // 2 + 1) if binom_odd(e - d, d))
@@ -394,20 +394,16 @@ class HitSpan:
         return self.echelon.kernel_basis()
 
 
-_SPAN_CACHE: dict[tuple, HitSpan] = {}
+@cache
+def hit_span(q: int, n: int, restrict_weight: WeightVector | None) -> HitSpan:
+    """Memoized hit span for one (q, n); see :class:`HitSpan`.
 
-
-def hit_span(
-    q: int, n: int, restrict_weight: WeightVector | None = None
-) -> HitSpan:
-    """Memoized hit span for one (q, n); see :class:`HitSpan`."""
-    key = (q, n, restrict_weight)
-    span = _SPAN_CACHE.get(key)
-    if span is None:
-        span = HitSpan(q, n, restrict_weight)
-        _SPAN_CACHE[key] = span
-    return span
+    ``restrict_weight`` has no default, so that every call passes the same
+    arguments for the same span: the memo keys ``hit_span(q, n)`` and
+    ``hit_span(q, n, None)`` apart.
+    """
+    return HitSpan(q, n, restrict_weight)
 
 
 def clear_cache() -> None:
-    _SPAN_CACHE.clear()
+    hit_span.cache_clear()

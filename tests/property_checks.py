@@ -33,6 +33,16 @@ from cohitlab.polyspace import (
 from cohitlab.steenrod import hit_span, sq, sq_dual, sq_monomial
 
 
+def transpose_images(images: tuple) -> tuple:
+    """The transposed substitution: x_j goes to the sum of the x_r whose
+    image holds x_j."""
+    rows: list[list[int]] = [[] for _ in images]
+    for r, S in enumerate(images):
+        for j in S:
+            rows[j].append(r)
+    return tuple(tuple(sorted(r)) for r in rows)
+
+
 def ordered_monomials(q: int, n: int) -> list:
     """The degree-n monomials in q variables, ascending in the monomial order."""
     return sorted(enumerate_monomials(q, n), key=monomial_key)
@@ -106,7 +116,7 @@ def check_spike_criterion_against_brute_force(q: int, max_degree: int) -> int:
     checked = 0
     for n in range(1, max_degree + 1):
         spike = minimal_spike(q, n)
-        span = hit_span(q, n)
+        span = hit_span(q, n, None)
         admissible = set(span.admissible_monomials())
         if spike is None:
             continue
@@ -142,7 +152,7 @@ def check_pruned_span_matches_unpruned(
     pruned_degrees = 0
     for q, n in degrees + list(extra):
         pruned = span_for(q, n)
-        full = hit_span(q, n)
+        full = hit_span(q, n, None)
         where = (q, n)
         assert pruned.admissible_monomials() == full.admissible_monomials(), where
         assert list(pruned.weight_table().items()) == list(

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,8 +226,9 @@ def test_cache_round_trip_is_byte_identical(sandbox, capsys):
     entries = list((sandbox / "cache").glob("cli_transfer_*.json"))
     assert len(entries) == 1
     entry = json.loads(entries[0].read_text())
-    assert entry["schema"] == cli.SCHEMA_VERSION
-    assert entry["key"]["conventions"] == cli.convention_hash()
+    assert entry["key"] == {
+        "q": 4, "n": 9, "op": "transfer", "engine": cli.engine_digest()
+    }
     assert entry["payload"] == json.loads(out1)
     assert "timestamp" in entry["provenance"]
 
@@ -233,24 +239,87 @@ def test_stale_or_foreign_cache_entries_are_ignored(sandbox, capsys):
     (entry,) = (sandbox / "cache").glob("cli_ext_*.json")
     data = json.loads(entry.read_text())
     data["payload"]["dim"] = 99
-    data["key"]["conventions"] = "000000000000"
+    data["key"]["engine"] = "0" * 64
     entry.write_text(json.dumps(data))
     code, out2 = run(capsys, *args)
     assert out2 == out1  # recomputed, not trusted
     entry.write_text("{broken")
     code, out3 = run(capsys, *args)
     assert out3 == out1
-    # an entry of the first schema, which stored hex-packed matrices
+    # an entry of the first format: a schema number and a convention hash in
+    # place of the engine digest, and hex-packed matrices
     data = json.loads(entry.read_text())
     data["schema"] = 1
+    data["key"]["conventions"] = data["key"].pop("engine")[:12]
     data["payload"].update(dim=99, matrix_hex=["1"], matrix_cols=1)
     entry.write_text(json.dumps(data))
     code, out4 = run(capsys, *args)
     assert out4 == out1
 
 
+def test_entries_not_shaped_as_written_are_recomputed(sandbox, capsys):
+    args = ("ext", "--q", "2", "--n", "2")
+    _, fresh = run(capsys, *args)
+    (entry,) = (sandbox / "cache").glob("cli_ext_*.json")
+    good = json.loads(entry.read_text())
+    for bad in ([], None, "text", 3, {"key": []}, {**good, "key": None},
+                {**good, "payload": []}, {**good, "payload": None}):
+        entry.write_text(json.dumps(bad))
+        assert run(capsys, *args) == (0, fresh), bad
+        assert json.loads(entry.read_text())["key"] == good["key"], bad
+
+
+def test_an_entry_of_another_engine_is_recomputed_in_place(
+    sandbox, capsys, monkeypatch
+):
+    args = ("ext", "--q", "4", "--n", "9")
+    monkeypatch.setattr(cli, "engine_digest", lambda: "a" * 64)
+    _, cold = run(capsys, *args)
+    (entry,) = (sandbox / "cache").iterdir()
+    data = json.loads(entry.read_text())
+    data["provenance"]["timestamp"] = "then"
+    entry.write_text(json.dumps(data, sort_keys=True))
+    stored = entry.read_bytes()
+    # the same engine: served from the entry, which is left as it is
+    assert run(capsys, *args) == (0, cold)
+    assert entry.read_bytes() == stored
+    # another engine: recomputed, and its entry replaces the old one
+    monkeypatch.setattr(cli, "engine_digest", lambda: "b" * 64)
+    assert run(capsys, *args) == (0, cold)
+    assert list((sandbox / "cache").iterdir()) == [entry]
+    data = json.loads(entry.read_text())
+    assert data["key"]["engine"] == "b" * 64
+    assert data["provenance"]["timestamp"] != "then"
+
+
+def test_an_edit_to_the_source_recomputes_stored_answers(tmp_path):
+    # a copy of the package, so that editing it leaves the engine under test alone
+    package = tmp_path / "src" / "cohitlab"
+    shutil.copytree(Path(cli.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(package.parent),
+           "COHITLAB_CACHE": str(tmp_path / "cache")}
+
+    def ext(*flags: str) -> str:
+        argv = [sys.executable, "-m", "cohitlab.cli", "ext", "--q", "4", "--n", "9"]
+        proc = subprocess.run([*argv, *flags], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120, check=True)
+        return proc.stdout
+
+    fresh = ext("--no-cache")
+    assert ext() == fresh
+    (entry,) = (tmp_path / "cache").glob("cli_ext_*.json")
+    data = json.loads(entry.read_text())
+    data["payload"]["dim"] = 7
+    entry.write_text(json.dumps(data))
+    assert json.loads(ext())["dim"] == 7  # the same source: served as stored
+    with open(package / "refdata.py", "a") as fh:
+        fh.write("# an edit\n")
+    assert ext() == fresh
+
+
 def test_tampered_payload_with_matching_key_is_served(sandbox, capsys):
-    # the cache is trusted once schema, conventions, and key all match
+    # the cache is trusted once the query, the command and the engine all match
     args = ("ext", "--q", "2", "--n", "6")
     run(capsys, *args)
     (entry,) = (sandbox / "cache").glob("cli_ext_*.json")

@@ -65,7 +65,7 @@ def test_quotient_coordinates_round_trip():
 
 
 def test_basis_monomials_are_not_hit():
-    span = hit_span(3, 8)
+    span = hit_span(3, 8, None)
     for m in cohit_basis(3, 8):
         assert not span.echelon.contains(span.to_vector(Polynomial(3, [m])))
 
@@ -74,6 +74,12 @@ def test_weight_table_totals():
     for q, n in ((2, 6), (3, 8), (4, 9)):
         table = weight_table(q, n)
         assert sum(table.values()) == cohit_dim(q, n)
+
+
+def test_weight_dims_from_the_fixture():
+    for (q, n), dims in refdata.WEIGHT_DIMS.items():
+        got = {w: d for w, d in weight_table(q, n).items() if d}
+        assert got == dims, (q, n)
 
 
 def test_weight_subquotient_matches_the_table():
@@ -142,7 +148,7 @@ def test_resource_limit_mentions_the_budget(monkeypatch):
 
 def test_prune_reproduces_the_unpruned_dimension():
     for q, n in ((3, 8), (4, 9), (4, 17)):
-        full = hit_span(q, n)
+        full = hit_span(q, n, None)
         assert span_for(q, n).ncols < full.ncols
         assert cohit_dim(q, n) == full.ncols - full.rank
 

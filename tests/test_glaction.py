@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from cohitlab import cohit, glaction, refdata
+from property_checks import transpose_images
+from cohitlab import cohit, refdata
 from cohitlab.cohit import ResourceLimit, quotient, span_for
 from cohitlab.f2linalg import EchelonForm, echelonize, from_support, support
 from cohitlab.glaction import (
@@ -14,7 +17,6 @@ from cohitlab.glaction import (
     invariants,
     kameko_kernel_invariants,
     substitute,
-    transpose_images,
     transvection_images,
     transposition_images,
 )
@@ -79,8 +81,7 @@ def test_gl_invariants_refine_symmetric_ones():
 
 def test_symmetric_invariants_match_fixtures():
     for (q, n), dim in refdata.SYMMETRIC_INVARIANT_DIMS.items():
-        if n <= 9:
-            assert invariants(q, n, "sigma").dim == dim
+        assert invariants(q, n, "sigma").dim == dim, (q, n)
 
 
 def test_the_degree_nine_invariant_is_the_printed_sum():
@@ -99,6 +100,11 @@ def test_weight_restricted_invariants():
     large = invariants(4, 9, "gl", omega=(3, 1, 1))
     assert {small.dim, large.dim} == {0, 1}
     assert small.dim + large.dim == invariants(4, 9, "gl").dim
+
+
+def test_gl_invariant_dims_from_the_fixture():
+    for (q, n), dim in refdata.GL_INVARIANT_DIMS.items():
+        assert invariants(q, n, "gl").dim == dim, (q, n)
 
 
 def test_gl_invariant_dims_by_weight_at_45():
@@ -228,12 +234,14 @@ def test_kernel_invariants_see_the_full_kernel():
 
 
 def test_coinvariant_data_is_memoized_behind_the_column_budget(monkeypatch):
-    monkeypatch.setattr(glaction, "_COINVARIANTS", {})
-    data = coinvariant_data(4, 9, "gl")
-    assert coinvariant_data(4, 9, "gl") is data
-    assert coinvariant_data(4, 9, "sigma") is not data
+    # an empty memo around the same function; the tests after this keep theirs
+    memo = functools.cache(coinvariant_data.__wrapped__)
+    data = memo(4, 9, "gl")
+    assert memo(4, 9, "gl") is data
+    assert memo(4, 9, "sigma") is not data
     # an entry is made only after the budget check passed
     monkeypatch.setattr(cohit, "MAX_COLUMNS", 10)
     with pytest.raises(ResourceLimit, match="budget is 10"):
-        coinvariant_data(4, 10, "gl")
-    assert set(glaction._COINVARIANTS) == {(4, 9, "gl"), (4, 9, "sigma")}
+        memo(4, 10, "gl")
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)

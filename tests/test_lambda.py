@@ -16,7 +16,6 @@ from cohitlab.lambda_algebra import (
     adem_reduce,
     admissible_basis,
     admissible_count,
-    boundary_space,
     classes_equal,
     differential,
     ext_dim,
@@ -335,6 +334,13 @@ def test_homology_basis_members_are_independent_cycles():
     assert not h.is_zero()
 
 
+def boundary_space(s: int, n: int) -> list[LambdaElement]:
+    """A basis of the boundaries inside (length s, degree n)."""
+    target = lambda_algebra._coords(s, n)
+    ech = lambda_algebra._boundary_echelon(s, n)
+    return [target.element(row) for _, row in sorted(ech.rows.items())]
+
+
 def test_boundary_space_consists_of_cycles():
     for b in boundary_space(3, 8):
         assert is_cycle(b)
@@ -441,6 +447,15 @@ def test_psi_stretch_images_from_the_fixture():
     for (q, _), (dual, image) in refdata.PSI_IMAGES_STRETCH.items():
         got = psi(DualElement(q, dual))
         assert got == LambdaElement(image), dual
+        assert is_cycle(got)
+
+
+def test_psi_images_no_suite_reads():
+    # the suites remark26 and dlc3 own the images at (4, 9) and (4, 22)
+    for bideg in ((4, 45), (3, 19)):
+        dual, image = refdata.PSI_IMAGES[bideg]
+        got = psi(DualElement(bideg[0], dual))
+        assert got == LambdaElement(image), bideg
         assert is_cycle(got)
 
 

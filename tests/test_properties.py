@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 import property_checks as pc
 from cohitlab import refdata
-from cohitlab.glaction import (
-    CoinvariantData,
-    act_dual,
-    generator_images,
-    transpose_images,
-)
+from cohitlab.glaction import CoinvariantData, act_dual, generator_images
 from cohitlab.lambda_algebra import adem_reduce, homology_coordinates, psi
 from cohitlab.polyspace import DualElement
 
@@ -66,7 +61,7 @@ def test_transfer_rows_do_not_depend_on_the_representative():
         for rep in data.representatives():
             base = homology_coordinates(adem_reduce(psi(rep)), q, n)
             for images in generator_images(q, "gl"):
-                moved = act_dual(transpose_images(images), rep)
+                moved = act_dual(pc.transpose_images(images), rep)
                 assert data.class_coordinates(moved) == data.class_coordinates(
                     rep
                 )

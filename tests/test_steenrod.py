@@ -196,7 +196,7 @@ def test_is_annihilated_examples():
 def test_hit_membership_one_variable():
     # Q_n(F2[x]) is nonzero exactly at n = 2^k - 1
     for n in range(1, 33):
-        span = hit_span(1, n)
+        span = hit_span(1, n, None)
         expected = 0 if (n + 1) & n == 0 else 1
         assert span.rank == expected
         hit = span.echelon.contains(span.to_vector(Polynomial(1, [(n,)])))
@@ -211,7 +211,7 @@ def test_hit_span_columns_are_sorted_largest_first():
 
 
 def test_round_trips_through_span_coordinates():
-    span = hit_span(3, 5)
+    span = hit_span(3, 5, None)
     rng = random.Random(3)
     monos = pc.ordered_monomials(3, 5)
     for _ in range(10):
@@ -222,7 +222,7 @@ def test_round_trips_through_span_coordinates():
 
 
 def test_normal_form_kills_hit_elements():
-    span = hit_span(2, 4)
+    span = hit_span(2, 4, None)
     f = sq(1, Polynomial(2, [(2, 1)])) ^ sq(2, Polynomial(2, [(1, 1)]))
     assert span.echelon.contains(span.to_vector(f))
     assert span.normal_form(f).is_zero()
@@ -239,7 +239,7 @@ def test_power_generators_span_the_full_hit_space():
 
 
 def test_primitive_basis_is_annihilated_and_spans_the_kernel():
-    span = hit_span(2, 6)
+    span = hit_span(2, 6, None)
     prims = [span.to_dual(v) for v in span.primitive_vectors()]
     assert len(prims) == len(span.admissible_positions())
     for theta in prims:
@@ -254,7 +254,7 @@ def test_weight_restriction_presents_the_same_quotient():
 
 
 def test_weight_table_splits_the_quotient():
-    span = hit_span(3, 7)
+    span = hit_span(3, 7, None)
     table = span.weight_table()
     total = sum(cols - pivots for cols, pivots in table.values())
     assert total == span.ncols - span.rank
@@ -352,7 +352,7 @@ def _same_span(span, ref):
 def test_orbit_build_equals_the_per_row_reference():
     for q, top in ((1, 40), (2, 30), (3, 24), (4, 20), (5, 12)):
         for n in range(1, top + 1):
-            _same_span(hit_span(q, n), _PerRowSpan(q, n))
+            _same_span(hit_span(q, n, None), _PerRowSpan(q, n))
     for q, degrees in ((3, range(25, 41)), (4, (29, 30, 33, 37)), (5, (15, 20))):
         for n in degrees:
             span = span_for(q, n)
