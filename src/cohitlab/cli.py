@@ -307,7 +307,6 @@ def cmd_verify(args):
     return {
         "suites": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),
-        "complete": all(r.complete for r in reports),
     }
 
 
@@ -377,16 +376,13 @@ def emit(payload: dict, out: str) -> None:
         return
     if "suites" in payload:
         for suite in payload["suites"]:
-            print(f"suite {suite['name']}: "
-                  f"{'pass' if suite['passed'] else 'FAIL'}"
-                  f"{'' if suite['complete'] else ' (partial)'}")
+            print(f"suite {suite['name']}: {'pass' if suite['passed'] else 'FAIL'}")
             for check in suite["checks"]:
                 line = f"  [{check['status']}] {check['name']}"
                 if check["detail"]:
                     line += f" -- {check['detail']}"
                 print(line)
         print(f"passed: {payload['passed']}")
-        print(f"complete: {payload['complete']}")
         return
     for key in sorted(payload):
         value = payload[key]

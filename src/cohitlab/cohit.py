@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import steenrod
-from .f2linalg import echelonize, image_kernel, support
+from .f2linalg import image_kernel, support
 from .polyspace import (
     Monomial,
     Polynomial,
@@ -156,20 +156,21 @@ class KamekoMap:
     domain: QuotientData
     codomain: QuotientData
     images: list[int]  # codomain coordinates of each domain basis class
+    kernel: list[int]  # kernel basis of the images; rank is dim minus its size
 
     @property
     def target_degree(self) -> int:
         return (self.n - self.q) // 2
 
     def rank(self) -> int:
-        return echelonize(self.images, self.codomain.dim).rank
+        return self.domain.dim - len(self.kernel)
 
     def is_surjective(self) -> bool:
         return self.rank() == self.codomain.dim
 
     def kernel_coordinates(self) -> list[int]:
         """Basis of the kernel, as bit-vectors over the domain basis."""
-        return image_kernel(self.images, self.codomain.dim)[1]
+        return self.kernel
 
 
 def kameko_matrix(q: int, n: int) -> KamekoMap:
@@ -184,4 +185,5 @@ def kameko_matrix(q: int, n: int) -> KamekoMap:
     for b in domain.basis:
         d = kameko_down_monomial(b)
         images.append(0 if d is None else codomain.coordinates(Polynomial(q, [d])))
-    return KamekoMap(q, n, domain, codomain, images)
+    kernel = image_kernel(images, codomain.dim)[1]
+    return KamekoMap(q, n, domain, codomain, images, kernel)

@@ -113,10 +113,6 @@ class LambdaElement:
         el.terms = terms
         return el
 
-    @classmethod
-    def zero(cls) -> "LambdaElement":
-        return cls()
-
     @property
     def length(self) -> int | None:
         for w in self.terms:
@@ -445,20 +441,22 @@ def _cycle_vectors(s: int, n: int) -> tuple[int, ...]:
     return _differential_images(s, n)[1]
 
 
-def homology_basis(s: int, n: int) -> list[LambdaElement]:
-    """Cycle representatives of a basis of the homology at (length s, degree n)."""
+@cache
+def _homology_vectors(s: int, n: int) -> tuple[int, ...]:
+    """Cycles independent modulo boundaries, as (length s, degree n) vectors."""
     if s == 0:
-        return [LambdaElement([()])] if n == 0 else []
-    source = _coords(s, n)
+        return (1,) if n == 0 else ()  # the empty word
     boundaries = _boundary_echelon(s, n)
-    chosen: list[LambdaElement] = []
-    ech = EchelonForm(source.dim)
+    ech = EchelonForm(_coords(s, n).dim)
     for piv in sorted(boundaries.rows):
         ech.add(boundaries.rows[piv])
-    for v in _cycle_vectors(s, n):
-        if ech.add(v):
-            chosen.append(source.element(v))
-    return chosen
+    return tuple(v for v in _cycle_vectors(s, n) if ech.add(v))
+
+
+def homology_basis(s: int, n: int) -> list[LambdaElement]:
+    """Cycle representatives of a basis of the homology at (length s, degree n)."""
+    source = _coords(s, n)
+    return [source.element(v) for v in _homology_vectors(s, n)]
 
 
 def ext_dim(s: int, n: int) -> int:
@@ -512,9 +510,11 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
     coords = _coords(s, n)
-    reps = [coords.vector(h) for h in homology_basis(s, n)]
     solution = solve_modulo(
-        coords.vector(el), reps, _boundary_echelon(s, n).rows.values(), coords.dim
+        coords.vector(el),
+        _homology_vectors(s, n),
+        _boundary_echelon(s, n).rows.values(),
+        coords.dim,
     )
     if solution is None:
         raise RuntimeError("cycle escaped the homology decomposition")
@@ -560,3 +560,4 @@ def clear_caches() -> None:
     admissible_basis.cache_clear()
     _coords.cache_clear()
     _differential_images.cache_clear()
+    _homology_vectors.cache_clear()

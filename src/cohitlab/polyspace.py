@@ -232,10 +232,6 @@ class Polynomial:
         self.monomials = monos
 
     @classmethod
-    def zero(cls, q: int) -> "Polynomial":
-        return cls(q)
-
-    @classmethod
     def variable(cls, q: int, i: int) -> "Polynomial":
         """The variable x_i (1-indexed)."""
         e = [0] * q
@@ -319,10 +315,6 @@ class DualElement:
                 raise ValueError(f"bad dual monomial {t} for q={q}")
         self.q = q
         self.terms = ts
-
-    @classmethod
-    def zero(cls, q: int) -> "DualElement":
-        return cls(q)
 
     @property
     def degree(self) -> int | None:

@@ -19,7 +19,6 @@ import concurrent.futures
 from dataclasses import dataclass, field
 
 from . import cohit, glaction, refdata
-from .cohit import ResourceLimit
 from .f2linalg import echelonize
 from .glaction import CoinvariantData, coinvariant_data
 from .lambda_algebra import (
@@ -107,12 +106,12 @@ def verdict(q: int, n: int) -> TransferReport:
 class CheckResult:
     suite: str
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.status != "fail"
+        return self.status == "pass"
 
     def to_json(self) -> dict:
         return {
@@ -132,45 +131,21 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def complete(self) -> bool:
-        return all(c.status != "skipped" for c in self.checks)
+    def check(self, name: str, got, want) -> None:
+        """Record one named equality check, with both values when it fails."""
+        if got == want:
+            self.checks.append(CheckResult(self.name, name, "pass"))
+        else:
+            self.checks.append(
+                CheckResult(self.name, name, "fail", f"got {got!r}, want {want!r}")
+            )
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
-            "complete": self.complete,
             "checks": [c.to_json() for c in self.checks],
         }
-
-
-class _Suite:
-    """Collects named equality checks into a SuiteReport."""
-
-    def __init__(self, name: str):
-        self.report = SuiteReport(name)
-
-    def check(self, name: str, got, want) -> None:
-        if got == want:
-            self.report.checks.append(CheckResult(self.report.name, name, "pass"))
-        else:
-            self.report.checks.append(
-                CheckResult(
-                    self.report.name, name, "fail", f"got {got!r}, want {want!r}"
-                )
-            )
-
-    def run(self, name: str, fn) -> None:
-        """Run a thunk returning (got, want); a ResourceLimit marks a skip."""
-        try:
-            got, want = fn()
-        except ResourceLimit as exc:
-            self.report.checks.append(
-                CheckResult(self.report.name, name, "skipped", str(exc))
-            )
-            return
-        self.check(name, got, want)
 
 
 def _verdict_tuple(q: int, n: int) -> tuple[int, int, bool]:
@@ -207,150 +182,144 @@ _TABLE_CHECKS = {
 }
 
 
-def _table_checks(s: _Suite, kind: str, q: int = 4) -> None:
+def _table_checks(s: SuiteReport, kind: str, q: int = 4) -> None:
     """One ``kind`` check per rank-q bidegree of the suite its tables hold."""
     tables, compute = _TABLE_CHECKS[kind]
     want = {}
     for table in tables:
         want.update(getattr(refdata, table))
     prefix = "" if q == 4 else f"rank-{q} "
-    for bideg in SUITE_DEGREES[s.report.name]:
+    for bideg in SUITE_DEGREES[s.name]:
         if bideg[0] == q and bideg in want:
-            s.run(f"{prefix}{kind} n={bideg[1]}",
-                  lambda b=bideg: (compute(*b), want[b]))
+            s.check(f"{prefix}{kind} n={bideg[1]}", compute(*bideg), want[bideg])
 
 
-def _suite_family_a(s: _Suite) -> None:
+def _suite_family_a(s: SuiteReport) -> None:
     """Degrees 6*2^s - 3: dims, generators, and verdicts at s = 1, 2, 3."""
     _table_checks(s, "cohit dim")
-    s.run("basis n=9", lambda: (
-        sorted(cohit.cohit_basis(4, 9)),
-        sorted(refdata.COHIT_BASIS_4_9)))
+    s.check("basis n=9",
+            sorted(cohit.cohit_basis(4, 9)), sorted(refdata.COHIT_BASIS_4_9))
     _table_checks(s, "coinvariant dim")
-    s.run("invariant generator n=9", lambda: (
-        _class_coords(4, 9, refdata.GL_INVARIANT_GENERATOR_9)
-        == _invariant_vector(4, 9), True))
-    s.run("weight-fixed generator n=45", lambda: (
-        _weight_invariant_ok(
-            4, 45, (3, 3, 3, 3), refdata.GL_INVARIANT_GENERATOR_45_WEIGHT), True))
-    s.run("pairing n=9", lambda: (
-        pairing(DualElement(4, refdata.DUAL_GENERATOR_9),
-                Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)), 1))
-    s.run("dual generator class n=9", lambda: (
-        coinvariant_data(4, 9, "gl").class_coordinates(
-            DualElement(4, refdata.DUAL_GENERATOR_9)) != 0, True))
-    s.run("spike class vanishes n=21", lambda: (
-        coinvariant_data(4, 21, "gl").class_coordinates(
-            DualElement(4, refdata.DUAL_SPIKE_21)), 0))
-    s.run("dual generator class n=45", lambda: (
-        coinvariant_data(4, 45, "gl").class_coordinates(
-            DualElement(4, refdata.DUAL_GENERATOR_45)) != 0, True))
+    s.check("invariant generator n=9",
+            _class_coords(4, 9, refdata.GL_INVARIANT_GENERATOR_9)
+            == _invariant_vector(4, 9), True)
+    s.check("weight-fixed generator n=45",
+            _weight_invariant_ok(
+                4, 45, (3, 3, 3, 3), refdata.GL_INVARIANT_GENERATOR_45_WEIGHT),
+            True)
+    s.check("pairing n=9",
+            pairing(DualElement(4, refdata.DUAL_GENERATOR_9),
+                    Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)), 1)
+    s.check("dual generator class n=9",
+            coinvariant_data(4, 9, "gl").class_coordinates(
+                DualElement(4, refdata.DUAL_GENERATOR_9)) != 0, True)
+    s.check("spike class vanishes n=21",
+            coinvariant_data(4, 21, "gl").class_coordinates(
+                DualElement(4, refdata.DUAL_SPIKE_21)), 0)
+    s.check("dual generator class n=45",
+            coinvariant_data(4, 45, "gl").class_coordinates(
+                DualElement(4, refdata.DUAL_GENERATOR_45)) != 0, True)
     _table_checks(s, "transfer verdict")
     # chain image of the single-term dual: nonzero class at s = 3, boundary
     # at s = 2
-    s.run("image class n=45", lambda: (
-        homology_coordinates(psi(DualElement(4, [(0, 15, 15, 15)])), 4, 45),
-        (1,)))
-    s.run("image bounds n=21", lambda: (
-        classes_equal(psi(DualElement(4, [(0, 7, 7, 7)])), LambdaElement()),
-        True))
+    s.check("image class n=45",
+            homology_coordinates(psi(DualElement(4, [(0, 15, 15, 15)])), 4, 45),
+            (1,))
+    s.check("image bounds n=21",
+            classes_equal(psi(DualElement(4, [(0, 7, 7, 7)])), LambdaElement()),
+            True)
 
 
-def _suite_family_b(s: _Suite) -> None:
+def _suite_family_b(s: SuiteReport) -> None:
     """Degrees 10*2^s - 3: dims, the 44-term generator, verdicts at s = 1, 2."""
     _table_checks(s, "cohit dim")
-    s.run("basis n=17", lambda: (
-        sorted(cohit.cohit_basis(4, 17)),
-        sorted(refdata.COHIT_BASIS_4_17)))
+    s.check("basis n=17",
+            sorted(cohit.cohit_basis(4, 17)), sorted(refdata.COHIT_BASIS_4_17))
     _table_checks(s, "coinvariant dim")
-    s.run("44-term dual annihilated", lambda: (
-        _annihilated(4, refdata.DUAL_GENERATOR_17), True))
-    s.run("dual generator class n=17", lambda: (
-        coinvariant_data(4, 17, "gl").class_coordinates(
-            DualElement(4, refdata.DUAL_GENERATOR_17)) != 0, True))
-    s.run("invariant generator n=17", lambda: (
-        _class_coords(4, 17, refdata.GL_INVARIANT_GENERATOR_17)
-        == _invariant_vector(4, 17), True))
+    s.check("44-term dual annihilated",
+            _annihilated(4, refdata.DUAL_GENERATOR_17), True)
+    s.check("dual generator class n=17",
+            coinvariant_data(4, 17, "gl").class_coordinates(
+                DualElement(4, refdata.DUAL_GENERATOR_17)) != 0, True)
+    s.check("invariant generator n=17",
+            _class_coords(4, 17, refdata.GL_INVARIANT_GENERATOR_17)
+            == _invariant_vector(4, 17), True)
     _table_checks(s, "transfer verdict")
 
 
-def _suite_family_c(s: _Suite) -> None:
+def _suite_family_c(s: SuiteReport) -> None:
     """Degrees 3*2^s - 2: halving-kernel invariants and the degree-22 class."""
     _table_checks(s, "cohit dim")
     _table_checks(s, "kernel invariants")
-    s.run("kernel basis n=4", lambda: (
-        _kameko_kernel_matches(4, 4, refdata.KAMEKO_KERNEL_BASIS_4_4), True))
+    s.check("kernel basis n=4",
+            _kameko_kernel_matches(4, 4, refdata.KAMEKO_KERNEL_BASIS_4_4), True)
     _table_checks(s, "coinvariant dim")
-    s.run("dual generator annihilated n=22", lambda: (
-        _annihilated(4, refdata.DUAL_GENERATOR_22), True))
-    s.run("image words n=22", lambda: (
-        psi(DualElement(4, refdata.PSI_IMAGES[(4, 22)][0])).terms,
-        frozenset(refdata.PSI_IMAGES[(4, 22)][1])))
+    s.check("dual generator annihilated n=22",
+            _annihilated(4, refdata.DUAL_GENERATOR_22), True)
+    s.check("image words n=22",
+            psi(DualElement(4, refdata.PSI_IMAGES[(4, 22)][0])).terms,
+            frozenset(refdata.PSI_IMAGES[(4, 22)][1]))
     _table_checks(s, "transfer verdict")
     # the rank-3 shadow in degree 19
-    s.run("rank-3 dual annihilated n=19", lambda: (
-        _annihilated(3, refdata.DUAL_GENERATOR_19_RANK3), True))
+    s.check("rank-3 dual annihilated n=19",
+            _annihilated(3, refdata.DUAL_GENERATOR_19_RANK3), True)
     _table_checks(s, "coinvariant dim", q=3)
     _table_checks(s, "transfer verdict", q=3)
 
 
-def _suite_family_d(s: _Suite) -> None:
+def _suite_family_d(s: SuiteReport) -> None:
     """Degrees 3(2^s-1) + 2^s(2^{t+1}-1), t >= 4; smallest case n = 65."""
     _table_checks(s, "cohit dim")
     _table_checks(s, "coinvariant dim")
-    s.run("dual generator class n=65", lambda: (
-        coinvariant_data(4, 65, "gl").class_coordinates(
-            DualElement(4, refdata.DUAL_GENERATOR_65)) != 0, True))
+    s.check("dual generator class n=65",
+            coinvariant_data(4, 65, "gl").class_coordinates(
+                DualElement(4, refdata.DUAL_GENERATOR_65)) != 0, True)
     _table_checks(s, "transfer verdict")
 
 
-def _suite_family_e(s: _Suite) -> None:
+def _suite_family_e(s: SuiteReport) -> None:
     """Degrees 2(2^s-1) + 2^s(2^t-1), t >= 5; smallest case n = 64."""
     _table_checks(s, "cohit dim")
-    s.run("dual generator annihilated n=64", lambda: (
-        _annihilated(4, refdata.DUAL_GENERATOR_64), True))
+    s.check("dual generator annihilated n=64",
+            _annihilated(4, refdata.DUAL_GENERATOR_64), True)
     _table_checks(s, "coinvariant dim")
-    s.run("dual generator class n=64", lambda: (
-        coinvariant_data(4, 64, "gl").class_coordinates(
-            DualElement(4, refdata.DUAL_GENERATOR_64)) != 0, True))
+    s.check("dual generator class n=64",
+            coinvariant_data(4, 64, "gl").class_coordinates(
+                DualElement(4, refdata.DUAL_GENERATOR_64)) != 0, True)
     _table_checks(s, "transfer verdict")
 
 
-def _suite_peel_identities(s: _Suite) -> None:
+def _suite_peel_identities(s: SuiteReport) -> None:
     """The four printed degree-9 chain images and the induced nonzero class."""
     for term, raw in refdata.PSI_RAW_TERM_IMAGES_9.items():
-        s.run(f"image of {term}", lambda t=term, r=raw: (
-            psi(DualElement(4, [t])),
-            adem_reduce(LambdaElement(r))))
-    s.run("reduced image of the degree-9 generator", lambda: (
-        psi(DualElement(4, refdata.PSI_IMAGES[(4, 9)][0])).terms,
-        frozenset(refdata.PSI_IMAGES[(4, 9)][1])))
-    s.run("class is nonzero", lambda: (
-        homology_coordinates(
-            psi(DualElement(4, refdata.DUAL_GENERATOR_9)), 4, 9), (1,)))
+        s.check(f"image of {term}",
+                psi(DualElement(4, [term])), adem_reduce(LambdaElement(raw)))
+    s.check("reduced image of the degree-9 generator",
+            psi(DualElement(4, refdata.PSI_IMAGES[(4, 9)][0])).terms,
+            frozenset(refdata.PSI_IMAGES[(4, 9)][1]))
+    s.check("class is nonzero",
+            homology_coordinates(
+                psi(DualElement(4, refdata.DUAL_GENERATOR_9)), 4, 9), (1,))
 
 
-def _suite_boundary_identity(s: _Suite) -> None:
+def _suite_boundary_identity(s: SuiteReport) -> None:
     """The degree-17 image equals the five-term cycle plus an explicit boundary."""
     zeta = DualElement(4, refdata.DUAL_GENERATOR_17)
     e0 = LambdaElement(refdata.PSI_IMAGE_17_CYCLE)
     pre = LambdaElement(refdata.PSI_IMAGE_17_PREIMAGE)
-    s.run("five-term element is a cycle", lambda: (is_cycle(e0), True))
-    s.run("image equals cycle plus boundary, exactly", lambda: (
-        psi(zeta),
-        adem_reduce(e0 ^ differential(pre))))
-    s.run("classes agree", lambda: (classes_equal(psi(zeta), e0), True))
-    s.run("class is nonzero", lambda: (
-        homology_coordinates(e0, 4, 17) != (0,), True))
-    s.run("homology dim", lambda: (ext_dim(4, 17), 1))
+    s.check("five-term element is a cycle", is_cycle(e0), True)
+    s.check("image equals cycle plus boundary, exactly",
+            psi(zeta), adem_reduce(e0 ^ differential(pre)))
+    s.check("classes agree", classes_equal(psi(zeta), e0), True)
+    s.check("class is nonzero", homology_coordinates(e0, 4, 17) != (0,), True)
+    s.check("homology dim", ext_dim(4, 17), 1)
 
 
-def _suite_ext_tables(s: _Suite) -> None:
+def _suite_ext_tables(s: SuiteReport) -> None:
     """Homology dimension censuses, then the degree-61 non-isomorphism."""
     ext = {**refdata.EXT_DIMS, **refdata.EXT_DIMS_STRETCH}
     for (length, deg), dim in sorted(ext.items()):
-        s.run(f"ext({length},{deg})", lambda a=length, b=deg, v=dim: (
-            ext_dim(a, b), v))
+        s.check(f"ext({length},{deg})", ext_dim(length, deg), dim)
     _table_checks(s, "cohit dim")
     _table_checks(s, "coinvariant dim")
     _table_checks(s, "transfer verdict")
@@ -370,12 +339,16 @@ SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
 def verify_suite(name: str) -> SuiteReport:
-    """Run one named suite; unknown names raise ValueError."""
+    """Run one named suite; unknown names raise ValueError.
+
+    A budget refusal (``ResourceLimit`` or ``RewriteBudget``) propagates:
+    every check runs to a verdict, or the suite reports nothing.
+    """
     if name not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    suite = _Suite(name)
-    _SUITE_RUNNERS[name](suite)
-    return suite.report
+    report = SuiteReport(name)
+    _SUITE_RUNNERS[name](report)
+    return report
 
 
 def verify_all(
@@ -384,7 +357,8 @@ def verify_all(
     """Run several suites, optionally fanning out over processes.
 
     Reports come back in the order of ``names`` regardless of job count.  A
-    pool starts all its workers at once, so it gets one per suite at most.
+    pool starts all its workers at once, so it gets one per suite at most;
+    a budget refusal in a worker is raised again here.
     """
     if jobs <= 1:
         return [verify_suite(n) for n in names]

@@ -69,6 +69,27 @@ def test_kameko_command(sandbox, capsys):
     assert code == 2  # parity mismatch
 
 
+def test_kameko_eliminates_the_images_once(sandbox, capsys, monkeypatch):
+    from cohitlab import f2linalg
+
+    calls = []
+
+    def counted(name):
+        def wrapper(*args):
+            calls.append(name)
+            return getattr(f2linalg, name)(*args)
+        return wrapper
+
+    # the halving map reaches the elimination only through these two names
+    for name in ("image_kernel", "echelonize"):
+        monkeypatch.setattr(cohit, name, counted(name), raising=False)
+    code, data = run_json(capsys, "kameko", "--q", "4", "--n", "22", "--no-cache")
+    assert code == 0
+    assert data == {"codomain_dim": 46, "domain_dim": 116, "kernel_dim": 70, "n": 22,
+                    "q": 4, "rank": 46, "surjective": True, "target_degree": 9}
+    assert calls == ["image_kernel"]
+
+
 def test_weight_commands(sandbox, capsys):
     code, data = run_json(capsys, "weight", "--q", "4", "--n", "9")
     assert code == 0
@@ -209,11 +230,24 @@ def test_verify_exit_codes(sandbox, capsys, monkeypatch):
     assert data["passed"] is False
 
 
+def test_verify_exits_3_when_a_suite_hits_the_column_budget(
+    sandbox, capsys, monkeypatch
+):
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", 40)
+    code, data = run_json(capsys, "verify", "dlc2", "--no-cache")
+    assert code == 3
+    assert data == {
+        "detail": "degree 17 in 4 variables needs 1140 columns; budget is 40",
+        "error": "resource-limit",
+    }
+
+
 def test_verify_table_output(sandbox, capsys):
     code, out = run(capsys, "verify", "remark26", "--out", "table")
     assert code == 0
     assert "suite remark26: pass" in out
     assert "[pass]" in out
+    assert out.endswith("passed: True\n")
 
 
 def test_cache_round_trip_is_byte_identical(sandbox, capsys):
