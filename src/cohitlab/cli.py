@@ -42,6 +42,7 @@ from .polyspace import (
     check_rank,
     minimal_spike,
     mu,
+    trim_weight,
     weight_vector,
 )
 from .steenrod import is_annihilated
@@ -106,6 +107,7 @@ def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None
         },
     }
     path = _entry_path(cache_dir, op, key)
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -113,14 +115,15 @@ def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None
             json.dump(entry, fh, sort_keys=True)
         os.replace(tmp, path)
     except OSError:
-        return
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
 
 
 def _serve_cached(command: Command, args, cache_dir: Path | None):
     """Answer a command with a key: its stored payload, or compute and store it.
 
-    Every key holds q and n.  The parsed ``--omega`` is written back to
-    ``args.omega`` for the handler.
+    Every key holds q and n.  The parsed ``--omega``, without trailing
+    zeros, is written back to ``args.omega`` for the key and the handler.
     """
     _require(args, "q", "n")
     args.omega = _parse_omega(args.omega) if args.omega else None
@@ -144,7 +147,7 @@ def _parse_omega(text: str) -> list[int]:
         raise UsageError(f"bad weight vector {text!r}; expected e.g. 3,1,1")
     if any(x < 0 for x in parts):
         raise UsageError(f"bad weight vector {text!r}; entries must be >= 0")
-    return parts
+    return list(trim_weight(parts))
 
 
 class UsageError(ValueError):
@@ -158,8 +161,10 @@ def _require(args, *names: str) -> None:
 
 
 def _check_ranges(command: Command, args) -> None:
-    """Reject a negative --n, a polynomial --q out of range, and a negative
-    --q that keys an answer as a word length (for ext)."""
+    """Reject a --jobs below 1, a negative --n, a polynomial --q out of range,
+    and a negative --q that keys an answer as a word length (for ext)."""
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None and args.n < 0:
         raise UsageError(f"--n must be nonnegative, got {args.n}")
     if args.q is None:
@@ -204,7 +209,7 @@ def cmd_cohit(args):
 
 
 def cmd_weight(args):
-    if args.omega:
+    if args.omega is not None:
         dim, basis = cohit.weight_subquotient(args.q, args.n, args.omega)
         return {
             "q": args.q,
@@ -259,7 +264,6 @@ def cmd_kameko(args):
             f"halving map needs n = 2m + q; n={args.n}, q={args.q} do not fit"
         )
     km = cohit.kameko_matrix(args.q, args.n)
-    kernel = km.kernel_coordinates()
     return {
         "q": args.q,
         "n": args.n,
@@ -268,7 +272,7 @@ def cmd_kameko(args):
         "codomain_dim": km.codomain.dim,
         "rank": km.rank(),
         "surjective": km.is_surjective(),
-        "kernel_dim": len(kernel),
+        "kernel_dim": len(km.kernel),
     }
 
 

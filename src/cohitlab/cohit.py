@@ -168,10 +168,6 @@ class KamekoMap:
     def is_surjective(self) -> bool:
         return self.rank() == self.codomain.dim
 
-    def kernel_coordinates(self) -> list[int]:
-        """Basis of the kernel, as bit-vectors over the domain basis."""
-        return self.kernel
-
 
 def kameko_matrix(q: int, n: int) -> KamekoMap:
     """The halving map on classes; requires n >= q and n = q mod 2."""
@@ -185,5 +181,5 @@ def kameko_matrix(q: int, n: int) -> KamekoMap:
     for b in domain.basis:
         d = kameko_down_monomial(b)
         images.append(0 if d is None else codomain.coordinates(Polynomial(q, [d])))
-    kernel = image_kernel(images, codomain.dim)[1]
+    kernel = image_kernel(images)[1]
     return KamekoMap(q, n, domain, codomain, images, kernel)

@@ -1,10 +1,10 @@
 """Bit-packed linear algebra over GF(2).
 
-Vectors live in F2^ncols and are stored as Python ints used as bitsets: bit p
-is the coordinate in column p.  Echelon forms pivot on the *lowest* set bit,
-so column 0 has the highest elimination priority.  Callers that care about a
-particular column order (e.g. "largest monomial first") encode it by mapping
-their most-senior basis element to position 0.
+Vectors are stored as Python ints used as bitsets: bit p is the coordinate in
+column p, so an echelon form needs no width.  Echelon forms pivot on the
+*lowest* set bit, so column 0 has the highest elimination priority.  Callers
+that care about a particular column order (e.g. "largest monomial first")
+encode it by mapping their most-senior basis element to position 0.
 
 Everything here is exact arithmetic; there is no floating point anywhere.
 """
@@ -48,8 +48,7 @@ class EchelonForm:
     combination of the rows fed in.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows: dict[int, int] = {}
         self.tags: dict[int, int] = {}
 
@@ -57,33 +56,24 @@ class EchelonForm:
     def rank(self) -> int:
         return len(self.rows)
 
+    def _insert(self, v: int, tag: int | None = None) -> bool:
+        """Store a residual of :meth:`reduce` at its pivot; False if it is 0."""
+        if not v:
+            return False
+        p = (v & -v).bit_length() - 1
+        self.rows[p] = v
+        if tag is not None:
+            self.tags[p] = tag
+        return True
+
     def add(self, vec: int) -> bool:
         """Insert a row; return True if the rank grew."""
-        v = vec
-        rows = self.rows
-        while v:
-            p = (v & -v).bit_length() - 1
-            row = rows.get(p)
-            if row is None:
-                rows[p] = v
-                return True
-            v ^= row
-        return False
+        return self._insert(self.reduce(vec))
 
     def add_tagged(self, vec: int, tag: int) -> bool:
         """Insert a row carrying a coefficient tag; return True if rank grew."""
-        v = vec
-        rows, tags = self.rows, self.tags
-        while v:
-            p = (v & -v).bit_length() - 1
-            row = rows.get(p)
-            if row is None:
-                rows[p] = v
-                tags[p] = tag
-                return True
-            v ^= row
-            tag ^= tags.get(p, 0)
-        return False
+        residual, acc = self.reduce_tagged(vec)
+        return self._insert(residual, tag ^ acc)
 
     def reduce(self, vec: int) -> int:
         """Residual of vec after eliminating pivot positions greedily.
@@ -122,17 +112,12 @@ class EchelonForm:
         The result is supported on non-pivot columns only, and is 0 exactly
         when vec lies in the row space.
         """
-        v = vec
-        rows = self.rows
         out = 0
+        v = self.reduce(vec)
         while v:
-            p = (v & -v).bit_length() - 1
-            row = rows.get(p)
-            if row is None:
-                out |= 1 << p
-                v ^= 1 << p
-            else:
-                v ^= row
+            low = v & -v  # a free column: keep it and reduce what is left
+            out |= low
+            v = self.reduce(v ^ low)
         return out
 
     def contains(self, vec: int) -> bool:
@@ -155,27 +140,31 @@ class EchelonForm:
                 x |= 1 << p
         return x
 
-    def kernel_basis(self) -> list[int]:
+    def free_columns(self, n: int) -> list[int]:
+        """The columns below n that hold no pivot, ascending."""
+        rows = self.rows
+        return [f for f in range(n) if f not in rows]
+
+    def kernel_basis(self, ncols: int) -> list[int]:
         """Basis of {x : r . x = 0 for every row r}, one vector per free column."""
         pivots = sorted(self.rows)
-        free = (f for f in range(self.ncols) if f not in self.rows)
-        return [self.kernel_vector(f, pivots) for f in free]
+        return [self.kernel_vector(f, pivots) for f in self.free_columns(ncols)]
 
 
-def echelonize(rows: Iterable[int], ncols: int) -> EchelonForm:
+def echelonize(rows: Iterable[int]) -> EchelonForm:
     """Echelonize an iterable of bit-vector rows."""
-    ech = EchelonForm(ncols)
+    ech = EchelonForm()
     for r in rows:
         ech.add(r)
     return ech
 
 
-def image_kernel(images: Iterable[int], ncols: int) -> tuple[EchelonForm, list[int]]:
+def image_kernel(images: Iterable[int]) -> tuple[EchelonForm, list[int]]:
     """Tagged echelon of the images of a map, and a basis of its kernel.
 
-    ``images[i]`` is the image of source basis vector i, a vector in
-    F2^ncols.  Each image is reduced against the echelon of the images
-    before it, the tag recording which source vectors it combines; one that
+    ``images[i]`` is the image of source basis vector i.  Each image is
+    reduced against the echelon of the images before it, the tag recording
+    which source vectors it combines, and stored if it is not zero; one that
     reduces to zero gives the kernel vector of its tag, whose highest bit is
     i.  A stored tag only ever combines sources whose image was inserted, so
     the kernel vector of a dependent source i meets no other dependent
@@ -183,13 +172,11 @@ def image_kernel(images: Iterable[int], ncols: int) -> tuple[EchelonForm, list[i
     sources is exactly {i}, the same basis that :meth:`EchelonForm.kernel_basis`
     gives for the transposed map, in the same order.
     """
-    ech = EchelonForm(ncols)
+    ech = EchelonForm()
     kernel = []
     for i, image in enumerate(images):
         residual, tag = ech.reduce_tagged(image)
-        if residual:
-            ech.add_tagged(residual, tag ^ 1 << i)
-        else:
+        if not ech._insert(residual, tag ^ 1 << i):
             kernel.append(tag ^ 1 << i)
     return ech, kernel
 
@@ -198,14 +185,13 @@ def solve_modulo(
     target: int,
     rows: Sequence[int],
     modulus_rows: Iterable[int],
-    ncols: int,
 ) -> tuple[int, ...] | None:
     """Coefficients c with target + sum(c_i * rows[i]) in span(modulus_rows).
 
     Returns None when no such combination exists.  Used for expressing a
     class in terms of chosen representatives modulo a subspace.
     """
-    ech = EchelonForm(ncols)
+    ech = EchelonForm()
     for m in modulus_rows:
         ech.add_tagged(m, 0)
     for i, r in enumerate(rows):

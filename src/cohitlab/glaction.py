@@ -251,7 +251,7 @@ def _joint_kernel(
         shift = g * dim
         for i, v in enumerate(vectors):
             stacked[i] |= v << shift
-    return image_kernel(stacked, len(image_vectors) * dim)[1]
+    return image_kernel(stacked)[1]
 
 
 def invariants(
@@ -352,8 +352,8 @@ class CoinvariantData:
                 bit = 1 << (dim - 1 - i)
                 for j in support(image):
                     rows[dim - 1 - j][g] |= bit
-        self.relations = echelonize((r for v in rows for r in v), dim)
-        self.free = [k for k in range(dim) if k not in self.relations.rows]
+        self.relations = echelonize(r for v in rows for r in v)
+        self.free = self.relations.free_columns(dim)
         self._quotient_index = {k: c for c, k in enumerate(self.free)}
         self.dim = len(self.free)
         kernel_vector = span.echelon.kernel_vector
@@ -399,7 +399,7 @@ def kameko_kernel_invariants(q: int, n: int, group: str = "gl") -> InvariantRepo
     """
     km = cohit.kameko_matrix(q, n)
     data = km.domain
-    kernel_vectors = km.kernel_coordinates()
+    kernel_vectors = km.kernel
     image_vectors = [
         [_combine(g_images, kv) for kv in kernel_vectors]
         for g_images in plus_one_images(q, n, group)

@@ -51,7 +51,7 @@ from math import comb
 from typing import Collection, Iterable
 
 from . import cohit
-from .f2linalg import EchelonForm, image_kernel, solve_modulo, support
+from .f2linalg import EchelonForm, echelonize, image_kernel, solve_modulo, support
 from .polyspace import DualElement, DualMonomial
 from .steenrod import binom_odd, sq_dual_all
 
@@ -427,7 +427,7 @@ def _differential_images(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
     images = (
         target.vector(differential(LambdaElement([w]))) for w in source.basis
     )
-    ech, kernel = image_kernel(images, target.dim)
+    ech, kernel = image_kernel(images)
     return ech, tuple(kernel)
 
 
@@ -446,10 +446,7 @@ def _homology_vectors(s: int, n: int) -> tuple[int, ...]:
     """Cycles independent modulo boundaries, as (length s, degree n) vectors."""
     if s == 0:
         return (1,) if n == 0 else ()  # the empty word
-    boundaries = _boundary_echelon(s, n)
-    ech = EchelonForm(_coords(s, n).dim)
-    for piv in sorted(boundaries.rows):
-        ech.add(boundaries.rows[piv])
+    ech = echelonize(_boundary_echelon(s, n).rows.values())
     return tuple(v for v in _cycle_vectors(s, n) if ech.add(v))
 
 
@@ -514,7 +511,6 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
         coords.vector(el),
         _homology_vectors(s, n),
         _boundary_echelon(s, n).rows.values(),
-        coords.dim,
     )
     if solution is None:
         raise RuntimeError("cycle escaped the homology decomposition")

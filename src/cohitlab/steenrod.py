@@ -281,7 +281,7 @@ class HitSpan:
         }
         self.columns: tuple[Monomial, ...] = tuple(cols)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(cols)}
-        self.echelon = EchelonForm(len(cols))
+        self.echelon = EchelonForm()
         self._build()
 
     def _build(self) -> None:
@@ -363,7 +363,7 @@ class HitSpan:
         return self.to_polynomial(self.echelon.normal_form(self.to_vector(f)))
 
     def admissible_positions(self) -> list[int]:
-        return [p for p in range(self.ncols) if p not in self.echelon.rows]
+        return self.echelon.free_columns(self.ncols)
 
     def admissible_monomials(self) -> list[Monomial]:
         """Basis monomials of the quotient, ascending in the monomial order."""
@@ -391,7 +391,7 @@ class HitSpan:
 
     def primitive_vectors(self) -> list[int]:
         """Kernel of the hit span: bit-vectors orthogonal to every hit row."""
-        return self.echelon.kernel_basis()
+        return self.echelon.kernel_basis(self.ncols)
 
 
 @cache

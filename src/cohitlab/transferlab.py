@@ -91,7 +91,7 @@ def verdict(q: int, n: int) -> TransferReport:
     data, rows = transfer_matrix(q, n)
     codomain = ext_dim(q, n)
     packed = [sum(1 << i for i, c in enumerate(row) if c) for row in rows]
-    rank = echelonize(packed, max(codomain, 1)).rank
+    rank = echelonize(packed).rank
     return TransferReport(
         q, n, data.dim, codomain, rank, rows, data.representatives()
     )
@@ -407,14 +407,14 @@ def _weight_invariant_ok(q, n, omega, monomials) -> bool:
 def _kameko_kernel_matches(q, n, monomials) -> bool:
     """The frozen class list spans the halving-map kernel."""
     km = cohit.kameko_matrix(q, n)
-    kernel = km.kernel_coordinates()
-    ech = echelonize(kernel, km.domain.dim)
+    kernel = km.kernel
+    ech = echelonize(kernel)
     frozen = [
         km.domain.coordinates(Polynomial(q, [m])) for m in monomials
     ]
     if len(frozen) != len(kernel):
         return False
-    ech2 = echelonize(frozen, km.domain.dim)
+    ech2 = echelonize(frozen)
     if ech2.rank != len(kernel) or ech.rank != len(kernel):
         return False
     return all(ech.contains(v) for v in frozen)

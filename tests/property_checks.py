@@ -56,7 +56,7 @@ def every_square_hit_rank(q: int, n: int) -> int:
         for t in range(1, n // 2 + 1)
         for g in enumerate_monomials(q, n - t)
     ]
-    return echelonize(rows, len(position)).rank
+    return echelonize(rows).rank
 
 
 def check_differential_squares_to_zero(max_length: int, max_degree: int) -> int:

@@ -400,6 +400,43 @@ def test_omega_is_keyed_only_where_it_is_read(sandbox, capsys):
     assert len(list((sandbox / "cache").glob("cli_weight_*.json"))) == 2
 
 
+def test_trailing_zeros_of_omega_share_one_key_and_one_answer(sandbox, capsys):
+    weight = ("weight", "--q", "4", "--n", "9")
+    _, short = run(capsys, *weight, "--omega", "3,1,1")
+    _, padded = run(capsys, *weight, "--omega", "3,1,1,0")
+    assert padded == short
+    assert json.loads(short)["omega"] == [3, 1, 1]
+    assert len(list((sandbox / "cache").glob("cli_weight_*.json"))) == 1
+    invariants = ("invariants", "--q", "4", "--n", "9")
+    _, short = run(capsys, *invariants, "--omega", "3,1,1")
+    _, padded = run(capsys, *invariants, "--omega", "3,1,1,0")
+    assert padded == short
+    assert len(list((sandbox / "cache").glob("cli_invariants_*.json"))) == 1
+    # the empty weight is a subquotient, not the whole table
+    code, data = run_json(capsys, *weight, "--omega", "0")
+    assert (code, data) == (0, {"basis": [], "dim": 0, "n": 9, "omega": [], "q": 4})
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(sandbox, capsys):
+    args = ("cohit", "--q", "2", "--n", "3")
+    _, fresh = run(capsys, *args, "--no-cache")
+    run(capsys, *args)
+    (entry,) = (sandbox / "cache").glob("cli_cohit_*.json")
+    entry.unlink()
+    entry.mkdir()  # a directory where the entry goes: every write fails
+    for _ in range(3):
+        assert run(capsys, *args) == (0, fresh)
+    assert not list((sandbox / "cache").glob("*.tmp"))
+
+
+def test_verify_rejects_jobs_below_one(sandbox, capsys):
+    for jobs in ("0", "-4"):
+        code = cli.main(["verify", "dlc1", "--jobs", jobs])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"cohitlab verify: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_column_budget_limits_computing_not_serving(sandbox, capsys, monkeypatch):
     args = ("cohit", "--q", "4", "--n", "9")
     code, cold = run(capsys, *args)

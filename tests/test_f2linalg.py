@@ -45,7 +45,7 @@ def naive_transpose(rows: list[int], ncols: int) -> list[int]:
 
 def naive_kernel(rows: list[int], ncols: int) -> list[int]:
     """Kernel of the rows by back-substitution over every pivot, in decreasing order."""
-    ech = echelonize(rows, ncols)
+    ech = echelonize(rows)
     out = []
     for f in range(ncols):
         if f in ech.rows:
@@ -68,24 +68,24 @@ def test_bit_helpers():
 
 @given(rows_strategy)
 def test_rank_matches_naive_elimination(rows):
-    assert echelonize(rows, 12).rank == naive_rank(rows, 12)
+    assert echelonize(rows).rank == naive_rank(rows, 12)
 
 
 @given(rows_strategy)
 def test_rank_nullity(rows):
-    ech = echelonize(rows, 12)
-    assert ech.rank + len(ech.kernel_basis()) == 12
+    ech = echelonize(rows)
+    assert ech.rank + len(ech.kernel_basis(12)) == 12
 
 
 @given(rows_strategy)
 def test_kernel_vectors_kill_every_row(rows):
-    for k in echelonize(rows, 12).kernel_basis():
+    for k in echelonize(rows).kernel_basis(12):
         assert all(dot(r, k) == 0 for r in rows)
 
 
 @given(rows_strategy, st.integers(0, (1 << 12) - 1))
 def test_normal_form_is_idempotent_and_span_invariant(rows, vec):
-    ech = echelonize(rows, 12)
+    ech = echelonize(rows)
     nf = ech.normal_form(vec)
     assert ech.normal_form(nf) == nf
     # subtracting any row keeps the normal form
@@ -95,7 +95,7 @@ def test_normal_form_is_idempotent_and_span_invariant(rows, vec):
 
 @given(rows_strategy)
 def test_row_membership(rows):
-    ech = echelonize(rows, 12)
+    ech = echelonize(rows)
     rng = random.Random(7)
     for _ in range(5):
         combo = 0
@@ -107,7 +107,7 @@ def test_row_membership(rows):
 
 
 def test_add_reports_rank_growth():
-    ech = EchelonForm(4)
+    ech = EchelonForm()
     assert ech.add(0b0011)
     assert ech.add(0b0101)
     assert not ech.add(0b0110)  # the sum of the first two
@@ -116,7 +116,7 @@ def test_add_reports_rank_growth():
 
 def test_tagged_reduction_tracks_the_combination():
     rows = [0b0011, 0b0101, 0b1001]
-    ech = EchelonForm(4)
+    ech = EchelonForm()
     for i, r in enumerate(rows):
         ech.add_tagged(r, 1 << i)
     target = rows[0] ^ rows[2]
@@ -133,9 +133,9 @@ def test_solve_modulo_small():
     modulus = [0b1000]
     # target = rows[0] + rows[1] + something in the modulus
     target = 0b0011 ^ 0b0110 ^ 0b1000
-    sol = solve_modulo(target, rows, modulus, 4)
+    sol = solve_modulo(target, rows, modulus)
     assert sol == (1, 1)
-    assert solve_modulo(0b0100 ^ 0b0011, [0b0011], [0b1000], 4) is None
+    assert solve_modulo(0b0100 ^ 0b0011, [0b0011], [0b1000]) is None
 
 
 @given(rows_strategy, rows_strategy, st.integers(0, (1 << 12) - 1))
@@ -150,13 +150,13 @@ def test_solve_modulo_reconstructs_target(rows, modulus, noise):
         if rng.getrandbits(1):
             mod_part ^= m
     target = combo ^ mod_part
-    sol = solve_modulo(target, rows, modulus, 12)
+    sol = solve_modulo(target, rows, modulus)
     assert sol is not None
     rebuilt = 0
     for i, c in enumerate(sol):
         if c:
             rebuilt ^= rows[i]
-    assert echelonize(modulus, 12).normal_form(rebuilt ^ target) == 0
+    assert echelonize(modulus).normal_form(rebuilt ^ target) == 0
 
 
 def test_bitmatrix_transpose_involution():
@@ -167,16 +167,16 @@ def test_bitmatrix_transpose_involution():
 
 @given(rows_strategy)
 def test_restricted_back_substitution_matches_the_full_one(rows):
-    assert echelonize(rows, 12).kernel_basis() == naive_kernel(rows, 12)
+    assert echelonize(rows).kernel_basis(12) == naive_kernel(rows, 12)
 
 
 @given(rows_strategy)
 def test_image_kernel_matches_the_transposed_kernel(images):
     # images[i] is the image of source vector i: the kernel of that map is
     # the kernel of the transposed matrix, whose rows are the target columns
-    ech, kernel = image_kernel(images, 12)
+    ech, kernel = image_kernel(images)
     assert kernel == naive_kernel(naive_transpose(images, 12), len(images))
-    assert ech.rows == echelonize(images, 12).rows
+    assert ech.rows == echelonize(images).rows
     for x in kernel:
         combo = 0
         for i in support(x):
@@ -186,6 +186,40 @@ def test_image_kernel_matches_the_transposed_kernel(images):
 
 def test_image_kernel_of_dependent_images():
     # image 2 = image 0 + image 1, image 3 = 0
-    ech, kernel = image_kernel([0b01, 0b10, 0b11, 0], 2)
+    ech, kernel = image_kernel([0b01, 0b10, 0b11, 0])
     assert ech.rank == 2
     assert kernel == [0b0111, 0b1000]
+
+
+def combination(vectors: list[int], tag: int) -> int:
+    """The sum of the vectors whose indices the tag's bits name."""
+    out = 0
+    for i in support(tag):
+        out ^= vectors[i]
+    return out
+
+
+@given(rows_strategy)
+def test_image_kernel_tags_name_the_images_each_row_sums(images):
+    ech, _ = image_kernel(images)
+    assert ech.tags.keys() == ech.rows.keys()
+    for p, row in ech.rows.items():
+        assert combination(images, ech.tags[p]) == row
+
+
+@given(rows_strategy)
+def test_add_tagged_tags_name_the_inputs_each_row_sums(rows):
+    ech = EchelonForm()
+    grew = [ech.add_tagged(r, 1 << i) for i, r in enumerate(rows)]
+    assert sum(grew) == ech.rank == naive_rank(rows, 12)
+    assert ech.tags.keys() == ech.rows.keys()
+    for p, row in ech.rows.items():
+        assert combination(rows, ech.tags[p]) == row
+
+
+@given(rows_strategy)
+def test_free_columns_are_the_complement_of_the_pivots(rows):
+    ech = echelonize(rows)
+    free = ech.free_columns(12)
+    assert free == sorted(set(range(12)) - set(ech.rows))
+    assert len(free) == 12 - ech.rank
