@@ -126,7 +126,7 @@ def _serve_cached(command: Command, args, cache_dir: Path | None):
     zeros, is written back to ``args.omega`` for the key and the handler.
     """
     _require(args, "q", "n")
-    args.omega = _parse_omega(args.omega) if args.omega else None
+    args.omega = None if args.omega is None else _parse_omega(args.omega)
     key = {name: getattr(args, name) for name in command.key}
     payload = cache_fetch(cache_dir, args.command, key)
     if payload is None:

@@ -328,7 +328,7 @@ class CoinvariantData:
     positions of the hit span, ascending: primitive k is the kernel vector
     of the hit echelon whose admissible support is position k alone, and it
     is dual to admissible monomial ``dim - 1 - k`` of Q_n, since
-    ``QuotientData.basis`` runs the other way.  The relation rows live in
+    ``HitSpan.basis`` runs the other way.  The relation rows live in
     that coordinate space: the row of (primitive v, generator g) is row v of
     the transposed matrix of g + 1 on Q_n (see the module docstring), read
     with that index map.  A class is the normal form of a primitive's

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product
-from math import comb, prod
 from operator import add, itemgetter
 from typing import Callable
 
@@ -38,8 +37,6 @@ from .polyspace import (
     enumerate_monomials,
     monomial_key,
     padded_weight,
-    weight_vector,
-    weight_vectors,
 )
 
 
@@ -242,8 +239,9 @@ class HitSpan:
     of weight strictly below the given weight vector (callers must ensure the
     dropped monomials are hit, e.g. by the minimal-spike criterion; rows are
     then projected onto the surviving columns, which presents the same
-    quotient).  ``dropped`` counts the dropped columns per weight, largest
-    weight first.
+    quotient).  ``basis`` lists the admissible (non-pivot) monomials,
+    ascending in the monomial order: the basis of Q_n that ``coordinates``
+    and ``from_coordinates`` read and write.
 
     The rows are the Sq^t(g), t = 2^i, projected onto the columns, and they
     are offered one orbit of the symmetric group Σ_q at a time.  Σ_q permutes
@@ -273,16 +271,14 @@ class HitSpan:
         )
         cols = live_monomials(q, n, 0, bound)
         cols.sort(key=monomial_key, reverse=True)  # column 0 is the most senior
-        # a weight w is carried by prod C(q, w_i) monomials
-        self.dropped: dict[WeightVector, int] = {
-            w: prod(comb(q, wi) for wi in w)
-            for w in reversed(weight_vectors(q, n))
-            if padded_weight(w, n) < bound
-        }
         self.columns: tuple[Monomial, ...] = tuple(cols)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(cols)}
         self.echelon = EchelonForm()
         self._build()
+        free = self.admissible_positions()
+        free.reverse()  # the least senior monomial first
+        self.basis: tuple[Monomial, ...] = tuple(cols[p] for p in free)
+        self._basis_index = {p: i for i, p in enumerate(free)}
 
     def _build(self) -> None:
         """Offer the rows one Σ_q orbit of (t, g) at a time; see the class."""
@@ -300,11 +296,13 @@ class HitSpan:
         reps.sort(key=lambda rep: rep[0] & -rep[0], reverse=True)
         perms = _permutations(self.q)
         for row, g, terms in reps:
-            if not self.echelon.reduce(row):
+            residual = self.echelon.reduce(row)
+            if not residual:
                 continue  # the whole orbit lies in the span already
-            members = {}  # one permutation per distinct permuted generator
-            for perm in perms:
-                members.setdefault(perm(g), perm)
+            self.echelon.add(residual)  # its pivot is free: one step
+            # one permutation per distinct permuted generator other than g
+            members = {perm(g): perm for perm in perms}
+            del members[g]
             for perm in members.values():
                 self.echelon.add(from_support(pos[perm(m)] for m in terms))
 
@@ -365,29 +363,17 @@ class HitSpan:
     def admissible_positions(self) -> list[int]:
         return self.echelon.free_columns(self.ncols)
 
-    def admissible_monomials(self) -> list[Monomial]:
-        """Basis monomials of the quotient, ascending in the monomial order."""
-        out = [self.columns[p] for p in self.admissible_positions()]
-        out.reverse()
-        return out
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
-    def weight_table(self) -> dict[WeightVector, tuple[int, int]]:
-        """Per weight vector: (number of columns, number of pivots).
+    def coordinates(self, f: Polynomial) -> int:
+        """Coefficient bit-vector of [f] over the admissible basis."""
+        nf = self.echelon.normal_form(self.to_vector(f))
+        return from_support(self._basis_index[p] for p in support(nf))
 
-        Dropped columns are hit, so each of their weights has as many pivots
-        as columns; those weights follow the live ones, largest first, as
-        in the unrestricted span.
-        """
-        table: dict[WeightVector, list[int]] = {}
-        for p, m in enumerate(self.columns):
-            w = weight_vector(m)
-            entry = table.setdefault(w, [0, 0])
-            entry[0] += 1
-            if p in self.echelon.rows:
-                entry[1] += 1
-        out = {w: (c, r) for w, (c, r) in table.items()}
-        out.update((w, (c, c)) for w, c in self.dropped.items())
-        return out
+    def from_coordinates(self, bits: int) -> Polynomial:
+        return Polynomial(self.q, [self.basis[i] for i in support(bits)])
 
     def primitive_vectors(self) -> list[int]:
         """Kernel of the hit span: bit-vectors orthogonal to every hit row."""

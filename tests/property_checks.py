@@ -117,7 +117,7 @@ def check_spike_criterion_against_brute_force(q: int, max_degree: int) -> int:
     for n in range(1, max_degree + 1):
         spike = minimal_spike(q, n)
         span = hit_span(q, n, None)
-        admissible = set(span.admissible_monomials())
+        admissible = set(span.basis)
         if spike is None:
             continue
         bound = padded_weight(weight_vector(spike), n)
@@ -139,8 +139,8 @@ def check_pruned_span_matches_unpruned(
 ) -> int:
     """The minimal-spike span presents the same quotient as the unpruned one.
 
-    Compares ``span_for`` with ``hit_span`` on admissible monomials, the
-    weight table (entries and their order), the primitive basis, and normal
+    Compares ``span_for`` with ``hit_span`` on admissible monomials (the
+    weight table is counted from them), the primitive basis, and normal
     forms of random polynomials, drawn both from all monomials and from the
     columns that survive the prune.  Returns the number of degrees where the
     prune dropped columns.
@@ -154,10 +154,7 @@ def check_pruned_span_matches_unpruned(
         pruned = span_for(q, n)
         full = hit_span(q, n, None)
         where = (q, n)
-        assert pruned.admissible_monomials() == full.admissible_monomials(), where
-        assert list(pruned.weight_table().items()) == list(
-            full.weight_table().items()
-        ), where
+        assert pruned.basis == full.basis, where
         assert [pruned.to_dual(v) for v in pruned.primitive_vectors()] == [
             full.to_dual(v) for v in full.primitive_vectors()
         ], where

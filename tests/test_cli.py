@@ -417,6 +417,18 @@ def test_trailing_zeros_of_omega_share_one_key_and_one_answer(sandbox, capsys):
     assert (code, data) == (0, {"basis": [], "dim": 0, "n": 9, "omega": [], "q": 4})
 
 
+def test_an_empty_omega_is_a_usage_error(sandbox, capsys):
+    for command in ("weight", "invariants"):
+        code = cli.main([command, "--q", "4", "--n", "9", "--omega", ""])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), command
+        assert err.startswith(f"cohitlab {command}: bad weight vector ''")
+    assert not (sandbox / "cache").exists()
+    # "0" still names the empty weight
+    code, data = run_json(capsys, "invariants", "--q", "4", "--n", "9", "--omega", "0")
+    assert (code, data["omega"], data["dim"]) == (0, [], 0)
+
+
 def test_a_failed_cache_write_leaves_no_temporary_file(sandbox, capsys):
     args = ("cohit", "--q", "2", "--n", "3")
     _, fresh = run(capsys, *args, "--no-cache")

@@ -76,6 +76,20 @@ def test_weight_table_totals():
         assert sum(table.values()) == cohit_dim(q, n)
 
 
+def test_weight_table_equals_the_pivot_census():
+    # the census over the unpruned span: per weight, in column order, its
+    # columns minus its pivots
+    for q in range(1, 5):
+        for n in range(1, 31):
+            span = hit_span(q, n, None)
+            census: dict = {}
+            for p, m in enumerate(span.columns):
+                w = weight_vector(m)
+                census[w] = census.get(w, 0) + (p not in span.echelon.rows)
+            got = weight_table(q, n)
+            assert list(got.items()) == list(census.items()), (q, n)
+
+
 def test_weight_dims_from_the_fixture():
     for (q, n), dims in refdata.WEIGHT_DIMS.items():
         got = {w: d for w, d in weight_table(q, n).items() if d}
