@@ -237,7 +237,7 @@ def cmd_coinvariants(args):
 
 def cmd_primitives(args):
     span = cohit.span_for(args.q, args.n)
-    vectors = span.primitive_vectors()
+    vectors = span.primitive_vectors()[::-1]  # listed most senior first
     return {
         "q": args.q,
         "n": args.n,

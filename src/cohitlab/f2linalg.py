@@ -2,9 +2,10 @@
 
 Vectors are stored as Python ints used as bitsets: bit p is the coordinate in
 column p, so an echelon form needs no width.  Echelon forms pivot on the
-*lowest* set bit, so column 0 has the highest elimination priority.  Callers
-that care about a particular column order (e.g. "largest monomial first")
-encode it by mapping their most-senior basis element to position 0.
+*highest* set bit, so the last column has the highest elimination priority:
+callers lay their columns out in ascending order of seniority, and a
+column's position is its rank in that order.  The pivot is read in O(1) as
+``v.bit_length() - 1``, and a stored row is only as wide as its pivot.
 
 Everything here is exact arithmetic; there is no floating point anywhere.
 """
@@ -42,7 +43,7 @@ class EchelonForm:
     """Incremental row echelon form over GF(2).
 
     Rows are reduced on insertion so that each stored row has a distinct
-    pivot — its lowest set bit — and support only at higher positions.
+    pivot — its highest set bit — and support only at lower positions.
     Supports membership tests, canonical normal forms modulo the row space,
     and optional coefficient tags that express each stored row as a
     combination of the rows fed in.
@@ -60,7 +61,7 @@ class EchelonForm:
         """Store a residual of :meth:`reduce` at its pivot; False if it is 0."""
         if not v:
             return False
-        p = (v & -v).bit_length() - 1
+        p = v.bit_length() - 1
         self.rows[p] = v
         if tag is not None:
             self.tags[p] = tag
@@ -85,7 +86,7 @@ class EchelonForm:
         v = vec
         rows = self.rows
         while v:
-            p = (v & -v).bit_length() - 1
+            p = v.bit_length() - 1
             row = rows.get(p)
             if row is None:
                 break
@@ -98,7 +99,7 @@ class EchelonForm:
         rows, tags = self.rows, self.tags
         tag = 0
         while v:
-            p = (v & -v).bit_length() - 1
+            p = v.bit_length() - 1
             row = rows.get(p)
             if row is None:
                 break
@@ -115,9 +116,9 @@ class EchelonForm:
         out = 0
         v = self.reduce(vec)
         while v:
-            low = v & -v  # a free column: keep it and reduce what is left
-            out |= low
-            v = self.reduce(v ^ low)
+            top = 1 << (v.bit_length() - 1)  # a free column: keep it, reduce the rest
+            out |= top
+            v = self.reduce(v ^ top)
         return out
 
     def contains(self, vec: int) -> bool:
@@ -126,16 +127,15 @@ class EchelonForm:
     def kernel_vector(self, f: int, pivots: Sequence[int] | None = None) -> int:
         """The kernel vector whose free-column support is exactly {f}.
 
-        Back-substitutes over the pivots below f in decreasing order, so the
-        rows never need to be mutually reduced: a row pivoted above f never
-        meets a vector supported up to f.  ``pivots`` is ``sorted(self.rows)``.
+        Back-substitutes over the pivots above f in increasing order, so the
+        rows never need to be mutually reduced: a row pivoted below f never
+        meets a vector supported from f up.  ``pivots`` is ``sorted(self.rows)``.
         """
         rows = self.rows
         if pivots is None:
             pivots = sorted(rows)
         x = 1 << f
-        for k in range(bisect_left(pivots, f) - 1, -1, -1):
-            p = pivots[k]
+        for p in pivots[bisect_left(pivots, f):]:
             if (rows[p] & x).bit_count() & 1:
                 x |= 1 << p
         return x
@@ -169,8 +169,8 @@ def image_kernel(images: Iterable[int]) -> tuple[EchelonForm, list[int]]:
     i.  A stored tag only ever combines sources whose image was inserted, so
     the kernel vector of a dependent source i meets no other dependent
     source: it is the unique kernel vector whose support on the dependent
-    sources is exactly {i}, the same basis that :meth:`EchelonForm.kernel_basis`
-    gives for the transposed map, in the same order.
+    sources is exactly {i}.  One per dependent source, in source order, these
+    vectors are a basis of the kernel; none of it depends on the pivot rule.
     """
     ech = EchelonForm()
     kernel = []

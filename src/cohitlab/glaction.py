@@ -9,8 +9,8 @@ Q_n in admissible coordinates (:func:`plus_one_images`).  Invariants are the
 joint kernel of these matrices.  Coinvariants are the primitives (duals
 killed by every positive square) modulo the span of theta + g(theta).  The
 primitives pair perfectly with Q_n, primitive k being dual to admissible
-monomial k counted from the top, and the adjoint action on divided powers
-satisfies ``<act_dual(transpose(g), theta), f> = <theta, substitute(g, f)>``.
+monomial k, and the adjoint action on divided powers satisfies
+``<act_dual(transpose(g), theta), f> = <theta, substitute(g, f)>``.
 So the relation row of (theta_v, transpose(g)) is row v of the transposed
 matrix of g + 1, and the transposed generators generate the same group:
 coinvariants of the primitives are dual to invariants of Q_n (Singer 1989;
@@ -327,14 +327,13 @@ class CoinvariantData:
     A primitive is determined by its coordinates at the admissible (non-pivot)
     positions of the hit span, ascending: primitive k is the kernel vector
     of the hit echelon whose admissible support is position k alone, and it
-    is dual to admissible monomial ``dim - 1 - k`` of Q_n, since
-    ``HitSpan.basis`` runs the other way.  The relation rows live in
-    that coordinate space: the row of (primitive v, generator g) is row v of
-    the transposed matrix of g + 1 on Q_n (see the module docstring), read
-    with that index map.  A class is the normal form of a primitive's
-    coordinates modulo the relation echelon, read off at the surviving free
-    positions.  Only the representatives' kernel vectors are built, never
-    the whole primitive basis.
+    is dual to ``HitSpan.basis[k]``.  The relation rows live in that
+    coordinate space: the row of (primitive v, generator g) is row v of the
+    transposed matrix of g + 1 on Q_n (see the module docstring).  A class
+    is the normal form of a primitive's coordinates modulo the relation
+    echelon, read off at the surviving free positions, most senior first.
+    Only the representatives' kernel vectors are built, never the whole
+    primitive basis.
     """
 
     def __init__(self, q: int, n: int, group: str = "gl"):
@@ -342,30 +341,27 @@ class CoinvariantData:
         self.n = n
         self.group = group
         self.span = span = cohit.span_for(q, n)
-        positions = span.admissible_positions()
-        self._index = {p: k for k, p in enumerate(positions)}
-        dim = self.primitive_dim = len(positions)
+        dim = self.primitive_dim = span.dim
         images = plus_one_images(q, n, group)
         rows = [[0] * len(images) for _ in range(dim)]
         for g, g_images in enumerate(images):
             for i, image in enumerate(g_images):
-                bit = 1 << (dim - 1 - i)
                 for j in support(image):
-                    rows[dim - 1 - j][g] |= bit
+                    rows[j][g] |= 1 << i
         self.relations = echelonize(r for v in rows for r in v)
-        self.free = self.relations.free_columns(dim)
+        # the classes are listed most senior first
+        self.free = self.relations.free_columns(dim)[::-1]
         self._quotient_index = {k: c for c, k in enumerate(self.free)}
         self.dim = len(self.free)
-        kernel_vector = span.echelon.kernel_vector
-        self._representatives = [kernel_vector(positions[k]) for k in self.free]
+        columns = (span.position[span.basis[k]] for k in self.free)
+        self._representatives = list(map(span.echelon.kernel_vector, columns))
 
     def _primitive_coordinates(self, theta: DualElement) -> int:
         """Coordinates over the primitive basis; theta must be primitive."""
         vec = self.span.dual_to_vector(theta)
         if any(dot(row, vec) for row in self.span.echelon.rows.values()):
             raise ValueError("element is not annihilated by all positive squares")
-        index = self._index
-        return from_support(index[p] for p in support(vec) if p in index)
+        return self.span.basis_bits(vec)
 
     def class_coordinates(self, theta: DualElement) -> int:
         """Bit-vector of [theta] over the coinvariant basis."""

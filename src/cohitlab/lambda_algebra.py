@@ -46,6 +46,7 @@ once at the end.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from math import comb
 from typing import Collection, Iterable
@@ -461,12 +462,21 @@ def ext_dim(s: int, n: int) -> int:
 
     Raises :class:`cohit.ResourceLimit` before any basis is built when the
     target of either map, (s, n) or (s + 1, n - 1), has more admissible
-    words than ``cohit.MAX_COLUMNS``.
+    words than ``cohit.MAX_COLUMNS``, or when its words are too long for the
+    interpreter's recursion limit.
     """
     if s == 0:
         return 1 if n == 0 else 0
     if n < 0:
         return 0
+    # d recurses once per letter, three levels deep (_d_admissible, its memo
+    # wrapper and _d_grouped), a few frames below the ones on the stack now
+    depth, frame = 3 * (s + 1) + 16, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    if depth > sys.getrecursionlimit():
+        raise cohit.ResourceLimit(f"words of length {s + 1} recurse deeper than "
+                                  f"the limit of {sys.getrecursionlimit()} frames")
     cap = cohit.MAX_COLUMNS
     for length, degree in ((s, n), (s + 1, n - 1)):
         # the words are compositions of degree, so most degrees need no count

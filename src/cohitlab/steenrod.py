@@ -12,12 +12,13 @@ monomial/divided-monomial pairing.
 
 A ``HitSpan`` is the echelonized subspace of degree-n polynomials of the form
 ``sum Sq^{2^i}(g_i)`` ("hit" elements); the ``Sq^{2^i}`` suffice because they
-generate the whole algebra of squares.  Columns are ordered with the largest
-monomial first (weight-then-exponent order), which makes the non-pivot
-columns a canonical basis of the quotient and respects the weight filtration
-block by block.  The span is built one orbit of the variable permutations
-at a time: Sq^t is computed on the orbit representatives only, and a
-representative already in the span stands for its whole orbit.
+generate the whole algebra of squares.  Columns ascend in the monomial order
+(weight-then-exponent), so the pivot of a row is its largest monomial; this
+makes the non-pivot columns a canonical basis of the quotient and respects
+the weight filtration block by block.  The span is built one orbit of the
+variable permutations at a time: Sq^t is computed on the orbit
+representatives only, and a representative already in the span stands for
+its whole orbit.
 """
 
 from __future__ import annotations
@@ -233,15 +234,16 @@ def is_annihilated(theta: DualElement) -> bool:
 class HitSpan:
     """Echelonized span of the hit elements in one degree.
 
-    ``columns`` lists the degree-n monomials in decreasing monomial order, so
+    ``columns`` lists the degree-n monomials in ascending monomial order, so
     pivots eliminate the largest monomial of each row and every stored row is
     "pivot + strictly smaller terms".  ``restrict_weight`` drops all columns
     of weight strictly below the given weight vector (callers must ensure the
     dropped monomials are hit, e.g. by the minimal-spike criterion; rows are
     then projected onto the surviving columns, which presents the same
-    quotient).  ``basis`` lists the admissible (non-pivot) monomials,
-    ascending in the monomial order: the basis of Q_n that ``coordinates``
-    and ``from_coordinates`` read and write.
+    quotient).  ``basis`` lists the admissible (non-pivot) monomials in
+    column order, so ascending in the monomial order: the basis of Q_n that
+    ``coordinates`` and ``from_coordinates`` read and write, and primitive
+    k of ``primitive_vectors`` is dual to ``basis[k]``.
 
     The rows are the Sq^t(g), t = 2^i, projected onto the columns, and they
     are offered one orbit of the symmetric group Σ_q at a time.  Σ_q permutes
@@ -270,13 +272,12 @@ class HitSpan:
             () if restrict_weight is None else padded_weight(restrict_weight, n)
         )
         cols = live_monomials(q, n, 0, bound)
-        cols.sort(key=monomial_key, reverse=True)  # column 0 is the most senior
+        cols.sort(key=monomial_key)
         self.columns: tuple[Monomial, ...] = tuple(cols)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(cols)}
         self.echelon = EchelonForm()
         self._build()
-        free = self.admissible_positions()
-        free.reverse()  # the least senior monomial first
+        free = self.echelon.free_columns(self.ncols)
         self.basis: tuple[Monomial, ...] = tuple(cols[p] for p in free)
         self._basis_index = {p: i for i, p in enumerate(free)}
 
@@ -293,7 +294,7 @@ class HitSpan:
                     reps.append((from_support(map(pos.__getitem__, terms)), g, terms))
             t <<= 1
         # Rows offered least senior pivot first stay short while reducing.
-        reps.sort(key=lambda rep: rep[0] & -rep[0], reverse=True)
+        reps.sort(key=lambda rep: rep[0].bit_length())
         perms = _permutations(self.q)
         for row, g, terms in reps:
             residual = self.echelon.reduce(row)
@@ -360,17 +361,18 @@ class HitSpan:
         """Canonical representative of [f]: supported on admissible monomials."""
         return self.to_polynomial(self.echelon.normal_form(self.to_vector(f)))
 
-    def admissible_positions(self) -> list[int]:
-        return self.echelon.free_columns(self.ncols)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coordinates(self, f: Polynomial) -> int:
         """Coefficient bit-vector of [f] over the admissible basis."""
-        nf = self.echelon.normal_form(self.to_vector(f))
-        return from_support(self._basis_index[p] for p in support(nf))
+        return self.basis_bits(self.echelon.normal_form(self.to_vector(f)))
+
+    def basis_bits(self, bits: int) -> int:
+        """A column vector's entries at the admissible positions, over ``basis``."""
+        index = self._basis_index
+        return from_support(index[p] for p in support(bits) if p in index)
 
     def from_coordinates(self, bits: int) -> Polynomial:
         return Polynomial(self.q, [self.basis[i] for i in support(bits)])

@@ -32,6 +32,7 @@ from .lambda_algebra import (
     psi,
 )
 from .polyspace import DualElement, Polynomial, pairing
+from .steenrod import is_annihilated
 
 
 @dataclass
@@ -374,8 +375,6 @@ def verify_all(
 
 
 def _annihilated(q: int, terms) -> bool:
-    from .steenrod import is_annihilated
-
     return is_annihilated(DualElement(q, terms))
 
 
@@ -394,27 +393,17 @@ def _weight_invariant_ok(q, n, omega, monomials) -> bool:
     report = glaction.invariants(q, n, "gl", omega=omega)
     if report.dim != 1:
         return False
-    data = cohit.quotient(q, n)
-    full = data.coordinates(Polynomial(q, monomials))
-    positions = {m: i for i, m in enumerate(data.basis)}
-    proj = 0
-    for k, m in enumerate(report.basis_monomials):
-        if (full >> positions[m]) & 1:
-            proj |= 1 << k
-    return proj == report.vectors[0]
+    # the class's normal form, on the admissible monomials of weight omega
+    nf = cohit.quotient(q, n).normal_form(Polynomial(q, monomials))
+    kept = set(report.basis_monomials) & nf.monomials
+    return Polynomial(q, kept) == report.representatives[0]
 
 
 def _kameko_kernel_matches(q, n, monomials) -> bool:
     """The frozen class list spans the halving-map kernel."""
     km = cohit.kameko_matrix(q, n)
-    kernel = km.kernel
-    ech = echelonize(kernel)
-    frozen = [
-        km.domain.coordinates(Polynomial(q, [m])) for m in monomials
-    ]
-    if len(frozen) != len(kernel):
-        return False
-    ech2 = echelonize(frozen)
-    if ech2.rank != len(kernel) or ech.rank != len(kernel):
+    ech = echelonize(km.kernel)
+    frozen = [km.domain.coordinates(Polynomial(q, [m])) for m in monomials]
+    if not len(frozen) == len(km.kernel) == ech.rank == echelonize(frozen).rank:
         return False
     return all(ech.contains(v) for v in frozen)

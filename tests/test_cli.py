@@ -175,6 +175,28 @@ def test_ext_budget_refuses_before_building_a_basis(sandbox, capsys, monkeypatch
     assert data["detail"].endswith("budget of 1000")
 
 
+def test_ext_refuses_words_too_long_to_recurse(sandbox, capsys, monkeypatch):
+    from cohitlab import lambda_algebra
+
+    def no_basis(s, n):
+        raise AssertionError("a basis was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lambda_algebra, "admissible_basis", no_basis)
+        for s, n in (("450", "3"), ("990", "2")):
+            code, data = run_json(capsys, "ext", "--q", s, "--n", n, "--no-cache")
+            assert code == 3
+            assert data["error"] == "resource-limit"
+            assert data["detail"].startswith(f"words of length {int(s) + 1} ")
+    # a fresh interpreter still answers at length 300
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    argv = ["ext", "--q", "300", "--n", "3", "--no-cache"]
+    proc = subprocess.run([sys.executable, "-m", "cohitlab.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=sandbox,
+                          timeout=120, check=True)
+    assert proc.stdout == '{"dim":0,"n":3,"s":300}\n'
+
+
 def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 

@@ -77,13 +77,13 @@ def test_weight_table_totals():
 
 
 def test_weight_table_equals_the_pivot_census():
-    # the census over the unpruned span: per weight, in column order, its
-    # columns minus its pivots
+    # the census over the unpruned span: per weight, reading the columns
+    # from the top, its columns minus its pivots
     for q in range(1, 5):
         for n in range(1, 31):
             span = hit_span(q, n, None)
             census: dict = {}
-            for p, m in enumerate(span.columns):
+            for p, m in reversed(list(enumerate(span.columns))):
                 w = weight_vector(m)
                 census[w] = census.get(w, 0) + (p not in span.echelon.rows)
             got = weight_table(q, n)

@@ -44,14 +44,14 @@ def naive_transpose(rows: list[int], ncols: int) -> list[int]:
 
 
 def naive_kernel(rows: list[int], ncols: int) -> list[int]:
-    """Kernel of the rows by back-substitution over every pivot, in decreasing order."""
+    """Kernel of the rows by back-substitution over every pivot, in increasing order."""
     ech = echelonize(rows)
     out = []
     for f in range(ncols):
         if f in ech.rows:
             continue
         x = 1 << f
-        for p in sorted(ech.rows, reverse=True):
+        for p in sorted(ech.rows):
             if (ech.rows[p] & x).bit_count() & 1:
                 x |= 1 << p
         out.append(x)
@@ -171,17 +171,28 @@ def test_restricted_back_substitution_matches_the_full_one(rows):
 
 
 @given(rows_strategy)
-def test_image_kernel_matches_the_transposed_kernel(images):
+def test_image_kernel_is_the_kernel_reduced_on_the_dependent_sources(images):
     # images[i] is the image of source vector i: the kernel of that map is
     # the kernel of the transposed matrix, whose rows are the target columns
     ech, kernel = image_kernel(images)
-    assert kernel == naive_kernel(naive_transpose(images, 12), len(images))
     assert ech.rows == echelonize(images).rows
     for x in kernel:
         combo = 0
         for i in support(x):
             combo ^= images[i]
         assert combo == 0
+    # the vectors span the whole kernel
+    reference = naive_kernel(naive_transpose(images, 12), len(images))
+    assert naive_rank(kernel, len(images)) == len(kernel) == len(reference)
+    assert all(echelonize(kernel).contains(x) for x in reference)
+    # vector j tops out at the j-th dependent source, and meets no other
+    dependent = [
+        i for i in range(len(images))
+        if naive_rank(images[: i + 1], 12) == naive_rank(images[:i], 12)
+    ]
+    assert [x.bit_length() - 1 for x in kernel] == dependent
+    for x, i in zip(kernel, dependent):
+        assert [j for j in dependent if x >> j & 1] == [i]
 
 
 def test_image_kernel_of_dependent_images():

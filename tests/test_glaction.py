@@ -139,7 +139,7 @@ def test_coinvariant_dims_match_invariant_dims():
 def divided_power_relations(q: int, n: int, group: str) -> EchelonForm:
     """Relation echelon built the divided-power way: act_dual on every primitive."""
     span = span_for(q, n)
-    index = {p: k for k, p in enumerate(span.admissible_positions())}
+    index = {span.position[m]: k for k, m in enumerate(span.basis)}
     gens = [transpose_images(g) for g in generator_images(q, group)]
     rows = []
     for v in span.primitive_vectors():
@@ -188,7 +188,7 @@ def test_class_coordinates_reject_non_primitives():
     # at a pruned degree: a term on a pivot column, and one on a dropped column
     data = CoinvariantData(4, 37, "gl")
     span = data.span
-    pivot = span.columns[min(span.echelon.rows)]
+    pivot = span.columns[max(span.echelon.rows)]
     dropped = next(m for m in enumerate_monomials(4, 37) if m not in span.position)
     for term in (pivot, dropped):
         with pytest.raises(ValueError, match="not annihilated by all positive squares"):

@@ -89,7 +89,7 @@ class _PerRowSpan(HitSpan):
                 if row:
                     self.rows.append(from_support(row))
             t <<= 1
-        for row in sorted(self.rows, key=lambda r: r & -r, reverse=True):
+        for row in sorted(self.rows, key=int.bit_length):
             self.echelon.add(row)
 
 
@@ -202,11 +202,11 @@ def test_hit_membership_one_variable():
         assert hit == (expected == 1)
 
 
-def test_hit_span_columns_are_sorted_largest_first():
+def test_hit_span_columns_ascend_in_the_monomial_order():
     span = HitSpan(2, 4)
     ascending = sorted(span.columns, key=monomial_key)
     positions = [span.position[m] for m in ascending]
-    assert positions == sorted(positions, reverse=True)
+    assert positions == list(range(span.ncols))
 
 
 def test_round_trips_through_span_coordinates():
@@ -240,9 +240,20 @@ def test_power_generators_span_the_full_hit_space():
 def test_primitive_basis_is_annihilated_and_spans_the_kernel():
     span = hit_span(2, 6, None)
     prims = [span.to_dual(v) for v in span.primitive_vectors()]
-    assert len(prims) == len(span.admissible_positions())
+    assert len(prims) == span.ncols - span.rank == span.dim
     for theta in prims:
         assert is_annihilated(theta)
+
+
+def test_primitive_k_is_dual_to_basis_monomial_k():
+    for q, n in ((2, 5), (3, 8), (4, 9), (4, 37)):
+        span = span_for(q, n)
+        prims = [span.to_dual(v) for v in span.primitive_vectors()]
+        assert len(prims) == span.dim
+        for k, theta in enumerate(prims):
+            pairs = [pairing(theta, Polynomial(q, [m])) for m in span.basis]
+            assert pairs == [int(i == k) for i in range(span.dim)], (q, n, k)
+    assert span.restrict_weight is not None  # (4, 37) drops columns
 
 
 def test_weight_restriction_presents_the_same_quotient():
