@@ -30,6 +30,23 @@ admissible word, reached through ``_times``.  ``adem_reduce`` groups words
 the same way, reduces the tails under each leading index together and
 multiplies them back by l_m.
 
+Inside this module a word is one int: ``WIDTH`` bits a letter, the leading
+letter lowest, each letter stored as its index + 1 so that l_0 and the empty
+word (``0``) stay distinct.  Prepending l_m to v is ``(v << WIDTH) | (m +
+1)``, the leading index of w is ``(w & MASK) - 1`` and its tail ``w >>
+WIDTH``.  ``_left`` keys on the packed inadmissible word l_a u itself.  The
+letters are capped at ``MAX_LETTER``: ``LambdaElement`` refuses a larger
+index with ValueError, and ``ext_dim``, ``psi`` and the coordinates refuse
+a degree whose words could hold one with :class:`cohit.ResourceLimit`.
+Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``,
+the JSON and ``admissible_basis``.
+
+An element records whether all its words are admissible.  The constructor
+checks the words it is given; the outputs of ``differential``,
+``adem_reduce`` and the coordinates are admissible by construction, and so
+is the sum of two such elements.  ``differential`` and ``adem_reduce``
+reduce only elements without the flag.
+
 The differential raises word length by one and lowers the internal degree
 (the index sum) by one; the homology of ``(length s, index sum n)`` computes
 the degree-(s, s+n) derived functors of GF(2) over the Steenrod algebra, so
@@ -58,6 +75,11 @@ from .steenrod import binom_odd, sq_dual_all
 
 Word = tuple[int, ...]
 
+WIDTH = 10  # bits a letter of a packed word
+MASK = (1 << WIDTH) - 1
+MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
+_EMPTY: frozenset[int] = frozenset()  # shared by the empty memo values
+
 # Generous guard for runaway rewriting: the most left products (``_left``
 # memo misses) one reduction or differential may compute; never reached in
 # supported degrees.
@@ -79,6 +101,21 @@ def is_admissible(word: Word) -> bool:
     return True
 
 
+def _pack(word: Word) -> int:
+    w = 0
+    for j in reversed(word):
+        w = (w << WIDTH) | (j + 1)
+    return w
+
+
+def _unpack(w: int) -> Word:
+    out = []
+    while w:
+        out.append((w & MASK) - 1)
+        w >>= WIDTH
+    return tuple(out)
+
+
 @cache
 def adem_pair(a: int, b: int) -> frozenset[Word]:
     """Admissible-direction expansion of one inadmissible pair l_a l_b."""
@@ -93,9 +130,9 @@ def adem_pair(a: int, b: int) -> frozenset[Word]:
 
 
 class LambdaElement:
-    """A homogeneous element, stored as a set of words (not necessarily admissible)."""
+    """A homogeneous element: a set of packed words, not necessarily admissible."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_words", "_admissible")
 
     def __init__(self, terms: Iterable[Word] = ()):
         ts = frozenset(tuple(w) for w in terms)
@@ -105,58 +142,67 @@ class LambdaElement:
         for w in ts:
             if any(j < 0 for j in w):
                 raise ValueError(f"negative index in word {w}")
-        self.terms = ts
+            if any(j > MAX_LETTER for j in w):
+                raise ValueError(f"index above {MAX_LETTER} in word {w}")
+        self._words = frozenset(map(_pack, ts))
+        self._admissible = all(map(is_admissible, ts))
 
     @classmethod
-    def _trusted(cls, terms: frozenset[Word]) -> "LambdaElement":
-        """An element over a homogeneous term set the engine built: no checks."""
+    def _trusted(cls, words: frozenset[int], admissible: bool) -> "LambdaElement":
+        """An element over homogeneous packed words the engine built: no checks."""
         el = object.__new__(cls)
-        el.terms = terms
+        el._words = words
+        el._admissible = admissible
         return el
 
     @property
+    def terms(self) -> frozenset[Word]:
+        return frozenset(map(_unpack, self._words))
+
+    @property
     def length(self) -> int | None:
-        for w in self.terms:
-            return len(w)
+        for w in self._words:
+            return -(-w.bit_length() // WIDTH)
         return None
 
     @property
     def internal_degree(self) -> int | None:
-        for w in self.terms:
-            return sum(w)
+        for w in self._words:
+            return sum(_unpack(w))
         return None
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._words
 
     def __xor__(self, other: "LambdaElement") -> "LambdaElement":
-        if not self.terms:
+        if not self._words:
             return other
-        if not other.terms:
+        if not other._words:
             return self
         if (self.length, self.internal_degree) != (
             other.length,
             other.internal_degree,
         ):
             raise ValueError("cannot add inhomogeneous elements")
-        return LambdaElement._trusted(self.terms ^ other.terms)
+        return LambdaElement._trusted(self._words ^ other._words,
+                                      self._admissible and other._admissible)
 
     __add__ = __xor__
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LambdaElement) and self.terms == other.terms
+        return isinstance(other, LambdaElement) and self._words == other._words
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash(self._words)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._words)
 
     def sorted_words(self) -> list[Word]:
-        return sorted(self.terms)
+        return sorted(map(_unpack, self._words))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._words:
             return "0"
         return " + ".join(
             "*".join(f"l{j}" for j in w) if w else "1" for w in self.sorted_words()
@@ -178,26 +224,26 @@ def from_words(*words: Iterable[int]) -> LambdaElement:
     return LambdaElement(tuple(w) for w in words)
 
 
-def _by_leading(words: Iterable[Word]) -> dict[int, set[Word]]:
-    """The tails of the nonempty words, summed under their leading index."""
-    groups: dict[int, set[Word]] = {}
+def _by_leading(words: Iterable[int]) -> dict[int, set[int]]:
+    """The tails of the nonempty packed words, summed under their leading index."""
+    groups: dict[int, set[int]] = {}
     for w in words:
         if w:
-            us = groups.setdefault(w[0], set())
-            u = w[1:]
+            us = groups.setdefault((w & MASK) - 1, set())
+            u = w >> WIDTH
             us.remove(u) if u in us else us.add(u)
     return groups
 
 
-def _reduce(words: Collection[Word]) -> set[Word]:
-    """Admissible form of a sum of words of one length.
+def _reduce(words: Collection[int]) -> set[int]:
+    """Admissible form of a sum of packed words of one length.
 
     The tails under each leading index m are reduced together, then
     multiplied by l_m once.
     """
-    if () in words:
-        return {()}
-    acc: set[Word] = set()
+    if 0 in words:  # the empty word
+        return {0}
+    acc: set[int] = set()
     for m, us in _by_leading(words).items():
         _times(m, _reduce(us), acc)
     return acc
@@ -211,33 +257,36 @@ def adem_reduce(el: LambdaElement) -> LambdaElement:
     and cost nothing.
     """
     global _rewrite_count
+    if el._admissible:
+        return el
     _rewrite_count = 0
-    return LambdaElement._trusted(frozenset(_reduce(el.terms)))
+    return LambdaElement._trusted(frozenset(_reduce(el._words)), True)
 
 
 @cache
-def _d_generator(m: int) -> frozenset[Word]:
+def _d_generator(m: int) -> frozenset[int]:
+    """d(l_m) as packed pairs (j - 1, m - j)."""
     out = set()
     for j in range(1, m + 1):
         if binom_odd(m - j, j):
-            out.add((j - 1, m - j))
+            out.add(((m - j + 1) << WIDTH) | j)
     return frozenset(out)
 
 
-def _times(m: int, words: Iterable[Word], acc: set[Word]) -> set[Word]:
-    """Add l_m v to acc for each admissible word v, in admissible form."""
+def _times(m: int, words: Iterable[int], acc: set[int]) -> set[int]:
+    """Add l_m v to acc for each packed admissible word v, in admissible form."""
     for v in words:
-        if not v or m <= 2 * v[0]:
-            t = (m,) + v
+        t = (v << WIDTH) | (m + 1)
+        if not v or m <= 2 * ((v & MASK) - 1):
             acc.remove(t) if t in acc else acc.add(t)
         else:
-            acc ^= _left(m, v)
+            acc ^= _left(t)
     return acc
 
 
 @cache
-def _left(a: int, u: Word) -> frozenset[Word]:
-    """l_a times the admissible word u, for a > 2 u[0], in admissible form.
+def _left(w: int) -> frozenset[int]:
+    """The packed word l_a u, with u admissible and a > 2 u_1, in admissible form.
 
     The only place an inadmissible pair is rewritten; each product computed
     (a memo miss) counts against ``MAX_REWRITES``.
@@ -246,30 +295,32 @@ def _left(a: int, u: Word) -> frozenset[Word]:
     _rewrite_count += 1
     if _rewrite_count > MAX_REWRITES:
         raise RewriteBudget(f"more than {MAX_REWRITES} left products")
-    rest = u[1:]
-    acc: set[Word] = set()
-    for p, q in adem_pair(a, u[0]):
-        if not rest or q <= 2 * rest[0]:
-            tails: Iterable[Word] = ((q,) + rest,)
+    u = w >> WIDTH
+    rest = u >> WIDTH
+    acc: set[int] = set()
+    for p, q in adem_pair((w & MASK) - 1, (u & MASK) - 1):
+        t = (rest << WIDTH) | (q + 1)
+        if not rest or q <= 2 * ((rest & MASK) - 1):
+            _times(p, (t,), acc)
         else:
-            tails = _left(q, rest)
-        _times(p, tails, acc)
-    return frozenset(acc)
+            _times(p, _left(t), acc)
+    return frozenset(acc) if acc else _EMPTY
 
 
-def _d_grouped(tails: dict[int, Iterable[Word]]) -> set[Word]:
-    """d of the sum of l_m u over m and the admissible tails u listed under m.
+def _d_grouped(tails: dict[int, Iterable[int]]) -> set[int]:
+    """d of the sum of l_m u over m and the packed admissible tails u under m.
 
     Each l_m u is admissible.  The tails of one leading index share one left
     product: their D(u) are summed first, so terms cancel before ``_left``.
     """
-    acc: set[Word] = set()
+    acc: set[int] = set()
     for m, us in tails.items():
         d_m = _d_generator(m)
-        below: set[Word] = set()  # sum of D(u) over the tails u
+        below: set[int] = set()  # sum of D(u) over the tails u
         for u in us:
+            shifted = u << 2 * WIDTH
             for pair in d_m:  # admissible as it stands
-                t = pair + u
+                t = pair | shifted
                 acc.remove(t) if t in acc else acc.add(t)
             if u:
                 below ^= _d_admissible(u)
@@ -278,21 +329,22 @@ def _d_grouped(tails: dict[int, Iterable[Word]]) -> set[Word]:
 
 
 @cache
-def _d_admissible(u: Word) -> frozenset[Word]:
-    """d of a nonempty admissible tail, in admissible form."""
-    return frozenset(_d_grouped({u[0]: (u[1:],)}))
+def _d_admissible(u: int) -> frozenset[int]:
+    """d of a nonempty packed admissible tail, in admissible form."""
+    d = _d_grouped({(u & MASK) - 1: (u >> WIDTH,)})
+    return frozenset(d) if d else _EMPTY
 
 
 def differential(el: LambdaElement) -> LambdaElement:
-    """d in admissible form; inadmissible input words are reduced first.
+    """d in admissible form; an element without the admissible flag is reduced first.
 
     Only tails are memoized: a word of the input is differentiated once.
     Shares :func:`adem_reduce`'s per-call budget of ``MAX_REWRITES``.
     """
     global _rewrite_count
     _rewrite_count = 0
-    words = el.terms if all(map(is_admissible, el.terms)) else _reduce(el.terms)
-    return LambdaElement._trusted(frozenset(_d_grouped(_by_leading(words))))
+    words = el._words if el._admissible else _reduce(el._words)
+    return LambdaElement._trusted(frozenset(_d_grouped(_by_leading(words))), True)
 
 
 def is_cycle(el: LambdaElement) -> bool:
@@ -384,35 +436,39 @@ def admissible_count(s: int, n: int, cap: int) -> int:
     return count
 
 
+def _check_letters(length: int, degree: int) -> None:
+    """Refuse words of this shape when one may hold a letter above MAX_LETTER."""
+    if length > 0 and degree > MAX_LETTER:
+        raise cohit.ResourceLimit(f"words of degree {degree} may hold letters "
+                                  f"above the cap of {MAX_LETTER}")
+
+
 class _Coordinates:
-    """Bit coordinates over the admissible basis of one (length, degree)."""
+    """Bit coordinates over the packed admissible basis of one (length, degree)."""
 
     def __init__(self, s: int, n: int):
+        _check_letters(s, n)
         self.s, self.n = s, n
-        self.basis = admissible_basis(s, n)
-        self.index = {w: i for i, w in enumerate(self.basis)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+        self.words = tuple(map(_pack, admissible_basis(s, n)))
+        self.index = {w: i for i, w in enumerate(self.words)}
 
     def vector(self, el: LambdaElement) -> int:
         """Coordinates of an element already in admissible form."""
         index = self.index
         v = 0
-        for w in el.terms:
+        for w in el._words:
             i = index.get(w)
             if i is None:
                 raise ValueError(
-                    f"word {w} is not an admissible word of length {self.s} "
-                    f"and degree {self.n}"
+                    f"word {_unpack(w)} is not an admissible word of length "
+                    f"{self.s} and degree {self.n}"
                 )
             v ^= 1 << i
         return v
 
     def element(self, bits: int) -> LambdaElement:
-        terms = frozenset(self.basis[p] for p in support(bits))
-        return LambdaElement._trusted(terms)
+        words = frozenset(self.words[p] for p in support(bits))
+        return LambdaElement._trusted(words, True)
 
 
 @cache
@@ -426,7 +482,8 @@ def _differential_images(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
     source = _coords(s, n)
     target = _coords(s + 1, n - 1)
     images = (
-        target.vector(differential(LambdaElement([w]))) for w in source.basis
+        target.vector(differential(LambdaElement._trusted(frozenset((w,)), True)))
+        for w in source.words
     )
     ech, kernel = image_kernel(images)
     return ech, tuple(kernel)
@@ -462,13 +519,17 @@ def ext_dim(s: int, n: int) -> int:
 
     Raises :class:`cohit.ResourceLimit` before any basis is built when the
     target of either map, (s, n) or (s + 1, n - 1), has more admissible
-    words than ``cohit.MAX_COLUMNS``, or when its words are too long for the
-    interpreter's recursion limit.
+    words than ``cohit.MAX_COLUMNS``, when its words are too long for the
+    interpreter's recursion limit, or when a word of either map may hold a
+    letter above ``MAX_LETTER``: the source of the map into (s, n) has
+    degree n + 1.
     """
     if s == 0:
         return 1 if n == 0 else 0
     if n < 0:
         return 0
+    _check_letters(s - 1, n + 1)
+    _check_letters(s, n)
     # d recurses once per letter, three levels deep (_d_admissible, its memo
     # wrapper and _d_grouped), a few frames below the ones on the stack now
     depth, frame = 3 * (s + 1) + 16, sys._getframe()
@@ -530,32 +591,37 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
 # -- the divided-power to lambda transfer map -----------------------------------
 
 
-def _psi_words(q: int, terms: Iterable[DualMonomial]) -> set[Word]:
-    """psi of a sum of dual monomials in q variables, before Adem reduction.
+def _psi_words(q: int, terms: Iterable[DualMonomial]) -> set[int]:
+    """psi of a sum of dual monomials in q variables as packed words, unreduced.
 
     The sum is pushed down one variable: its image is the sum over k of
     l_k psi(bucket k), where bucket k sums (rest) Sq^(k - j_1) over the terms
     (j_1, rest).  Terms cancel inside each bucket before any word is built.
     """
     if q <= 1:
-        return set(terms)  # psi(a^(j)) = l_j
+        return {j + 1 for (j,) in terms}  # psi(a^(j)) = l_j
     buckets: dict[int, set[DualMonomial]] = {}
     for term in terms:
         j1 = term[0]
         for t, sub in sq_dual_all(term[1:]):
             bucket = buckets.setdefault(j1 + t, set())
             bucket.remove(sub) if sub in bucket else bucket.add(sub)
-    words: set[Word] = set()
+    words: set[int] = set()
     for k, bucket in buckets.items():
         if bucket:
-            words.update((k,) + w for w in _psi_words(q - 1, bucket))
+            words.update((w << WIDTH) | (k + 1) for w in _psi_words(q - 1, bucket))
     return words
 
 
 def psi(theta: DualElement) -> LambdaElement:
-    """The chain-level transfer on divided powers, in admissible form."""
+    """The chain-level transfer on divided powers, in admissible form.
+
+    Raises :class:`cohit.ResourceLimit` when theta's degree is above
+    ``MAX_LETTER``.
+    """
+    _check_letters(theta.q, theta.degree or 0)
     words = _psi_words(theta.q, theta.terms)
-    return adem_reduce(LambdaElement._trusted(frozenset(words)))
+    return adem_reduce(LambdaElement._trusted(frozenset(words), False))
 
 
 def clear_caches() -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import cohit, glaction, refdata
 from .f2linalg import echelonize
-from .glaction import CoinvariantData, coinvariant_data
+from .glaction import coinvariant_data
 from .lambda_algebra import (
     LambdaElement,
     adem_reduce,
@@ -74,28 +74,25 @@ class TransferReport:
         }
 
 
-def transfer_matrix(q: int, n: int) -> tuple[CoinvariantData, list[tuple[int, ...]]]:
-    """Coinvariant data and the homology coordinates of each representative.
+def transfer_matrix(q: int, n: int) -> tuple[list[DualElement], list[tuple[int, ...]]]:
+    """The coinvariant representatives and the homology coordinates of each.
 
     ``homology_coordinates`` raises ValueError if a representative's chain
     image is not a cycle: dual classes killed by all positive squares always
     map to cycles, so a non-cycle is an engine bug, not a property of the
     input.
     """
-    data = coinvariant_data(q, n, "gl")
-    rows = [homology_coordinates(psi(rep), q, n) for rep in data.representatives()]
-    return data, rows
+    reps = coinvariant_data(q, n, "gl").representatives()
+    return reps, [homology_coordinates(psi(rep), q, n) for rep in reps]
 
 
 def verdict(q: int, n: int) -> TransferReport:
     """Transfer verdict at one bidegree."""
-    data, rows = transfer_matrix(q, n)
+    reps, rows = transfer_matrix(q, n)
     codomain = ext_dim(q, n)
     packed = [sum(1 << i for i, c in enumerate(row) if c) for row in rows]
     rank = echelonize(packed).rank
-    return TransferReport(
-        q, n, data.dim, codomain, rank, rows, data.representatives()
-    )
+    return TransferReport(q, n, len(reps), codomain, rank, rows, reps)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,38 @@ def test_ext_refuses_words_too_long_to_recurse(sandbox, capsys, monkeypatch):
     assert proc.stdout == '{"dim":0,"n":3,"s":300}\n'
 
 
+def test_ext_and_psi_refuse_letters_above_the_cap(sandbox, capsys, monkeypatch,
+                                                  tmp_path):
+    from cohitlab import lambda_algebra
+
+    def no_basis(*args):
+        raise AssertionError("a basis or a word was built")
+
+    assert lambda_algebra.MAX_LETTER == 1022
+    with monkeypatch.context() as patch:
+        patch.setattr(lambda_algebra, "admissible_basis", no_basis)
+        patch.setattr(lambda_algebra, "_psi_words", no_basis)
+        # ext at (2, 1022) needs the words of (1, 1023), the source of the
+        # map into (2, 1022)
+        for s, n in (("1", "1023"), ("2", "1022"), ("4", "5000")):
+            code, data = run_json(capsys, "ext", "--q", s, "--n", n, "--no-cache")
+            assert code == 3
+            assert data["error"] == "resource-limit"
+            assert data["detail"].endswith("above the cap of 1022")
+        dual = tmp_path / "dual.json"
+        dual.write_text(json.dumps({"q": 1, "terms": [[1023]]}))
+        code, data = run_json(capsys, "psi", "--file", str(dual), "--no-cache")
+        assert code == 3
+        assert data["error"] == "resource-limit"
+    code, data = run_json(capsys, "ext", "--q", "1", "--n", "1022", "--no-cache")
+    assert code == 0
+    assert data == {"dim": 0, "n": 1022, "s": 1}
+    dual.write_text(json.dumps({"q": 1, "terms": [[1022]]}))
+    code, data = run_json(capsys, "psi", "--file", str(dual), "--no-cache")
+    assert code == 0
+    assert data["words"] == [[1022]]
+
+
 def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 

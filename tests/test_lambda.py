@@ -289,7 +289,8 @@ def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
             for u in admissible_basis(s, n):
                 for a in range(2 * u[0] + 1, 2 * u[0] + 9):
                     want = reference_reduce({(a,) + u})
-                    assert lambda_algebra._left(a, u) == want, (a, u)
+                    got = lambda_algebra._left(lambda_algebra._pack((a,) + u))
+                    assert set(map(lambda_algebra._unpack, got)) == want, (a, u)
 
 
 def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):
@@ -491,6 +492,40 @@ def test_negative_indices_are_rejected():
         from_words((2, 1), (4, -1))
     with pytest.raises(ValueError, match="negative index"):
         LambdaElement.from_json({"terms": [[-1]]})
+
+
+def test_packed_words_round_trip():
+    top = lambda_algebra.MAX_LETTER
+    long_word = tuple(range(300))
+    words = [(), (0,), (0, 0, 0), (top,), (top, 0, top), long_word]
+    packed = [lambda_algebra._pack(w) for w in words]
+    assert len(set(packed)) == len(words)  # l_0 and the empty word differ
+    assert [lambda_algebra._unpack(w) for w in packed] == words
+    assert LambdaElement([long_word]).terms == {long_word}
+    assert LambdaElement([(top,)]).sorted_words() == [(top,)]
+
+
+def test_letters_above_the_cap_are_rejected():
+    with pytest.raises(ValueError, match="index above 1022"):
+        LambdaElement([(1023,)])
+    with pytest.raises(ValueError, match="index above 1022"):
+        from_words((0, 2000))
+    # the CLI test covers ext and psi; homology_coordinates reaches these too
+    with pytest.raises(lambda_algebra.cohit.ResourceLimit):
+        lambda_algebra._coords(2, 1023)
+
+
+def test_sums_with_inadmissible_user_words_are_still_reduced(fresh_lambda_caches):
+    built = lambda_algebra._coords(2, 6).element(0b100)  # admissible by construction
+    assert built == from_words((2, 4))
+    user = from_words((5, 1))  # l5 l1 = l3 l3
+    for el in (built ^ user, user ^ built):
+        words = {(2, 4), (5, 1)}
+        assert adem_reduce(el).terms == reference_reduce(words) == {(2, 4), (3, 3)}
+        want = reference_reduce(reference_derivation((2, 4))
+                                ^ reference_derivation((5, 1)))
+        assert differential(el).terms == want
+    assert differential(user) == differential(from_words((3, 3)))
 
 
 def test_coordinates_reject_words_outside_the_admissible_basis():

@@ -58,8 +58,8 @@ def test_rank_three_degree_eight():
 
 
 def test_transfer_matrix_rows_are_homology_coordinates():
-    data, rows = transfer_matrix(4, 9)
-    assert data.dim == len(rows) == 1
+    reps, rows = transfer_matrix(4, 9)
+    assert len(reps) == len(rows) == 1
     assert rows[0] == (1,)
 
 
