@@ -411,6 +411,7 @@ def emit(payload: dict, out: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=int, help="number of variables (or word length)")

@@ -94,7 +94,7 @@ def monomial_key(mono: Monomial) -> tuple[tuple[int, ...], Monomial]:
 def enumerate_monomials(q: int, n: int) -> list[Monomial]:
     """All degree-n monomials in q variables, exponent-lex ascending.
 
-    Sort with :func:`monomial_key` for the monomial order.
+    ``steenrod.live_monomials(q, n, 0, ())`` lists them in the monomial order.
     """
     check_rank(q)
     if n < 0:

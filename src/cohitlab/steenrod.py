@@ -15,17 +15,18 @@ A ``HitSpan`` is the echelonized subspace of degree-n polynomials of the form
 generate the whole algebra of squares.  Columns ascend in the monomial order
 (weight-then-exponent), so the pivot of a row is its largest monomial; this
 makes the non-pivot columns a canonical basis of the quotient and respects
-the weight filtration block by block.  The span is built one orbit of the
-variable permutations at a time: Sq^t is computed on the orbit
-representatives only, and a representative already in the span stands for
-its whole orbit.
+the weight filtration block by block.  Columns and row generators are built
+one weight vector at a time, in that order (see :func:`live_monomials`).
+The span is built one orbit of the variable permutations at a time: Sq^t is
+computed on the orbit representatives only, and a representative already in
+the span stands for its whole orbit.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable
 
 from .f2linalg import EchelonForm, from_support, support
@@ -35,9 +36,8 @@ from .polyspace import (
     Polynomial,
     WeightVector,
     check_rank,
-    enumerate_monomials,
-    monomial_key,
     padded_weight,
+    weight_vectors,
 )
 
 
@@ -81,26 +81,39 @@ def live_monomials(
 ) -> list[Monomial]:
     """Degree-m monomials g that Sq^t may carry to padded weight >= bound.
 
-    Exponent-lex ascending, like ``enumerate_monomials(q, m)``;
-    with t = 0 these are the monomials of padded weight at least bound, and
-    with ``bound = ()`` all of them.  A monomial is left out only when every
-    term of Sq^t(g) has padded weight below bound.  Built bit plane by bit
-    plane from the low end: g = low + 2h with c odd exponents.  A term g + d
-    is odd exactly where g is odd and d even, and the number of odd d_i has
-    the parity of t, so the first weight of a term is at most
-    top = c - (t mod 2).  Above bound[0] every h is kept, below it none; on
-    a tie with t odd every h is kept, and with t even a term reaching it has
-    every d_i even, so its half is a term of Sq^(t/2)(h) that must reach
-    bound[1:].
-
-    The set is closed under permuting the exponents (the test depends on
-    counts of odd exponents only).  With ``descending`` only its orbit
-    representatives are built, the g with non-increasing exponents.
+    In the monomial order (weight, then exponent-lex); with t = 0 these are
+    the monomials of padded weight at least bound, and with ``bound = ()``
+    all of them.  A monomial is left out only when every term of Sq^t(g)
+    has padded weight below bound, which depends only on its weight vector
+    (:func:`_reaches`), so the live weights are taken in ascending order and
+    each is expanded into its monomials.  The set is closed under permuting
+    the exponents; with ``descending`` only its orbit representatives are
+    built, the g with non-increasing exponents.
     """
-    out: list[Monomial] = []
-    _live(q, m, t, bound, (0,) * q, 0, descending, out)
-    out.sort()
-    return out
+    return [
+        g
+        for w in weight_vectors(q, m)
+        if _reaches(w, t, bound)
+        for g in _weight_monomials(q, w, descending)
+    ]
+
+
+def _reaches(w: WeightVector, t: int, bound: tuple[int, ...]) -> bool:
+    """Whether Sq^t may carry a monomial of weight w to padded weight >= bound.
+
+    A term g + d of Sq^t(g) is odd exactly where g is odd and d even, and
+    the number of odd d_i has the parity of t, so the first weight of a term
+    is at most top = w_0 - (t mod 2).  Above bound[0] the term may reach,
+    below it none does; on a tie with t odd one may, and with t even a term
+    reaching it has every d_i even, so its half is a term of Sq^(t/2) on the
+    half of g, of weight w[1:], that must reach bound[1:].
+    """
+    for i, b in enumerate(bound):
+        top = (w[i] if i < len(w) else 0) - (t & 1)
+        if top != b or t & 1:
+            return top >= b
+        t >>= 1
+    return True
 
 
 def _is_descending(g: Monomial) -> bool:
@@ -108,46 +121,29 @@ def _is_descending(g: Monomial) -> bool:
 
 
 @cache
-def _descending_monomials(q: int, m: int) -> tuple[Monomial, ...]:
-    return tuple(filter(_is_descending, enumerate_monomials(q, m)))
+def _plane_bits(q: int, c: int) -> tuple[Monomial, ...]:
+    """The 0/1 exponent tuples of length q with c ones."""
+    return tuple(low for low in product((0, 1), repeat=q) if sum(low) == c)
 
 
-@cache
-def _bit_planes(q: int, shift: int) -> tuple[tuple[int, Monomial], ...]:
-    """(c, low << shift) for each 0/1 exponent tuple low with c ones, c ascending."""
-    lows = sorted((sum(low), low) for low in product((0, 1), repeat=q))
-    return tuple((c, tuple(e << shift for e in low)) for c, low in lows)
+def _weight_monomials(q: int, w: WeightVector, descending: bool) -> list[Monomial]:
+    """The monomials of weight vector w, exponent-lex ascending.
 
-
-def _live(
-    q: int,
-    m: int,
-    t: int,
-    bound: tuple[int, ...],
-    base: Monomial,
-    shift: int,
-    descending: bool,
-    out: list[Monomial],
-) -> None:
-    """Append base + (h << shift) for each live h of degree m."""
-    if not bound:
-        if m == 0:
-            gs = (base,)
-        else:
-            # base < 1 << shift, so base + (h << shift) descends only if h does
-            hs = (_descending_monomials if descending else enumerate_monomials)(q, m)
-            gs = (tuple(b + (e << shift) for b, e in zip(base, h)) for h in hs)
-        out.extend(filter(_is_descending, gs) if descending else gs)
-        return
-    for c, low in _bit_planes(q, shift):
-        if c > m:
-            break
-        top = c - (t & 1)
-        if (m - c) & 1 or top < bound[0]:
-            continue
-        rest = bound[1:] if top == bound[0] and not t & 1 else ()
-        low_base = tuple(map(add, base, low))
-        _live(q, (m - c) >> 1, t >> 1, rest, low_base, shift + 1, descending, out)
+    Bit plane i picks which w_i exponents have bit i set, from the top plane
+    down.  Exponents compare from their top bit, so with ``descending`` a
+    prefix whose exponents already increase somewhere is dropped.
+    """
+    gs: list[Monomial] = [(0,) * q]
+    for c in reversed(w):
+        gs = [
+            tuple([(e << 1) | b for e, b in zip(g, low)])
+            for g in gs
+            for low in _plane_bits(q, c)
+        ]
+        if descending:
+            gs = list(filter(_is_descending, gs))
+    gs.sort()
+    return gs
 
 
 @cache
@@ -272,7 +268,6 @@ class HitSpan:
             () if restrict_weight is None else padded_weight(restrict_weight, n)
         )
         cols = live_monomials(q, n, 0, bound)
-        cols.sort(key=monomial_key)
         self.columns: tuple[Monomial, ...] = tuple(cols)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(cols)}
         self.echelon = EchelonForm()
@@ -288,6 +283,7 @@ class HitSpan:
         t = 1
         while 2 * t <= self.n:  # Sq^t vanishes below degree t
             gens = live_monomials(self.q, self.n - t, t, self._bound, descending=True)
+            gens.sort()  # exponent-lex, kept among rows of equal length below
             for g in gens:
                 terms = [m for m in sq_monomial(t, g) if m in pos]
                 if terms:

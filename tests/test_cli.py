@@ -525,3 +525,21 @@ def test_table_output_lists_monomials(sandbox, capsys):
     assert code == 0
     assert "dim: 3" in out
     assert "3 0" in out  # the x1^3 spike row
+
+
+def test_consecutive_calls_share_no_state(sandbox, capsys):
+    # main reuses one parser per process: no option may outlive its call
+    assert cli.build_parser() is cli.build_parser()
+    query = ("coinvariants", "--q", "4", "--n", "22")
+    _, sigma = run(capsys, *query, "--group", "sigma")
+    _, default = run(capsys, *query)
+    _, gl = run(capsys, *query, "--group", "gl")
+    assert default == gl != sigma
+    code, table = run(capsys, "mu", "--n", "9", "--out", "table")
+    assert code == 0 and not table.startswith("{")
+    code, data = run_json(capsys, "mu", "--n", "9")
+    assert code == 0 and data["mu"] == 3
+    code, _ = run(capsys, "cohit", "--q", "4")  # no --n
+    assert code == 2
+    code, data = run_json(capsys, "cohit", "--q", "2", "--n", "3")
+    assert code == 0 and data["dim"] == 3

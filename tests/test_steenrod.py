@@ -271,8 +271,9 @@ def test_rejects_bad_arguments():
 
 
 def test_live_monomials_equal_the_filter_in_order():
-    for q in range(1, 5):
-        for n in range(1, 41):
+    for q, degrees in ((1, range(1, 41)), (2, range(1, 41)), (3, range(1, 41)),
+                       (4, range(1, 41)), (5, range(1, 21))):
+        for n in degrees:
             bound = _spike_bound(q, n)
             if bound is None:
                 continue
@@ -284,13 +285,29 @@ def test_live_monomials_equal_the_filter_in_order():
                     for g in enumerate_monomials(q, n - t)
                     if _may_reach(g, t, bound)
                 ]
+                want.sort(key=monomial_key)
                 assert live_monomials(q, n - t, t, bound) == want, (q, n, t)
 
 
 def test_live_monomials_without_a_bound_are_all_monomials():
     for q, m in ((1, 5), (3, 7), (4, 6)):
         for t in (0, 1, 2):
-            assert live_monomials(q, m, t, ()) == enumerate_monomials(q, m)
+            want = sorted(enumerate_monomials(q, m), key=monomial_key)
+            assert live_monomials(q, m, t, ()) == want
+
+
+def test_span_columns_are_the_monomials_above_the_spike_in_order():
+    for q, degrees in ((1, range(1, 33)), (2, range(1, 33)), (3, range(1, 33)),
+                       (4, (5, 9, 13, 22, 29, 37, 46)), (5, (6, 12, 15, 20, 24))):
+        for n in degrees:
+            bound = _spike_bound(q, n) or ()  # no spike: every column stays
+            want = [
+                m
+                for m in enumerate_monomials(q, n)
+                if padded_weight(weight_vector(m), n) >= bound
+            ]
+            want.sort(key=monomial_key)
+            assert list(span_for(q, n).columns) == want, (q, n)
 
 
 def test_dropped_equals_the_census_of_dropped_columns():
