@@ -25,7 +25,6 @@ from . import steenrod
 from .f2linalg import image_kernel
 from .polyspace import (
     Monomial,
-    Polynomial,
     WeightVector,
     check_rank,
     count_monomials,
@@ -150,6 +149,6 @@ def kameko_matrix(q: int, n: int) -> KamekoMap:
     images = []
     for b in domain.basis:
         d = kameko_down_monomial(b)
-        images.append(0 if d is None else codomain.coordinates(Polynomial(q, [d])))
+        images.append(0 if d is None else codomain.sum_coordinates((d,)))
     kernel = image_kernel(images)[1]
     return KamekoMap(q, n, domain, codomain, images, kernel)

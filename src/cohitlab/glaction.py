@@ -5,9 +5,13 @@ x_1 -> x_1 + x_2.  A group element is encoded by its variable images: row r
 lists the variables appearing in the image of x_{r+1}.
 
 Both sides are read from one matrix per generator g: the matrix of g + 1 on
-Q_n in admissible coordinates (:func:`plus_one_images`).  Invariants are the
-joint kernel of these matrices.  Coinvariants are the primitives (duals
-killed by every positive square) modulo the span of theta + g(theta).  The
+Q_n in admissible coordinates (:func:`plus_one_images`), computed on the hit
+span's column positions with no polynomial built.  A transposition permutes
+the columns, so it is read as a permutation of exponents, and the
+transvection's expansion goes straight to the span's coordinates.
+Invariants are the joint kernel of these matrices.  Coinvariants are the
+primitives (duals killed by every positive square) modulo the span of
+theta + g(theta).  The
 primitives pair perfectly with Q_n, primitive k being dual to admissible
 monomial k, and the adjoint action on divided powers satisfies
 ``<act_dual(transpose(g), theta), f> = <theta, substitute(g, f)>``.
@@ -16,15 +20,17 @@ matrix of g + 1, and the transposed generators generate the same group:
 coinvariants of the primitives are dual to invariants of Q_n (Singer 1989;
 Boardman 1993), and no dual element is ever acted on.
 
-:func:`act_dual`, the divided-power action itself, has no engine caller: it
-is the reference the tests check that duality against.
+:func:`substitute`, the action on a polynomial, and :func:`act_dual`, the
+divided-power action, have no engine caller: they are the references the
+tests check the matrices and that duality against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cohit
 from .f2linalg import dot, echelonize, from_support, image_kernel, support
@@ -38,6 +44,7 @@ from .polyspace import (
     trim_weight,
     weight_vector,
 )
+from .steenrod import HitSpan, _submasks
 
 Images = tuple[tuple[int, ...], ...]
 
@@ -81,34 +88,53 @@ def is_permutation(images: Images) -> bool:
 # -- action on polynomials -----------------------------------------------------
 
 
+@cache
+def _splits(e: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The ways to split e into k binary submasks with disjoint bits.
+
+    They are the terms of (x_1 + ... + x_k)^e: a multinomial coefficient is
+    odd exactly when its parts share no bit (Lucas).
+    """
+    if k == 1:
+        return ((e,),)
+    return tuple(
+        (d,) + rest for d in _submasks(e) for rest in _splits(e ^ d, k - 1)
+    )
+
+
+@cache
+def _exponent_map(images: Images) -> Callable[[Monomial], Monomial]:
+    """A permutation substitution as a map of exponent tuples."""
+    source = [0] * len(images)
+    for r, (j,) in enumerate(images):
+        source[j] = r  # exponent r of x^e moves to variable j
+    return itemgetter(*source) if len(source) > 1 else tuple
+
+
 def _subst_monomial(images: Images, mono: Monomial) -> set[Monomial]:
-    q = len(mono)
-    if is_permutation(images):
-        out = [0] * q
-        for r, e in enumerate(mono):
-            out[images[r][0]] += e
-        return {tuple(out)}
-    acc: set[Monomial] = {(0,) * q}
-    for r, e in enumerate(mono):
-        if e == 0:
-            continue
-        S = images[r]
+    """The monomials of the substitution's image of one monomial.
+
+    A variable with one image moves its exponent there; one with several
+    spreads its exponent over them in every split of :func:`_splits`.  Terms
+    cancel in pairs only between the spreads of different variables.
+    """
+    base = [0] * len(mono)
+    spread = []
+    for S, e in zip(images, mono):
         if len(S) == 1:
-            j = S[0]
-            acc = {m[:j] + (m[j] + e,) + m[j + 1 :] for m in acc}
-            continue
-        k = 0
-        while e:
-            if e & 1:
-                power = 1 << k
-                new: set[Monomial] = set()
-                for m in acc:
-                    for j in S:
-                        t = m[:j] + (m[j] + power,) + m[j + 1 :]
-                        new ^= {t}
-                acc = new
-            e >>= 1
-            k += 1
+            base[S[0]] += e
+        elif e:
+            spread.append((S, e))
+    acc = {tuple(base)}
+    for S, e in spread:
+        new: set[Monomial] = set()
+        for m in acc:
+            for split in _splits(e, len(S)):
+                t = list(m)
+                for j, c in zip(S, split):
+                    t[j] += c
+                new ^= {tuple(t)}
+        acc = new
     return acc
 
 
@@ -194,14 +220,30 @@ def plus_one_images(q: int, n: int, group: str) -> tuple[tuple[int, ...], ...]:
     Entry ``[g][i]`` is the coordinate vector of ``(g + 1) x^{a_i}`` over the
     admissible basis of :func:`cohit.quotient`.
     """
-    data = cohit.quotient(q, n)
+    span = cohit.quotient(q, n)
     return tuple(
-        tuple(
-            data.coordinates(substitute(g, Polynomial(q, [mono]))) ^ (1 << i)
-            for i, mono in enumerate(data.basis)
-        )
+        tuple(image ^ (1 << i) for i, image in enumerate(_basis_images(span, g)))
         for g in generator_images(q, group)
     )
+
+
+def _basis_images(span: HitSpan, images: Images) -> Iterator[int]:
+    """The coordinates of g x^b over ``span.basis``, for each basis monomial b.
+
+    A permutation of the variables permutes the span's columns, so g x^b is
+    one column: when it is admissible its coordinate is its basis index,
+    with no normal form.
+    """
+    if not is_permutation(images):
+        for mono in span.basis:
+            yield span.sum_coordinates(_subst_monomial(images, mono))
+        return
+    move = _exponent_map(images)
+    index = {m: k for k, m in enumerate(span.basis)}
+    for mono in span.basis:
+        image = move(mono)
+        k = index.get(image)
+        yield 1 << k if k is not None else span.sum_coordinates((image,))
 
 
 def _combine(vectors: Sequence[int], bits: int) -> int:
@@ -274,17 +316,18 @@ def invariants(
         )
 
     omega = trim_weight(omega)
-    keep = [i for i, m in enumerate(data.basis) if weight_vector(m) == omega]
+    bound = padded_weight(omega, n)
+    weights = [padded_weight(weight_vector(m), n) for m in data.basis]
+    keep = [i for i, w in enumerate(weights) if w == bound]
     sub_basis = [data.basis[i] for i in keep]
     sub_index = {i: k for k, i in enumerate(keep)}
-    bound = padded_weight(omega, n)
     image_vectors = []
     for g_images in images:
         vectors = []
         for i in keep:
             v = 0
             for p in support(g_images[i]):
-                w = padded_weight(weight_vector(data.basis[p]), n)
+                w = weights[p]
                 if w > bound:
                     raise WeightLeak(
                         f"sigma image of {data.basis[i]} leaves weight {omega} upward"

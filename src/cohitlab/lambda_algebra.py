@@ -616,11 +616,19 @@ def _psi_words(q: int, terms: Iterable[DualMonomial]) -> set[int]:
 def psi(theta: DualElement) -> LambdaElement:
     """The chain-level transfer on divided powers, in admissible form.
 
-    Raises :class:`cohit.ResourceLimit` when theta's degree is above
-    ``MAX_LETTER``.
+    Raises :class:`cohit.ResourceLimit` when theta's degree n is above
+    ``MAX_LETTER``, or when the words of length q and degree n, one per
+    degree-n monomial, are more than ``cohit.MAX_COLUMNS``: the degrees whose
+    hit span is refused.  The cost is the Adem reduction, whose memo grows
+    with the degree, and the budget refuses it before any word is built.
     """
-    _check_letters(theta.q, theta.degree or 0)
-    words = _psi_words(theta.q, theta.terms)
+    q, n = theta.q, theta.degree or 0
+    _check_letters(q, n)
+    count = comb(n + q - 1, q - 1)
+    if count > cohit.MAX_COLUMNS:
+        raise cohit.ResourceLimit(f"degree {n} in {q} variables has {count} "
+                                  f"words; budget is {cohit.MAX_COLUMNS}")
+    words = _psi_words(q, theta.terms)
     return adem_reduce(LambdaElement._trusted(frozenset(words), False))
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .f2linalg import EchelonForm, from_support, support
 from .polyspace import (
@@ -239,12 +239,16 @@ class HitSpan:
     quotient).  ``basis`` lists the admissible (non-pivot) monomials in
     column order, so ascending in the monomial order: the basis of Q_n that
     ``coordinates`` and ``from_coordinates`` read and write, and primitive
-    k of ``primitive_vectors`` is dual to ``basis[k]``.
+    k of ``primitive_vectors`` is dual to ``basis[k]``.  ``sum_coordinates``
+    reads the same coordinates off a sum of monomials, with no polynomial
+    built: it is how the GL action is computed (:mod:`cohitlab.glaction`),
+    whose transpositions are read as permutations of the columns.
 
     The rows are the Sq^t(g), t = 2^i, projected onto the columns, and they
     are offered one orbit of the symmetric group Σ_q at a time.  Σ_q permutes
     the variables, commutes with every Sq^t and keeps weight vectors, so the
-    live generators, the columns and the set of rows are Σ_q-stable.  For
+    live generators, the columns and the set of rows are Σ_q-stable: a
+    transposition maps each column to a column.  For
     each orbit representative (the g with non-increasing exponents) Sq^t(g)
     is computed once; if it reduces to zero the orbit is skipped, else the
     row of every distinct σg is inserted, made by permuting its terms.  The
@@ -305,13 +309,20 @@ class HitSpan:
 
     # -- vector conversions -------------------------------------------------
 
-    def to_vector(self, f: Polynomial) -> int:
-        """Project a polynomial onto the column space (restricted columns drop)."""
+    def _check_degree(self, f: Polynomial) -> None:
         if f.q != self.q or (f.degree not in (None, self.n)):
             raise ValueError("polynomial does not live in this degree")
+
+    def to_vector(self, f: Polynomial) -> int:
+        """Project a polynomial onto the column space (restricted columns drop)."""
+        self._check_degree(f)
+        return self._column_bits(f.monomials)
+
+    def _column_bits(self, monomials: Iterable[Monomial]) -> int:
+        """The column vector of a sum of degree-n monomials; see ``to_vector``."""
         v = 0
         pos = self.position
-        for m in f.monomials:
+        for m in monomials:
             p = pos.get(m)
             if p is None:
                 if self.restrict_weight is None:
@@ -363,7 +374,17 @@ class HitSpan:
 
     def coordinates(self, f: Polynomial) -> int:
         """Coefficient bit-vector of [f] over the admissible basis."""
-        return self.basis_bits(self.echelon.normal_form(self.to_vector(f)))
+        self._check_degree(f)
+        return self.sum_coordinates(f.monomials)
+
+    def sum_coordinates(self, monomials: Iterable[Monomial]) -> int:
+        """Coefficient bit-vector over ``basis`` of the class of a sum of monomials.
+
+        The monomials are of degree n, and equal ones cancel.  One on a
+        restricted column is hit and drops; one outside the columns of an
+        unrestricted span raises ``KeyError``, as in ``to_vector``.
+        """
+        return self.basis_bits(self.echelon.normal_form(self._column_bits(monomials)))
 
     def basis_bits(self, bits: int) -> int:
         """A column vector's entries at the admissible positions, over ``basis``."""

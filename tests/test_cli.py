@@ -229,6 +229,30 @@ def test_ext_and_psi_refuse_letters_above_the_cap(sandbox, capsys, monkeypatch,
     assert data["words"] == [[1022]]
 
 
+def test_psi_budget_refuses_before_building_a_word(sandbox, capsys, monkeypatch,
+                                                  tmp_path):
+    from cohitlab import lambda_algebra
+
+    def no_words(*args):
+        raise AssertionError("a word was built")
+
+    dual = tmp_path / "dual.json"
+    # 4 variables: degree 230 has 2,081,156 words of length 4, degree 231
+    # has 2,108,184, just above the budget of 2^21
+    with monkeypatch.context() as patch:
+        patch.setattr(lambda_algebra, "_psi_words", no_words)
+        for terms in ([[200, 100, 60, 40]], [[228, 1, 1, 1]]):
+            dual.write_text(json.dumps({"q": 4, "terms": terms}))
+            code, data = run_json(capsys, "psi", "--file", str(dual), "--no-cache")
+            assert code == 3
+            assert data["error"] == "resource-limit"
+            assert data["detail"].endswith(f"budget is {cohit.MAX_COLUMNS}")
+    dual.write_text(json.dumps({"q": 4, "terms": [[227, 1, 1, 1]]}))
+    code, data = run_json(capsys, "psi", "--file", str(dual), "--no-cache")
+    assert code == 0
+    assert data["degree"] == 230
+
+
 def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 

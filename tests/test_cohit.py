@@ -145,6 +145,20 @@ def test_kameko_surjective_with_kernel():
         assert image == 0
 
 
+def test_kameko_images_match_the_polynomial_formula():
+    # the reference reads each halved basis monomial as a polynomial
+    for q, degrees in ((2, range(2, 41, 2)), (3, range(3, 42, 2)),
+                       (4, range(4, 39, 2)), (5, range(5, 24, 2))):
+        for n in degrees:
+            km = kameko_matrix(q, n)
+            reference = []
+            for b in km.domain.basis:
+                d = kameko_down_monomial(b)
+                image = Polynomial(q, [] if d is None else [d])
+                reference.append(km.codomain.coordinates(image))
+            assert km.images == reference, (q, n)
+
+
 def test_kameko_kernel_classes_map_to_zero():
     km = kameko_matrix(4, 4)
     kernel = [km.domain.from_coordinates(v) for v in km.kernel]

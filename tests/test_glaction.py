@@ -16,6 +16,7 @@ from cohitlab.glaction import (
     generator_images,
     invariants,
     kameko_kernel_invariants,
+    plus_one_images,
     substitute,
     transvection_images,
     transposition_images,
@@ -57,6 +58,57 @@ def test_substitutions_are_involutions_on_the_quotient():
             once = data.coordinates(substitute(images, f))
             twice = data.coordinates(substitute(images, data.from_coordinates(once)))
             assert twice == 1 << i
+
+
+# degrees whose reference matrices take about a second in all
+PLUS_ONE_DEGREES = {
+    2: range(1, 33),
+    3: range(1, 33),
+    4: [*range(1, 26), 30, 33, 37, 45],
+    5: range(1, 19),
+}
+
+
+def test_plus_one_images_match_the_polynomial_formula():
+    # the reference: substitute into each basis monomial as a polynomial,
+    # then read the class's coordinates
+    for q, degrees in PLUS_ONE_DEGREES.items():
+        for n in degrees:
+            data = quotient(q, n)
+            for group in ("sigma", "gl"):
+                reference = tuple(
+                    tuple(
+                        data.coordinates(substitute(g, Polynomial(q, [mono]))) ^ (1 << i)
+                        for i, mono in enumerate(data.basis)
+                    )
+                    for g in generator_images(q, group)
+                )
+                assert plus_one_images(q, n, group) == reference, (q, n, group)
+
+
+def test_transpositions_permute_the_columns():
+    # plus_one_images reads a transposition's image of a column as a column
+    for q, degrees in PLUS_ONE_DEGREES.items():
+        for n in degrees:
+            span = span_for(q, n)
+            for j in range(1, q):  # x_j <-> x_{j+1} swaps exponents j - 1 and j
+                for mono in span.columns:
+                    moved = mono[: j - 1] + (mono[j], mono[j - 1]) + mono[j + 1 :]
+                    assert moved in span.position, (q, n, j, mono)
+
+
+def test_the_gl_matrices_build_no_polynomial(monkeypatch):
+    spans = [quotient(4, n) for n in (21, 22)]  # built before the patch
+
+    def refuse(self, *args):
+        raise AssertionError("a Polynomial was built")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    fresh = plus_one_images.__wrapped__
+    for span in spans:
+        for group in ("sigma", "gl"):
+            assert len(fresh(4, span.n, group)) == len(generator_images(4, group))
+    assert cohit.kameko_matrix(4, 22).domain is spans[1]
 
 
 def test_rank_one_invariants_are_everything():
