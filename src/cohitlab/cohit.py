@@ -40,7 +40,10 @@ MAX_COLUMNS = 1 << 21
 
 
 class ResourceLimit(RuntimeError):
-    """Raised when a degree has more monomials than ``MAX_COLUMNS``."""
+    """A query refused by a budget: a degree with more monomials than
+    ``MAX_COLUMNS``, or (``lambda_algebra.ext_dim``, ``psi``) words that may
+    hold a letter above ``MAX_LETTER``, recurse past the recursion limit or
+    outnumber ``MAX_COLUMNS``."""
 
 
 # -- the quotient engine ------------------------------------------------------

@@ -114,11 +114,14 @@ class EchelonForm:
         when vec lies in the row space.
         """
         out = 0
-        v = self.reduce(vec)
-        while v:
-            top = 1 << (v.bit_length() - 1)  # a free column: keep it, reduce the rest
-            out |= top
-            v = self.reduce(v ^ top)
+        rows = self.rows
+        while vec:
+            p = vec.bit_length() - 1
+            row = rows.get(p)
+            if row is None:  # a free column: keep it
+                row = 1 << p
+                out |= row
+            vec ^= row
         return out
 
     def contains(self, vec: int) -> bool:

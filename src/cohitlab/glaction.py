@@ -142,10 +142,7 @@ def substitute(images: Images, f: Polynomial) -> Polynomial:
     """Apply the linear substitution to every monomial of f."""
     if len(images) != f.q:
         raise ValueError("substitution size does not match variable count")
-    acc: set[Monomial] = set()
-    for m in f.monomials:
-        acc ^= _subst_monomial(images, m)
-    return Polynomial(f.q, acc)
+    return f.map_terms(lambda m: _subst_monomial(images, m))
 
 
 # -- action on divided powers ----------------------------------------------------
@@ -204,10 +201,7 @@ def act_dual(images: Images, theta: DualElement) -> DualElement:
     """
     if len(images) != theta.q:
         raise ValueError("substitution size does not match variable count")
-    acc: set[Monomial] = set()
-    for t in theta.terms:
-        acc ^= _dual_subst_term(images, t)
-    return DualElement(theta.q, acc)
+    return theta.map_terms(lambda t: _dual_subst_term(images, t))
 
 
 # -- the matrices of g + 1 on Q_n ---------------------------------------------------

@@ -14,7 +14,7 @@ order.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 Monomial = tuple[int, ...]
 DualMonomial = tuple[int, ...]
@@ -214,22 +214,95 @@ def format_monomial(mono: Monomial) -> str:
     return " ".join(parts) if parts else "1"
 
 
-class Polynomial:
+class _TermSet:
+    """A homogeneous sum over GF(2) of exponent tuples in q variables.
+
+    The terms are a frozenset, so adding is symmetric difference.  A subclass
+    gives its ``_name`` for messages, the ``_key`` of its terms in JSON and
+    how one term prints (``_format``).  Elements of different subclasses are
+    never equal and never add.
+    """
+
+    __slots__ = ("q", "terms")
+
+    def __init__(self, q: int, terms: Iterable[Monomial] = ()):
+        check_rank(q)
+        ts = frozenset(tuple(t) for t in terms)
+        if len({sum(t) for t in ts}) > 1:
+            raise ValueError(f"{self._name} is not homogeneous")
+        for t in ts:
+            if len(t) != q or any(e < 0 for e in t):
+                raise ValueError(f"bad term {t} of a {self._name} for q={q}")
+        self.q = q
+        self.terms = ts
+
+    @property
+    def degree(self) -> int | None:
+        for t in self.terms:
+            return sum(t)
+        return None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __xor__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.q != other.q:
+            raise ValueError(f"{self._name}s live in different variable counts")
+        return type(self)(self.q, self.terms ^ other.terms)
+
+    __add__ = __xor__
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.q == other.q
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.terms))
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def map_terms(self, image: Callable[[Monomial], Iterable[Monomial]]):
+        """The sum over the terms t of ``image(t)`` (distinct terms), in this type."""
+        acc: set[Monomial] = set()
+        for t in self.terms:
+            acc.symmetric_difference_update(image(t))
+        return type(self)(self.q, acc)
+
+    def sorted_terms(self) -> list[Monomial]:
+        return sorted(self.terms, key=monomial_key)
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "0"
+        return " + ".join(map(self._format, self.sorted_terms()))
+
+    def to_json(self) -> dict:
+        return {
+            "q": self.q,
+            "degree": self.degree,
+            self._key: [list(t) for t in self.sorted_terms()],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(int(data["q"]), data[cls._key])
+
+
+class Polynomial(_TermSet):
     """A homogeneous polynomial over GF(2), stored as a set of monomials."""
 
-    __slots__ = ("q", "monomials")
-
-    def __init__(self, q: int, monomials: Iterable[Monomial] = ()):
-        check_rank(q)
-        monos = frozenset(tuple(m) for m in monomials)
-        degs = {sum(m) for m in monos}
-        if len(degs) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        for m in monos:
-            if len(m) != q or any(e < 0 for e in m):
-                raise ValueError(f"bad monomial {m} for q={q}")
-        self.q = q
-        self.monomials = monos
+    __slots__ = ()
+    _name = "polynomial"
+    _key = "monomials"
+    _format = staticmethod(format_monomial)
+    monomials = _TermSet.terms
+    sorted_monomials = _TermSet.sorted_terms
 
     @classmethod
     def variable(cls, q: int, i: int) -> "Polynomial":
@@ -237,22 +310,6 @@ class Polynomial:
         e = [0] * q
         e[i - 1] = 1
         return cls(q, [tuple(e)])
-
-    @property
-    def degree(self) -> int | None:
-        for m in self.monomials:
-            return sum(m)
-        return None
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def __xor__(self, other: "Polynomial") -> "Polynomial":
-        if self.q != other.q:
-            raise ValueError("polynomials live in different variable counts")
-        return Polynomial(self.q, self.monomials ^ other.monomials)
-
-    __add__ = __xor__
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.q != other.q:
@@ -266,111 +323,21 @@ class Polynomial:
     def square(self) -> "Polynomial":
         return Polynomial(self.q, (tuple(2 * e for e in m) for m in self.monomials))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.q == other.q
-            and self.monomials == other.monomials
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.q, self.monomials))
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.monomials, key=monomial_key)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(format_monomial(m) for m in self.sorted_monomials())
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "degree": self.degree,
-            "monomials": [list(m) for m in self.sorted_monomials()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Polynomial":
-        return cls(int(data["q"]), [tuple(m) for m in data["monomials"]])
-
-
-class DualElement:
+class DualElement(_TermSet):
     """An element of the divided-power dual, stored as a set of dual monomials."""
 
-    __slots__ = ("q", "terms")
+    __slots__ = ()
+    _name = "dual element"
+    _key = "terms"
 
-    def __init__(self, q: int, terms: Iterable[DualMonomial] = ()):
-        check_rank(q)
-        ts = frozenset(tuple(t) for t in terms)
-        degs = {sum(t) for t in ts}
-        if len(degs) > 1:
-            raise ValueError("dual element is not homogeneous")
-        for t in ts:
-            if len(t) != q or any(e < 0 for e in t):
-                raise ValueError(f"bad dual monomial {t} for q={q}")
-        self.q = q
-        self.terms = ts
-
-    @property
-    def degree(self) -> int | None:
-        for t in self.terms:
-            return sum(t)
-        return None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __xor__(self, other: "DualElement") -> "DualElement":
-        if self.q != other.q:
-            raise ValueError("dual elements live in different variable counts")
-        return DualElement(self.q, self.terms ^ other.terms)
-
-    __add__ = __xor__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DualElement)
-            and self.q == other.q
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.terms))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def sorted_terms(self) -> list[DualMonomial]:
-        return sorted(self.terms, key=monomial_key)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-
-        def fmt(t: DualMonomial) -> str:
-            return " ".join(f"a{i}({e})" for i, e in enumerate(t, start=1))
-
-        return " + ".join(fmt(t) for t in self.sorted_terms())
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "degree": self.degree,
-            "terms": [list(t) for t in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DualElement":
-        return cls(int(data["q"]), [tuple(t) for t in data["terms"]])
+    @staticmethod
+    def _format(t: DualMonomial) -> str:
+        return " ".join(f"a{i}({e})" for i, e in enumerate(t, start=1))
 
 
 def pairing(theta: DualElement, f: Polynomial) -> int:
     """The dual-basis pairing <theta, f> in GF(2)."""
     if theta.q != f.q:
         raise ValueError("mismatched variable counts")
-    return len(theta.terms & f.monomials) & 1
+    return len(theta.terms & f.terms) & 1

@@ -156,10 +156,7 @@ def _permutations(q: int) -> tuple[Callable[[Monomial], Monomial], ...]:
 
 def sq(t: int, f: Polynomial) -> Polynomial:
     """Left Steenrod square Sq^t on a homogeneous polynomial."""
-    acc: set[Monomial] = set()
-    for m in f.monomials:
-        acc ^= set(sq_monomial(t, m))
-    return Polynomial(f.q, acc)
+    return f.map_terms(lambda m: sq_monomial(t, m))
 
 
 @cache
@@ -204,10 +201,7 @@ def sq_dual_all(term: Monomial) -> list[tuple[int, Monomial]]:
 
 def sq_dual(t: int, theta: DualElement) -> DualElement:
     """Right Steenrod action on a dual element."""
-    acc: set[Monomial] = set()
-    for term in theta.terms:
-        acc ^= set(sq_dual_term(t, term))
-    return DualElement(theta.q, acc)
+    return theta.map_terms(lambda term: sq_dual_term(t, term))
 
 
 def is_annihilated(theta: DualElement) -> bool:
@@ -238,8 +232,10 @@ class HitSpan:
     then projected onto the surviving columns, which presents the same
     quotient).  ``basis`` lists the admissible (non-pivot) monomials in
     column order, so ascending in the monomial order: the basis of Q_n that
-    ``coordinates`` and ``from_coordinates`` read and write, and primitive
-    k of ``primitive_vectors`` is dual to ``basis[k]``.  ``sum_coordinates``
+    ``coordinates`` reads (from a polynomial or a dual element) and
+    ``from_coordinates`` writes, so a class's normal form is
+    ``from_coordinates(coordinates(f))``; primitive k of
+    ``primitive_vectors`` is dual to ``basis[k]``.  ``sum_coordinates``
     reads the same coordinates off a sum of monomials, with no polynomial
     built: it is how the GL action is computed (:mod:`cohitlab.glaction`),
     whose transpositions are read as permutations of the columns.
@@ -255,7 +251,7 @@ class HitSpan:
     row space is Σ_q-stable after every orbit, so a representative in it
     shows that its whole orbit is, and the final row space is the span of
     all the rows.  The stored rows depend on this order, but the pivots,
-    normal forms, kernel vectors, admissible monomials and weight tables
+    coordinates, kernel vectors, admissible monomials and weight tables
     depend only on the row space, and nothing reads a stored row as it is.
     """
 
@@ -309,47 +305,51 @@ class HitSpan:
 
     # -- vector conversions -------------------------------------------------
 
-    def _check_degree(self, f: Polynomial) -> None:
-        if f.q != self.q or (f.degree not in (None, self.n)):
-            raise ValueError("polynomial does not live in this degree")
+    def _check_shape(self, x: Polynomial | DualElement) -> None:
+        if x.q != self.q or x.degree not in (None, self.n):
+            raise ValueError(f"{x._name} does not live in this degree")
 
-    def to_vector(self, f: Polynomial) -> int:
-        """Project a polynomial onto the column space (restricted columns drop)."""
-        self._check_degree(f)
-        return self._column_bits(f.monomials)
+    def _column_bits(self, terms: Iterable[Monomial]) -> int:
+        """The column vector of a sum of degree-n terms; equal ones cancel.
 
-    def _column_bits(self, monomials: Iterable[Monomial]) -> int:
-        """The column vector of a sum of degree-n monomials; see ``to_vector``."""
+        A term outside the columns drops only when it is :meth:`_below_bound`:
+        it is hit, and it lies on no column of a restricted span.  Any other
+        raises ``KeyError``.
+        """
         v = 0
         pos = self.position
-        for m in monomials:
+        for m in terms:
             p = pos.get(m)
-            if p is None:
-                if self.restrict_weight is None:
-                    raise KeyError(f"monomial {m} outside column space")
-            else:
+            if p is not None:
                 v ^= 1 << p
+            elif not self._below_bound(m):
+                raise KeyError(f"monomial {m} outside column space")
         return v
+
+    def _below_bound(self, m: Monomial) -> bool:
+        """Whether m has q exponents, degree n and padded weight below the
+        bound, compared one bit plane at a time from the lowest."""
+        if len(m) != self.q or sum(m) != self.n or min(m) < 0:
+            return False
+        for b in self._bound:
+            w = sum([e & 1 for e in m])
+            if w != b:
+                return w < b
+            m = [e >> 1 for e in m]
+        return False
 
     def dual_to_vector(self, theta: DualElement) -> int:
         """Bit-vector of a dual element over the same column layout."""
-        if theta.q != self.q or (theta.degree not in (None, self.n)):
-            raise ValueError("dual element does not live in this degree")
-        v = 0
-        pos = self.position
-        for t in theta.terms:
-            p = pos.get(t)
-            if p is None:
-                # a dropped monomial is hit, and theta pairs to 1 with it
-                raise ValueError(
-                    "dual element is not annihilated by all positive squares: "
-                    f"its term {t} pairs with a hit monomial"
-                )
-            v ^= 1 << p
+        self._check_shape(theta)
+        v = self._column_bits(theta.terms)
+        if v.bit_count() != len(theta):
+            # a dropped monomial is hit, and theta pairs to 1 with it
+            t = next(t for t in theta.terms if t not in self.position)
+            raise ValueError(
+                "dual element is not annihilated by all positive squares: "
+                f"its term {t} pairs with a hit monomial"
+            )
         return v
-
-    def to_polynomial(self, bits: int) -> Polynomial:
-        return Polynomial(self.q, [self.columns[p] for p in support(bits)])
 
     def to_dual(self, bits: int) -> DualElement:
         return DualElement(self.q, [self.columns[p] for p in support(bits)])
@@ -364,25 +364,21 @@ class HitSpan:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        """Canonical representative of [f]: supported on admissible monomials."""
-        return self.to_polynomial(self.echelon.normal_form(self.to_vector(f)))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, f: Polynomial) -> int:
-        """Coefficient bit-vector of [f] over the admissible basis."""
-        self._check_degree(f)
-        return self.sum_coordinates(f.monomials)
+    def coordinates(self, x: Polynomial | DualElement) -> int:
+        """Coefficient bit-vector of [x] over the admissible basis."""
+        self._check_shape(x)
+        return self.sum_coordinates(x.terms)
 
     def sum_coordinates(self, monomials: Iterable[Monomial]) -> int:
         """Coefficient bit-vector over ``basis`` of the class of a sum of monomials.
 
-        The monomials are of degree n, and equal ones cancel.  One on a
-        restricted column is hit and drops; one outside the columns of an
-        unrestricted span raises ``KeyError``, as in ``to_vector``.
+        The monomials are of degree n, and equal ones cancel.  One below the
+        bound of a restricted span is hit and drops; any other outside the
+        columns raises ``KeyError``.
         """
         return self.basis_bits(self.echelon.normal_form(self._column_bits(monomials)))
 

@@ -391,8 +391,9 @@ def _weight_invariant_ok(q, n, omega, monomials) -> bool:
     if report.dim != 1:
         return False
     # the class's normal form, on the admissible monomials of weight omega
-    nf = cohit.quotient(q, n).normal_form(Polynomial(q, monomials))
-    kept = set(report.basis_monomials) & nf.monomials
+    span = cohit.quotient(q, n)
+    nf = span.from_coordinates(span.coordinates(Polynomial(q, monomials)))
+    kept = set(report.basis_monomials) & nf.terms
     return Polynomial(q, kept) == report.representatives[0]
 
 

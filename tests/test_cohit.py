@@ -67,7 +67,7 @@ def test_quotient_coordinates_round_trip():
 def test_basis_monomials_are_not_hit():
     span = hit_span(3, 8, None)
     for m in cohit_basis(3, 8):
-        assert not span.echelon.contains(span.to_vector(Polynomial(3, [m])))
+        assert span.coordinates(Polynomial(3, [m])) != 0
 
 
 def test_weight_table_totals():

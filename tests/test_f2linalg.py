@@ -93,6 +93,23 @@ def test_normal_form_is_idempotent_and_span_invariant(rows, vec):
         assert ech.normal_form(vec ^ r) == nf
 
 
+def two_loop_normal_form(ech: EchelonForm, vec: int) -> int:
+    """The reference normal form: reduce, keep the free top bit, reduce again."""
+    out = 0
+    v = ech.reduce(vec)
+    while v:
+        top = 1 << (v.bit_length() - 1)
+        out |= top
+        v = ech.reduce(v ^ top)
+    return out
+
+
+@given(rows_strategy, st.integers(0, (1 << 12) - 1))
+def test_normal_form_matches_the_two_loop_reference(rows, vec):
+    ech = echelonize(rows)
+    assert ech.normal_form(vec) == two_loop_normal_form(ech, vec)
+
+
 @given(rows_strategy)
 def test_row_membership(rows):
     ech = echelonize(rows)

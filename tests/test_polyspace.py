@@ -168,6 +168,18 @@ def test_polynomial_json_round_trip(monos):
         assert DualElement.from_json(theta.to_json()) == theta
 
 
+def test_polynomials_and_dual_elements_stay_apart():
+    terms = [(1, 2, 0), (0, 2, 1)]
+    f, theta = Polynomial(3, terms), DualElement(3, terms)
+    assert f != theta and theta != f
+    with pytest.raises(TypeError):
+        f ^ theta
+    with pytest.raises(TypeError):
+        theta + f
+    assert f.to_json()["monomials"] == theta.to_json()["terms"]
+    assert "terms" not in f.to_json() and "monomials" not in theta.to_json()
+
+
 def test_pairing_is_the_dual_basis_pairing():
     theta = DualElement(3, [(1, 2, 0)])
     assert pairing(theta, Polynomial(3, [(1, 2, 0)])) == 1

@@ -198,7 +198,7 @@ def test_hit_membership_one_variable():
         span = hit_span(1, n, None)
         expected = 0 if (n + 1) & n == 0 else 1
         assert span.rank == expected
-        hit = span.echelon.contains(span.to_vector(Polynomial(1, [(n,)])))
+        hit = span.coordinates(Polynomial(1, [(n,)])) == 0
         assert hit == (expected == 1)
 
 
@@ -214,8 +214,6 @@ def test_round_trips_through_span_coordinates():
     rng = random.Random(3)
     monos = pc.ordered_monomials(3, 5)
     for _ in range(10):
-        f = Polynomial(3, set(rng.sample(monos, 4)))
-        assert span.to_polynomial(span.to_vector(f)) == f
         theta = DualElement(3, set(rng.sample(monos, 4)))
         assert span.to_dual(span.dual_to_vector(theta)) == theta
 
@@ -223,11 +221,12 @@ def test_round_trips_through_span_coordinates():
 def test_normal_form_kills_hit_elements():
     span = hit_span(2, 4, None)
     f = sq(1, Polynomial(2, [(2, 1)])) ^ sq(2, Polynomial(2, [(1, 1)]))
-    assert span.echelon.contains(span.to_vector(f))
-    assert span.normal_form(f).is_zero()
+    assert span.coordinates(f) == 0
+    assert span.from_coordinates(span.coordinates(f)).is_zero()
     g = Polynomial(2, [(3, 1)])  # a spike: never hit
-    assert not span.echelon.contains(span.to_vector(g))
-    assert span.normal_form(span.normal_form(g)) == span.normal_form(g)
+    assert span.coordinates(g) != 0
+    nf = span.from_coordinates(span.coordinates(g))
+    assert span.from_coordinates(span.coordinates(nf)) == nf
 
 
 def test_power_generators_span_the_full_hit_space():
@@ -261,6 +260,26 @@ def test_weight_restriction_presents_the_same_quotient():
     pruned = HitSpan(4, 9, restrict_weight=(3, 1, 1))
     assert pruned.ncols < full.ncols
     assert full.ncols - full.rank == pruned.ncols - pruned.rank
+
+
+def test_a_restricted_span_drops_only_monomials_below_its_bound():
+    span = HitSpan(4, 9, restrict_weight=(3, 1, 1))
+    bound = padded_weight((3, 1, 1), 9)
+    every = enumerate_monomials(4, 9)
+    below = [m for m in every if padded_weight(weight_vector(m), 9) < bound]
+    assert below and span.sum_coordinates(below) == 0  # each one is hit
+    top = span.columns[-1]
+    # the wrong degree, the wrong variable count or a negative exponent
+    for bad in ((1, 0, 0, 0), top[:3] + (top[3] + 1,), below[0] + (0,),
+                below[0][:3], (10, -1, 0, 0)):
+        with pytest.raises(KeyError):
+            span.sum_coordinates([bad])
+    # a monomial at or above the bound is not known to be hit, column or not
+    del span.position[top]
+    with pytest.raises(KeyError):
+        span.sum_coordinates([top])
+    with pytest.raises(KeyError):
+        HitSpan(4, 9).sum_coordinates([(1, 0, 0, 0)])
 
 
 def test_rejects_bad_arguments():
