@@ -29,7 +29,6 @@ from .polyspace import (
     check_rank,
     count_monomials,
     minimal_spike,
-    trim_weight,
     weight_vector,
     weight_vectors,
 )
@@ -55,6 +54,8 @@ def span_for(q: int, n: int) -> steenrod.HitSpan:
     Its columns stop at the minimal spike's weight: every monomial of
     smaller weight is hit (Singer's criterion), so dropping those columns
     leaves the same pivots, quotient basis, normal forms and primitives.
+    With no spike (mu(n) > q, n > 0) every monomial is hit (Wood), and the
+    bound ``(q + 1,)``, which no weight reaches, leaves no column.
     Raises :class:`ResourceLimit` past the column budget, memo or not.
     """
     check_rank(q)
@@ -65,8 +66,8 @@ def span_for(q: int, n: int) -> steenrod.HitSpan:
             f"budget is {MAX_COLUMNS}"
         )
     spike = minimal_spike(q, n)
-    bound = None if spike is None else weight_vector(spike)
-    return steenrod.hit_span(q, n, bound)
+    bound = (q + 1,) if spike is None else weight_vector(spike)
+    return steenrod.hit_span(q, n, bound if n else None)
 
 
 def quotient(q: int, n: int) -> steenrod.HitSpan:
@@ -94,19 +95,17 @@ def weight_key(w: WeightVector) -> str:
 
 def weight_table(q: int, n: int) -> dict[WeightVector, int]:
     """dim (Q_n)^w for every weight w of degree n, largest first."""
-    table = dict.fromkeys(reversed(weight_vectors(q, n)), 0)
-    for m in span_for(q, n).basis:
-        table[weight_vector(m)] += 1
-    return table
+    span = span_for(q, n)
+    return {w: len(span.weight_block(w)) for w in reversed(weight_vectors(q, n))}
 
 
 def weight_subquotient(
     q: int, n: int, omega: WeightVector
 ) -> tuple[int, list[Monomial]]:
     """(dimension, admissible monomials) of the weight-omega subquotient."""
-    omega = trim_weight(omega)
-    basis = [m for m in span_for(q, n).basis if weight_vector(m) == omega]
-    return len(basis), basis
+    span = span_for(q, n)
+    block = span.weight_block(omega)
+    return len(block), list(span.basis[block.start:block.stop])
 
 
 # -- halving maps ---------------------------------------------------------------

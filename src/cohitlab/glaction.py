@@ -8,12 +8,13 @@ Both sides are read from one matrix per generator g: the matrix of g + 1 on
 Q_n in admissible coordinates (:func:`plus_one_images`), computed on the hit
 span's column positions with no polynomial built.  A transposition permutes
 the columns, so it is read as a permutation of exponents, and the
-transvection's expansion goes straight to the span's coordinates.
-Invariants are the joint kernel of these matrices.  Coinvariants are the
-primitives (duals killed by every positive square) modulo the span of
-theta + g(theta).  The
-primitives pair perfectly with Q_n, primitive k being dual to admissible
-monomial k, and the adjoint action on divided powers satisfies
+transvection's expansion goes straight to the span's coordinates.  One
+routine, :func:`_fixed_classes`, finds the fixed classes of Q_n, of one
+weight block of its basis and of the halving kernel from these matrices.
+Coinvariants are the primitives (duals killed by every positive square)
+modulo the span of theta + g(theta).  The primitives pair perfectly with
+Q_n, primitive k being dual to admissible monomial k, and the adjoint
+action on divided powers satisfies
 ``<act_dual(transpose(g), theta), f> = <theta, substitute(g, f)>``.
 So the relation row of (theta_v, transpose(g)) is row v of the transposed
 matrix of g + 1, and the transposed generators generate the same group:
@@ -40,9 +41,7 @@ from .polyspace import (
     Polynomial,
     WeightVector,
     check_rank,
-    padded_weight,
     trim_weight,
-    weight_vector,
 )
 from .steenrod import HitSpan, _submasks
 
@@ -273,89 +272,51 @@ class InvariantReport:
         }
 
 
-def _joint_kernel(
-    image_vectors: Sequence[Sequence[int]], sources: int, dim: int
-) -> list[int]:
-    """Common kernel of several maps from F2^sources to F2^dim.
-
-    ``image_vectors[g][i]`` is map g's image of source i.  Shifted by
-    ``g * dim``, the images of i stack into one vector, and the joint kernel
-    is the kernel of the stacked map.
-    """
-    stacked = [0] * sources
-    for g, vectors in enumerate(image_vectors):
-        shift = g * dim
-        for i, v in enumerate(vectors):
-            stacked[i] |= v << shift
-    return image_kernel(stacked)[1]
-
-
 def invariants(
     q: int, n: int, group: str = "gl", omega: WeightVector | None = None
 ) -> InvariantReport:
-    """Fixed classes of the quotient (or of one weight subquotient).
+    """Fixed classes of Q_n, or of its weight-omega subquotient, whose
+    vectors are over the basis block of weight omega."""
+    span = cohit.quotient(q, n)
+    block = range(span.dim) if omega is None else span.weight_block(omega)
+    omega = None if omega is None else trim_weight(omega)
+    return _fixed_classes(q, n, group, omega, [1 << i for i in block], block)
 
-    For the subquotient, coordinates of strictly smaller weight are discarded
-    (they vanish in the subquotient) and any strictly larger weight in an
-    image raises :class:`WeightLeak` — the substitution action can only
-    preserve or lower the weight filtration, so a leak means a bug.
+
+def _fixed_classes(
+    q: int, n: int, group: str, omega: WeightVector | None,
+    sources: Sequence[int], block: range,
+) -> InvariantReport:
+    """The combinations of the sources that every generator fixes in the
+    subquotient of the basis block.
+
+    A source's image under g + 1 sums the images of the classes in its
+    support.  Bits below the block are of smaller weight and vanish; a bit
+    at or above ``block.stop`` raises :class:`WeightLeak`, since the action
+    never raises weight.  Each source's images, ``len(block)`` bits apart,
+    stack into one vector, and the kernel of the stacked map is the answer.
     """
-    data = cohit.quotient(q, n)
+    span = cohit.quotient(q, n)
     images = plus_one_images(q, n, group)
-    if omega is None:
-        kernel = _joint_kernel(images, data.dim, data.dim)
-        reps = [data.from_coordinates(v) for v in kernel]
-        return InvariantReport(
-            q, n, group, None, len(kernel), list(data.basis), kernel, reps
-        )
-
-    omega = trim_weight(omega)
-    bound = padded_weight(omega, n)
-    weights = [padded_weight(weight_vector(m), n) for m in data.basis]
-    keep = [i for i, w in enumerate(weights) if w == bound]
-    sub_basis = [data.basis[i] for i in keep]
-    sub_index = {i: k for k, i in enumerate(keep)}
-    image_vectors = []
-    for g_images in images:
-        vectors = []
-        for i in keep:
-            v = 0
-            for p in support(g_images[i]):
-                w = weights[p]
-                if w > bound:
-                    raise WeightLeak(
-                        f"sigma image of {data.basis[i]} leaves weight {omega} upward"
-                    )
-                if w == bound:
-                    v |= 1 << sub_index[p]
-            vectors.append(v)
-        image_vectors.append(vectors)
-    kernel = _joint_kernel(image_vectors, len(keep), len(keep))
-    reps = [Polynomial(q, [sub_basis[i] for i in support(v)]) for v in kernel]
-    return InvariantReport(q, n, group, omega, len(kernel), sub_basis, kernel, reps)
+    width = len(block)
+    stacked = []
+    for source in sources:
+        v = 0
+        for g, g_images in enumerate(images):
+            image = _combine(g_images, source)
+            if image >> block.stop:
+                raise WeightLeak(f"an image of {span.from_coordinates(source)} "
+                                 f"leaves weight {omega} upward")
+            v |= (image >> block.start) << (g * width)
+        stacked.append(v)
+    vectors = [_combine(sources, a) for a in image_kernel(stacked)[1]]
+    return InvariantReport(
+        q, n, group, omega, len(vectors), list(span.basis[block.start:block.stop]),
+        [v >> block.start for v in vectors], list(map(span.from_coordinates, vectors)),
+    )
 
 
 # -- coinvariants ------------------------------------------------------------------
-
-
-@dataclass
-class CoinvariantReport:
-    q: int
-    n: int
-    group: str
-    dim: int
-    primitive_dim: int
-    representatives: list[DualElement]
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "group": self.group,
-            "dim": self.dim,
-            "primitive_dim": self.primitive_dim,
-            "representatives": [d.to_json()["terms"] for d in self.representatives],
-        }
 
 
 class CoinvariantData:
@@ -408,9 +369,15 @@ class CoinvariantData:
     def representatives(self) -> list[DualElement]:
         return [self.span.to_dual(v) for v in self._representatives]
 
-    def report(self) -> CoinvariantReport:
-        return CoinvariantReport(self.q, self.n, self.group, self.dim,
-                                 self.primitive_dim, self.representatives())
+    def to_json(self) -> dict:
+        return {
+            "q": self.q,
+            "n": self.n,
+            "group": self.group,
+            "dim": self.dim,
+            "primitive_dim": self.primitive_dim,
+            "representatives": [d.to_json()["terms"] for d in self.representatives()],
+        }
 
 
 @cache
@@ -419,27 +386,12 @@ def coinvariant_data(q: int, n: int, group: str) -> CoinvariantData:
     return CoinvariantData(q, n, group)
 
 
-def coinvariants(q: int, n: int, group: str = "gl") -> CoinvariantReport:
+def coinvariants(q: int, n: int, group: str = "gl") -> CoinvariantData:
     """Coinvariants of the primitive space; see :class:`CoinvariantData`."""
-    return coinvariant_data(q, n, group).report()
+    return coinvariant_data(q, n, group)
 
 
 def kameko_kernel_invariants(q: int, n: int, group: str = "gl") -> InvariantReport:
-    """Fixed classes inside the kernel of the halving map on Q_n.
-
-    By linearity, the image of g + 1 on a kernel vector is the sum of its
-    images on the basis classes in the vector's support.
-    """
+    """Fixed classes inside the kernel of the halving map on Q_n."""
     km = cohit.kameko_matrix(q, n)
-    data = km.domain
-    kernel_vectors = km.kernel
-    image_vectors = [
-        [_combine(g_images, kv) for kv in kernel_vectors]
-        for g_images in plus_one_images(q, n, group)
-    ]
-    alphas = _joint_kernel(image_vectors, len(kernel_vectors), data.dim)
-    vecs = [_combine(kernel_vectors, a) for a in alphas]
-    reps = [data.from_coordinates(v) for v in vecs]
-    return InvariantReport(
-        q, n, group, None, len(alphas), list(data.basis), vecs, reps
-    )
+    return _fixed_classes(q, n, group, None, km.kernel, range(km.domain.dim))

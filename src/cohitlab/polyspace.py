@@ -58,6 +58,8 @@ def weight_vector(mono: Monomial) -> WeightVector:
     """omega(x): entry i counts exponents with binary bit i set (trailing zeros trimmed)."""
     if not mono:
         return ()
+    if min(mono) < 0:
+        raise ValueError(f"negative exponent in {mono}")
     bits = max(mono).bit_length()
     w = [0] * bits
     for e in mono:

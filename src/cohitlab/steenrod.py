@@ -24,6 +24,7 @@ the span stands for its whole orbit.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
@@ -37,6 +38,8 @@ from .polyspace import (
     WeightVector,
     check_rank,
     padded_weight,
+    trim_weight,
+    weight_vector,
     weight_vectors,
 )
 
@@ -389,6 +392,14 @@ class HitSpan:
 
     def from_coordinates(self, bits: int) -> Polynomial:
         return Polynomial(self.q, [self.basis[i] for i in support(bits)])
+
+    def weight_block(self, omega: WeightVector) -> range:
+        """The indices of the basis monomials of weight omega (trailing zeros
+        ignored): one run, since the basis ascends weight first."""
+        w = padded_weight(trim_weight(omega), self.n)
+        key = lambda m: padded_weight(weight_vector(m), self.n)
+        return range(bisect_left(self.basis, w, key=key),
+                     bisect_right(self.basis, w, key=key))
 
     def primitive_vectors(self) -> list[int]:
         """Kernel of the hit span: bit-vectors orthogonal to every hit row."""

@@ -390,11 +390,11 @@ def _weight_invariant_ok(q, n, omega, monomials) -> bool:
     report = glaction.invariants(q, n, "gl", omega=omega)
     if report.dim != 1:
         return False
-    # the class's normal form, on the admissible monomials of weight omega
+    # the class's coordinates, read on the basis block of weight omega
     span = cohit.quotient(q, n)
-    nf = span.from_coordinates(span.coordinates(Polynomial(q, monomials)))
-    kept = set(report.basis_monomials) & nf.terms
-    return Polynomial(q, kept) == report.representatives[0]
+    block = span.weight_block(omega)
+    coords = span.coordinates(Polynomial(q, monomials)) >> block.start
+    return coords & ((1 << len(block)) - 1) == report.vectors[0]
 
 
 def _kameko_kernel_matches(q, n, monomials) -> bool:

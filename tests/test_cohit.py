@@ -14,7 +14,7 @@ from cohitlab.cohit import (
     weight_subquotient,
     weight_table,
 )
-from cohitlab.polyspace import Polynomial, mu, weight_vector
+from cohitlab.polyspace import Polynomial, mu, trim_weight, weight_vector, weight_vectors
 from cohitlab.steenrod import hit_span
 
 
@@ -109,6 +109,26 @@ def test_weight_subquotient_ignores_trailing_zeros():
     a = weight_subquotient(4, 9, (3, 1, 1))
     b = weight_subquotient(4, 9, (3, 1, 1, 0, 0))
     assert a == b
+
+
+def test_weight_block_is_the_weight_filter():
+    for q, n in ((3, 8), (4, 9), (4, 21), (4, 37)):
+        span = span_for(q, n)
+        for w in weight_vectors(q, n) + [(q + 1,)]:
+            for omega in (w, w + (0, 0, 0)):
+                want = [i for i, m in enumerate(span.basis)
+                        if weight_vector(m) == trim_weight(omega)]
+                assert list(span.weight_block(omega)) == want, (q, n, omega)
+
+
+def test_spike_free_degrees_have_no_column():
+    # mu(n) > q: every monomial is hit (Wood), so the bound leaves no column
+    spike_free = [(q, n) for q in (1, 2, 3, 4) for n in range(1, 46) if mu(n) > q]
+    assert len(spike_free) > 40
+    for q, n in spike_free:
+        assert span_for(q, n).ncols == 0, (q, n)
+        assert hit_span(q, n, None).dim == 0, (q, n)
+    assert [cohit_dim(q, 0) for q in (1, 2, 3, 4)] == [1, 1, 1, 1]
 
 
 def test_kameko_monomial_maps():

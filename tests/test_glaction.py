@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import functools
+from operator import xor
 
 import pytest
 
 from property_checks import transpose_images
-from cohitlab import cohit, refdata
+from cohitlab import cohit, glaction, refdata
 from cohitlab.cohit import ResourceLimit, quotient, span_for
-from cohitlab.f2linalg import EchelonForm, echelonize, from_support, support
+from cohitlab.f2linalg import EchelonForm, echelonize, from_support, image_kernel, support
 from cohitlab.glaction import (
     CoinvariantData,
+    WeightLeak,
     act_dual,
     coinvariant_data,
     coinvariants,
@@ -21,7 +23,16 @@ from cohitlab.glaction import (
     transvection_images,
     transposition_images,
 )
-from cohitlab.polyspace import DualElement, Polynomial, enumerate_monomials, pairing
+from cohitlab.polyspace import (
+    DualElement,
+    Polynomial,
+    enumerate_monomials,
+    padded_weight,
+    pairing,
+    trim_weight,
+    weight_vector,
+    weight_vectors,
+)
 from cohitlab.steenrod import is_annihilated
 from cohitlab.transferlab import verdict
 
@@ -154,6 +165,102 @@ def test_weight_restricted_invariants():
     assert small.dim + large.dim == invariants(4, 9, "gl").dim
 
 
+def _combine(vectors, bits):
+    return functools.reduce(xor, (vectors[i] for i in support(bits)), 0)
+
+
+def _reference_joint_kernel(image_vectors, sources, dim):
+    """The common kernel of the maps, each map's images ``dim`` bits apart."""
+    stacked = [0] * sources
+    for g, vectors in enumerate(image_vectors):
+        for i, v in enumerate(vectors):
+            stacked[i] |= v << (g * dim)
+    return image_kernel(stacked)[1]
+
+
+def reference_invariants(q, n, group, omega=None):
+    """(dim, vectors, basis_monomials, representatives) of the fixed classes,
+    the subquotient projected one bit at a time by its padded weight."""
+    data = quotient(q, n)
+    images = plus_one_images(q, n, group)
+    if omega is None:
+        kernel = _reference_joint_kernel(images, data.dim, data.dim)
+        reps = [data.from_coordinates(v) for v in kernel]
+        return len(kernel), kernel, list(data.basis), reps
+    bound = padded_weight(trim_weight(omega), n)
+    weights = [padded_weight(weight_vector(m), n) for m in data.basis]
+    keep = [i for i, w in enumerate(weights) if w == bound]
+    sub_index = {i: k for k, i in enumerate(keep)}
+    image_vectors = []
+    for g_images in images:
+        vectors = []
+        for i in keep:
+            v = 0
+            for p in support(g_images[i]):
+                assert weights[p] <= bound
+                if weights[p] == bound:
+                    v |= 1 << sub_index[p]
+            vectors.append(v)
+        image_vectors.append(vectors)
+    kernel = _reference_joint_kernel(image_vectors, len(keep), len(keep))
+    sub_basis = [data.basis[i] for i in keep]
+    reps = [Polynomial(q, [sub_basis[i] for i in support(v)]) for v in kernel]
+    return len(kernel), kernel, sub_basis, reps
+
+
+def reference_kameko_kernel_invariants(q, n, group):
+    km = cohit.kameko_matrix(q, n)
+    image_vectors = [
+        [_combine(g_images, kv) for kv in km.kernel]
+        for g_images in plus_one_images(q, n, group)
+    ]
+    alphas = _reference_joint_kernel(image_vectors, len(km.kernel), km.domain.dim)
+    vecs = [_combine(km.kernel, a) for a in alphas]
+    return len(alphas), vecs, list(km.domain.basis), list(map(km.domain.from_coordinates, vecs))
+
+
+def _fields(report):
+    return report.dim, report.vectors, report.basis_monomials, report.representatives
+
+
+MERGED_DEGREES = (
+    [(q, n) for q in (1, 2, 3) for n in range(0, 16)]
+    + [(4, n) for n in [*range(0, 24), 37, 45]]
+)
+
+
+def test_invariants_match_the_joint_kernel_reference():
+    for q, n in MERGED_DEGREES:
+        weights = {weight_vector(m) for m in quotient(q, n).basis}
+        empty = next((w for w in weight_vectors(q, n) if w not in weights), (q + 1,))
+        for group in ("sigma", "gl"):
+            for omega in [None, *sorted(weights), empty]:
+                got = invariants(q, n, group, omega=omega)
+                assert _fields(got) == reference_invariants(q, n, group, omega), (
+                    q, n, group, omega)
+            if n >= q and (n - q) % 2 == 0:
+                got = kameko_kernel_invariants(q, n, group)
+                assert _fields(got) == reference_kameko_kernel_invariants(q, n, group)
+    assert invariants(4, 9, "gl", omega=(3, 3, 0, 0)).omega == (3, 3)
+
+
+def test_a_weight_leak_raises(monkeypatch):
+    # the weight-(3,1,1) block of Q_9 lies below the (3,3) block
+    span = quotient(4, 9)
+    block = span.weight_block((3, 1, 1))
+    assert 0 < len(block) and block.stop < span.dim
+    images = plus_one_images(4, 9, "gl")
+    leak = tuple(tuple(1 << block.stop for _ in g_images) for g_images in images)
+    monkeypatch.setattr(glaction, "plus_one_images", lambda q, n, group: leak)
+    with pytest.raises(WeightLeak, match="upward"):
+        invariants(4, 9, "gl", omega=(3, 1, 1))
+    # a bit below the block vanishes in the subquotient: every class is fixed
+    top = span.weight_block((3, 3))
+    low = tuple(tuple(1 << (top.start - 1) for _ in g_images) for g_images in images)
+    monkeypatch.setattr(glaction, "plus_one_images", lambda q, n, group: low)
+    assert invariants(4, 9, "gl", omega=(3, 3)).dim == len(top) == span.dim - block.stop
+
+
 def test_gl_invariant_dims_from_the_fixture():
     for (q, n), dim in refdata.GL_INVARIANT_DIMS.items():
         assert invariants(q, n, "gl").dim == dim, (q, n)
@@ -165,14 +272,17 @@ def test_gl_invariant_dims_by_weight_at_45():
 
 
 def test_coinvariants_report_shape():
-    report = coinvariants(3, 8, "gl")
-    assert report.q == 3 and report.n == 8
-    assert report.dim == len(report.representatives)
-    assert report.primitive_dim >= report.dim
-    for rep in report.representatives:
+    data = coinvariants(3, 8, "gl")
+    assert data is coinvariant_data(3, 8, "gl")
+    assert data.q == 3 and data.n == 8
+    reps = data.representatives()
+    assert data.dim == len(reps)
+    assert data.primitive_dim >= data.dim
+    for rep in reps:
         assert is_annihilated(rep)
-    js = report.to_json()
-    assert js["dim"] == report.dim
+    js = data.to_json()
+    assert js["dim"] == data.dim
+    assert js["representatives"] == [rep.to_json()["terms"] for rep in reps]
 
 
 SMALL_DEGREES = [(q, n) for q in (2, 3) for n in range(1, 13)]

@@ -82,6 +82,12 @@ def test_weight_vector_examples():
     assert weight_vector((2, 4, 8)) == (0, 1, 1, 1)
 
 
+def test_weight_vector_rejects_a_negative_exponent():
+    for mono in ((1, -1), (-2,), (0, 3, -4)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            weight_vector(mono)
+
+
 @given(st.tuples(*([st.integers(0, 63)] * 4)))
 def test_weight_vector_recovers_the_degree(mono):
     w = weight_vector(mono)

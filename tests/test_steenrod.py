@@ -319,7 +319,8 @@ def test_span_columns_are_the_monomials_above_the_spike_in_order():
     for q, degrees in ((1, range(1, 33)), (2, range(1, 33)), (3, range(1, 33)),
                        (4, (5, 9, 13, 22, 29, 37, 46)), (5, (6, 12, 15, 20, 24))):
         for n in degrees:
-            bound = _spike_bound(q, n) or ()  # no spike: every column stays
+            # no spike: every monomial is hit (Wood), and no column stays
+            bound = _spike_bound(q, n) or (q + 1,)
             want = [
                 m
                 for m in enumerate_monomials(q, n)
