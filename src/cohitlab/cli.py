@@ -112,7 +112,7 @@ def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(entry, fh, sort_keys=True)
+            fh.write(json.dumps(entry, sort_keys=True))
         os.replace(tmp, path)
     except OSError:
         if tmp is not None:

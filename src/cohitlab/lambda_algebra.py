@@ -36,10 +36,17 @@ word (``0``) stay distinct.  Prepending l_m to v is ``(v << WIDTH) | (m +
 1)``, the leading index of w is ``(w & MASK) - 1`` and its tail ``w >>
 WIDTH``.  ``_left`` keys on the packed inadmissible word l_a u itself.  The
 letters are capped at ``MAX_LETTER``: ``LambdaElement`` refuses a larger
-index with ValueError, and ``ext_dim``, ``psi`` and the coordinates refuse
-a degree whose words could hold one with :class:`cohit.ResourceLimit`.
+index with ValueError, and ``ext_dim``, ``psi`` and the admissible words
+refuse a degree whose words could hold one with :class:`cohit.ResourceLimit`.
 Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``,
-the JSON and ``admissible_basis``.
+the JSON and ``admissible_basis``, an unmemoized view that unpacks the
+words afresh.
+
+The memos hold packed words only.  ``_left`` returns a product of one word
+as that bare int, and no word or several as a frozenset (``_EMPTY`` when
+empty); ``_d_admissible`` returns a frozenset.  The admissible words of one
+(length, degree) are enumerated packed, already in the order of their
+tuples, and kept once, as ``_coords(s, n).words``.
 
 An element records whether all its words are admissible.  The constructor
 checks the words it is given; the outputs of ``differential``,
@@ -78,7 +85,7 @@ Word = tuple[int, ...]
 WIDTH = 10  # bits a letter of a packed word
 MASK = (1 << WIDTH) - 1
 MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
-_EMPTY: frozenset[int] = frozenset()  # shared by the empty memo values
+_EMPTY: frozenset[int] = frozenset()  # every empty memo value; one word is a bare int
 
 # Generous guard for runaway rewriting: the most left products (``_left``
 # memo misses) one reduction or differential may compute; never reached in
@@ -280,16 +287,21 @@ def _times(m: int, words: Iterable[int], acc: set[int]) -> set[int]:
         if not v or m <= 2 * ((v & MASK) - 1):
             acc.remove(t) if t in acc else acc.add(t)
         else:
-            acc ^= _left(t)
+            r = _left(t)
+            if type(r) is int:
+                acc.remove(r) if r in acc else acc.add(r)
+            else:
+                acc ^= r
     return acc
 
 
 @cache
-def _left(w: int) -> frozenset[int]:
+def _left(w: int) -> int | frozenset[int]:
     """The packed word l_a u, with u admissible and a > 2 u_1, in admissible form.
 
-    The only place an inadmissible pair is rewritten; each product computed
-    (a memo miss) counts against ``MAX_REWRITES``.
+    One word comes back bare, as its packed int; no word or several come
+    back as a frozenset.  The only place an inadmissible pair is rewritten;
+    each product computed (a memo miss) counts against ``MAX_REWRITES``.
     """
     global _rewrite_count
     _rewrite_count += 1
@@ -303,7 +315,10 @@ def _left(w: int) -> frozenset[int]:
         if not rest or q <= 2 * ((rest & MASK) - 1):
             _times(p, (t,), acc)
         else:
-            _times(p, _left(t), acc)
+            r = _left(t)
+            _times(p, (r,) if type(r) is int else r, acc)
+    if len(acc) == 1:
+        return acc.pop()
     return frozenset(acc) if acc else _EMPTY
 
 
@@ -360,33 +375,46 @@ def _least_tail(j: int, slots: int) -> int:
     return total
 
 
-@cache
-def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
-    """Admissible words of length s and index sum n, lexicographically sorted."""
+def _admissible_words(s: int, n: int) -> tuple[int, ...]:
+    """Packed admissible words of length s and index sum n, in the tuple order.
+
+    The words are built depth first, one letter a level with ascending index,
+    which is already the lexicographic order of their tuples.  Raises
+    :class:`cohit.ResourceLimit` when a word may hold a letter above
+    ``MAX_LETTER``, which a packed word cannot store.
+    """
     if s < 0 or n < 0:
         return ()
     if s == 0:
-        return ((),) if n == 0 else ()
+        return (0,) if n == 0 else ()  # the empty word
+    _check_letters(s, n)
+    out: list[int] = []
 
-    out: list[Word] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
+    def rec(prefix: int, shift: int, remaining: int, slots: int, lo: int) -> None:
+        # lo: the least index admissible after the letter before, half of it
         if slots == 1:
-            last = remaining
-            if not prefix or prefix[-1] <= 2 * last:
-                out.append(tuple(prefix + [last]))
+            if remaining >= lo:
+                out.append(prefix | (remaining + 1) << shift)
             return
-        lo = 0 if not prefix else (prefix[-1] + 1) // 2
         for j in range(lo, remaining + 1):
             # each later slot needs at least half the index before it; once
             # j leaves too little for that, every larger j does too
             if remaining - j < _least_tail(j, slots - 1):
                 break
-            rec(prefix + [j], remaining - j, slots - 1)
+            rec(prefix | (j + 1) << shift, shift + WIDTH, remaining - j,
+                slots - 1, (j + 1) // 2)
 
-    rec([], n, s)
-    out.sort()
+    rec(0, 0, n, s, 0)
     return tuple(out)
+
+
+def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
+    """Admissible words of length s and index sum n, lexicographically sorted.
+
+    A tuple view of the packed words, built afresh on every call: the
+    engine reads ``_coords(s, n).words``.
+    """
+    return tuple(map(_unpack, _admissible_words(s, n)))
 
 
 def _pairs(r: int, lo: int) -> int:
@@ -447,9 +475,8 @@ class _Coordinates:
     """Bit coordinates over the packed admissible basis of one (length, degree)."""
 
     def __init__(self, s: int, n: int):
-        _check_letters(s, n)
         self.s, self.n = s, n
-        self.words = tuple(map(_pack, admissible_basis(s, n)))
+        self.words = _admissible_words(s, n)
         self.index = {w: i for i, w in enumerate(self.words)}
 
     def vector(self, el: LambdaElement) -> int:
@@ -637,7 +664,6 @@ def clear_caches() -> None:
     _d_generator.cache_clear()
     _left.cache_clear()
     _d_admissible.cache_clear()
-    admissible_basis.cache_clear()
     _coords.cache_clear()
     _differential_images.cache_clear()
     _homology_vectors.cache_clear()

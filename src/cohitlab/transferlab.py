@@ -15,7 +15,6 @@ drift anywhere in the engine surfaces as a named failure here.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 from . import cohit, glaction, refdata
@@ -360,6 +359,8 @@ def verify_all(
     """
     if jobs <= 1:
         return [verify_suite(n) for n in names]
+    import concurrent.futures  # only a pool needs it, with logging and threading
+
     workers = min(jobs, len(names))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {n: pool.submit(verify_suite, n) for n in names}

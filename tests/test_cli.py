@@ -168,7 +168,7 @@ def test_ext_budget_refuses_before_building_a_basis(sandbox, capsys, monkeypatch
         raise AssertionError("a basis was built")
 
     monkeypatch.setattr(cohit, "MAX_COLUMNS", 1000)
-    monkeypatch.setattr(lambda_algebra, "admissible_basis", no_basis)
+    monkeypatch.setattr(lambda_algebra, "_admissible_words", no_basis)
     code, data = run_json(capsys, "ext", "--q", "4", "--n", "40", "--no-cache")
     assert code == 3
     assert data["error"] == "resource-limit"
@@ -182,7 +182,7 @@ def test_ext_refuses_words_too_long_to_recurse(sandbox, capsys, monkeypatch):
         raise AssertionError("a basis was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(lambda_algebra, "admissible_basis", no_basis)
+        patch.setattr(lambda_algebra, "_admissible_words", no_basis)
         for s, n in (("450", "3"), ("990", "2")):
             code, data = run_json(capsys, "ext", "--q", s, "--n", n, "--no-cache")
             assert code == 3
@@ -206,7 +206,7 @@ def test_ext_and_psi_refuse_letters_above_the_cap(sandbox, capsys, monkeypatch,
 
     assert lambda_algebra.MAX_LETTER == 1022
     with monkeypatch.context() as patch:
-        patch.setattr(lambda_algebra, "admissible_basis", no_basis)
+        patch.setattr(lambda_algebra, "_admissible_words", no_basis)
         patch.setattr(lambda_algebra, "_psi_words", no_basis)
         # ext at (2, 1022) needs the words of (1, 1023), the source of the
         # map into (2, 1022)
@@ -343,6 +343,14 @@ def test_cache_round_trip_is_byte_identical(sandbox, capsys):
     }
     assert entry["payload"] == json.loads(out1)
     assert "timestamp" in entry["provenance"]
+
+
+def test_a_stored_entry_is_its_sorted_key_dump(sandbox, capsys):
+    assert run(capsys, "cohit", "--q", "4", "--n", "21")[0] == 0
+    (path,) = (sandbox / "cache").glob("cli_cohit_*.json")
+    text = path.read_text()
+    # the C encoder's bytes: no indent, no trailing newline
+    assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
 def test_stale_or_foreign_cache_entries_are_ignored(sandbox, capsys):

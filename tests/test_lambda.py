@@ -115,10 +115,13 @@ def test_admissible_basis_matches_brute_force_with_the_feasibility_cut():
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
-    for s in range(5):
+    for s in range(6):
         for n in range(31):
             brute = sorted(w for w in compositions(n, s) if is_admissible(w))
             assert list(admissible_basis(s, n)) == brute, (s, n)
+            # the coordinates enumerate the same words packed, in this order
+            want = tuple(map(lambda_algebra._pack, brute))
+            assert lambda_algebra._coords(s, n).words == want, (s, n)
 
 
 def test_admissible_count_is_the_basis_size():
@@ -290,7 +293,18 @@ def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
                 for a in range(2 * u[0] + 1, 2 * u[0] + 9):
                     want = reference_reduce({(a,) + u})
                     got = lambda_algebra._left(lambda_algebra._pack((a,) + u))
+                    if isinstance(got, int):  # one word is stored bare
+                        got = {got}
                     assert set(map(lambda_algebra._unpack, got)) == want, (a, u)
+
+
+def test_a_one_word_left_product_is_stored_bare(fresh_lambda_caches):
+    # l4 l1 = l3 l2: n = a - 2b - 1 = 1 leaves the one term j = 0
+    pack = lambda_algebra._pack
+    assert lambda_algebra._left(pack((4, 1))) == pack((3, 2))
+    # no word and two words stay sets: l3 l1 = 0, l6 l1 = l3 l4 + l4 l3
+    assert lambda_algebra._left(pack((3, 1))) == frozenset()
+    assert lambda_algebra._left(pack((6, 1))) == {pack((3, 4)), pack((4, 3))}
 
 
 def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 from concurrent.futures import Future
 
 import pytest
@@ -166,8 +167,7 @@ class RecordingPool:
 
 
 def test_verify_all_asks_for_one_worker_per_suite_at_most(monkeypatch):
-    futures = transferlab.concurrent.futures
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     reports = verify_all(("remark26", "eq6"), jobs=64)
     assert [r.name for r in reports] == ["remark26", "eq6"]
