@@ -18,14 +18,16 @@ leading generator at a time,
 
 with ``D(u)`` already admissible.  The first term needs no rewriting: an odd
 C(m-j, j) forces j <= m-j, so j-1 <= 2(m-j), and m-j <= m <= 2 u_1.  The
-second rewrites only the products ``l_m v`` with m > 2 v_1 (``_left``).  An
+second rewrites only the products ``l_m v`` with m > 2 v_1 (``_L``).  An
 inadmissible input word is reduced first; d is well defined on the algebra.
 The words of an element are grouped by their leading generator, and the
 ``D(u)`` of one group are summed before l_m multiplies them, so terms cancel
-before any rewriting.  Only tails ``u`` are memoized (``_d_admissible``):
-the words of the element itself are differentiated once.
+before any rewriting.  Only tails ``u`` are memoized (``_D``), and they are
+read as well: the d of a one-word element that is already a memoized tail
+is looked up, and any other word of an element is differentiated once,
+without storing it.
 
-There is one rewriting path: the left product ``_left`` of l_m with an
+There is one rewriting path: the left product ``_L`` of l_m with an
 admissible word, reached through ``_times``.  ``adem_reduce`` groups words
 the same way, reduces the tails under each leading index together and
 multiplies them back by l_m.
@@ -34,7 +36,7 @@ Inside this module a word is one int: ``WIDTH`` bits a letter, the leading
 letter lowest, each letter stored as its index + 1 so that l_0 and the empty
 word (``0``) stay distinct.  Prepending l_m to v is ``(v << WIDTH) | (m +
 1)``, the leading index of w is ``(w & MASK) - 1`` and its tail ``w >>
-WIDTH``.  ``_left`` keys on the packed inadmissible word l_a u itself.  The
+WIDTH``.  ``_L`` keys on the packed inadmissible word l_a u itself.  The
 letters are capped at ``MAX_LETTER``: ``LambdaElement`` refuses a larger
 index with ValueError, and ``ext_dim``, ``psi`` and the admissible words
 refuse a degree whose words could hold one with :class:`cohit.ResourceLimit`.
@@ -42,11 +44,12 @@ Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``,
 the JSON and ``admissible_basis``, an unmemoized view that unpacks the
 words afresh.
 
-The memos hold packed words only.  ``_left`` returns a product of one word
-as that bare int, and no word or several as a frozenset (``_EMPTY`` when
-empty); ``_d_admissible`` returns a frozenset.  The admissible words of one
-(length, degree) are enumerated packed, already in the order of their
-tuples, and kept once, as ``_coords(s, n).words``.
+The memos hold packed words only.  ``_L`` and ``_D`` are dicts whose
+``__missing__`` computes and stores a value, so a hit is a plain subscript.
+``_L`` holds a product of one word as that bare int, and no word or several
+as a frozenset (``_EMPTY`` when empty); ``_D`` holds frozensets.  The
+admissible words of one (length, degree) are enumerated packed, already in
+the order of their tuples, and kept once, as ``_coords(s, n).words``.
 
 An element records whether all its words are admissible.  The constructor
 checks the words it is given; the outputs of ``differential``,
@@ -87,7 +90,7 @@ MASK = (1 << WIDTH) - 1
 MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
 _EMPTY: frozenset[int] = frozenset()  # every empty memo value; one word is a bare int
 
-# Generous guard for runaway rewriting: the most left products (``_left``
+# Generous guard for runaway rewriting: the most left products (``_L``
 # memo misses) one reduction or differential may compute; never reached in
 # supported degrees.
 MAX_REWRITES = 10_000_000
@@ -142,17 +145,28 @@ class LambdaElement:
     __slots__ = ("_words", "_admissible")
 
     def __init__(self, terms: Iterable[Word] = ()):
-        ts = frozenset(tuple(w) for w in terms)
-        shapes = {(len(w), sum(w)) for w in ts}
-        if len(shapes) > 1:
-            raise ValueError("element mixes word lengths or degrees")
-        for w in ts:
-            if any(j < 0 for j in w):
-                raise ValueError(f"negative index in word {w}")
-            if any(j > MAX_LETTER for j in w):
-                raise ValueError(f"index above {MAX_LETTER} in word {w}")
-        self._words = frozenset(map(_pack, ts))
-        self._admissible = all(map(is_admissible, ts))
+        words: set[int] = set()
+        shape = None
+        admissible = True
+        for word in terms:
+            word = tuple(word)
+            if shape != (len(word), sum(word)):
+                if shape is not None:
+                    raise ValueError("element mixes word lengths or degrees")
+                shape = (len(word), sum(word))
+            w, after = 0, MAX_LETTER  # after: the letter to the right of j
+            for j in reversed(word):
+                if not 0 <= j <= MAX_LETTER:
+                    if min(word) < 0:
+                        raise ValueError(f"negative index in word {word}")
+                    raise ValueError(f"index above {MAX_LETTER} in word {word}")
+                if j > 2 * after:
+                    admissible = False
+                w = (w << WIDTH) | (j + 1)
+                after = j
+            words.add(w)
+        self._words = frozenset(words)
+        self._admissible = admissible
 
     @classmethod
     def _trusted(cls, words: frozenset[int], admissible: bool) -> "LambdaElement":
@@ -231,19 +245,21 @@ def from_words(*words: Iterable[int]) -> LambdaElement:
     return LambdaElement(tuple(w) for w in words)
 
 
-def _by_leading(words: Iterable[int]) -> dict[int, set[int]]:
-    """The tails of the nonempty packed words, summed under their leading index."""
-    groups: dict[int, set[int]] = {}
+def _by_leading(words: Iterable[int]) -> dict[int, list[int]]:
+    """The tails of distinct nonempty packed words, listed by leading index.
+
+    Distinct words with one leading index have distinct tails, so each list
+    holds every tail once.
+    """
+    groups: dict[int, list[int]] = {}
     for w in words:
         if w:
-            us = groups.setdefault((w & MASK) - 1, set())
-            u = w >> WIDTH
-            us.remove(u) if u in us else us.add(u)
+            groups.setdefault((w & MASK) - 1, []).append(w >> WIDTH)
     return groups
 
 
 def _reduce(words: Collection[int]) -> set[int]:
-    """Admissible form of a sum of packed words of one length.
+    """Admissible form of a sum of distinct packed words of one length.
 
     The tails under each leading index m are reduced together, then
     multiplied by l_m once.
@@ -282,12 +298,16 @@ def _d_generator(m: int) -> frozenset[int]:
 
 def _times(m: int, words: Iterable[int], acc: set[int]) -> set[int]:
     """Add l_m v to acc for each packed admissible word v, in admissible form."""
+    lead = m + 1
+    # l_m v is admissible when v is empty or its leading letter, stored as
+    # index + 1, is at least this: m <= 2 v_1
+    least = (m + 1) // 2 + 1
     for v in words:
-        t = (v << WIDTH) | (m + 1)
-        if not v or m <= 2 * ((v & MASK) - 1):
+        t = (v << WIDTH) | lead
+        if (v & MASK) >= least or not v:
             acc.remove(t) if t in acc else acc.add(t)
         else:
-            r = _left(t)
+            r = _L[t]
             if type(r) is int:
                 acc.remove(r) if r in acc else acc.add(r)
             else:
@@ -295,70 +315,100 @@ def _times(m: int, words: Iterable[int], acc: set[int]) -> set[int]:
     return acc
 
 
-@cache
-def _left(w: int) -> int | frozenset[int]:
-    """The packed word l_a u, with u admissible and a > 2 u_1, in admissible form.
+class _LeftProducts(dict):
+    """Packed word l_a u, with u admissible and a > 2 u_1 -> its admissible form.
 
-    One word comes back bare, as its packed int; no word or several come
-    back as a frozenset.  The only place an inadmissible pair is rewritten;
-    each product computed (a memo miss) counts against ``MAX_REWRITES``.
+    One word is stored bare, as its packed int; no word or several as a
+    frozenset.  The only place an inadmissible pair is rewritten; each
+    product computed (a miss) counts against ``MAX_REWRITES``, and a miss
+    that raises stores nothing.
     """
-    global _rewrite_count
-    _rewrite_count += 1
-    if _rewrite_count > MAX_REWRITES:
-        raise RewriteBudget(f"more than {MAX_REWRITES} left products")
-    u = w >> WIDTH
-    rest = u >> WIDTH
-    acc: set[int] = set()
-    for p, q in adem_pair((w & MASK) - 1, (u & MASK) - 1):
-        t = (rest << WIDTH) | (q + 1)
-        if not rest or q <= 2 * ((rest & MASK) - 1):
-            _times(p, (t,), acc)
-        else:
-            r = _left(t)
-            _times(p, (r,) if type(r) is int else r, acc)
-    if len(acc) == 1:
-        return acc.pop()
-    return frozenset(acc) if acc else _EMPTY
 
+    __slots__ = ()
 
-def _d_grouped(tails: dict[int, Iterable[int]]) -> set[int]:
-    """d of the sum of l_m u over m and the packed admissible tails u under m.
-
-    Each l_m u is admissible.  The tails of one leading index share one left
-    product: their D(u) are summed first, so terms cancel before ``_left``.
-    """
-    acc: set[int] = set()
-    for m, us in tails.items():
-        d_m = _d_generator(m)
-        below: set[int] = set()  # sum of D(u) over the tails u
-        for u in us:
-            shifted = u << 2 * WIDTH
-            for pair in d_m:  # admissible as it stands
-                t = pair | shifted
+    def __missing__(self, w: int) -> int | frozenset[int]:
+        global _rewrite_count
+        _rewrite_count += 1
+        if _rewrite_count > MAX_REWRITES:
+            raise RewriteBudget(f"more than {MAX_REWRITES} left products")
+        u = w >> WIDTH
+        rest = u >> WIDTH
+        acc: set[int] = set()
+        for p, q in adem_pair((w & MASK) - 1, (u & MASK) - 1):
+            t = (rest << WIDTH) | (q + 1)
+            if not rest or q <= 2 * ((rest & MASK) - 1):
+                t = (t << WIDTH) | (p + 1)  # admissible: so is the pair (p, q)
                 acc.remove(t) if t in acc else acc.add(t)
-            if u:
-                below ^= _d_admissible(u)
-        _times(m, below, acc)
+            else:
+                r = self[t]
+                _times(p, (r,) if type(r) is int else r, acc)
+        if len(acc) == 1:
+            r = acc.pop()
+        else:
+            r = frozenset(acc) if acc else _EMPTY
+        self[w] = r
+        return r
+
+
+_L = _LeftProducts()
+
+
+def _d_grouped(tails: dict[int, list[int]]) -> set[int]:
+    """d of the sum of l_m u over m and the distinct admissible tails u under m.
+
+    Each l_m u is admissible, and so is each d(l_m) u: the word
+    l_{j-1} l_{m-j} u determines m and u, so these terms are distinct and
+    are collected with no cancelling.  The tails of one leading index share
+    one left product: their D(u) are summed first, so terms cancel before
+    ``_L``.
+    """
+    acc = {pair | u << 2 * WIDTH
+           for m, us in tails.items() for pair in _d_generator(m) for u in us}
+    for m, us in tails.items():
+        if len(us) == 1:
+            if us[0]:
+                _times(m, _D[us[0]], acc)
+        else:  # distinct tails of one length: none is empty
+            below: set[int] = set()  # sum of D(u) over the tails u
+            for u in us:
+                below ^= _D[u]
+            _times(m, below, acc)
     return acc
 
 
-@cache
-def _d_admissible(u: int) -> frozenset[int]:
-    """d of a nonempty packed admissible tail, in admissible form."""
-    d = _d_grouped({(u & MASK) - 1: (u >> WIDTH,)})
-    return frozenset(d) if d else _EMPTY
+class _TailDifferentials(dict):
+    """Nonempty packed admissible tail u -> d(u) in admissible form, a frozenset.
+
+    A miss that raises stores nothing.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, u: int) -> frozenset[int]:
+        d = _d_grouped({(u & MASK) - 1: [u >> WIDTH]})
+        r = self[u] = frozenset(d) if d else _EMPTY
+        return r
+
+
+_D = _TailDifferentials()
 
 
 def differential(el: LambdaElement) -> LambdaElement:
     """d in admissible form; an element without the admissible flag is reduced first.
 
-    Only tails are memoized: a word of the input is differentiated once.
-    Shares :func:`adem_reduce`'s per-call budget of ``MAX_REWRITES``.
+    Only tails are memoized, in ``_D``.  The d of a one-word element is read
+    from there when the word is already a memoized tail, and otherwise
+    computed without storing it.  Shares :func:`adem_reduce`'s per-call
+    budget of ``MAX_REWRITES``.
     """
     global _rewrite_count
     _rewrite_count = 0
     words = el._words if el._admissible else _reduce(el._words)
+    if len(words) == 1:
+        for w in words:
+            d = _D.get(w)
+            if d is not None:
+                return LambdaElement._trusted(d, True)
     return LambdaElement._trusted(frozenset(_d_grouped(_by_leading(words))), True)
 
 
@@ -557,8 +607,9 @@ def ext_dim(s: int, n: int) -> int:
         return 0
     _check_letters(s - 1, n + 1)
     _check_letters(s, n)
-    # d recurses once per letter, three levels deep (_d_admissible, its memo
-    # wrapper and _d_grouped), a few frames below the ones on the stack now
+    # d recurses once per letter, three frames deep: _d_grouped, the memo's
+    # __missing__ and the interpreter entry the subscript makes to call it;
+    # bisected, a bare script needs 3 (s + 1) + 7 at s = 40 and s = 100
     depth, frame = 3 * (s + 1) + 16, sys._getframe()
     while frame:
         depth, frame = depth + 1, frame.f_back
@@ -662,8 +713,8 @@ def psi(theta: DualElement) -> LambdaElement:
 def clear_caches() -> None:
     adem_pair.cache_clear()
     _d_generator.cache_clear()
-    _left.cache_clear()
-    _d_admissible.cache_clear()
+    _L.clear()
+    _D.clear()
     _coords.cache_clear()
     _differential_images.cache_clear()
     _homology_vectors.cache_clear()

@@ -280,19 +280,50 @@ def test_d_memo_holds_tails_only(fresh_lambda_caches):
     # the words of an element are differentiated once and not memoized: after
     # d(d(w)) over every length-4 word w, the memo holds no length-5 word
     pc.check_differential_squares_to_zero(4, 30)
-    tails = sum(len(admissible_basis(s, n)) for s in range(1, 5) for n in range(31))
-    assert lambda_algebra._d_admissible.cache_info().currsize <= tails
+    lengths = {-(-u.bit_length() // lambda_algebra.WIDTH) for u in lambda_algebra._D}
+    assert lengths == {1, 2, 3, 4}
+
+
+def test_differential_reads_a_memoized_word_and_stores_no_new_one(
+    fresh_lambda_caches, monkeypatch,
+):
+    pack, memo = lambda_algebra._pack, lambda_algebra._D
+    words = [w for s in range(1, 5) for n in range(25) for w in admissible_basis(s, n)]
+    fresh = {}
+    for w in words:
+        memo.clear()
+        fresh[w] = differential(LambdaElement([w]))
+        assert pack(w) not in memo, w
+    derived = []
+    real = lambda_algebra._d_grouped
+    monkeypatch.setattr(lambda_algebra, "_d_grouped",
+                        lambda tails: derived.append(tails) or real(tails))
+    # (2, 1) and (1,) become memoized tails; (3, 2, 1) is absent but needs
+    # only them, so its d is derived once and nothing is stored
+    memo.clear()
+    differential(from_words((4, 2, 1)))
+    assert set(memo) == {pack((2, 1)), pack((1,))}
+    derived.clear()
+    assert differential(from_words((3, 2, 1))) == fresh[(3, 2, 1)]
+    assert len(derived) == 1 and len(memo) == 2
+    # a word memoized as a tail is read, not derived again
+    for w in words:
+        memo[pack(w)]
+    derived.clear()
+    for w in words:
+        assert differential(LambdaElement([w])) == fresh[w], w
+    assert not derived
 
 
 def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
     # l6 l0 l0 rewrites to l3 (l1 l2) among others: a product that needs
-    # _left again on its leading index, which d does not reach at small degree
+    # _L again on its leading index, which d does not reach at small degree
     for s in range(1, 4):
         for n in range(13):
             for u in admissible_basis(s, n):
                 for a in range(2 * u[0] + 1, 2 * u[0] + 9):
                     want = reference_reduce({(a,) + u})
-                    got = lambda_algebra._left(lambda_algebra._pack((a,) + u))
+                    got = lambda_algebra._L[lambda_algebra._pack((a,) + u)]
                     if isinstance(got, int):  # one word is stored bare
                         got = {got}
                     assert set(map(lambda_algebra._unpack, got)) == want, (a, u)
@@ -301,10 +332,10 @@ def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
 def test_a_one_word_left_product_is_stored_bare(fresh_lambda_caches):
     # l4 l1 = l3 l2: n = a - 2b - 1 = 1 leaves the one term j = 0
     pack = lambda_algebra._pack
-    assert lambda_algebra._left(pack((4, 1))) == pack((3, 2))
+    assert lambda_algebra._L[pack((4, 1))] == pack((3, 2))
     # no word and two words stay sets: l3 l1 = 0, l6 l1 = l3 l4 + l4 l3
-    assert lambda_algebra._left(pack((3, 1))) == frozenset()
-    assert lambda_algebra._left(pack((6, 1))) == {pack((3, 4)), pack((4, 3))}
+    assert lambda_algebra._L[pack((3, 1))] == frozenset()
+    assert lambda_algebra._L[pack((6, 1))] == {pack((3, 4)), pack((4, 3))}
 
 
 def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):
@@ -319,15 +350,22 @@ def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):
 def test_clear_caches_empties_every_lambda_memo():
     ext_dim(4, 9)
     psi(DualElement(4, refdata.DUAL_GENERATOR_9))
+
+    def size(memo) -> int:
+        return len(memo) if isinstance(memo, dict) else memo.cache_info().currsize
+
+    # the functools caches and the dict memos the module defines
     memos = {
-        name: f
-        for name, f in vars(lambda_algebra).items()
-        if hasattr(f, "cache_info") and f.__module__ == lambda_algebra.__name__
+        name: memo
+        for name, memo in vars(lambda_algebra).items()
+        if (hasattr(memo, "cache_info") or isinstance(memo, dict))
+        and getattr(memo, "__module__", None) == lambda_algebra.__name__
     }
-    assert memos["_left"].cache_info().currsize > 0
-    assert memos["_d_admissible"].cache_info().currsize > 0
+    assert {"_L", "_D", "_coords", "_differential_images"} <= set(memos)
+    assert size(memos["_L"]) > 0
+    assert size(memos["_D"]) > 0
     lambda_algebra.clear_caches()
-    sizes = {name: f.cache_info().currsize for name, f in memos.items()}
+    sizes = {name: size(memo) for name, memo in memos.items()}
     assert sizes == dict.fromkeys(memos, 0)
 
 
@@ -506,6 +544,32 @@ def test_negative_indices_are_rejected():
         from_words((2, 1), (4, -1))
     with pytest.raises(ValueError, match="negative index"):
         LambdaElement.from_json({"terms": [[-1]]})
+
+
+def test_each_single_fault_keeps_its_message():
+    cases = [
+        ([(1, 2), (3,)], "element mixes word lengths or degrees"),
+        ([(2, 1), (4, -1)], "negative index in word (4, -1)"),
+        ([(0, 2000)], "index above 1022 in word (0, 2000)"),
+    ]
+    for words, message in cases:
+        with pytest.raises(ValueError) as raised:
+            LambdaElement(words)
+        assert str(raised.value) == message
+
+
+def test_constructor_packs_and_flags_words_like_the_reference():
+    rng = random.Random(23)
+    admissible_seen = 0
+    for _ in range(600):
+        s, n = rng.randint(0, 5), rng.randint(0, 30)
+        words = [random_composition(rng, s, n) if s else ()
+                 for _ in range(rng.randint(1, 4))]
+        el = LambdaElement(iter(words))
+        assert el._words == frozenset(map(lambda_algebra._pack, words)), words
+        assert el._admissible == all(map(is_admissible, words)), words
+        admissible_seen += el._admissible
+    assert 0 < admissible_seen < 600
 
 
 def test_packed_words_round_trip():
