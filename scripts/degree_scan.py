@@ -58,7 +58,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     t0 = time.time()
-    for n in range(args.start, args.stop + 1):
+    degrees = range(args.start, args.stop + 1)  # empty when stop < start
+    for n in degrees:
         try:
             row = scan_row(args.q, n, args.coinvariants)
         except ResourceLimit as exc:
@@ -74,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
                      f" coinv={row['coinvariants']}")
         print(f"n={n:>3}  mu={row['mu']}  dim={row['dim']:>4}{extra}  "
               f"{weights}")
-    print(f"# scanned {args.stop - args.start + 1} degrees at q={args.q} "
+    print(f"# scanned {len(degrees)} degrees at q={args.q} "
           f"in {time.time() - t0:.1f}s", file=sys.stderr)
     return 0
 

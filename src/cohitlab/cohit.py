@@ -152,5 +152,5 @@ def kameko_matrix(q: int, n: int) -> KamekoMap:
     for b in domain.basis:
         d = kameko_down_monomial(b)
         images.append(0 if d is None else codomain.sum_coordinates((d,)))
-    kernel = image_kernel(images)[1]
+    kernel = image_kernel(images)
     return KamekoMap(q, n, domain, codomain, images, kernel)

@@ -162,18 +162,19 @@ def echelonize(rows: Iterable[int]) -> EchelonForm:
     return ech
 
 
-def image_kernel(images: Iterable[int]) -> tuple[EchelonForm, list[int]]:
-    """Tagged echelon of the images of a map, and a basis of its kernel.
+def image_kernel(images: Iterable[int]) -> list[int]:
+    """A basis of the kernel of a map, from the images of its source basis.
 
     ``images[i]`` is the image of source basis vector i.  Each image is
-    reduced against the echelon of the images before it, the tag recording
-    which source vectors it combines, and stored if it is not zero; one that
-    reduces to zero gives the kernel vector of its tag, whose highest bit is
-    i.  A stored tag only ever combines sources whose image was inserted, so
-    the kernel vector of a dependent source i meets no other dependent
-    source: it is the unique kernel vector whose support on the dependent
-    sources is exactly {i}.  One per dependent source, in source order, these
-    vectors are a basis of the kernel; none of it depends on the pivot rule.
+    reduced against a tagged echelon of the images before it, the tag
+    recording which source vectors it combines, and stored if it is not
+    zero; one that reduces to zero gives the kernel vector of its tag, whose
+    highest bit is i.  A stored tag only ever combines sources whose image
+    was inserted, so the kernel vector of a dependent source i meets no
+    other dependent source: it is the unique kernel vector whose support on
+    the dependent sources is exactly {i}.  One per dependent source, in
+    source order, these vectors are a basis of the kernel; none of it
+    depends on the pivot rule.  The echelon is dropped on return.
     """
     ech = EchelonForm()
     kernel = []
@@ -181,7 +182,7 @@ def image_kernel(images: Iterable[int]) -> tuple[EchelonForm, list[int]]:
         residual, tag = ech.reduce_tagged(image)
         if not ech._insert(residual, tag ^ 1 << i):
             kernel.append(tag ^ 1 << i)
-    return ech, kernel
+    return kernel
 
 
 def solve_modulo(

@@ -309,7 +309,7 @@ def _fixed_classes(
                                  f"leaves weight {omega} upward")
             v |= (image >> block.start) << (g * width)
         stacked.append(v)
-    vectors = [_combine(sources, a) for a in image_kernel(stacked)[1]]
+    vectors = [_combine(sources, a) for a in image_kernel(stacked)]
     return InvariantReport(
         q, n, group, omega, len(vectors), list(span.basis[block.start:block.stop]),
         [v >> block.start for v in vectors], list(map(span.from_coordinates, vectors)),

@@ -76,7 +76,7 @@ from __future__ import annotations
 import sys
 from functools import cache
 from math import comb
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from . import cohit
 from .f2linalg import EchelonForm, echelonize, image_kernel, solve_modulo, support
@@ -553,42 +553,30 @@ def _coords(s: int, n: int) -> _Coordinates:
     return _Coordinates(s, n)
 
 
-@cache
-def _differential_images(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
-    """Echelon of d of (length s, degree n), and the kernel of d there."""
-    source = _coords(s, n)
+def _images(s: int, n: int) -> Iterator[int]:
+    """d of each word of (length s, degree n), in (s + 1, n - 1) coordinates."""
     target = _coords(s + 1, n - 1)
-    images = (
-        target.vector(differential(LambdaElement._trusted(frozenset((w,)), True)))
-        for w in source.words
-    )
-    ech, kernel = image_kernel(images)
-    return ech, tuple(kernel)
-
-
-def _boundary_echelon(s: int, n: int) -> EchelonForm:
-    """Echelonized image of d inside (length s, degree n) coordinates."""
-    return _differential_images(s - 1, n + 1)[0]
-
-
-def _cycle_vectors(s: int, n: int) -> tuple[int, ...]:
-    """Kernel of d on (length s, degree n), as admissible-coordinate vectors."""
-    return _differential_images(s, n)[1]
+    for w in _coords(s, n).words:
+        yield target.vector(differential(LambdaElement._trusted(frozenset((w,)), True)))
 
 
 @cache
-def _homology_vectors(s: int, n: int) -> tuple[int, ...]:
-    """Cycles independent modulo boundaries, as (length s, degree n) vectors."""
+def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
+    """Boundary echelon of (length s, degree n), and cycles independent modulo it.
+
+    The echelon of each map lives only while its kernel or rank is read.
+    """
+    boundaries = echelonize(_images(s - 1, n + 1))
     if s == 0:
-        return (1,) if n == 0 else ()  # the empty word
-    ech = echelonize(_boundary_echelon(s, n).rows.values())
-    return tuple(v for v in _cycle_vectors(s, n) if ech.add(v))
+        return boundaries, ((1,) if n == 0 else ())  # the empty word
+    ech = echelonize(boundaries.rows.values())
+    return boundaries, tuple(v for v in image_kernel(_images(s, n)) if ech.add(v))
 
 
 def homology_basis(s: int, n: int) -> list[LambdaElement]:
     """Cycle representatives of a basis of the homology at (length s, degree n)."""
     source = _coords(s, n)
-    return [source.element(v) for v in _homology_vectors(s, n)]
+    return [source.element(v) for v in _homology(s, n)[1]]
 
 
 def ext_dim(s: int, n: int) -> int:
@@ -609,7 +597,8 @@ def ext_dim(s: int, n: int) -> int:
     _check_letters(s, n)
     # d recurses once per letter, three frames deep: _d_grouped, the memo's
     # __missing__ and the interpreter entry the subscript makes to call it;
-    # bisected, a bare script needs 3 (s + 1) + 7 at s = 40 and s = 100
+    # bisected, a bare script calling _homology needs 3 (s + 1) + 3 at
+    # s = 40 and s = 100
     depth, frame = 3 * (s + 1) + 16, sys._getframe()
     while frame:
         depth, frame = depth + 1, frame.f_back
@@ -625,7 +614,7 @@ def ext_dim(s: int, n: int) -> int:
                 f"length {length} and degree {degree} have more admissible "
                 f"words than the budget of {cap}"
             )
-    return len(_cycle_vectors(s, n)) - _boundary_echelon(s, n).rank
+    return len(_homology(s, n)[1])
 
 
 def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
@@ -637,7 +626,7 @@ def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
     if diff.is_zero():
         return True
     s, n = diff.length, diff.internal_degree
-    return _boundary_echelon(s, n).contains(_coords(s, n).vector(diff))
+    return _homology(s, n)[0].contains(_coords(s, n).vector(diff))
 
 
 def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
@@ -655,12 +644,8 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
             )
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
-    coords = _coords(s, n)
-    solution = solve_modulo(
-        coords.vector(el),
-        _homology_vectors(s, n),
-        _boundary_echelon(s, n).rows.values(),
-    )
+    boundaries, vectors = _homology(s, n)
+    solution = solve_modulo(_coords(s, n).vector(el), vectors, boundaries.rows.values())
     if solution is None:
         raise RuntimeError("cycle escaped the homology decomposition")
     return solution
@@ -716,5 +701,4 @@ def clear_caches() -> None:
     _L.clear()
     _D.clear()
     _coords.cache_clear()
-    _differential_images.cache_clear()
-    _homology_vectors.cache_clear()
+    _homology.cache_clear()

@@ -354,14 +354,15 @@ def verify_all(
     """Run several suites, optionally fanning out over processes.
 
     Reports come back in the order of ``names`` regardless of job count.  A
-    pool starts all its workers at once, so it gets one per suite at most;
-    a budget refusal in a worker is raised again here.
+    pool starts all its workers at once, so it gets one per suite at most,
+    and one worker or none runs here with no pool; a budget refusal in a
+    worker is raised again here.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(names))
+    if workers <= 1:
         return [verify_suite(n) for n in names]
     import concurrent.futures  # only a pool needs it, with logging and threading
 
-    workers = min(jobs, len(names))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {n: pool.submit(verify_suite, n) for n in names}
         return [futures[n].result() for n in names]

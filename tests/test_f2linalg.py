@@ -191,8 +191,7 @@ def test_restricted_back_substitution_matches_the_full_one(rows):
 def test_image_kernel_is_the_kernel_reduced_on_the_dependent_sources(images):
     # images[i] is the image of source vector i: the kernel of that map is
     # the kernel of the transposed matrix, whose rows are the target columns
-    ech, kernel = image_kernel(images)
-    assert ech.rows == echelonize(images).rows
+    kernel = image_kernel(images)
     for x in kernel:
         combo = 0
         for i in support(x):
@@ -214,8 +213,7 @@ def test_image_kernel_is_the_kernel_reduced_on_the_dependent_sources(images):
 
 def test_image_kernel_of_dependent_images():
     # image 2 = image 0 + image 1, image 3 = 0
-    ech, kernel = image_kernel([0b01, 0b10, 0b11, 0])
-    assert ech.rank == 2
+    kernel = image_kernel([0b01, 0b10, 0b11, 0])
     assert kernel == [0b0111, 0b1000]
 
 
@@ -225,14 +223,6 @@ def combination(vectors: list[int], tag: int) -> int:
     for i in support(tag):
         out ^= vectors[i]
     return out
-
-
-@given(rows_strategy)
-def test_image_kernel_tags_name_the_images_each_row_sums(images):
-    ech, _ = image_kernel(images)
-    assert ech.tags.keys() == ech.rows.keys()
-    for p, row in ech.rows.items():
-        assert combination(images, ech.tags[p]) == row
 
 
 @given(rows_strategy)

@@ -175,7 +175,7 @@ def _reference_joint_kernel(image_vectors, sources, dim):
     for g, vectors in enumerate(image_vectors):
         for i, v in enumerate(vectors):
             stacked[i] |= v << (g * dim)
-    return image_kernel(stacked)[1]
+    return image_kernel(stacked)
 
 
 def reference_invariants(q, n, group, omega=None):

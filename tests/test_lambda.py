@@ -361,7 +361,7 @@ def test_clear_caches_empties_every_lambda_memo():
         if (hasattr(memo, "cache_info") or isinstance(memo, dict))
         and getattr(memo, "__module__", None) == lambda_algebra.__name__
     }
-    assert {"_L", "_D", "_coords", "_differential_images"} <= set(memos)
+    assert {"_L", "_D", "_coords", "_homology"} <= set(memos)
     assert size(memos["_L"]) > 0
     assert size(memos["_D"]) > 0
     lambda_algebra.clear_caches()
@@ -387,10 +387,49 @@ def test_homology_basis_members_are_independent_cycles():
     assert not h.is_zero()
 
 
+def reference_rank(s: int, n: int) -> int:
+    """Rank of d from (length s, degree n), eliminated here from the words."""
+    index = {w: i for i, w in enumerate(admissible_basis(s + 1, n - 1))}
+    pivots: dict[int, int] = {}
+    for word in admissible_basis(s, n):
+        v = 0
+        for w in differential(LambdaElement([word])).terms:
+            v ^= 1 << index[w]
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def test_homology_matches_kernel_minus_boundary_rank():
+    for s in range(5):
+        for n in range(31):
+            kernel = len(admissible_basis(s, n)) - reference_rank(s, n)
+            assert ext_dim(s, n) == kernel - reference_rank(s - 1, n + 1), (s, n)
+            basis = homology_basis(s, n)
+            assert len(basis) == ext_dim(s, n)
+            for k, h in enumerate(basis):
+                assert is_cycle(h)
+                unit = tuple(int(i == k) for i in range(len(basis)))
+                assert homology_coordinates(h, s, n) == unit, (s, n, k)
+
+
+def test_homology_memo_keeps_rows_of_its_own_bidegree_only(fresh_lambda_caches):
+    ext_dim(4, 37)
+    assert lambda_algebra._homology.cache_info().currsize == 1
+    boundaries, cycles = lambda_algebra._homology(4, 37)
+    width = len(lambda_algebra._coords(4, 37).words)
+    # a row of d's image echelon at (4, 37) would be this wide
+    assert len(lambda_algebra._coords(5, 36).words) > width
+    for row in (*boundaries.rows.values(), *cycles):
+        assert row.bit_length() <= width
+
+
 def boundary_space(s: int, n: int) -> list[LambdaElement]:
     """A basis of the boundaries inside (length s, degree n)."""
     target = lambda_algebra._coords(s, n)
-    ech = lambda_algebra._boundary_echelon(s, n)
+    ech = lambda_algebra._homology(s, n)[0]
     return [target.element(row) for _, row in sorted(ech.rows.items())]
 
 

@@ -34,6 +34,15 @@ def test_degree_scan_with_coinvariants():
     assert degrees == list(range(11))
 
 
+def test_degree_scan_counts_the_degrees_it_scanned():
+    proc = run_raw("degree_scan.py", "--q", "2", "--start", "10", "--stop", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert not proc.stdout
+    assert proc.stderr.startswith("# scanned 0 degrees at q=2 ")
+    proc = run_raw("degree_scan.py", "--q", "2", "--start", "3", "--stop", "5")
+    assert proc.stderr.startswith("# scanned 3 degrees at q=2 ")
+
+
 def test_transfer_report():
     assert run_script("transfer_report.py", "--q", "3", "--stop", "12") == list(range(13))
 

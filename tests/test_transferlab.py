@@ -174,6 +174,10 @@ def test_verify_all_asks_for_one_worker_per_suite_at_most(monkeypatch):
     assert RecordingPool.sizes == [2]
     verify_all(SUITE_NAMES, jobs=3)
     assert RecordingPool.sizes == [2, 3]
+    # one suite or none runs here, with no pool
+    assert [r.name for r in verify_all(("remark26",), jobs=4)] == ["remark26"]
+    assert verify_all((), jobs=2) == []
+    assert RecordingPool.sizes == [2, 3]
 
 
 def test_check_result_json_round_trip():
