@@ -242,9 +242,7 @@ def cmd_primitives(args):
         "q": args.q,
         "n": args.n,
         "dim": len(vectors),
-        "representatives": [
-            span.to_dual(v).to_json()["terms"] for v in vectors
-        ],
+        "representatives": list(map(span.dual_terms, vectors)),
     }
 
 

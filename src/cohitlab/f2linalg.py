@@ -16,11 +16,6 @@ from bisect import bisect_left
 from typing import Iterable, Sequence
 
 
-def dot(a: int, b: int) -> int:
-    """Inner product of two bit-vectors over GF(2)."""
-    return (a & b).bit_count() & 1
-
-
 def from_support(positions: Iterable[int]) -> int:
     """Bit-vector with ones exactly at the given column positions."""
     bits = 0

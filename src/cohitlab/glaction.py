@@ -19,7 +19,9 @@ action on divided powers satisfies
 So the relation row of (theta_v, transpose(g)) is row v of the transposed
 matrix of g + 1, and the transposed generators generate the same group:
 coinvariants of the primitives are dual to invariants of Q_n (Singer 1989;
-Boardman 1993), and no dual element is ever acted on.
+Boardman 1993), and no dual element is ever acted on.  The primitives, and
+the test of whether a dual is one, are the hit span's
+(:meth:`HitSpan.primitive_coordinates`); this module reads no echelon row.
 
 :func:`substitute`, the action on a polynomial, and :func:`act_dual`, the
 divided-power action, have no engine caller: they are the references the
@@ -34,7 +36,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cohit
-from .f2linalg import dot, echelonize, from_support, image_kernel, support
+from .f2linalg import echelonize, from_support, image_kernel, support
 from .polyspace import (
     DualElement,
     Monomial,
@@ -322,16 +324,16 @@ def _fixed_classes(
 class CoinvariantData:
     """The primitive space modulo the span of theta + g(theta).
 
-    A primitive is determined by its coordinates at the admissible (non-pivot)
-    positions of the hit span, ascending: primitive k is the kernel vector
-    of the hit echelon whose admissible support is position k alone, and it
-    is dual to ``HitSpan.basis[k]``.  The relation rows live in that
+    Everything about primitives is the hit span's: primitive k is
+    ``span.primitive(k)``, dual to ``span.basis[k]``, and a dual's
+    coordinates over them are ``span.primitive_coordinates``, which asks the
+    Steenrod action whether it is primitive.  The relation rows live in that
     coordinate space: the row of (primitive v, generator g) is row v of the
     transposed matrix of g + 1 on Q_n (see the module docstring).  A class
     is the normal form of a primitive's coordinates modulo the relation
     echelon, read off at the surviving free positions, most senior first.
-    Only the representatives' kernel vectors are built, never the whole
-    primitive basis.
+    Only the representatives are built, never the whole primitive basis,
+    and ``to_json`` prints them from their columns.
     """
 
     def __init__(self, q: int, n: int, group: str = "gl"):
@@ -351,19 +353,11 @@ class CoinvariantData:
         self.free = self.relations.free_columns(dim)[::-1]
         self._quotient_index = {k: c for c, k in enumerate(self.free)}
         self.dim = len(self.free)
-        columns = (span.position[span.basis[k]] for k in self.free)
-        self._representatives = list(map(span.echelon.kernel_vector, columns))
-
-    def _primitive_coordinates(self, theta: DualElement) -> int:
-        """Coordinates over the primitive basis; theta must be primitive."""
-        vec = self.span.dual_to_vector(theta)
-        if any(dot(row, vec) for row in self.span.echelon.rows.values()):
-            raise ValueError("element is not annihilated by all positive squares")
-        return self.span.basis_bits(vec)
+        self._representatives = list(map(span.primitive, self.free))
 
     def class_coordinates(self, theta: DualElement) -> int:
         """Bit-vector of [theta] over the coinvariant basis."""
-        nf = self.relations.normal_form(self._primitive_coordinates(theta))
+        nf = self.relations.normal_form(self.span.primitive_coordinates(theta))
         return from_support(self._quotient_index[k] for k in support(nf))
 
     def representatives(self) -> list[DualElement]:
@@ -376,7 +370,7 @@ class CoinvariantData:
             "group": self.group,
             "dim": self.dim,
             "primitive_dim": self.primitive_dim,
-            "representatives": [d.to_json()["terms"] for d in self.representatives()],
+            "representatives": list(map(self.span.dual_terms, self._representatives)),
         }
 
 

@@ -591,7 +591,7 @@ def ext_dim(s: int, n: int) -> int:
     """
     if s == 0:
         return 1 if n == 0 else 0
-    if n < 0:
+    if s < 0 or n < 0:
         return 0
     _check_letters(s - 1, n + 1)
     _check_letters(s, n)

@@ -167,8 +167,11 @@ def is_minimal_spike(mono: Monomial) -> bool:
 def minimal_spike(q: int, n: int) -> Monomial | None:
     """The unique degree-n spike with the minimal-spike shape, or None.
 
-    Exists exactly when mu(n) <= q; it uses mu(n) variables with exponents
-    2^{d_1}-1, ..., 2^{d_m}-1 where d_1 > ... > d_{m-1} >= d_m >= 1.
+    Exists exactly when mu(n) <= q; it uses m = mu(n) variables with
+    exponents 2^{d_1}-1, ..., 2^{d_m}-1 where d_1 > ... > d_{m-1} >= d_m >= 1.
+    The parts 2^{d_i} sum to n + m: they are its binary digits, the
+    smallest halved until there are m of them.  Bit 0 of n + m is never
+    set, else alpha(n + m - 1) <= m - 1 and mu(n) < m.
     """
     check_rank(q)
     if n <= 0:
@@ -176,26 +179,12 @@ def minimal_spike(q: int, n: int) -> Monomial | None:
     m = mu(n)
     if m > q:
         return None
-
-    def rec(remaining: int, slots: int, max_d: int) -> list[int] | None:
-        if slots == 0:
-            return [] if remaining == 0 else None
-        for d in range(max_d, 0, -1):
-            part = (1 << d) - 1
-            if part > remaining:
-                continue
-            # all remaining slots could repeat the last value only pairwise:
-            # enforce strict decrease except between the final two slots.
-            next_max = d if slots == 2 else d - 1
-            rest = rec(remaining - part, slots - 1, next_max)
-            if rest is not None:
-                return [part] + rest
-        return None
-
-    parts = rec(n, m, n.bit_length())
-    if parts is None:
-        return None
-    mono = tuple(parts) + (0,) * (q - m)
+    total = n + m
+    parts = [1 << d for d in reversed(range(total.bit_length())) if total >> d & 1]
+    while len(parts) < m:
+        half = parts.pop() >> 1
+        parts += [half, half]
+    mono = tuple(p - 1 for p in parts) + (0,) * (q - m)
     if not is_minimal_spike(mono) or degree(mono) != n:
         raise RuntimeError(f"built {mono}, not a minimal spike of degree {n}")
     return mono
@@ -293,7 +282,11 @@ class _TermSet:
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(int(data["q"]), data[cls._key])
+        """Read :meth:`to_json`'s form; q and every exponent must be ints."""
+        q, terms = data["q"], data[cls._key]
+        if not all(type(x) is int for x in (q, *(e for t in terms for e in t))):
+            raise TypeError(f"q and the exponents of a {cls._name} must be integers")
+        return cls(q, terms)
 
 
 class Polynomial(_TermSet):

@@ -168,32 +168,8 @@ def _dual_steps(e: int) -> tuple[int, ...]:
     return tuple(d for d in range(e // 2 + 1) if binom_odd(e - d, d))
 
 
-def sq_dual_term(t: int, term: Monomial) -> list[Monomial]:
-    """Terms of (a^(term)) Sq^t in the divided-power dual (no cancellation)."""
-    if t < 0:
-        raise ValueError("negative Steenrod square")
-    if t == 0:
-        return [term]
-    # as in sq_monomial; factor e lowers by at most e // 2
-    cap = sum(e >> 1 for e in term)
-    if t > cap:
-        return []
-    partial: list[tuple[int, Monomial]] = [(t, ())]
-    for e in term[:-1]:
-        cap -= e >> 1
-        partial = [
-            (r - d, done + (e - d,))
-            for r, done in partial
-            for d in _dual_steps(e)
-            if r - cap <= d <= r
-        ]
-    # the last factor takes the rest r <= e // 2, if C(e - r, r) is odd
-    e = term[-1]
-    return [done + (e - r,) for r, done in partial if not r & (e - 2 * r)]
-
-
 def sq_dual_all(term: Monomial) -> list[tuple[int, Monomial]]:
-    """(t, u) for each term u of (a^(term)) Sq^t, over every t >= 0 (for psi)."""
+    """(t, u) for each term u of (a^(term)) Sq^t, every t >= 0; none cancel."""
     partial: list[tuple[int, Monomial]] = [(0, ())]
     for e in term:
         partial = [
@@ -204,24 +180,29 @@ def sq_dual_all(term: Monomial) -> list[tuple[int, Monomial]]:
 
 def sq_dual(t: int, theta: DualElement) -> DualElement:
     """Right Steenrod action on a dual element."""
-    return theta.map_terms(lambda term: sq_dual_term(t, term))
+    if t < 0:
+        raise ValueError("negative Steenrod square")
+    return theta.map_terms(lambda term: [u for s, u in sq_dual_all(term) if s == t])
 
 
 def is_annihilated(theta: DualElement) -> bool:
     """True when (theta) Sq^t = 0 for every t > 0.
 
     Checking t = 2^i suffices because those generate all squares and the
-    right action is an algebra action.
+    right action is an algebra action.  One pass toggles each (2^i, u) of
+    each term: the last factor e takes d = 2^i - s after each (s, head) of
+    :func:`sq_dual_all` on the others, so only terms of the Sq^(2^i) are built.
     """
-    n = theta.degree
-    if n is None or n == 0:
-        return True
-    i = 1
-    while i <= n:
-        if not sq_dual(i, theta).is_zero():
-            return False
-        i <<= 1
-    return True
+    left: set[tuple[int, Monomial]] = set()
+    for term in theta.terms:
+        e = term[-1]
+        for s, head in sq_dual_all(term[:-1]):
+            t = 1
+            while t - s <= e >> 1:  # binom_odd is False while t < s
+                if binom_odd(e - t + s, t - s):
+                    left ^= {(t, head + (e - t + s,))}
+                t <<= 1
+    return not left
 
 
 class HitSpan:
@@ -341,21 +322,13 @@ class HitSpan:
             m = [e >> 1 for e in m]
         return False
 
-    def dual_to_vector(self, theta: DualElement) -> int:
-        """Bit-vector of a dual element over the same column layout."""
-        self._check_shape(theta)
-        v = self._column_bits(theta.terms)
-        if v.bit_count() != len(theta):
-            # a dropped monomial is hit, and theta pairs to 1 with it
-            t = next(t for t in theta.terms if t not in self.position)
-            raise ValueError(
-                "dual element is not annihilated by all positive squares: "
-                f"its term {t} pairs with a hit monomial"
-            )
-        return v
-
     def to_dual(self, bits: int) -> DualElement:
         return DualElement(self.q, [self.columns[p] for p in support(bits)])
+
+    def dual_terms(self, bits: int) -> list[list[int]]:
+        """The terms of ``to_dual(bits)`` as JSON lists, already in the
+        monomial order that :meth:`DualElement.to_json` sorts by."""
+        return [list(self.columns[p]) for p in support(bits)]
 
     # -- queries -------------------------------------------------------------
 
@@ -404,6 +377,22 @@ class HitSpan:
     def primitive_vectors(self) -> list[int]:
         """Kernel of the hit span: bit-vectors orthogonal to every hit row."""
         return self.echelon.kernel_basis(self.ncols)
+
+    def primitive(self, k: int) -> int:
+        """Primitive k of :meth:`primitive_vectors`, built alone."""
+        return self.echelon.kernel_vector(self.position[self.basis[k]])
+
+    def primitive_coordinates(self, theta: DualElement) -> int:
+        """Coordinates of a primitive theta over :meth:`primitive_vectors`.
+
+        They are theta's entries at the admissible columns.  A theta that
+        some positive square does not kill raises ``ValueError``; one it
+        kills has no term on a dropped monomial, since that is hit.
+        """
+        self._check_shape(theta)
+        if not is_annihilated(theta):
+            raise ValueError("element is not annihilated by all positive squares")
+        return self.basis_bits(self._column_bits(theta.terms))
 
 
 @cache

@@ -146,6 +146,15 @@ def test_psi_rejects_bad_files(sandbox, capsys, tmp_path):
     )
     code, out = run(capsys, "psi", "--file", str(bad))
     assert code == 2
+    # q and every exponent must be JSON integers, not floats or booleans
+    for data in ({"q": 2, "terms": [[1.5, 0.5]]}, {"q": 2.9, "terms": [[1, 0]]},
+                 {"q": True, "terms": [[1]]}, {"q": 2, "terms": [[True, 0]]}):
+        bad.write_text(json.dumps(data))
+        for command in ("psi", "annihilated"):
+            code = cli.main([command, "--file", str(bad)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (command, data)
+            assert len(captured.err.splitlines()) == 1, (command, data)
     missing = tmp_path / "nope.json"
     code, _ = run(capsys, "psi", "--file", str(missing))
     assert code == 2

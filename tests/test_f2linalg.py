@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cohitlab.f2linalg import (
     BitMatrix,
     EchelonForm,
-    dot,
     echelonize,
     from_support,
     image_kernel,
@@ -59,8 +58,6 @@ def naive_kernel(rows: list[int], ncols: int) -> list[int]:
 
 
 def test_bit_helpers():
-    assert dot(0b1011, 0b1110) == 0
-    assert dot(0b1011, 0b0110) == 1
     assert from_support([0, 3, 5]) == 0b101001
     assert support(0b101001) == [0, 3, 5]
     assert support(0) == []
@@ -80,7 +77,7 @@ def test_rank_nullity(rows):
 @given(rows_strategy)
 def test_kernel_vectors_kill_every_row(rows):
     for k in echelonize(rows).kernel_basis(12):
-        assert all(dot(r, k) == 0 for r in rows)
+        assert all((r & k).bit_count() % 2 == 0 for r in rows)
 
 
 @given(rows_strategy, st.integers(0, (1 << 12) - 1))

@@ -307,7 +307,7 @@ def divided_power_relations(q: int, n: int, group: str) -> EchelonForm:
     for v in span.primitive_vectors():
         theta = span.to_dual(v)
         for images in gens:
-            moved = span.dual_to_vector(act_dual(images, theta) ^ theta)
+            moved = span._column_bits((act_dual(images, theta) ^ theta).terms)
             rows.append(from_support(index[p] for p in support(moved) if p in index))
     return echelonize(rows)
 

@@ -377,6 +377,9 @@ def test_ext_class_names_name_exactly_the_nonzero_classes():
 def test_ext_dim_known_classes():
     assert ext_dim(3, 8) == 1
     assert ext_dim(4, 9) == 1
+    # a negative length or degree has no words: Ext is zero there
+    assert ext_dim(-1, 5) == ext_dim(-2, 0) == ext_dim(1, -1) == 0
+    assert homology_basis(-1, 5) == []
 
 
 def test_homology_basis_members_are_independent_cycles():

@@ -118,6 +118,33 @@ def test_minimal_spike_matches_mu():
                 assert sum(1 for e in m if e) == mu(n)
 
 
+def _minimal_spike_reference(q, n):
+    """The minimal spike by search: parts 2^d - 1, strictly decreasing but
+    for the last two, the largest first."""
+    if n <= 0 or mu(n) > q:
+        return None
+
+    def rec(remaining, slots, max_d):
+        if slots == 0:
+            return [] if remaining == 0 else None
+        for d in range(max_d, 0, -1):
+            part = (1 << d) - 1
+            if part <= remaining:
+                rest = rec(remaining - part, slots - 1, d if slots == 2 else d - 1)
+                if rest is not None:
+                    return [part] + rest
+        return None
+
+    parts = rec(n, mu(n), n.bit_length())
+    return tuple(parts) + (0,) * (q - mu(n))
+
+
+def test_minimal_spike_equals_the_search():
+    for q in range(1, 6):
+        for n in range(-2, 600):
+            assert minimal_spike(q, n) == _minimal_spike_reference(q, n), (q, n)
+
+
 def test_minimal_spike_known_shapes():
     assert minimal_spike(4, 9) == (7, 1, 1, 0)
     assert minimal_spike(4, 17) == (15, 1, 1, 0)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+from operator import xor
 
 import pytest
 from hypothesis import given
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 import property_checks as pc
 from cohitlab.cohit import span_for
-from cohitlab.f2linalg import from_support
+from cohitlab import refdata
+from cohitlab.f2linalg import from_support, support
 from cohitlab.polyspace import (
     DualElement,
     Polynomial,
@@ -30,14 +33,14 @@ from cohitlab.steenrod import (
     sq,
     sq_dual,
     sq_dual_all,
-    sq_dual_term,
     sq_monomial,
 )
 
 
-# -- references: the per-monomial filter, the recursive dual square and the
-# per-row span build that live_monomials, sq_dual_term (and sq_dual_all, for
-# psi) and the orbit build of HitSpan replaced ------------------------------
+# -- references: the per-monomial filter, the recursive dual square, the
+# per-square primitivity test, the dot with every hit row and the per-row
+# span build that live_monomials, sq_dual_all, is_annihilated,
+# HitSpan.primitive_coordinates and the orbit build of HitSpan replaced ----
 
 
 def _may_reach(g, t, bound):
@@ -215,7 +218,7 @@ def test_round_trips_through_span_coordinates():
     monos = pc.ordered_monomials(3, 5)
     for _ in range(10):
         theta = DualElement(3, set(rng.sample(monos, 4)))
-        assert span.to_dual(span.dual_to_vector(theta)) == theta
+        assert span.to_dual(span._column_bits(theta.terms)) == theta
 
 
 def test_normal_form_kills_hit_elements():
@@ -247,7 +250,11 @@ def test_primitive_basis_is_annihilated_and_spans_the_kernel():
 def test_primitive_k_is_dual_to_basis_monomial_k():
     for q, n in ((2, 5), (3, 8), (4, 9), (4, 37)):
         span = span_for(q, n)
-        prims = [span.to_dual(v) for v in span.primitive_vectors()]
+        vectors = span.primitive_vectors()
+        assert [span.primitive(k) for k in range(span.dim)] == vectors, (q, n)
+        for v in vectors + [functools.reduce(xor, vectors, 0)]:
+            assert span.dual_terms(v) == span.to_dual(v).to_json()["terms"], (q, n)
+        prims = list(map(span.to_dual, vectors))
         assert len(prims) == span.dim
         for k, theta in enumerate(prims):
             pairs = [pairing(theta, Polynomial(q, [m])) for m in span.basis]
@@ -341,14 +348,80 @@ def test_dropped_equals_the_census_of_dropped_columns():
             assert span_for(q, n).ncols + len(below) == len(every), (q, n)
 
 
-def test_sq_dual_term_equals_the_recursive_reference():
+def test_sq_dual_equals_the_recursive_reference():
     for q, top in ((1, 40), (2, 16), (3, 10), (4, 6)):
         for term in itertools.product(range(top + 1), repeat=q):
             every_t = sq_dual_all(term)
             for t in range(sum(term) // 2 + 2):
                 want = _sq_dual_term_reference(t, term)
-                assert sq_dual_term(t, term) == want
+                assert sq_dual(t, DualElement(q, [term])) == DualElement(q, want)
                 assert [u for s, u in every_t if s == t] == want
+    with pytest.raises(ValueError):
+        sq_dual(-1, DualElement(1, [(3,)]))
+
+
+def _is_annihilated_reference(theta):
+    """theta Sq^(2^i) = 0 for every 2^i up to the degree, one square at a time."""
+    i = 1
+    while i <= (theta.degree or 0):
+        if not sq_dual(i, theta).is_zero():
+            return False
+        i <<= 1
+    return True
+
+
+def test_is_annihilated_equals_the_per_square_reference():
+    duals = [DualElement(len(terms[0]), terms)
+             for name, terms in vars(refdata).items() if name.startswith("DUAL_")]
+    assert len(duals) == 8 and all(map(is_annihilated, duals))
+    rng = random.Random(29)
+    for _ in range(200):  # random sums of a few terms
+        q, n = rng.randint(1, 4), rng.randint(0, 40)
+        monos = enumerate_monomials(q, n)
+        size = min(len(monos), rng.randint(1, 6))
+        duals.append(DualElement(q, rng.sample(monos, size)))
+    for q, n in ((2, 10), (3, 13), (3, 18), (4, 9), (4, 21), (4, 33)):
+        span, prims = span_for(q, n), span_for(q, n).primitive_vectors()
+        for _ in range(20):  # a sum of primitives, alone and with one term more
+            picked = rng.sample(prims, rng.randint(1, min(3, len(prims))))
+            theta = span.to_dual(functools.reduce(xor, picked))
+            duals += [theta, theta ^ DualElement(q, [rng.choice(span.columns)])]
+    answers = [is_annihilated(theta) for theta in duals]
+    assert answers == list(map(_is_annihilated_reference, duals))
+    assert 150 <= answers.count(True) <= len(duals) - 150
+
+
+def _primitive_coordinates_reference(span, theta):
+    """theta's column vector, dotted with every stored hit row; a term off
+    the columns is hit, so theta pairs to 1 with it."""
+    if any(m not in span.position for m in theta.terms):
+        raise ValueError("not annihilated by all positive squares")
+    vec = from_support(span.position[m] for m in theta.terms)
+    if any((row & vec).bit_count() & 1 for row in span.echelon.rows.values()):
+        raise ValueError("not annihilated by all positive squares")
+    return span.basis_bits(vec)
+
+
+def test_primitive_coordinates_equal_the_dot_with_every_row():
+    rng = random.Random(37)
+    for q, n in ((3, 8), (4, 9), (4, 37), (4, 45)):
+        span = span_for(q, n)
+        for _ in range(6):
+            bits = rng.getrandbits(span.dim)
+            picked = map(span.primitive, support(bits))
+            theta = span.to_dual(functools.reduce(xor, picked, 0))
+            assert span.primitive_coordinates(theta) == bits, (q, n)
+            assert _primitive_coordinates_reference(span, theta) == bits, (q, n)
+        # a term on a pivot column, and one on a dropped (hit) monomial
+        terms = [span.columns[max(span.echelon.rows)]]
+        terms += [m for m in enumerate_monomials(q, n) if m not in span.position][:1]
+        for term in terms:
+            for read in (span.primitive_coordinates,
+                         functools.partial(_primitive_coordinates_reference, span)):
+                with pytest.raises(ValueError, match="not annihilated by all positive"):
+                    read(DualElement(q, [term]))
+    assert span.restrict_weight is not None and len(terms) == 2  # (4, 45) drops columns
+
 
 
 def test_live_monomials_are_closed_under_permuting_the_variables():
