@@ -4,8 +4,9 @@ Example:
     python3 scripts/degree_scan.py --q 4 --start 0 --stop 24 --coinvariants
 
 Columns: degree, mu, cohit dimension, weight-table breakdown, and (on
-request) the invariant/coinvariant dimensions.  Degrees where mu exceeds
-the rank are marked as vanishing without running the elimination.
+request) the invariant/coinvariant dimensions.  A degree where mu exceeds
+the rank reads 0 throughout: its hit span has no columns (Wood's theorem,
+applied in ``cohit.span_for``).
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ from cohitlab.polyspace import check_rank, mu
 
 def scan_row(q: int, n: int, with_groups: bool) -> dict:
     row: dict = {"n": n, "mu": mu(n)}
-    if mu(n) > q:
-        row.update(dim=0, weights={}, note="mu > q")
-        if with_groups:
-            row.update(invariants=0, coinvariants=0)
-        return row
     row["dim"] = cohit_dim(q, n)
     row["weights"] = {
         "(" + ",".join(map(str, w)) + ")": d

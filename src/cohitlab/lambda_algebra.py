@@ -79,7 +79,7 @@ from math import comb
 from typing import Collection, Iterable, Iterator
 
 from . import cohit
-from .f2linalg import EchelonForm, echelonize, image_kernel, solve_modulo, support
+from .f2linalg import EchelonForm, echelonize, image_kernel, support
 from .polyspace import DualElement, DualMonomial
 from .steenrod import binom_odd, sq_dual_all
 
@@ -562,15 +562,19 @@ def _images(s: int, n: int) -> Iterator[int]:
 
 @cache
 def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
-    """Boundary echelon of (length s, degree n), and cycles independent modulo it.
+    """One tagged echelon of (length s, degree n), and the cycles it kept.
 
-    The echelon of each map lives only while its kernel or rank is read.
+    d's images into (s, n) go in untagged.  Then each cycle independent
+    modulo the rows before it goes in tagged ``1 << k``, k its index among
+    the cycles kept, so a cycle reduces to 0 with its homology coordinates
+    as the tag.  The echelon of each map lives only while its kernel is read.
     """
-    boundaries = echelonize(_images(s - 1, n + 1))
-    if s == 0:
-        return boundaries, ((1,) if n == 0 else ())  # the empty word
-    ech = echelonize(boundaries.rows.values())
-    return boundaries, tuple(v for v in image_kernel(_images(s, n)) if ech.add(v))
+    ech = echelonize(_images(s - 1, n + 1))
+    cycles: list[int] = []
+    for v in image_kernel(_images(s, n)):
+        if ech.add_tagged(v, 1 << len(cycles)):
+            cycles.append(v)
+    return ech, tuple(cycles)
 
 
 def homology_basis(s: int, n: int) -> list[LambdaElement]:
@@ -626,7 +630,7 @@ def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
     if diff.is_zero():
         return True
     s, n = diff.length, diff.internal_degree
-    return _homology(s, n)[0].contains(_coords(s, n).vector(diff))
+    return _homology(s, n)[0].reduce_tagged(_coords(s, n).vector(diff)) == (0, 0)
 
 
 def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
@@ -644,11 +648,11 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
             )
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
-    boundaries, vectors = _homology(s, n)
-    solution = solve_modulo(_coords(s, n).vector(el), vectors, boundaries.rows.values())
-    if solution is None:
+    ech, cycles = _homology(s, n)
+    residual, tag = ech.reduce_tagged(_coords(s, n).vector(el))
+    if residual:
         raise RuntimeError("cycle escaped the homology decomposition")
-    return solution
+    return tuple(tag >> k & 1 for k in range(len(cycles)))
 
 
 # -- the divided-power to lambda transfer map -----------------------------------

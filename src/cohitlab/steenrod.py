@@ -312,15 +312,10 @@ class HitSpan:
 
     def _below_bound(self, m: Monomial) -> bool:
         """Whether m has q exponents, degree n and padded weight below the
-        bound, compared one bit plane at a time from the lowest."""
+        bound: the rule that leaves it off the columns (:func:`_reaches`)."""
         if len(m) != self.q or sum(m) != self.n or min(m) < 0:
             return False
-        for b in self._bound:
-            w = sum([e & 1 for e in m])
-            if w != b:
-                return w < b
-            m = [e >> 1 for e in m]
-        return False
+        return not _reaches(weight_vector(m), 0, self._bound)
 
     def to_dual(self, bits: int) -> DualElement:
         return DualElement(self.q, [self.columns[p] for p in support(bits)])

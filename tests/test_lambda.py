@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import property_checks as pc
-from cohitlab import lambda_algebra, refdata
+from cohitlab import f2linalg, lambda_algebra, refdata
 from cohitlab.lambda_algebra import (
     LambdaElement,
     RewriteBudget,
@@ -380,6 +380,9 @@ def test_ext_dim_known_classes():
     # a negative length or degree has no words: Ext is zero there
     assert ext_dim(-1, 5) == ext_dim(-2, 0) == ext_dim(1, -1) == 0
     assert homology_basis(-1, 5) == []
+    # Ext^0 is spanned by the empty word at degree 0 alone
+    assert homology_basis(0, 0) == [LambdaElement([()])]
+    assert homology_basis(0, 3) == []
 
 
 def test_homology_basis_members_are_independent_cycles():
@@ -430,10 +433,12 @@ def test_homology_memo_keeps_rows_of_its_own_bidegree_only(fresh_lambda_caches):
 
 
 def boundary_space(s: int, n: int) -> list[LambdaElement]:
-    """A basis of the boundaries inside (length s, degree n)."""
+    """A basis of the boundaries inside (length s, degree n): the echelon's
+    untagged rows, since its tagged rows are the cycles kept."""
     target = lambda_algebra._coords(s, n)
     ech = lambda_algebra._homology(s, n)[0]
-    return [target.element(row) for _, row in sorted(ech.rows.items())]
+    return [target.element(row) for p, row in sorted(ech.rows.items())
+            if p not in ech.tags]
 
 
 def test_boundary_space_consists_of_cycles():
@@ -460,6 +465,25 @@ def test_homology_coordinates_reject_non_cycles():
         homology_coordinates(LambdaElement([word]), 2, 6)
     with pytest.raises(ValueError):
         homology_coordinates(from_words((1, 3, 3, 2)), 4, 10)
+
+
+def test_memoized_homology_answers_without_a_new_echelon(monkeypatch):
+    h9, h17 = from_words((1, 3, 3, 2)), homology_basis(4, 17)
+    b = boundary_space(4, 9)[0]  # both bidegrees are memoized from here on
+
+    def refuse(self):
+        raise AssertionError("an echelon was built")
+
+    monkeypatch.setattr(f2linalg.EchelonForm, "__init__", refuse)
+    assert homology_coordinates(h9, 4, 9) == (1,)
+    assert homology_coordinates(h9 ^ b, 4, 9) == (1,)
+    assert homology_coordinates(b, 4, 9) == (0,)
+    for k, h in enumerate(h17):
+        unit = tuple(int(i == k) for i in range(len(h17)))
+        assert homology_coordinates(h, 4, 17) == unit
+    assert classes_equal(h9, h9 ^ b)
+    assert not classes_equal(h9, b)
+    assert not classes_equal(h17[0], LambdaElement())
 
 
 def test_classes_equal_is_an_equivalence_modulo_boundaries():

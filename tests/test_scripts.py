@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -32,6 +33,16 @@ def test_degree_scan_with_coinvariants():
         "degree_scan.py", "--q", "3", "--start", "0", "--stop", "10", "--coinvariants"
     )
     assert degrees == list(range(11))
+
+
+def test_degree_scan_reads_zero_where_mu_exceeds_the_rank():
+    # mu(12) = 4 > 3: every monomial of degree 12 in 3 variables is hit
+    proc = run_raw("degree_scan.py", "--q", "3", "--start", "12", "--stop", "12",
+                   "--coinvariants", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "n": 12, "mu": 4, "dim": 0, "weights": {}, "invariants": 0, "coinvariants": 0,
+    }
 
 
 def test_degree_scan_counts_the_degrees_it_scanned():
