@@ -18,6 +18,7 @@ import sys
 import time
 
 from cohitlab.cohit import ResourceLimit
+from cohitlab.lambda_algebra import RewriteBudget
 from cohitlab.polyspace import check_rank
 from cohitlab.transferlab import verdict
 
@@ -59,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     for n in degrees:
         try:
             report = verdict(args.q, n)
-        except ResourceLimit as exc:
+        except (ResourceLimit, RewriteBudget) as exc:
             print(f"n={n}: stopped ({exc})", file=sys.stderr)
             return 3
         if args.json:

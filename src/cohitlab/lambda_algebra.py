@@ -40,9 +40,9 @@ WIDTH``.  ``_L`` keys on the packed inadmissible word l_a u itself.  The
 letters are capped at ``MAX_LETTER``: ``LambdaElement`` refuses a larger
 index with ValueError, and ``ext_dim``, ``psi`` and the admissible words
 refuse a degree whose words could hold one with :class:`cohit.ResourceLimit`.
-Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``,
-the JSON and ``admissible_basis``, an unmemoized view that unpacks the
-words afresh.
+Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``
+and ``admissible_basis``, an unmemoized view that unpacks the words
+afresh.
 
 The memos hold packed words only.  ``_L`` and ``_D`` are dicts whose
 ``__missing__`` computes and stores a value, so a hit is a plain subscript.
@@ -99,23 +99,6 @@ _rewrite_count = 0  # left products of the reduction or differential in progress
 
 class RewriteBudget(RuntimeError):
     """Raised if one reduction or differential needs over MAX_REWRITES left products."""
-
-
-def is_admissible(word: Word) -> bool:
-    it = iter(word)
-    prev = next(it, 0)
-    for j in it:
-        if prev > 2 * j:
-            return False
-        prev = j
-    return True
-
-
-def _pack(word: Word) -> int:
-    w = 0
-    for j in reversed(word):
-        w = (w << WIDTH) | (j + 1)
-    return w
 
 
 def _unpack(w: int) -> Word:
@@ -228,21 +211,6 @@ class LambdaElement:
         return " + ".join(
             "*".join(f"l{j}" for j in w) if w else "1" for w in self.sorted_words()
         )
-
-    def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "internal_degree": self.internal_degree,
-            "terms": [list(w) for w in self.sorted_words()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LambdaElement":
-        return cls(tuple(w) for w in data["terms"])
-
-
-def from_words(*words: Iterable[int]) -> LambdaElement:
-    return LambdaElement(tuple(w) for w in words)
 
 
 def _by_leading(words: Iterable[int]) -> dict[int, list[int]]:
@@ -577,12 +545,6 @@ def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
     return ech, tuple(cycles)
 
 
-def homology_basis(s: int, n: int) -> list[LambdaElement]:
-    """Cycle representatives of a basis of the homology at (length s, degree n)."""
-    source = _coords(s, n)
-    return [source.element(v) for v in _homology(s, n)[1]]
-
-
 def ext_dim(s: int, n: int) -> int:
     """Dimension of the homology at (length s, internal degree n).
 
@@ -634,10 +596,11 @@ def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
 
 
 def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
-    """Coefficients of a cycle over homology_basis(s, n), modulo boundaries.
+    """Coefficients of a cycle over the homology basis, modulo boundaries.
 
-    The bidegree is passed explicitly so the zero element resolves; raises on
-    non-cycles and on elements of the wrong bidegree.
+    The basis is the cycles ``_homology(s, n)`` keeps.  The bidegree is
+    passed explicitly so the zero element resolves; raises on non-cycles and
+    on elements of the wrong bidegree.
     """
     el = adem_reduce(el)
     if not el.is_zero():

@@ -190,12 +190,6 @@ def minimal_spike(q: int, n: int) -> Monomial | None:
     return mono
 
 
-def mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise ValueError("monomials live in different variable counts")
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def format_monomial(mono: Monomial) -> str:
     parts = []
     for i, e in enumerate(mono, start=1):
@@ -296,27 +290,6 @@ class Polynomial(_TermSet):
     _name = "polynomial"
     _key = "monomials"
     _format = staticmethod(format_monomial)
-    monomials = _TermSet.terms
-    sorted_monomials = _TermSet.sorted_terms
-
-    @classmethod
-    def variable(cls, q: int, i: int) -> "Polynomial":
-        """The variable x_i (1-indexed)."""
-        e = [0] * q
-        e[i - 1] = 1
-        return cls(q, [tuple(e)])
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.q != other.q:
-            raise ValueError("polynomials live in different variable counts")
-        acc: set[Monomial] = set()
-        for a in self.monomials:
-            for b in other.monomials:
-                acc ^= {mul_monomials(a, b)}
-        return Polynomial(self.q, acc)
-
-    def square(self) -> "Polynomial":
-        return Polynomial(self.q, (tuple(2 * e for e in m) for m in self.monomials))
 
 
 class DualElement(_TermSet):

@@ -157,11 +157,6 @@ def _permutations(q: int) -> tuple[Callable[[Monomial], Monomial], ...]:
     return tuple(itemgetter(*p) for p in permutations(range(q)))
 
 
-def sq(t: int, f: Polynomial) -> Polynomial:
-    """Left Steenrod square Sq^t on a homogeneous polynomial."""
-    return f.map_terms(lambda m: sq_monomial(t, m))
-
-
 @cache
 def _dual_steps(e: int) -> tuple[int, ...]:
     """The d, ascending, with C(e - d, d) odd: (a^(e)) Sq^d = a^(e - d)."""
@@ -176,13 +171,6 @@ def sq_dual_all(term: Monomial) -> list[tuple[int, Monomial]]:
             (s + d, done + (e - d,)) for s, done in partial for d in _dual_steps(e)
         ]
     return partial
-
-
-def sq_dual(t: int, theta: DualElement) -> DualElement:
-    """Right Steenrod action on a dual element."""
-    if t < 0:
-        raise ValueError("negative Steenrod square")
-    return theta.map_terms(lambda term: [u for s, u in sq_dual_all(term) if s == t])
 
 
 def is_annihilated(theta: DualElement) -> bool:

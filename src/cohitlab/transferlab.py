@@ -207,15 +207,11 @@ def _suite_family_a(s: SuiteReport) -> None:
     s.check("pairing n=9",
             pairing(DualElement(4, refdata.DUAL_GENERATOR_9),
                     Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)), 1)
-    s.check("dual generator class n=9",
-            coinvariant_data(4, 9, "gl").class_coordinates(
-                DualElement(4, refdata.DUAL_GENERATOR_9)) != 0, True)
+    _check_dual_generator_class(s, 9, refdata.DUAL_GENERATOR_9)
     s.check("spike class vanishes n=21",
             coinvariant_data(4, 21, "gl").class_coordinates(
                 DualElement(4, refdata.DUAL_SPIKE_21)), 0)
-    s.check("dual generator class n=45",
-            coinvariant_data(4, 45, "gl").class_coordinates(
-                DualElement(4, refdata.DUAL_GENERATOR_45)) != 0, True)
+    _check_dual_generator_class(s, 45, refdata.DUAL_GENERATOR_45)
     _table_checks(s, "transfer verdict")
     # chain image of the single-term dual: nonzero class at s = 3, boundary
     # at s = 2
@@ -235,9 +231,7 @@ def _suite_family_b(s: SuiteReport) -> None:
     _table_checks(s, "coinvariant dim")
     s.check("44-term dual annihilated",
             _annihilated(4, refdata.DUAL_GENERATOR_17), True)
-    s.check("dual generator class n=17",
-            coinvariant_data(4, 17, "gl").class_coordinates(
-                DualElement(4, refdata.DUAL_GENERATOR_17)) != 0, True)
+    _check_dual_generator_class(s, 17, refdata.DUAL_GENERATOR_17)
     s.check("invariant generator n=17",
             _class_coords(4, 17, refdata.GL_INVARIANT_GENERATOR_17)
             == _invariant_vector(4, 17), True)
@@ -268,9 +262,7 @@ def _suite_family_d(s: SuiteReport) -> None:
     """Degrees 3(2^s-1) + 2^s(2^{t+1}-1), t >= 4; smallest case n = 65."""
     _table_checks(s, "cohit dim")
     _table_checks(s, "coinvariant dim")
-    s.check("dual generator class n=65",
-            coinvariant_data(4, 65, "gl").class_coordinates(
-                DualElement(4, refdata.DUAL_GENERATOR_65)) != 0, True)
+    _check_dual_generator_class(s, 65, refdata.DUAL_GENERATOR_65)
     _table_checks(s, "transfer verdict")
 
 
@@ -280,9 +272,7 @@ def _suite_family_e(s: SuiteReport) -> None:
     s.check("dual generator annihilated n=64",
             _annihilated(4, refdata.DUAL_GENERATOR_64), True)
     _table_checks(s, "coinvariant dim")
-    s.check("dual generator class n=64",
-            coinvariant_data(4, 64, "gl").class_coordinates(
-                DualElement(4, refdata.DUAL_GENERATOR_64)) != 0, True)
+    _check_dual_generator_class(s, 64, refdata.DUAL_GENERATOR_64)
     _table_checks(s, "transfer verdict")
 
 
@@ -375,6 +365,13 @@ def verify_all(
 
 def _annihilated(q: int, terms) -> bool:
     return is_annihilated(DualElement(q, terms))
+
+
+def _check_dual_generator_class(s: SuiteReport, n: int, terms) -> None:
+    """The rank-4 dual generator of degree n has a nonzero GL coinvariant class."""
+    dual = DualElement(4, terms)
+    s.check(f"dual generator class n={n}",
+            coinvariant_data(4, n, "gl").class_coordinates(dual) != 0, True)
 
 
 def _class_coords(q: int, n: int, monomials) -> int:

@@ -1,5 +1,6 @@
 """Reusable whole-range property checks shared by the property and
-acceptance test modules.
+acceptance test modules, and the references that they and the unit tests
+compare the engine against.
 
 Each function raises AssertionError on the first violation and returns a
 small count of how many instances it examined, so callers can assert the
@@ -14,7 +15,9 @@ from cohitlab import transferlab
 from cohitlab.cohit import cohit_dim, span_for, weight_table
 from cohitlab.f2linalg import echelonize, from_support
 from cohitlab.lambda_algebra import (
+    WIDTH,
     LambdaElement,
+    Word,
     adem_reduce,
     admissible_basis,
     differential,
@@ -30,7 +33,42 @@ from cohitlab.polyspace import (
     pairing,
     weight_vector,
 )
-from cohitlab.steenrod import hit_span, sq, sq_dual, sq_monomial
+from cohitlab.steenrod import hit_span, sq_dual_all, sq_monomial
+
+
+# -- references: the whole-element squares and the word rules that the engine
+# computes term by term or packed ---------------------------------------------
+
+
+def sq(t: int, f: Polynomial) -> Polynomial:
+    """Left Steenrod square Sq^t on a homogeneous polynomial."""
+    return f.map_terms(lambda m: sq_monomial(t, m))
+
+
+def sq_dual(t: int, theta: DualElement) -> DualElement:
+    """Right Steenrod action on a dual element."""
+    if t < 0:
+        raise ValueError("negative Steenrod square")
+    return theta.map_terms(lambda term: [u for s, u in sq_dual_all(term) if s == t])
+
+
+def is_admissible(word: Word) -> bool:
+    """Whether every adjacent pair (a, b) of the word has a <= 2b."""
+    it = iter(word)
+    prev = next(it, 0)
+    for j in it:
+        if prev > 2 * j:
+            return False
+        prev = j
+    return True
+
+
+def pack(word: Word) -> int:
+    """The word as ``lambda_algebra`` stores it: letter j as j + 1, leading lowest."""
+    w = 0
+    for j in reversed(word):
+        w = (w << WIDTH) | (j + 1)
+    return w
 
 
 def transpose_images(images: tuple) -> tuple:

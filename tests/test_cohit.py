@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import property_checks as pc
 from cohitlab import cohit, refdata
 from cohitlab.cohit import (
     ResourceLimit,
@@ -20,7 +21,7 @@ from cohitlab.steenrod import hit_span
 
 def kameko_down(f: Polynomial) -> Polynomial:
     """The halving map on polynomials: halve the all-odd monomials, drop the rest."""
-    halves = map(kameko_down_monomial, f.monomials)
+    halves = map(kameko_down_monomial, f.terms)
     return Polynomial(f.q, [d for d in halves if d is not None])
 
 
@@ -57,9 +58,7 @@ def test_quotient_coordinates_round_trip():
         assert data.coordinates(f) == 1 << i
         assert data.from_coordinates(1 << i) == f
     # a hit element has zero coordinates
-    from cohitlab.steenrod import sq
-
-    hit = sq(1, Polynomial(3, [(1, 2, 2)])) ^ sq(2, Polynomial(3, [(2, 1, 1)]))
+    hit = pc.sq(1, Polynomial(3, [(1, 2, 2)])) ^ pc.sq(2, Polynomial(3, [(2, 1, 1)]))
     if not hit.is_zero():
         assert data.coordinates(hit) == 0
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cohitlab import lambda_algebra
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,6 +59,23 @@ def test_degree_scan_counts_the_degrees_it_scanned():
 
 def test_transfer_report():
     assert run_script("transfer_report.py", "--q", "3", "--stop", "12") == list(range(13))
+
+
+def test_transfer_report_stops_with_exit_3_on_the_rewrite_budget(monkeypatch, capsys):
+    # in this process, so the budget can be lowered; cold memos must rewrite
+    spec = importlib.util.spec_from_file_location(
+        "transfer_report", ROOT / "scripts" / "transfer_report.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lambda_algebra.clear_caches()
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 5)
+    try:
+        assert script.main(["--q", "4", "--degrees", "9"]) == 3
+    finally:
+        lambda_algebra.clear_caches()
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("n=9: stopped (") and len(err.splitlines()) == 1, err
 
 
 def test_bad_input_is_one_line_and_exit_2():

@@ -30,8 +30,6 @@ from cohitlab.steenrod import (
     hit_span,
     is_annihilated,
     live_monomials,
-    sq,
-    sq_dual,
     sq_dual_all,
     sq_monomial,
 )
@@ -119,18 +117,18 @@ def test_sq_on_a_single_variable_power():
 
 def test_sq_total_degree_and_instability():
     f = Polynomial(3, [(2, 1, 0)])
-    assert sq(0, f) == f
+    assert pc.sq(0, f) == f
     # Sq^t vanishes above the degree (unstable module)
-    assert sq(4, f).is_zero()
-    assert sq(5, f).is_zero()
+    assert pc.sq(4, f).is_zero()
+    assert pc.sq(5, f).is_zero()
     # top square is the Frobenius square
-    assert sq(3, f) == f.square()
+    assert pc.sq(3, f) == Polynomial(3, [(4, 2, 0)])
 
 
 def test_sq_one_is_the_derivation_on_squares():
     # On x^2k, Sq^1 vanishes; on x^{2k+1} it gives x^{2k+2}
-    assert sq(1, Polynomial(2, [(4, 0)])).is_zero()
-    assert sq(1, Polynomial(2, [(3, 0)])) == Polynomial(2, [(4, 0)])
+    assert pc.sq(1, Polynomial(2, [(4, 0)])).is_zero()
+    assert pc.sq(1, Polynomial(2, [(3, 0)])) == Polynomial(2, [(4, 0)])
 
 
 @st.composite
@@ -141,46 +139,55 @@ def homogeneous_polys(draw, q=3, max_degree=7, max_terms=4):
     return Polynomial(q, set(picks))
 
 
+def _product(f, g):
+    """The product of two polynomials, one pair of terms at a time."""
+    acc = set()
+    for a in f.terms:
+        for b in g.terms:
+            acc ^= {tuple(x + y for x, y in zip(a, b))}
+    return Polynomial(f.q, acc)
+
+
 @given(homogeneous_polys(), homogeneous_polys(), st.integers(0, 6))
 def test_cartan_formula(f, g, t):
-    lhs = sq(t, f * g)
+    lhs = pc.sq(t, _product(f, g))
     rhs = Polynomial(3)
     for i in range(t + 1):
-        rhs ^= sq(i, f) * sq(t - i, g)
+        rhs ^= _product(pc.sq(i, f), pc.sq(t - i, g))
     assert lhs == rhs
 
 
 @given(homogeneous_polys())
 def test_sq1_squared_is_zero(f):
-    assert sq(1, sq(1, f)).is_zero()
+    assert pc.sq(1, pc.sq(1, f)).is_zero()
 
 
 @given(homogeneous_polys())
 def test_adem_relation_sq2_sq2(f):
     # Sq^2 Sq^2 = Sq^3 Sq^1
-    assert sq(2, sq(2, f)) == sq(3, sq(1, f))
+    assert pc.sq(2, pc.sq(2, f)) == pc.sq(3, pc.sq(1, f))
 
 
 @given(homogeneous_polys())
 def test_adem_relation_sq1_sq2(f):
     # Sq^1 Sq^2 = Sq^3
-    assert sq(1, sq(2, f)) == sq(3, f)
+    assert pc.sq(1, pc.sq(2, f)) == pc.sq(3, f)
 
 
 def test_dual_action_is_adjoint_exhaustively_in_low_degree():
     q, n, t = 2, 5, 2
     for term in enumerate_monomials(q, n):
         theta = DualElement(q, [term])
-        moved = sq_dual(t, theta)
+        moved = pc.sq_dual(t, theta)
         for m in enumerate_monomials(q, n - t):
             f = Polynomial(q, [m])
-            assert pairing(moved, f) == pairing(theta, sq(t, f))
+            assert pairing(moved, f) == pairing(theta, pc.sq(t, f))
 
 
 @given(st.integers(1, 4))
 def test_dual_action_drops_degree(t):
     theta = DualElement(2, [(3, 2)])
-    moved = sq_dual(t, theta)
+    moved = pc.sq_dual(t, theta)
     assert moved.is_zero() or moved.degree == 5 - t
 
 
@@ -191,7 +198,7 @@ def test_is_annihilated_examples():
     assert is_annihilated(DualElement(1, [(7,)]))
     # a^(2) is not: <a^(2) Sq^1, x> = <a^(2), x^2> = 1
     assert not is_annihilated(DualElement(1, [(2,)]))
-    assert sq_dual(1, DualElement(1, [(2,)])) == DualElement(1, [(1,)])
+    assert pc.sq_dual(1, DualElement(1, [(2,)])) == DualElement(1, [(1,)])
     assert is_annihilated(DualElement(1, []))
 
 
@@ -223,7 +230,7 @@ def test_round_trips_through_span_coordinates():
 
 def test_normal_form_kills_hit_elements():
     span = hit_span(2, 4, None)
-    f = sq(1, Polynomial(2, [(2, 1)])) ^ sq(2, Polynomial(2, [(1, 1)]))
+    f = pc.sq(1, Polynomial(2, [(2, 1)])) ^ pc.sq(2, Polynomial(2, [(1, 1)]))
     assert span.coordinates(f) == 0
     assert span.from_coordinates(span.coordinates(f)).is_zero()
     g = Polynomial(2, [(3, 1)])  # a spike: never hit
@@ -354,17 +361,17 @@ def test_sq_dual_equals_the_recursive_reference():
             every_t = sq_dual_all(term)
             for t in range(sum(term) // 2 + 2):
                 want = _sq_dual_term_reference(t, term)
-                assert sq_dual(t, DualElement(q, [term])) == DualElement(q, want)
+                assert pc.sq_dual(t, DualElement(q, [term])) == DualElement(q, want)
                 assert [u for s, u in every_t if s == t] == want
     with pytest.raises(ValueError):
-        sq_dual(-1, DualElement(1, [(3,)]))
+        pc.sq_dual(-1, DualElement(1, [(3,)]))
 
 
 def _is_annihilated_reference(theta):
     """theta Sq^(2^i) = 0 for every 2^i up to the degree, one square at a time."""
     i = 1
     while i <= (theta.degree or 0):
-        if not sq_dual(i, theta).is_zero():
+        if not pc.sq_dual(i, theta).is_zero():
             return False
         i <<= 1
     return True
