@@ -18,7 +18,6 @@ import sys
 import time
 
 from cohitlab.cohit import ResourceLimit
-from cohitlab.lambda_algebra import RewriteBudget
 from cohitlab.polyspace import check_rank
 from cohitlab.transferlab import verdict
 
@@ -60,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     for n in degrees:
         try:
             report = verdict(args.q, n)
-        except (ResourceLimit, RewriteBudget) as exc:
+        except ResourceLimit as exc:
             print(f"n={n}: stopped ({exc})", file=sys.stderr)
             return 3
         if args.json:

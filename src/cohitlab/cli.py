@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 from . import cohit, glaction, transferlab
 from .cohit import ResourceLimit
-from .lambda_algebra import RewriteBudget, ext_dim, is_cycle, psi
+from .lambda_algebra import ext_dim, is_cycle, psi
 from .polyspace import (
     DualElement,
     alpha,
@@ -467,10 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cohitlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimit as exc:
-        emit({"error": "resource-limit", "detail": str(exc)}, args.out)
-        return EXIT_RESOURCES
-    except RewriteBudget as exc:
-        emit({"error": "rewrite-budget", "detail": str(exc)}, args.out)
+        emit({"error": exc.error, "detail": str(exc)}, args.out)
         return EXIT_RESOURCES
     emit(payload, args.out)
     # only a verification report has "passed"

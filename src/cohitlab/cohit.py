@@ -42,7 +42,10 @@ class ResourceLimit(RuntimeError):
     """A query refused by a budget: a degree with more monomials than
     ``MAX_COLUMNS``, or (``lambda_algebra.ext_dim``, ``psi``) words that may
     hold a letter above ``MAX_LETTER``, recurse past the recursion limit or
-    outnumber ``MAX_COLUMNS``."""
+    outnumber ``MAX_COLUMNS``.  Every budget raises this class or a subclass
+    (``lambda_algebra.RewriteBudget``); ``error`` names it in CLI JSON."""
+
+    error = "resource-limit"
 
 
 # -- the quotient engine ------------------------------------------------------
@@ -71,22 +74,22 @@ def span_for(q: int, n: int) -> steenrod.HitSpan:
 
 
 def quotient(q: int, n: int) -> steenrod.HitSpan:
-    """The span of :func:`span_for`, which is also Q_n's basis and coordinates.
+    """:func:`span_for` under another name, which no engine path calls.
 
-    A name of its own only because the benchmark's tracer
-    (``perfbench/tracing.py``) traces ``cohit.quotient``, and
-    ``tests/test_source.py`` requires every traced name to exist.
+    Only the benchmark's tracer keeps it: ``perfbench/tracing.py`` traces
+    ``cohit.quotient``, and ``tests/test_source.py`` requires every traced
+    name to exist, so it goes together with that tracer entry.
     """
     return span_for(q, n)
 
 
 def cohit_basis(q: int, n: int) -> list[Monomial]:
     """Admissible-monomial basis of Q_n, ascending in the monomial order."""
-    return list(quotient(q, n).basis)
+    return list(span_for(q, n).basis)
 
 
 def cohit_dim(q: int, n: int) -> int:
-    return quotient(q, n).dim
+    return span_for(q, n).dim
 
 
 def weight_key(w: WeightVector) -> str:
@@ -146,8 +149,8 @@ def kameko_matrix(q: int, n: int) -> KamekoMap:
     if n < q or (n - q) % 2:
         raise ValueError(f"halving map undefined for q={q}, n={n}")
     m = (n - q) // 2
-    domain = quotient(q, n)
-    codomain = quotient(q, m)
+    domain = span_for(q, n)
+    codomain = span_for(q, m)
     images = []
     for b in domain.basis:
         d = kameko_down_monomial(b)

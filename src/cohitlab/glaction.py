@@ -213,9 +213,9 @@ def plus_one_images(q: int, n: int, group: str) -> tuple[tuple[int, ...], ...]:
     """Per generator g, the image of g + 1 on each basis class of Q_n (memoized).
 
     Entry ``[g][i]`` is the coordinate vector of ``(g + 1) x^{a_i}`` over the
-    admissible basis of :func:`cohit.quotient`.
+    admissible basis of :func:`cohit.span_for`.
     """
-    span = cohit.quotient(q, n)
+    span = cohit.span_for(q, n)
     return tuple(
         tuple(image ^ (1 << i) for i, image in enumerate(_basis_images(span, g)))
         for g in generator_images(q, group)
@@ -279,7 +279,7 @@ def invariants(
 ) -> InvariantReport:
     """Fixed classes of Q_n, or of its weight-omega subquotient, whose
     vectors are over the basis block of weight omega."""
-    span = cohit.quotient(q, n)
+    span = cohit.span_for(q, n)
     block = range(span.dim) if omega is None else span.weight_block(omega)
     omega = None if omega is None else trim_weight(omega)
     return _fixed_classes(q, n, group, omega, [1 << i for i in block], block)
@@ -298,7 +298,7 @@ def _fixed_classes(
     never raises weight.  Each source's images, ``len(block)`` bits apart,
     stack into one vector, and the kernel of the stacked map is the answer.
     """
-    span = cohit.quotient(q, n)
+    span = cohit.span_for(q, n)
     images = plus_one_images(q, n, group)
     width = len(block)
     stacked = []
@@ -333,7 +333,7 @@ class CoinvariantData:
     is the normal form of a primitive's coordinates modulo the relation
     echelon, read off at the surviving free positions, most senior first.
     Only the representatives are built, never the whole primitive basis,
-    and ``to_json`` prints them from their columns.
+    and ``to_json`` prints them from their columns, for ``transfer`` too.
     """
 
     def __init__(self, q: int, n: int, group: str = "gl"):

@@ -75,12 +75,11 @@ from __future__ import annotations
 
 import sys
 from functools import cache
-from math import comb
 from typing import Collection, Iterable, Iterator
 
 from . import cohit
-from .f2linalg import EchelonForm, echelonize, image_kernel, support
-from .polyspace import DualElement, DualMonomial
+from .f2linalg import EchelonForm, echelonize, image_kernel
+from .polyspace import DualElement, DualMonomial, count_monomials
 from .steenrod import binom_odd, sq_dual_all
 
 Word = tuple[int, ...]
@@ -97,8 +96,10 @@ MAX_REWRITES = 10_000_000
 _rewrite_count = 0  # left products of the reduction or differential in progress
 
 
-class RewriteBudget(RuntimeError):
+class RewriteBudget(cohit.ResourceLimit):
     """Raised if one reduction or differential needs over MAX_REWRITES left products."""
+
+    error = "rewrite-budget"
 
 
 def _unpack(w: int) -> Word:
@@ -511,10 +512,6 @@ class _Coordinates:
             v ^= 1 << i
         return v
 
-    def element(self, bits: int) -> LambdaElement:
-        words = frozenset(self.words[p] for p in support(bits))
-        return LambdaElement._trusted(words, True)
-
 
 @cache
 def _coords(s: int, n: int) -> _Coordinates:
@@ -574,7 +571,7 @@ def ext_dim(s: int, n: int) -> int:
     cap = cohit.MAX_COLUMNS
     for length, degree in ((s, n), (s + 1, n - 1)):
         # the words are compositions of degree, so most degrees need no count
-        compositions = comb(degree + length - 1, length - 1)
+        compositions = count_monomials(length, degree)
         if compositions > cap and admissible_count(length, degree, cap) > cap:
             raise cohit.ResourceLimit(
                 f"length {length} and degree {degree} have more admissible "
@@ -654,7 +651,7 @@ def psi(theta: DualElement) -> LambdaElement:
     """
     q, n = theta.q, theta.degree or 0
     _check_letters(q, n)
-    count = comb(n + q - 1, q - 1)
+    count = count_monomials(q, n)
     if count > cohit.MAX_COLUMNS:
         raise cohit.ResourceLimit(f"degree {n} in {q} variables has {count} "
                                   f"words; budget is {cohit.MAX_COLUMNS}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import cohit, glaction, refdata
 from .f2linalg import echelonize
-from .glaction import coinvariant_data
+from .glaction import CoinvariantData, coinvariant_data
 from .lambda_algebra import (
     LambdaElement,
     adem_reduce,
@@ -44,7 +44,7 @@ class TransferReport:
     codomain_dim: int
     rank: int
     matrix: list[tuple[int, ...]]  # row r = homology coordinates of psi(rep_r)
-    representatives: list[DualElement]
+    coinvariants: CoinvariantData  # the domain, whose printer to_json reads
 
     @property
     def injective(self) -> bool:
@@ -69,7 +69,7 @@ class TransferReport:
             "surjective": self.surjective,
             "isomorphism": self.isomorphism,
             "matrix": [list(row) for row in self.matrix],
-            "representatives": [d.to_json()["terms"] for d in self.representatives],
+            "representatives": self.coinvariants.to_json()["representatives"],
         }
 
 
@@ -87,11 +87,12 @@ def transfer_matrix(q: int, n: int) -> tuple[list[DualElement], list[tuple[int, 
 
 def verdict(q: int, n: int) -> TransferReport:
     """Transfer verdict at one bidegree."""
-    reps, rows = transfer_matrix(q, n)
+    _, rows = transfer_matrix(q, n)
     codomain = ext_dim(q, n)
     packed = [sum(1 << i for i, c in enumerate(row) if c) for row in rows]
     rank = echelonize(packed).rank
-    return TransferReport(q, n, len(reps), codomain, rank, rows, reps)
+    data = coinvariant_data(q, n, "gl")
+    return TransferReport(q, n, data.dim, codomain, rank, rows, data)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +329,8 @@ SUITE_NAMES = tuple(_SUITE_RUNNERS)
 def verify_suite(name: str) -> SuiteReport:
     """Run one named suite; unknown names raise ValueError.
 
-    A budget refusal (``ResourceLimit`` or ``RewriteBudget``) propagates:
-    every check runs to a verdict, or the suite reports nothing.
+    A budget refusal, a ``cohit.ResourceLimit`` whichever budget raised it,
+    propagates: every check runs to a verdict, or the suite reports nothing.
     """
     if name not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -375,7 +376,7 @@ def _check_dual_generator_class(s: SuiteReport, n: int, terms) -> None:
 
 
 def _class_coords(q: int, n: int, monomials) -> int:
-    return cohit.quotient(q, n).coordinates(Polynomial(q, monomials))
+    return cohit.span_for(q, n).coordinates(Polynomial(q, monomials))
 
 
 def _invariant_vector(q: int, n: int) -> int | None:
@@ -390,7 +391,7 @@ def _weight_invariant_ok(q, n, omega, monomials) -> bool:
     if report.dim != 1:
         return False
     # the class's coordinates, read on the basis block of weight omega
-    span = cohit.quotient(q, n)
+    span = cohit.span_for(q, n)
     block = span.weight_block(omega)
     coords = span.coordinates(Polynomial(q, monomials)) >> block.start
     return coords & ((1 << len(block)) - 1) == report.vectors[0]

@@ -275,6 +275,15 @@ def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
     assert data["error"] == "rewrite-budget"
 
 
+def test_transfer_prints_the_coinvariant_representatives(sandbox, capsys):
+    for q, n in ((4, 9), (4, 17), (4, 22), (4, 45), (3, 19)):
+        argv = ("--q", str(q), "--n", str(n), "--no-cache")
+        _, transfer = run_json(capsys, "transfer", *argv)
+        _, coinvariants = run_json(capsys, "coinvariants", *argv)
+        assert transfer["representatives"] == coinvariants["representatives"]
+        assert len(transfer["representatives"]) == transfer["domain_dim"] > 0
+
+
 def test_usage_errors(sandbox, capsys):
     code, _ = run(capsys, "cohit")  # missing --q/--n
     assert code == 2

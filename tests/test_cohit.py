@@ -10,7 +10,6 @@ from cohitlab.cohit import (
     cohit_dim,
     kameko_down_monomial,
     kameko_matrix,
-    quotient,
     span_for,
     weight_subquotient,
     weight_table,
@@ -52,7 +51,7 @@ def test_dims_vanish_exactly_when_mu_exceeds_the_rank():
 
 
 def test_quotient_coordinates_round_trip():
-    data = quotient(3, 6)
+    data = span_for(3, 6)
     for i, m in enumerate(data.basis):
         f = Polynomial(3, [m])
         assert data.coordinates(f) == 1 << i

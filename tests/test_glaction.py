@@ -7,7 +7,7 @@ import pytest
 
 from property_checks import transpose_images
 from cohitlab import cohit, glaction, refdata
-from cohitlab.cohit import ResourceLimit, quotient, span_for
+from cohitlab.cohit import ResourceLimit, span_for
 from cohitlab.f2linalg import EchelonForm, echelonize, from_support, image_kernel, support
 from cohitlab.glaction import (
     CoinvariantData,
@@ -62,7 +62,7 @@ def test_substitute_transvection_expands_binomially():
 
 
 def test_substitutions_are_involutions_on_the_quotient():
-    data = quotient(3, 6)
+    data = span_for(3, 6)
     for images in generator_images(3, "gl"):
         for i in range(data.dim):
             f = data.from_coordinates(1 << i)
@@ -85,7 +85,7 @@ def test_plus_one_images_match_the_polynomial_formula():
     # then read the class's coordinates
     for q, degrees in PLUS_ONE_DEGREES.items():
         for n in degrees:
-            data = quotient(q, n)
+            data = span_for(q, n)
             for group in ("sigma", "gl"):
                 reference = tuple(
                     tuple(
@@ -109,7 +109,7 @@ def test_transpositions_permute_the_columns():
 
 
 def test_the_gl_matrices_build_no_polynomial(monkeypatch):
-    spans = [quotient(4, n) for n in (21, 22)]  # built before the patch
+    spans = [span_for(4, n) for n in (21, 22)]  # built before the patch
 
     def refuse(self, *args):
         raise AssertionError("a Polynomial was built")
@@ -132,7 +132,7 @@ def test_rank_two_invariants_in_degree_two():
     report = invariants(2, 2, "gl")
     assert report.dim == 1
     (rep,) = report.representatives
-    assert quotient(2, 2).coordinates(rep) != 0
+    assert span_for(2, 2).coordinates(rep) != 0
 
 
 def test_gl_invariants_refine_symmetric_ones():
@@ -150,7 +150,7 @@ def test_symmetric_invariants_match_fixtures():
 def test_the_degree_nine_invariant_is_the_printed_sum():
     report = invariants(4, 9, "gl")
     assert report.dim == 1
-    data = quotient(4, 9)
+    data = span_for(4, 9)
     printed = Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)
     assert data.coordinates(printed) != 0
     (rep,) = report.representatives
@@ -181,7 +181,7 @@ def _reference_joint_kernel(image_vectors, sources, dim):
 def reference_invariants(q, n, group, omega=None):
     """(dim, vectors, basis_monomials, representatives) of the fixed classes,
     the subquotient projected one bit at a time by its padded weight."""
-    data = quotient(q, n)
+    data = span_for(q, n)
     images = plus_one_images(q, n, group)
     if omega is None:
         kernel = _reference_joint_kernel(images, data.dim, data.dim)
@@ -231,7 +231,7 @@ MERGED_DEGREES = (
 
 def test_invariants_match_the_joint_kernel_reference():
     for q, n in MERGED_DEGREES:
-        weights = {weight_vector(m) for m in quotient(q, n).basis}
+        weights = {weight_vector(m) for m in span_for(q, n).basis}
         empty = next((w for w in weight_vectors(q, n) if w not in weights), (q + 1,))
         for group in ("sigma", "gl"):
             for omega in [None, *sorted(weights), empty]:
@@ -246,7 +246,7 @@ def test_invariants_match_the_joint_kernel_reference():
 
 def test_a_weight_leak_raises(monkeypatch):
     # the weight-(3,1,1) block of Q_9 lies below the (3,3) block
-    span = quotient(4, 9)
+    span = span_for(4, 9)
     block = span.weight_block((3, 1, 1))
     assert 0 < len(block) and block.stop < span.dim
     images = plus_one_images(4, 9, "gl")

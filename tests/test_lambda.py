@@ -28,10 +28,17 @@ from cohitlab.polyspace import DualElement, enumerate_monomials
 from cohitlab.steenrod import is_annihilated, sq_dual_all
 
 
+def element(s: int, n: int, bits: int) -> LambdaElement:
+    """The element with coordinates ``bits`` over the admissible words of
+    (length s, degree n): admissible by construction."""
+    words = lambda_algebra._coords(s, n).words
+    return LambdaElement._trusted(
+        frozenset(words[p] for p in f2linalg.support(bits)), True)
+
+
 def homology_basis(s: int, n: int) -> list[LambdaElement]:
     """The cycles the homology memo keeps at (length s, degree n), as elements."""
-    source = lambda_algebra._coords(s, n)
-    return [source.element(v) for v in lambda_algebra._homology(s, n)[1]]
+    return [element(s, n, v) for v in lambda_algebra._homology(s, n)[1]]
 
 
 def test_admissibility_is_the_doubling_condition():
@@ -438,9 +445,8 @@ def test_homology_memo_keeps_rows_of_its_own_bidegree_only(fresh_lambda_caches):
 def boundary_space(s: int, n: int) -> list[LambdaElement]:
     """A basis of the boundaries inside (length s, degree n): the echelon's
     untagged rows, since its tagged rows are the cycles kept."""
-    target = lambda_algebra._coords(s, n)
     ech = lambda_algebra._homology(s, n)[0]
-    return [target.element(row) for p, row in sorted(ech.rows.items())
+    return [element(s, n, row) for p, row in sorted(ech.rows.items())
             if p not in ech.tags]
 
 
@@ -656,7 +662,7 @@ def test_letters_above_the_cap_are_rejected():
 
 
 def test_sums_with_inadmissible_user_words_are_still_reduced(fresh_lambda_caches):
-    built = lambda_algebra._coords(2, 6).element(0b100)  # admissible by construction
+    built = element(2, 6, 0b100)  # admissible by construction
     assert built == LambdaElement([(2, 4)])
     user = LambdaElement([(5, 1)])  # l5 l1 = l3 l3
     for el in (built ^ user, user ^ built):
@@ -671,7 +677,7 @@ def test_sums_with_inadmissible_user_words_are_still_reduced(fresh_lambda_caches
 def test_coordinates_reject_words_outside_the_admissible_basis():
     coords = lambda_algebra._coords(2, 3)
     el = LambdaElement([(1, 2)])
-    assert coords.element(coords.vector(el)) == el
+    assert element(2, 3, coords.vector(el)) == el
     with pytest.raises(ValueError, match="not an admissible word"):
         coords.vector(LambdaElement([(3, 0)]))  # inadmissible: 3 > 2 * 0
     with pytest.raises(ValueError, match="not an admissible word"):

@@ -40,11 +40,17 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-def _name_tokens(path: Path) -> list[tuple[int, str]]:
-    """(line, identifier) for each NAME token of a source file."""
+def _name_tokens(path: Path) -> list[tuple[int, str, bool]]:
+    """(line, identifier, whether it is spelled as an attribute ``.name``)
+    for each NAME token of a source file."""
+    found, previous = [], None
     with tokenize.open(path) as f:
-        return [(tok.start[0], tok.string) for tok in tokenize.generate_tokens(f.readline)
-                if tok.type == tokenize.NAME]
+        for tok in tokenize.generate_tokens(f.readline):
+            if tok.type == tokenize.NAME:
+                found.append((tok.start[0], tok.string, previous == "."))
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                previous = tok.string
+    return found
 
 
 def _definitions(tree: ast.Module):
@@ -66,30 +72,37 @@ def test_every_public_name_has_a_caller():
 
     A name counts as used when a NAME token spells it in ``src/`` outside its
     own definition, anywhere in ``scripts/`` or ``perfbench/``, or as a part
-    of a dotted name the benchmark tracer's ``TARGETS`` lists.  Code only the
-    tests call belongs in ``tests/``.  The check goes by name alone, so it
-    cannot see a method whose name another class shares: a ``to_json`` that
-    nothing calls passes, because other classes' ``to_json`` are called.
+    of a dotted name the benchmark tracer's ``TARGETS`` lists.  A method's
+    token counts only where it is spelled as an attribute, ``.name``, so a
+    local variable of the same name does not hide a method nothing calls.
+    Code only the tests call belongs in ``tests/``.  The check goes by name
+    alone, so it cannot see a method whose name another class shares: a
+    ``to_json`` that nothing calls passes, because other classes' ``to_json``
+    are called.
     """
-    elsewhere = {
-        name
+    elsewhere = [
+        (name, attribute)
         for folder in ("scripts", "perfbench")
         for path in sorted((ROOT / folder).glob("*.py"))
-        for _, name in _name_tokens(path)
-    }
-    elsewhere |= {part for target in _tracing_targets() for part in target.split(".")}
+        for _, name, attribute in _name_tokens(path)
+    ]
+    traced = {part for target in _tracing_targets() for part in target.split(".")}
     sources = {path: _name_tokens(path) for path in sorted(PACKAGE.glob("*.py"))}
     unused = []
     for path in sources:
         for qualified, node in _definitions(ast.parse(path.read_text())):
-            name = node.name
-            if name in elsewhere or name in TEST_HOOKS:
+            name, method = node.name, "." in qualified
+            if name in traced or name in TEST_HOOKS or any(
+                token == name and (attribute or not method)
+                for token, attribute in elsewhere
+            ):
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             if not any(
-                token == name and not (where == path and first <= line <= node.end_lineno)
+                token == name and (attribute or not method)
+                and not (where == path and first <= line <= node.end_lineno)
                 for where, tokens in sources.items()
-                for line, token in tokens
+                for line, token, attribute in tokens
             ):
                 unused.append(f"{path.stem}.{qualified}")
     assert unused == []

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
+import pickle
 from concurrent.futures import Future
 
 import pytest
 
-from cohitlab import cohit, refdata, transferlab
+from cohitlab import cohit, lambda_algebra, refdata, transferlab
 from cohitlab.transferlab import (
     SUITE_NAMES,
     CheckResult,
@@ -19,11 +21,11 @@ from cohitlab.transferlab import (
 
 
 def test_report_flag_semantics():
-    rep = TransferReport(4, 9, 2, 3, 2, [], [])
+    rep = TransferReport(4, 9, 2, 3, 2, [], None)
     assert rep.injective and not rep.surjective and not rep.isomorphism
-    rep = TransferReport(4, 9, 3, 2, 2, [], [])
+    rep = TransferReport(4, 9, 3, 2, 2, [], None)
     assert rep.surjective and not rep.injective
-    rep = TransferReport(4, 9, 2, 2, 2, [], [])
+    rep = TransferReport(4, 9, 2, 2, 2, [], None)
     assert rep.isomorphism
 
 
@@ -122,6 +124,20 @@ def test_resource_caps_stop_the_suite(monkeypatch):
     monkeypatch.setattr(cohit, "MAX_COLUMNS", 40)
     with pytest.raises(cohit.ResourceLimit, match="budget is 40"):
         verify_suite("dlc2")
+
+
+def test_every_refusal_is_a_resource_limit_that_crosses_a_process():
+    # a pool worker pickles the exception it raised; the caller re-raises it
+    for exc, error in ((cohit.ResourceLimit("columns"), "resource-limit"),
+                       (lambda_algebra.RewriteBudget("rewrites"), "rewrite-budget")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and isinstance(back, cohit.ResourceLimit)
+        assert (back.error, str(back)) == (error, str(exc))
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        refused = pool.submit(lambda_algebra.ext_dim, 4, 200)
+        with pytest.raises(cohit.ResourceLimit, match="budget of 2097152"):
+            refused.result()
 
 
 def test_mismatch_is_reported_with_a_diff(monkeypatch):
