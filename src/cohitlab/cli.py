@@ -396,10 +396,6 @@ def emit(payload: dict, out: str) -> None:
             print(f"{key}:")
             for k in sorted(value):
                 print(f"  {k}: {value[k]}")
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            print(f"{key}:")
-            for item in value:
-                print("  " + json.dumps(item, sort_keys=True))
         else:
             print(f"{key}: {value}")
 

@@ -39,8 +39,8 @@ MAX_COLUMNS = 1 << 21
 
 
 class ResourceLimit(RuntimeError):
-    """A query refused by a budget: a degree with more monomials than
-    ``MAX_COLUMNS``, or (``lambda_algebra.ext_dim``, ``psi``) words that may
+    """A query refused by a budget: a degree with a spike and more monomials
+    than ``MAX_COLUMNS``, or (``lambda_algebra.ext_dim``, ``psi``) words that may
     hold a letter above ``MAX_LETTER``, recurse past the recursion limit or
     outnumber ``MAX_COLUMNS``.  Every budget raises this class or a subclass
     (``lambda_algebra.RewriteBudget``); ``error`` names it in CLI JSON."""
@@ -59,18 +59,20 @@ def span_for(q: int, n: int) -> steenrod.HitSpan:
     leaves the same pivots, quotient basis, normal forms and primitives.
     With no spike (mu(n) > q, n > 0) every monomial is hit (Wood), and the
     bound ``(q + 1,)``, which no weight reaches, leaves no column.
-    Raises :class:`ResourceLimit` past the column budget, memo or not.
+    Raises :class:`ResourceLimit` past the column budget, memo or not; a
+    degree with no spike has no column, so the budget never refuses it.
     """
     check_rank(q)
+    spike = minimal_spike(q, n)
+    if spike is None and n:
+        return steenrod.hit_span(q, n, (q + 1,))
     cols = count_monomials(q, n)
     if cols > MAX_COLUMNS:
         raise ResourceLimit(
             f"degree {n} in {q} variables needs {cols} columns; "
             f"budget is {MAX_COLUMNS}"
         )
-    spike = minimal_spike(q, n)
-    bound = (q + 1,) if spike is None else weight_vector(spike)
-    return steenrod.hit_span(q, n, bound if n else None)
+    return steenrod.hit_span(q, n, None if spike is None else weight_vector(spike))
 
 
 def quotient(q: int, n: int) -> steenrod.HitSpan:

@@ -261,16 +261,19 @@ class InvariantReport:
     dim: int
     basis_monomials: list[Monomial]
     vectors: list[int]  # coordinate bit-vectors over basis_monomials
-    representatives: list[Polynomial]
 
     def to_json(self) -> dict:
+        """The classes print from their coordinates: the basis ascends in the
+        monomial order, which :meth:`Polynomial.to_json` sorts by."""
+        basis = self.basis_monomials
         return {
             "q": self.q,
             "n": self.n,
             "group": self.group,
             "omega": list(self.omega) if self.omega is not None else None,
             "dim": self.dim,
-            "representatives": [p.to_json()["monomials"] for p in self.representatives],
+            "representatives": [[list(basis[i]) for i in support(v)]
+                                for v in self.vectors],
         }
 
 
@@ -307,14 +310,14 @@ def _fixed_classes(
         for g, g_images in enumerate(images):
             image = _combine(g_images, source)
             if image >> block.stop:
-                raise WeightLeak(f"an image of {span.from_coordinates(source)} "
-                                 f"leaves weight {omega} upward")
+                leaked = span.from_coordinates(source)
+                raise WeightLeak(f"an image of {leaked} leaves weight {omega} upward")
             v |= (image >> block.start) << (g * width)
         stacked.append(v)
     vectors = [_combine(sources, a) for a in image_kernel(stacked)]
     return InvariantReport(
         q, n, group, omega, len(vectors), list(span.basis[block.start:block.stop]),
-        [v >> block.start for v in vectors], list(map(span.from_coordinates, vectors)),
+        [v >> block.start for v in vectors],
     )
 
 
@@ -375,14 +378,9 @@ class CoinvariantData:
 
 
 @cache
-def coinvariant_data(q: int, n: int, group: str) -> CoinvariantData:
-    """Memoized :class:`CoinvariantData` for one (q, n, group)."""
+def coinvariants(q: int, n: int, group: str) -> CoinvariantData:
+    """Coinvariants of the primitive space, memoized; see :class:`CoinvariantData`."""
     return CoinvariantData(q, n, group)
-
-
-def coinvariants(q: int, n: int, group: str = "gl") -> CoinvariantData:
-    """Coinvariants of the primitive space; see :class:`CoinvariantData`."""
-    return coinvariant_data(q, n, group)
 
 
 def kameko_kernel_invariants(q: int, n: int, group: str = "gl") -> InvariantReport:

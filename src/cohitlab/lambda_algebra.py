@@ -30,7 +30,8 @@ without storing it.
 There is one rewriting path: the left product ``_L`` of l_m with an
 admissible word, reached through ``_times``.  ``adem_reduce`` groups words
 the same way, reduces the tails under each leading index together and
-multiplies them back by l_m.
+multiplies them back by l_m; ``psi`` multiplies each leading l_k into the
+admissible image of its group as it recurses.
 
 Inside this module a word is one int: ``WIDTH`` bits a letter, the leading
 letter lowest, each letter stored as its index + 1 so that l_0 and the empty
@@ -67,8 +68,8 @@ the degree-(s, s+n) derived functors of GF(2) over the Steenrod algebra, so
 ``psi(a^(j)) = l_j``; on classes killed by all positive squares it lands in
 cycles and induces the algebraic transfer.  It is applied to a whole element
 one variable at a time, the terms grouped by their leading generator l_k, so
-they cancel in each group before any word is built; the words are reduced
-once at the end.
+they cancel in each group before any word is built; each l_k multiplies its
+group's image, already admissible, so the words come out reduced.
 """
 
 from __future__ import annotations
@@ -90,14 +91,15 @@ MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
 _EMPTY: frozenset[int] = frozenset()  # every empty memo value; one word is a bare int
 
 # Generous guard for runaway rewriting: the most left products (``_L``
-# memo misses) one reduction or differential may compute; never reached in
-# supported degrees.
+# memo misses) one reduction, differential or psi may compute; never reached
+# in supported degrees.
 MAX_REWRITES = 10_000_000
-_rewrite_count = 0  # left products of the reduction or differential in progress
+_rewrite_count = 0  # left products of the reduction, d or psi in progress
 
 
 class RewriteBudget(cohit.ResourceLimit):
-    """Raised if one reduction or differential needs over MAX_REWRITES left products."""
+    """Raised if one reduction, differential or psi needs over MAX_REWRITES
+    left products."""
 
     error = "rewrite-budget"
 
@@ -588,8 +590,7 @@ def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
     diff = adem_reduce(x ^ y)
     if diff.is_zero():
         return True
-    s, n = diff.length, diff.internal_degree
-    return _homology(s, n)[0].reduce_tagged(_coords(s, n).vector(diff)) == (0, 0)
+    return not any(homology_coordinates(diff, diff.length, diff.internal_degree))
 
 
 def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
@@ -619,11 +620,13 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
 
 
 def _psi_words(q: int, terms: Iterable[DualMonomial]) -> set[int]:
-    """psi of a sum of dual monomials in q variables as packed words, unreduced.
+    """psi of a sum of dual monomials in q variables as packed admissible words.
 
     The sum is pushed down one variable: its image is the sum over k of
     l_k psi(bucket k), where bucket k sums (rest) Sq^(k - j_1) over the terms
-    (j_1, rest).  Terms cancel inside each bucket before any word is built.
+    (j_1, rest).  Terms cancel inside each bucket before any word is built,
+    and each l_k multiplies its bucket's image, already admissible, through
+    ``_times``.
     """
     if q <= 1:
         return {j + 1 for (j,) in terms}  # psi(a^(j)) = l_j
@@ -636,7 +639,7 @@ def _psi_words(q: int, terms: Iterable[DualMonomial]) -> set[int]:
     words: set[int] = set()
     for k, bucket in buckets.items():
         if bucket:
-            words.update((w << WIDTH) | (k + 1) for w in _psi_words(q - 1, bucket))
+            _times(k, _psi_words(q - 1, bucket), words)
     return words
 
 
@@ -646,17 +649,19 @@ def psi(theta: DualElement) -> LambdaElement:
     Raises :class:`cohit.ResourceLimit` when theta's degree n is above
     ``MAX_LETTER``, or when the words of length q and degree n, one per
     degree-n monomial, are more than ``cohit.MAX_COLUMNS``: the degrees whose
-    hit span is refused.  The cost is the Adem reduction, whose memo grows
+    hit span is refused.  The cost is the Adem rewriting, whose memo grows
     with the degree, and the budget refuses it before any word is built.
+    Shares :func:`adem_reduce`'s per-call budget of ``MAX_REWRITES``.
     """
+    global _rewrite_count
     q, n = theta.q, theta.degree or 0
     _check_letters(q, n)
     count = count_monomials(q, n)
     if count > cohit.MAX_COLUMNS:
         raise cohit.ResourceLimit(f"degree {n} in {q} variables has {count} "
                                   f"words; budget is {cohit.MAX_COLUMNS}")
-    words = _psi_words(q, theta.terms)
-    return adem_reduce(LambdaElement._trusted(frozenset(words), False))
+    _rewrite_count = 0
+    return LambdaElement._trusted(frozenset(_psi_words(q, theta.terms)), True)
 
 
 def clear_caches() -> None:

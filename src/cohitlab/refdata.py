@@ -2,8 +2,9 @@
 
 Dimension tables, explicit admissible bases, invariant and coinvariant
 generators, lambda-algebra cycles, and transfer verdicts.  The test-suite
-compares live computations against these constants; nothing in this module
-is computed at import time and nothing in the engine imports it.
+and the verification suites of :mod:`cohitlab.transferlab`, the only engine
+module that imports it, compare live computations against these constants;
+nothing in this module is computed at import time.
 
 Two kinds of entries are mixed here and marked in the comments:
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import cohit, glaction, refdata
 from .f2linalg import echelonize
-from .glaction import CoinvariantData, coinvariant_data
+from .glaction import CoinvariantData, coinvariants
 from .lambda_algebra import (
     LambdaElement,
     adem_reduce,
@@ -73,26 +73,20 @@ class TransferReport:
         }
 
 
-def transfer_matrix(q: int, n: int) -> tuple[list[DualElement], list[tuple[int, ...]]]:
-    """The coinvariant representatives and the homology coordinates of each.
-
-    ``homology_coordinates`` raises ValueError if a representative's chain
-    image is not a cycle: dual classes killed by all positive squares always
-    map to cycles, so a non-cycle is an engine bug, not a property of the
-    input.
-    """
-    reps = coinvariant_data(q, n, "gl").representatives()
-    return reps, [homology_coordinates(psi(rep), q, n) for rep in reps]
-
-
 def verdict(q: int, n: int) -> TransferReport:
-    """Transfer verdict at one bidegree."""
-    _, rows = transfer_matrix(q, n)
-    codomain = ext_dim(q, n)
+    """Transfer verdict at one bidegree.
+
+    Row r of the matrix is the homology coordinates of psi of coinvariant
+    representative r.  ``homology_coordinates`` raises ValueError if a
+    representative's chain image is not a cycle: dual classes killed by all
+    positive squares always map to cycles, so a non-cycle is an engine bug,
+    not a property of the input.
+    """
+    data = coinvariants(q, n, "gl")
+    rows = [homology_coordinates(psi(rep), q, n) for rep in data.representatives()]
     packed = [sum(1 << i for i, c in enumerate(row) if c) for row in rows]
     rank = echelonize(packed).rank
-    data = coinvariant_data(q, n, "gl")
-    return TransferReport(q, n, data.dim, codomain, rank, rows, data)
+    return TransferReport(q, n, data.dim, ext_dim(q, n), rank, rows, data)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +161,7 @@ _TABLE_CHECKS = {
     "cohit dim": (("COHIT_DIMS", "COHIT_DIMS_REGRESSION"), cohit.cohit_dim),
     "coinvariant dim": (
         ("COINVARIANT_DIMS", "COINVARIANT_DIMS_STRETCH"),
-        lambda q, n: glaction.coinvariants(q, n, "gl").dim,
+        lambda q, n: coinvariants(q, n, "gl").dim,
     ),
     "kernel invariants": (
         ("KAMEKO_KERNEL_INVARIANT_DIMS",),
@@ -210,7 +204,7 @@ def _suite_family_a(s: SuiteReport) -> None:
                     Polynomial(4, refdata.GL_INVARIANT_GENERATOR_9)), 1)
     _check_dual_generator_class(s, 9, refdata.DUAL_GENERATOR_9)
     s.check("spike class vanishes n=21",
-            coinvariant_data(4, 21, "gl").class_coordinates(
+            coinvariants(4, 21, "gl").class_coordinates(
                 DualElement(4, refdata.DUAL_SPIKE_21)), 0)
     _check_dual_generator_class(s, 45, refdata.DUAL_GENERATOR_45)
     _table_checks(s, "transfer verdict")
@@ -372,7 +366,7 @@ def _check_dual_generator_class(s: SuiteReport, n: int, terms) -> None:
     """The rank-4 dual generator of degree n has a nonzero GL coinvariant class."""
     dual = DualElement(4, terms)
     s.check(f"dual generator class n={n}",
-            coinvariant_data(4, n, "gl").class_coordinates(dual) != 0, True)
+            coinvariants(4, n, "gl").class_coordinates(dual) != 0, True)
 
 
 def _class_coords(q: int, n: int, monomials) -> int:

@@ -22,6 +22,7 @@ from cohitlab.lambda_algebra import (
     admissible_basis,
     differential,
     ext_dim,
+    psi,
 )
 from cohitlab.polyspace import (
     DualElement,
@@ -33,7 +34,7 @@ from cohitlab.polyspace import (
     pairing,
     weight_vector,
 )
-from cohitlab.steenrod import hit_span, sq_dual_all, sq_monomial
+from cohitlab.steenrod import hit_span, is_annihilated, sq_dual_all, sq_monomial
 
 
 # -- references: the whole-element squares and the word rules that the engine
@@ -69,6 +70,17 @@ def pack(word: Word) -> int:
     for j in reversed(word):
         w = (w << WIDTH) | (j + 1)
     return w
+
+
+def sq0(el: LambdaElement) -> LambdaElement:
+    """Sq^0 on the lambda algebra: every letter l_j becomes l_(2j + 1)."""
+    return LambdaElement(tuple(2 * j + 1 for j in w) for w in el.terms)
+
+
+def doubled(theta: DualElement) -> DualElement:
+    """phi on divided powers: a^(j) becomes a^(2j + 1) in every variable, the
+    dual of the halving map ``cohit.kameko_down_monomial``."""
+    return theta.map_terms(lambda t: [tuple(2 * j + 1 for j in t)])
 
 
 def transpose_images(images: tuple) -> tuple:
@@ -128,6 +140,31 @@ def check_adjointness(pairs: int, seed: int = 2024) -> int:
         )
         done += 1
     return done
+
+
+def check_psi_commutes_with_sq0(elements: int, seed: int = 33) -> int:
+    """psi(phi theta) equals Sq^0 psi(theta), after Adem reduction, on random
+    dual elements, most of them not primitive."""
+    rng = random.Random(seed)
+    for _ in range(elements):
+        q, n = rng.randint(1, 4), rng.randint(0, 20)
+        monomials = enumerate_monomials(q, n)
+        terms = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+        theta = DualElement(q, terms)
+        assert psi(doubled(theta)) == adem_reduce(sq0(psi(theta))), theta
+    return elements
+
+
+def check_doubling_keeps_primitives(max_rank: int, max_degree: int) -> int:
+    """phi maps every primitive of the hit spans in range to a primitive."""
+    count = 0
+    for q in range(1, max_rank + 1):
+        for n in range(max_degree + 1):
+            span = span_for(q, n)
+            for v in span.primitive_vectors():
+                assert is_annihilated(doubled(span.to_dual(v))), (q, n, v)
+                count += 1
+    return count
 
 
 def check_primitives_match_cohit_dims(max_rank: int, max_degree: int) -> int:

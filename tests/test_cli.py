@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -10,6 +11,10 @@ from pathlib import Path
 import pytest
 
 from cohitlab import cli, cohit, refdata
+from cohitlab.polyspace import count_monomials, mu
+from cohitlab.steenrod import HitSpan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -170,6 +175,24 @@ def test_resource_limit_exit_code(sandbox, capsys, monkeypatch):
     assert data["detail"].endswith("budget is 100")
 
 
+def test_a_spike_free_degree_past_the_column_budget_answers_zero(sandbox, capsys):
+    # mu(233) = 7 > 4: with no spike every monomial is hit (Wood), so the span
+    # has no column, although the degree has more monomials than the budget
+    assert mu(233) == 7 and count_monomials(4, 233) > cohit.MAX_COLUMNS
+    for command in ("cohit", "primitives", "invariants", "coinvariants"):
+        code, data = run_json(capsys, command, "--q", "4", "--n", "233", "--no-cache")
+        assert code == 0 and data["dim"] == 0, command
+    code, out = run(capsys, "cohit", "--q", "4", "--n", "233", "--no-cache")
+    assert out == '{"basis":[],"dim":0,"n":233,"q":4}\n'
+    # the transfer still needs Ext, whose words are past the budget
+    code, data = run_json(capsys, "transfer", "--q", "4", "--n", "233", "--no-cache")
+    assert code == 3 and data["error"] == "resource-limit"
+    assert data["detail"].startswith("length 5 and degree 232 ")
+    # a degree with a spike is still refused before any row is built
+    code, data = run_json(capsys, "cohit", "--q", "5", "--n", "100", "--no-cache")
+    assert code == 3 and data["detail"].endswith(f"budget is {cohit.MAX_COLUMNS}")
+
+
 def test_ext_budget_refuses_before_building_a_basis(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 
@@ -273,6 +296,20 @@ def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
         lambda_algebra.clear_caches()
     assert code == 3
     assert data["error"] == "rewrite-budget"
+
+
+def test_invariants_print_from_coordinates(sandbox, capsys, monkeypatch):
+    # no fixed class is built as a polynomial, and the bytes keep their pin
+    def refuse(self, bits):
+        raise AssertionError("a class was built as a polynomial")
+
+    monkeypatch.setattr(HitSpan, "from_coordinates", refuse)
+    query = "invariants --q 4 --n 37 --group sigma"
+    pins = (ROOT / ".github" / "span-outputs.sha256").read_text().splitlines()
+    (digest,) = [line.split(" ", 1)[0] for line in pins if line.endswith(" " + query)]
+    code, out = run(capsys, *query.split(), "--no-cache")
+    assert code == 0 and json.loads(out)["dim"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_transfer_prints_the_coinvariant_representatives(sandbox, capsys):

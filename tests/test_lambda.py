@@ -503,6 +503,17 @@ def test_classes_equal_is_an_equivalence_modulo_boundaries():
     assert not classes_equal(e, LambdaElement())
 
 
+def test_a_cycle_escaping_the_homology_echelon_raises(monkeypatch):
+    # an echelon that lost its cycles: the class cannot be read, not "different"
+    h9 = LambdaElement([(1, 3, 3, 2)])
+    monkeypatch.setattr(lambda_algebra, "_homology",
+                        lambda s, n: (f2linalg.EchelonForm(), ()))
+    for check in (lambda: homology_coordinates(h9, 4, 9),
+                  lambda: classes_equal(h9, LambdaElement())):
+        with pytest.raises(RuntimeError, match="escaped"):
+            check()
+
+
 def test_psi_in_one_variable_is_the_generator_map():
     for j in (0, 1, 5):
         assert psi(DualElement(1, [(j,)])) == LambdaElement([(j,)])
@@ -569,6 +580,33 @@ def test_psi_matches_the_term_by_term_reference(fresh_lambda_caches):
     duals += [DualElement(4, [term]) for term in refdata.PSI_RAW_TERM_IMAGES_9]
     for theta in duals:
         assert psi(theta) == reference_psi(theta), theta
+
+
+def test_psi_reduces_as_it_recurses(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("psi made a second reduction pass")
+
+    monkeypatch.setattr(lambda_algebra, "_reduce", refuse)
+    monkeypatch.setattr(lambda_algebra, "adem_reduce", refuse)
+    got = psi(DualElement(4, refdata.DUAL_GENERATOR_9))
+    assert got.terms == frozenset(refdata.PSI_IMAGES[(4, 9)][1])
+    assert got._admissible
+
+
+def test_psi_has_a_rewrite_budget_of_its_own(fresh_lambda_caches, monkeypatch):
+    theta = DualElement(4, refdata.DUAL_GENERATOR_17)
+    want = psi(theta).terms
+    needed = lambda_algebra._rewrite_count
+    assert needed > 0
+    lambda_algebra.clear_caches()
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", needed - 1)
+    with pytest.raises(RewriteBudget):
+        psi(theta)
+    lambda_algebra.clear_caches()
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", needed)
+    # a count left by an earlier call does not carry over
+    monkeypatch.setattr(lambda_algebra, "_rewrite_count", needed)
+    assert psi(theta).terms == want
 
 
 def test_psi_stretch_images_from_the_fixture():

@@ -54,6 +54,14 @@ def test_length_two_homology_small():
     pc.check_length_two_homology_census(20)
 
 
+def test_psi_commutes_with_sq0():
+    assert pc.check_psi_commutes_with_sq0(300) == 300
+
+
+def test_doubling_keeps_primitives():
+    assert pc.check_doubling_keeps_primitives(4, 12) > 300
+
+
 def test_transfer_rows_do_not_depend_on_the_representative():
     """Replacing a representative by a group translate fixes its row."""
     for q, n in ((4, 9), (3, 8), (2, 2)):

@@ -48,6 +48,17 @@ def test_degree_scan_reads_zero_where_mu_exceeds_the_rank():
     }
 
 
+def test_degree_scan_answers_a_spike_free_degree_past_the_column_budget():
+    # mu(233) = 7 > 4, so every degree-233 monomial in 4 variables is hit,
+    # although there are more of them than the column budget
+    proc = run_raw("degree_scan.py", "--q", "4", "--start", "233", "--stop", "233",
+                   "--coinvariants", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "n": 233, "mu": 7, "dim": 0, "weights": {}, "invariants": 0, "coinvariants": 0,
+    }
+
+
 def test_degree_scan_counts_the_degrees_it_scanned():
     proc = run_raw("degree_scan.py", "--q", "2", "--start", "10", "--stop", "5")
     assert proc.returncode == 0, proc.stderr

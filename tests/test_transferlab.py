@@ -8,12 +8,12 @@ from concurrent.futures import Future
 import pytest
 
 from cohitlab import cohit, lambda_algebra, refdata, transferlab
+from cohitlab.lambda_algebra import homology_coordinates, psi
 from cohitlab.transferlab import (
     SUITE_NAMES,
     CheckResult,
     SuiteReport,
     TransferReport,
-    transfer_matrix,
     verdict,
     verify_all,
     verify_suite,
@@ -61,9 +61,9 @@ def test_rank_three_degree_eight():
 
 
 def test_transfer_matrix_rows_are_homology_coordinates():
-    reps, rows = transfer_matrix(4, 9)
-    assert len(reps) == len(rows) == 1
-    assert rows[0] == (1,)
+    rep = verdict(4, 9)
+    (theta,) = rep.coinvariants.representatives()
+    assert rep.matrix == [homology_coordinates(psi(theta), 4, 9)] == [(1,)]
 
 
 def test_small_fixture_verdicts():
