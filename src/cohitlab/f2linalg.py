@@ -63,8 +63,17 @@ class EchelonForm:
         return True
 
     def add(self, vec: int) -> bool:
-        """Insert a row; return True if the rank grew."""
-        return self._insert(self.reduce(vec))
+        """Insert a row; return True if the rank grew.  One loop reduces it
+        as :meth:`reduce` does and stores the residual at its free pivot."""
+        rows = self.rows
+        while vec:
+            p = vec.bit_length() - 1
+            row = rows.get(p)
+            if row is None:
+                rows[p] = vec
+                return True
+            vec ^= row
+        return False
 
     def add_tagged(self, vec: int, tag: int) -> bool:
         """Insert a row carrying a coefficient tag; return True if rank grew."""

@@ -590,7 +590,8 @@ def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
     diff = adem_reduce(x ^ y)
     if diff.is_zero():
         return True
-    return not any(homology_coordinates(diff, diff.length, diff.internal_degree))
+    # a sum of cycles is one: its class is read off the homology echelon
+    return not _homology_tag(diff, diff.length, diff.internal_degree)
 
 
 def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
@@ -609,11 +610,18 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
             )
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
-    ech, cycles = _homology(s, n)
-    residual, tag = ech.reduce_tagged(_coords(s, n).vector(el))
+    tag = _homology_tag(el, s, n)
+    return tuple(tag >> k & 1 for k in range(len(_homology(s, n)[1])))
+
+
+def _homology_tag(cycle: LambdaElement, s: int, n: int) -> int:
+    """The homology coordinates of a reduced cycle of (s, n), as a bit-vector
+    over the cycles ``_homology(s, n)`` keeps."""
+    ech, _ = _homology(s, n)
+    residual, tag = ech.reduce_tagged(_coords(s, n).vector(cycle))
     if residual:
         raise RuntimeError("cycle escaped the homology decomposition")
-    return tuple(tag >> k & 1 for k in range(len(cycles)))
+    return tag
 
 
 # -- the divided-power to lambda transfer map -----------------------------------

@@ -3,7 +3,9 @@
 The left action on polynomials follows the Cartan rule: on a monomial,
 ``Sq^t(x^e) = sum over (d_1 + ... + d_q = t) of prod C(e_i, d_i) x^(e + d)``
 with binomials mod 2, so a term survives exactly when every ``d_i`` is a
-binary submask of ``e_i`` (Lucas).
+binary submask of ``e_i`` (Lucas).  The engine applies it to packed
+monomials only (:func:`_sq_word`); the same rule on exponent tuples is the
+tests' reference, ``sq_monomial`` in ``tests/property_checks.py``.
 
 The right action on the divided-power dual is
 ``(a^(m)) Sq^t = C(m - t, t) a^(m - t)`` on one factor, extended by the
@@ -16,17 +18,23 @@ generate the whole algebra of squares.  Columns ascend in the monomial order
 (weight-then-exponent), so the pivot of a row is its largest monomial; this
 makes the non-pivot columns a canonical basis of the quotient and respects
 the weight filtration block by block.  Columns and row generators are built
-one weight vector at a time, in that order (see :func:`live_monomials`).
-The span is built one orbit of the variable permutations at a time: Sq^t is
-computed on the orbit representatives only, and a representative already in
-the span stands for its whole orbit.
+one weight vector at a time, in that order (see :func:`live_monomials`), as
+packed words: one lane of ``_lane_width(n)`` bits per variable, wide enough
+for any exponent of degree n, with e_1 in the top lane, so that integers
+compare as exponent tuples do.  The span is built one orbit of the variable
+permutations at a time: Sq^t is computed on the packed orbit
+representatives only, its terms are kept where a packed index of the
+columns has them, and a representative already in the span stands for its
+whole orbit.  Words are unpacked to exponent tuples for ``columns`` and
+``position`` only, which the permuted rows of an orbit and every query read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -57,47 +65,69 @@ def _submasks(e: int) -> tuple[int, ...]:
     return tuple(d for d in range(e + 1) if d & e == d)
 
 
-def sq_monomial(t: int, mono: Monomial) -> list[Monomial]:
-    """Terms of Sq^t applied to a single monomial (no cancellation occurs)."""
-    if t < 0:
-        raise ValueError("negative Steenrod square")
-    if t == 0:
-        return [mono]
-    # (remaining degree, exponents so far); a d_i leaving more than the later
-    # exponents can take is cut, and the last d_i is whatever remains
-    partial: list[tuple[int, Monomial]] = [(t, ())]
-    cap = sum(mono)
-    for e in mono[:-1]:
+def _lane_width(n: int) -> int:
+    """Bits per lane of a packed monomial of degree at most n: as many as any
+    exponent needs, so no lane overflows into the next at any degree."""
+    return max(n.bit_length(), 1)
+
+
+def _unpack(q: int, n: int, words: Iterable[int]) -> list[Monomial]:
+    """The exponent tuples of packed monomials of lane width ``_lane_width(n)``."""
+    width = _lane_width(n)
+    mask = (1 << width) - 1
+    shifts = range(width * (q - 1), -1, -width)  # e_1 sits in the top lane
+    return [tuple([w >> s & mask for s in shifts]) for w in words]
+
+
+def _sq_word(t: int, g: int, q: int, n: int) -> list[int]:
+    """Terms of Sq^t on the packed monomial g of degree n - t; none cancel.
+
+    g has q lanes of ``_lane_width(n)`` bits.  A term adds to each lane e a
+    binary submask d of e, the d summing to t, so every lane of a term stays
+    within n and inside its lane.  Lanes are taken from the top, as
+    :func:`_unpack` reads them; a d leaving more than the lanes below can
+    take is cut, and the last d is whatever remains.
+    """
+    width = _lane_width(n)
+    mask = (1 << width) - 1
+    cap = n - t  # g's degree, then what the lanes below the one taken hold
+    partial = [(t, g)]  # (degree left to add, word so far)
+    for s in range(width * (q - 1), 0, -width):
+        e = g >> s & mask
         cap -= e
         partial = [
-            (r - d, done + (e + d,))
-            for r, done in partial
+            (r - d, w + (d << s))
+            for r, w in partial
             for d in _submasks(e)
             if r - cap <= d <= r
         ]
-    e = mono[-1]
-    return [done + (e + r,) for r, done in partial if r & e == r]
+    e = g & mask
+    return [w + r for r, w in partial if r & e == r]
 
 
 def live_monomials(
     q: int, m: int, t: int, bound: tuple[int, ...], descending: bool = False
-) -> list[Monomial]:
+) -> list[int]:
     """Degree-m monomials g that Sq^t may carry to padded weight >= bound.
 
-    In the monomial order (weight, then exponent-lex); with t = 0 these are
-    the monomials of padded weight at least bound, and with ``bound = ()``
-    all of them.  A monomial is left out only when every term of Sq^t(g)
-    has padded weight below bound, which depends only on its weight vector
-    (:func:`_reaches`), so the live weights are taken in ascending order and
-    each is expanded into its monomials.  The set is closed under permuting
-    the exponents; with ``descending`` only its orbit representatives are
-    built, the g with non-increasing exponents.
+    Each g is a packed word: one lane of ``_lane_width(m + t)`` bits per
+    variable, e_1 in the top lane, so integers compare as exponent tuples do
+    and the terms of Sq^t(g), of degree m + t, fit the same lanes.  The list
+    is in the monomial order (weight, then exponent-lex); with t = 0 these
+    are the monomials of padded weight at least bound, and with
+    ``bound = ()`` all of them.  A monomial is left out only when every
+    term of Sq^t(g) has padded weight below bound, which depends only on
+    its weight vector (:func:`_reaches`), so the live weights are taken in
+    ascending order and each is expanded into its monomials.  The set is
+    closed under permuting the exponents; with ``descending`` only its
+    orbit representatives are built, the g with non-increasing exponents.
     """
+    width = _lane_width(m + t)
     return [
         g
         for w in weight_vectors(q, m)
         if _reaches(w, t, bound)
-        for g in _weight_monomials(q, w, descending)
+        for g in _weight_words(q, w, width, descending)
     ]
 
 
@@ -119,34 +149,43 @@ def _reaches(w: WeightVector, t: int, bound: tuple[int, ...]) -> bool:
     return True
 
 
-def _is_descending(g: Monomial) -> bool:
-    return all(a >= b for a, b in zip(g, g[1:]))
-
-
 @cache
-def _plane_bits(q: int, c: int) -> tuple[Monomial, ...]:
-    """The 0/1 exponent tuples of length q with c ones."""
-    return tuple(low for low in product((0, 1), repeat=q) if sum(low) == c)
+def _plane_steps(q: int, c: int, width: int, ties: int) -> tuple[tuple[int, int], ...]:
+    """(low, ties after) for each packed word setting bit 0 in c of q lanes.
 
-
-def _weight_monomials(q: int, w: WeightVector, descending: bool) -> list[Monomial]:
-    """The monomials of weight vector w, exponent-lex ascending.
-
-    Bit plane i picks which w_i exponents have bit i set, from the top plane
-    down.  Exponents compare from their top bit, so with ``descending`` a
-    prefix whose exponents already increase somewhere is dropped.
+    Bit j of ties marks lanes j and j + 1, counted from the top, as equal so
+    far; a low that sets the lower lane of a tied pair and not the upper is
+    left out, so a non-increasing prefix stays non-increasing.  With
+    ``ties = 0`` every low is kept.
     """
-    gs: list[Monomial] = [(0,) * q]
+    steps = []
+    for lanes in combinations(range(q), c):
+        b = sum(1 << j for j in lanes)  # bit j: lane j, from the top, is set
+        if ties & b >> 1 & ~b:
+            continue
+        low = sum(1 << width * (q - 1 - j) for j in lanes)
+        steps.append((low, ties & ~(b ^ b >> 1)))
+    return tuple(steps)
+
+
+def _weight_words(q: int, w: WeightVector, width: int, descending: bool) -> list[int]:
+    """The packed monomials of weight vector w, ascending.
+
+    Bit plane i sets bit 0 in w_i lanes, from the top plane down, each plane
+    shifting the prefix up one bit.  With ``descending`` the prefixes are
+    grouped by which adjacent lanes are still equal (:func:`_plane_steps`),
+    so a prefix whose exponents increase somewhere is never built.
+    """
+    groups = {(1 << (q - 1)) - 1 if descending else 0: [0]}
     for c in reversed(w):
-        gs = [
-            tuple([(e << 1) | b for e, b in zip(g, low)])
-            for g in gs
-            for low in _plane_bits(q, c)
-        ]
-        if descending:
-            gs = list(filter(_is_descending, gs))
-    gs.sort()
-    return gs
+        grown: dict[int, list[int]] = defaultdict(list)
+        for ties, prefixes in groups.items():
+            for low, still in _plane_steps(q, c, width, ties):
+                grown[still] += [(g << 1) | low for g in prefixes]
+        groups = grown
+    words = [g for prefixes in groups.values() for g in prefixes]
+    words.sort()
+    return words
 
 
 @cache
@@ -239,41 +278,51 @@ class HitSpan:
         self._bound = bound = (
             () if restrict_weight is None else padded_weight(restrict_weight, n)
         )
-        cols = live_monomials(q, n, 0, bound)
+        # the packed columns, each at its position; only the build reads it
+        index = {g: i for i, g in enumerate(live_monomials(q, n, 0, bound))}
+        cols = _unpack(q, n, index)
         self.columns: tuple[Monomial, ...] = tuple(cols)
         self.position: dict[Monomial, int] = {m: i for i, m in enumerate(cols)}
         self.echelon = EchelonForm()
-        self._build()
+        self._build(index)
         free = self.echelon.free_columns(self.ncols)
         self.basis: tuple[Monomial, ...] = tuple(cols[p] for p in free)
         self._basis_index = {p: i for i, p in enumerate(free)}
 
-    def _build(self) -> None:
-        """Offer the rows one Σ_q orbit of (t, g) at a time; see the class."""
-        pos = self.position
-        reps = []  # (row, g, the terms of Sq^t(g) on live columns)
+    def _build(self, index: dict[int, int]) -> None:
+        """Offer the rows one Σ_q orbit of (t, g) at a time; see the class.
+
+        The Sq^t terms are packed words, kept where ``index`` (the packed
+        columns) has them; ``index`` is emptied before the elimination.
+        """
+        q, n = self.q, self.n
+        column = index.get
+        reps = []  # (row, packed g, the columns of Sq^t(g))
         t = 1
-        while 2 * t <= self.n:  # Sq^t vanishes below degree t
-            gens = live_monomials(self.q, self.n - t, t, self._bound, descending=True)
+        while 2 * t <= n:  # Sq^t vanishes below degree t
+            gens = live_monomials(q, n - t, t, self._bound, descending=True)
             gens.sort()  # exponent-lex, kept among rows of equal length below
             for g in gens:
-                terms = [m for m in sq_monomial(t, g) if m in pos]
-                if terms:
-                    reps.append((from_support(map(pos.__getitem__, terms)), g, terms))
+                ps = [p for p in map(column, _sq_word(t, g, q, n)) if p is not None]
+                if ps:
+                    reps.append((from_support(ps), g, ps))
             t <<= 1
+        index.clear()
         # Rows offered least senior pivot first stay short while reducing.
         reps.sort(key=lambda rep: rep[0].bit_length())
-        perms = _permutations(self.q)
-        for row, g, terms in reps:
+        cols, pos = self.columns, self.position
+        perms = _permutations(q)
+        for row, g, ps in reps:
             residual = self.echelon.reduce(row)
             if not residual:
                 continue  # the whole orbit lies in the span already
             self.echelon.add(residual)  # its pivot is free: one step
             # one permutation per distinct permuted generator other than g
+            (g,) = _unpack(q, n, (g,))
             members = {perm(g): perm for perm in perms}
             del members[g]
             for perm in members.values():
-                self.echelon.add(from_support(pos[perm(m)] for m in terms))
+                self.echelon.add(from_support([pos[perm(cols[p])] for p in ps]))
 
     # -- vector conversions -------------------------------------------------
 

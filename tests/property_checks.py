@@ -26,6 +26,7 @@ from cohitlab.lambda_algebra import (
 )
 from cohitlab.polyspace import (
     DualElement,
+    Monomial,
     Polynomial,
     enumerate_monomials,
     minimal_spike,
@@ -34,11 +35,34 @@ from cohitlab.polyspace import (
     pairing,
     weight_vector,
 )
-from cohitlab.steenrod import hit_span, is_annihilated, sq_dual_all, sq_monomial
+from cohitlab.steenrod import hit_span, is_annihilated, sq_dual_all
 
 
 # -- references: the whole-element squares and the word rules that the engine
 # computes term by term or packed ---------------------------------------------
+
+
+def sq_monomial(t: int, mono: Monomial) -> list[Monomial]:
+    """Terms of Sq^t on one exponent tuple (no cancellation occurs): the
+    reference for the engine's Sq on packed words, ``steenrod._sq_word``."""
+    if t < 0:
+        raise ValueError("negative Steenrod square")
+    if t == 0:
+        return [mono]
+    # (remaining degree, exponents so far); a d_i leaving more than the later
+    # exponents can take is cut, and the last d_i is whatever remains
+    partial: list[tuple[int, Monomial]] = [(t, ())]
+    cap = sum(mono)
+    for e in mono[:-1]:
+        cap -= e
+        partial = [
+            (r - d, done + (e + d,))
+            for r, done in partial
+            for d in range(min(e, r) + 1)
+            if d & e == d and r - cap <= d
+        ]
+    e = mono[-1]
+    return [done + (e + r,) for r, done in partial if r & e == r]
 
 
 def sq(t: int, f: Polynomial) -> Polynomial:

@@ -128,6 +128,41 @@ def test_add_reports_rank_growth():
     assert ech.rank == 2
 
 
+def test_one_call_add_equals_reduce_then_store_at_the_pivot():
+    rng = random.Random(41)
+    in_span = 0
+    for _ in range(200):
+        width = rng.randint(1, 40)
+        rows = []
+        for _ in range(rng.randint(0, 30)):
+            kind = rng.randrange(4)
+            if kind == 0:  # a zero row
+                rows.append(0)
+            elif kind == 1:  # a sum of rows before it: in the span already
+                rows.append(_xor_all(r for r in rows if rng.getrandbits(1)))
+            else:
+                rows.append(rng.getrandbits(width))
+        ech, ref = EchelonForm(), EchelonForm()
+        flags, want = [], []
+        for r in rows:
+            flags.append(ech.add(r))
+            residual = ref.reduce(r)
+            if residual:
+                ref.rows[residual.bit_length() - 1] = residual
+            want.append(bool(residual))
+            in_span += bool(r) and not residual
+        assert flags == want
+        assert ech.rows == ref.rows
+    assert in_span > 100
+
+
+def _xor_all(rows):
+    acc = 0
+    for r in rows:
+        acc ^= r
+    return acc
+
+
 def test_tagged_reduction_tracks_the_combination():
     rows = [0b0011, 0b0101, 0b1001]
     ech = EchelonForm()

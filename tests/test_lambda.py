@@ -503,6 +503,22 @@ def test_classes_equal_is_an_equivalence_modulo_boundaries():
     assert not classes_equal(e, LambdaElement())
 
 
+def test_classes_equal_differentiates_each_side_once(monkeypatch):
+    # the sum of two cycles is one: only x and y are differentiated
+    e = LambdaElement([(1, 3, 3, 2)])
+    b = boundary_space(4, 9)[0]
+    calls = []
+    differential = lambda_algebra.differential
+    monkeypatch.setattr(lambda_algebra, "differential",
+                        lambda el: calls.append(el) or differential(el))
+    for y, same in ((e ^ b, True), (b, False), (e, True)):
+        calls.clear()
+        assert classes_equal(e, y) is same
+        assert len(calls) == 2
+    with pytest.raises(ValueError, match="right element is not a cycle"):
+        classes_equal(e, LambdaElement([(0, 0, 0, 9)]))
+
+
 def test_a_cycle_escaping_the_homology_echelon_raises(monkeypatch):
     # an echelon that lost its cycles: the class cannot be read, not "different"
     h9 = LambdaElement([(1, 3, 3, 2)])

@@ -42,15 +42,52 @@ def test_every_traced_name_exists():
 
 def _name_tokens(path: Path) -> list[tuple[int, str, bool]]:
     """(line, identifier, whether it is spelled as an attribute ``.name``)
-    for each NAME token of a source file."""
+    for each NAME token of a source file.
+
+    Before Python 3.12 an f-string is one STRING token, so the names in its
+    replacement fields are read from its syntax tree instead.
+    """
     found, previous = [], None
     with tokenize.open(path) as f:
         for tok in tokenize.generate_tokens(f.readline):
             if tok.type == tokenize.NAME:
                 found.append((tok.start[0], tok.string, previous == "."))
+            elif tok.type == tokenize.STRING:
+                found += _f_string_names(tok.string, tok.start[0])
             if tok.type not in (tokenize.NL, tokenize.COMMENT):
                 previous = tok.string
     return found
+
+
+def _f_string_names(literal: str, line: int) -> list[tuple[int, str, bool]]:
+    """The names the replacement fields of a string literal spell, as
+    :func:`_name_tokens` gives them; a literal not an f-string spells none."""
+    found = []
+    for node in ast.walk(ast.parse(literal, mode="eval")):
+        if isinstance(node, ast.Name):
+            found.append((line + node.lineno - 1, node.id, False))
+        elif isinstance(node, ast.Attribute):
+            found.append((line + node.end_lineno - 1, node.attr, True))
+    return found
+
+
+def test_a_name_called_only_inside_an_f_string_counts(tmp_path):
+    # before Python 3.12 tokenize gives each f-string as one STRING token
+    source = tmp_path / "module.py"
+    source.write_text(
+        "def helper():\n"
+        "    return 1\n"
+        "message = f'{helper()} and {span.from_coordinates(0)!r:>4}'\n"
+        "plain = 'helper' + \"{other}\"\n"
+        'raw = rf"""{obj.method}\n{other}"""\n'
+    )
+    tokens = _name_tokens(source)
+    assert (3, "helper", False) in tokens
+    assert (3, "span", False) in tokens
+    assert (3, "from_coordinates", True) in tokens
+    assert (5, "method", True) in tokens and (6, "other", False) in tokens
+    # a string that is not an f-string spells no name
+    assert [name for line, name, _ in tokens if line == 4] == ["plain"]
 
 
 def _definitions(tree: ast.Module):

@@ -26,19 +26,22 @@ from cohitlab.polyspace import (
 )
 from cohitlab.steenrod import (
     HitSpan,
+    _lane_width,
+    _sq_word,
+    _unpack,
     binom_odd,
     hit_span,
     is_annihilated,
     live_monomials,
     sq_dual_all,
-    sq_monomial,
 )
 
 
 # -- references: the per-monomial filter, the recursive dual square, the
 # per-square primitivity test, the dot with every hit row and the per-row
-# span build that live_monomials, sq_dual_all, is_annihilated,
-# HitSpan.primitive_coordinates and the orbit build of HitSpan replaced ----
+# span build on exponent tuples that live_monomials, sq_dual_all,
+# is_annihilated, HitSpan.primitive_coordinates and the orbit build of
+# HitSpan on packed words replaced --------------------------------------------
 
 
 def _may_reach(g, t, bound):
@@ -78,15 +81,18 @@ def _sq_dual_term_reference(t, term):
 
 
 class _PerRowSpan(HitSpan):
-    """The hit span with every row Sq^t(g) offered, least senior pivot first."""
+    """The hit span with every row Sq^t(g) offered, least senior pivot first,
+    each g an exponent tuple kept by the per-monomial filter."""
 
-    def _build(self):
+    def _build(self, index):
         pos = self.position
         self.rows = []
         t = 1
         while 2 * t <= self.n:
-            for g in live_monomials(self.q, self.n - t, t, self._bound):
-                row = [p for p in map(pos.get, sq_monomial(t, g)) if p is not None]
+            for g in enumerate_monomials(self.q, self.n - t):
+                if not _may_reach(g, t, self._bound):
+                    continue
+                row = [p for p in map(pos.get, pc.sq_monomial(t, g)) if p is not None]
                 if row:
                     self.rows.append(from_support(row))
             t <<= 1
@@ -110,7 +116,7 @@ def test_sq_on_a_single_variable_power():
     # Sq^t(x^a) = C(a, t) x^{a+t}
     for a in range(1, 12):
         for t in range(0, 14):
-            got = sq_monomial(t, (a,))
+            got = pc.sq_monomial(t, (a,))
             want = [(a + t,)] if binom_odd(a, t) else []
             assert got == want
 
@@ -319,14 +325,15 @@ def test_live_monomials_equal_the_filter_in_order():
                     if _may_reach(g, t, bound)
                 ]
                 want.sort(key=monomial_key)
-                assert live_monomials(q, n - t, t, bound) == want, (q, n, t)
+                got = _unpack(q, n, live_monomials(q, n - t, t, bound))
+                assert got == want, (q, n, t)
 
 
 def test_live_monomials_without_a_bound_are_all_monomials():
     for q, m in ((1, 5), (3, 7), (4, 6)):
         for t in (0, 1, 2):
             want = sorted(enumerate_monomials(q, m), key=monomial_key)
-            assert live_monomials(q, m, t, ()) == want
+            assert _unpack(q, m + t, live_monomials(q, m, t, ())) == want
 
 
 def test_span_columns_are_the_monomials_above_the_spike_in_order():
@@ -442,14 +449,15 @@ def test_live_monomials_are_closed_under_permuting_the_variables():
                 if t > n:
                     break
                 for bound in bounds:
-                    live = live_monomials(q, n - t, t, bound)
+                    live = _unpack(q, n, live_monomials(q, n - t, t, bound))
                     found = set(live)
                     # adjacent transpositions generate every permutation
                     for j in range(q - 1):
                         swap = lambda g: g[:j] + (g[j + 1], g[j]) + g[j + 2:]
                         assert set(map(swap, live)) == found, (q, n, t, j)
                     reps = [g for g in live if list(g) == sorted(g, reverse=True)]
-                    assert live_monomials(q, n - t, t, bound, True) == reps
+                    reps_built = live_monomials(q, n - t, t, bound, True)
+                    assert _unpack(q, n, reps_built) == reps
 
 
 def _same_span(span, ref):
@@ -468,3 +476,56 @@ def test_orbit_build_equals_the_per_row_reference():
         for n in degrees:
             span = span_for(q, n)
             _same_span(span, _PerRowSpan(q, n, span.restrict_weight))
+
+
+def _is_non_increasing(g):
+    return all(a >= b for a, b in zip(g, g[1:]))
+
+
+def test_one_packed_enumerator_gives_the_columns_and_the_representatives():
+    # the last two degrees have exponents past 2^16, wider than a 16-bit lane
+    cases = [(q, n) for q, top in ((1, 33), (2, 33), (3, 25), (4, 21), (5, 13))
+             for n in range(top + 1)]
+    for q, n in cases + [(1, 131071), (2, 196606)]:
+        bounds = [_spike_bound(q, n)] if n > 1000 else [(), _spike_bound(q, n)]
+        squares = (0, 1, 1 << 15, 1 << 16) if n > 1000 else (0, 1, 2, 4, 8)
+        for bound in filter(lambda b: b is not None, bounds):
+            for t in filter(lambda t: t <= n, squares):
+                want = [g for g in enumerate_monomials(q, n - t)
+                        if _may_reach(g, t, bound)]
+                want.sort(key=monomial_key)
+                live = live_monomials(q, n - t, t, bound)
+                reps = live_monomials(q, n - t, t, bound, descending=True)
+                assert _unpack(q, n, live) == want, (q, n, t, bound)
+                assert _unpack(q, n, reps) == list(filter(_is_non_increasing, want))
+                assert max(live, default=0) < 1 << q * _lane_width(n)
+    # a lane holds the whole degree: the top exponents of (2, 196606) need 18 bits
+    assert _unpack(2, 196606, [196606 << 18]) == [(196606, 0)]
+
+
+def test_packed_squares_equal_the_tuple_reference():
+    count = 0
+    for q, top in ((1, 30), (2, 30), (3, 30), (4, 30), (5, 15)):
+        for n in range(2, top + 1):
+            bounds = {(), _spike_bound(q, n) or ()}
+            t = 1
+            while 2 * t <= n:
+                for bound in bounds:
+                    for g in live_monomials(q, n - t, t, bound, descending=True):
+                        (mono,) = _unpack(q, n, [g])
+                        got = _unpack(q, n, _sq_word(t, g, q, n))
+                        assert got == pc.sq_monomial(t, mono), (q, n, t, mono)
+                        count += 1
+                t <<= 1
+    # and across lanes wider than 16 bits, on the representatives with the
+    # most exponent bits set, which have the most terms
+    terms = 0
+    for q, n in ((1, 131071), (2, 196606)):
+        for t in (1, 1 << 15, 1 << 16):
+            reps = live_monomials(q, n - t, t, (), descending=True)
+            for g in sorted(reps, key=int.bit_count)[-4:]:
+                (mono,) = _unpack(q, n, [g])
+                got = _unpack(q, n, _sq_word(t, g, q, n))
+                assert got == pc.sq_monomial(t, mono), (q, n, t, mono)
+                count, terms = count + 1, terms + len(got)
+    assert count > 5000 and terms > 100
