@@ -13,7 +13,7 @@ Everything here is exact arithmetic; there is no floating point anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def from_support(positions: Iterable[int]) -> int:
@@ -111,11 +111,14 @@ class EchelonForm:
             tag ^= tags.get(p, 0)
         return v, tag
 
-    def normal_form(self, vec: int) -> int:
+    def normal_form(self, vec: int, index: Mapping[int, int] | None = None) -> int:
         """Canonical representative of vec modulo the row space.
 
         The result is supported on non-pivot columns only, and is 0 exactly
-        when vec lies in the row space.
+        when vec lies in the row space.  With ``index``, a map from every
+        free column to its own position, a free column p sets bit
+        ``index[p]`` instead of bit p: the coordinates over the free
+        columns, read in the same walk.
         """
         out = 0
         rows = self.rows
@@ -124,7 +127,7 @@ class EchelonForm:
             row = rows.get(p)
             if row is None:  # a free column: keep it
                 row = 1 << p
-                out |= row
+                out |= row if index is None else 1 << index[p]
             vec ^= row
         return out
 

@@ -651,8 +651,42 @@ def _psi_words(q: int, terms: Iterable[DualMonomial]) -> set[int]:
     return words
 
 
-def psi(theta: DualElement) -> LambdaElement:
+def _primitive_psi_words(q: int, terms: Iterable[DualMonomial]) -> set[int]:
+    """:func:`_psi_words` of a theta killed by every positive square.
+
+    Split theta by its first exponent, theta = sum_j a^(j) theta_j.  Bucket
+    k of :func:`_psi_words` is sum_{j <= k} Y_j with Y_j = theta_j Sq^(k - j).
+    By the Cartan rule, the part of theta Sq^t at first exponent m is
+    sum_a C(m, a) theta_(m+a) Sq^(t-a), and it is 0 for every t > 0.  For
+    each m < k, take t = k - m: sum_{j >= m} C(m, j - m) Y_j = 0.  These
+    relations are unitriangular in the Y_j (C(m, 0) = 1), so with Y_k =
+    theta_k every Y_m is y_m theta_k, where y_k = 1 and y_m =
+    sum_{j > m} C(m, j - m) y_j mod 2.  Bucket k is therefore c_k theta_k with
+    c_k = sum_{m <= k} y_m mod 2, and c_k = 1 exactly when k + 1 is a power
+    of two (solved for every k up to ``MAX_LETTER``).  So
+    psi(theta) = sum over k = 2^i - 1 of l_k psi(theta_k): the first level
+    builds no dual square.  The theta_k need not be primitive, so the lower
+    levels take the general path.
+    """
+    if q <= 1:
+        return _psi_words(q, terms)
+    tails: dict[int, list[DualMonomial]] = {}
+    for term in terms:
+        k = term[0]
+        if not (k + 1) & k:
+            tails.setdefault(k, []).append(term[1:])
+    words: set[int] = set()
+    for k, theta_k in tails.items():
+        _times(k, _psi_words(q - 1, theta_k), words)
+    return words
+
+
+def psi(theta: DualElement, primitive: bool = False) -> LambdaElement:
     """The chain-level transfer on divided powers, in admissible form.
+
+    With ``primitive``, theta must be killed by every positive square (a
+    span kernel vector, say), which is not checked: only the first
+    exponents 2^i - 1 are read (:func:`_primitive_psi_words`).
 
     Raises :class:`cohit.ResourceLimit` when theta's degree n is above
     ``MAX_LETTER``, or when the words of length q and degree n, one per
@@ -669,7 +703,8 @@ def psi(theta: DualElement) -> LambdaElement:
         raise cohit.ResourceLimit(f"degree {n} in {q} variables has {count} "
                                   f"words; budget is {cohit.MAX_COLUMNS}")
     _rewrite_count = 0
-    return LambdaElement._trusted(frozenset(_psi_words(q, theta.terms)), True)
+    words = (_primitive_psi_words if primitive else _psi_words)(q, theta.terms)
+    return LambdaElement._trusted(frozenset(words), True)
 
 
 def clear_caches() -> None:

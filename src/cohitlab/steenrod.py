@@ -61,8 +61,18 @@ def binom_odd(a: int, b: int) -> bool:
 
 @cache
 def _submasks(e: int) -> tuple[int, ...]:
-    """All binary submasks of e, ascending."""
-    return tuple(d for d in range(e + 1) if d & e == d)
+    """All binary submasks of e, ascending.
+
+    ``d = (d - 1) & e`` steps from one submask to the next smaller one, so
+    the walk visits the 2^popcount(e) submasks only, not all of 0..e.
+    """
+    out = [e]
+    d = e
+    while d:
+        d = (d - 1) & e
+        out.append(d)
+    out.reverse()
+    return tuple(out)
 
 
 def _lane_width(n: int) -> int:
@@ -349,10 +359,20 @@ class HitSpan:
 
     def _below_bound(self, m: Monomial) -> bool:
         """Whether m has q exponents, degree n and padded weight below the
-        bound: the rule that leaves it off the columns (:func:`_reaches`)."""
+        bound: the rule that leaves it off the columns (:func:`_reaches`).
+
+        The weights are compared one bit plane at a time, from plane 0 up,
+        and the first plane where they differ decides; no weight is built.
+        """
         if len(m) != self.q or sum(m) != self.n or min(m) < 0:
             return False
-        return not _reaches(weight_vector(m), 0, self._bound)
+        for i, b in enumerate(self._bound):
+            w = 0
+            for e in m:
+                w += e >> i & 1
+            if w != b:
+                return w < b
+        return False
 
     def to_dual(self, bits: int) -> DualElement:
         return DualElement(self.q, [self.columns[p] for p in support(bits)])
@@ -388,7 +408,7 @@ class HitSpan:
         bound of a restricted span is hit and drops; any other outside the
         columns raises ``KeyError``.
         """
-        return self.basis_bits(self.echelon.normal_form(self._column_bits(monomials)))
+        return self.echelon.normal_form(self._column_bits(monomials), self._basis_index)
 
     def basis_bits(self, bits: int) -> int:
         """A column vector's entries at the admissible positions, over ``basis``."""

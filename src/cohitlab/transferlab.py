@@ -80,10 +80,12 @@ def verdict(q: int, n: int) -> TransferReport:
     representative r.  ``homology_coordinates`` raises ValueError if a
     representative's chain image is not a cycle: dual classes killed by all
     positive squares always map to cycles, so a non-cycle is an engine bug,
-    not a property of the input.
+    not a property of the input.  The representatives are span kernel
+    vectors, so primitive, and psi reads only their first exponents 2^i - 1.
     """
     data = coinvariants(q, n, "gl")
-    rows = [homology_coordinates(psi(rep), q, n) for rep in data.representatives()]
+    rows = [homology_coordinates(psi(rep, primitive=True), q, n)
+            for rep in data.representatives()]
     packed = [sum(1 << i for i, c in enumerate(row) if c) for row in rows]
     rank = echelonize(packed).rank
     return TransferReport(q, n, data.dim, ext_dim(q, n), rank, rows, data)

@@ -107,6 +107,16 @@ def test_normal_form_matches_the_two_loop_reference(rows, vec):
     assert ech.normal_form(vec) == two_loop_normal_form(ech, vec)
 
 
+@given(rows_strategy, st.integers(0, (1 << 12) - 1))
+def test_indexed_normal_form_reads_the_free_coordinates(rows, vec):
+    ech = echelonize(rows)
+    index = {p: i for i, p in enumerate(ech.free_columns(12))}
+    nf = ech.normal_form(vec)
+    assert nf == ech.normal_form(vec, None) == two_loop_normal_form(ech, vec)
+    want = from_support(index[p] for p in support(nf))
+    assert ech.normal_form(vec, index) == want
+
+
 @given(rows_strategy)
 def test_row_membership(rows):
     ech = echelonize(rows)

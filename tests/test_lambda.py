@@ -24,8 +24,9 @@ from cohitlab.lambda_algebra import (
     psi,
 )
 from cohitlab.cohit import span_for
+from cohitlab.glaction import coinvariants
 from cohitlab.polyspace import DualElement, enumerate_monomials
-from cohitlab.steenrod import is_annihilated, sq_dual_all
+from cohitlab.steenrod import _submasks, is_annihilated, sq_dual_all
 
 
 def element(s: int, n: int, bits: int) -> LambdaElement:
@@ -596,6 +597,35 @@ def test_psi_matches_the_term_by_term_reference(fresh_lambda_caches):
     duals += [DualElement(4, [term]) for term in refdata.PSI_RAW_TERM_IMAGES_9]
     for theta in duals:
         assert psi(theta) == reference_psi(theta), theta
+
+
+def test_psi_of_a_primitive_reads_only_first_exponents_two_to_the_i_minus_one(
+        fresh_lambda_caches):
+    rng = random.Random(35)
+    thetas = []
+    for q, n in ((4, 9), (4, 17), (4, 22), (4, 45), (3, 19)):
+        reps = coinvariants(q, n, "gl").representatives()
+        assert reps, (q, n)
+        thetas += reps
+    thetas += [random_annihilated_dual(rng, rng.randint(1, 4), rng.randint(1, 30))
+               for _ in range(40)]
+    for theta in thetas:
+        want = lambda_algebra._psi_words(theta.q, theta.terms)
+        assert psi(theta, primitive=True)._words == want, theta
+
+
+def test_only_buckets_two_to_the_i_minus_one_survive_on_a_primitive():
+    # Bucket k of psi on a primitive is c_k theta_k, c_k the sum mod 2 of the
+    # y_m with y_k = 1, y_m = sum_(j > m) C(m, j - m) y_j (see
+    # _primitive_psi_words); bit j of each mask is C(m, j - m) mod 2, j > m.
+    masks = [f2linalg.from_support(m + a for a in _submasks(m)[1:])
+             for m in range(lambda_algebra.MAX_LETTER + 1)]
+    for k in range(lambda_algebra.MAX_LETTER + 1):
+        y = 1 << k
+        for m in range(k - 1, -1, -1):
+            if (y & masks[m]).bit_count() & 1:
+                y |= 1 << m
+        assert y.bit_count() & 1 == ((k + 1) & k == 0), k
 
 
 def test_psi_reduces_as_it_recurses(monkeypatch):

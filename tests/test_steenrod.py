@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from operator import xor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -23,11 +24,14 @@ from cohitlab.polyspace import (
     padded_weight,
     pairing,
     weight_vector,
+    weight_vectors,
 )
 from cohitlab.steenrod import (
     HitSpan,
     _lane_width,
+    _reaches,
     _sq_word,
+    _submasks,
     _unpack,
     binom_odd,
     hit_span,
@@ -300,6 +304,29 @@ def test_a_restricted_span_drops_only_monomials_below_its_bound():
         span.sum_coordinates([top])
     with pytest.raises(KeyError):
         HitSpan(4, 9).sum_coordinates([(1, 0, 0, 0)])
+
+
+def test_plane_by_plane_below_bound_equals_the_weight_filter():
+    for q, n in ((3, 19), (4, 22), (4, 37), (4, 45), (5, 15)):
+        span = span_for(q, n)
+        assert span._bound
+        # the span's own bound, no bound, and for the small degrees every
+        # weight of the degree, read through spans that differ in _bound only
+        spans = [span, SimpleNamespace(q=q, n=n, _bound=())]
+        if (q, n) in ((3, 19), (4, 22)):
+            spans += [SimpleNamespace(q=q, n=n, _bound=padded_weight(w, n))
+                      for w in weight_vectors(q, n)]
+        for m in enumerate_monomials(q, n):
+            w = weight_vector(m)
+            for s in spans:
+                want = not _reaches(w, 0, s._bound)
+                assert HitSpan._below_bound(s, m) == want, (q, n, s._bound, m)
+
+
+def test_submask_walk_equals_the_range_filter():
+    walk = _submasks.__wrapped__  # the memo is left as it is
+    for e in (*range(4096), 131_071):
+        assert walk(e) == tuple(d for d in range(e + 1) if d & e == d), e
 
 
 def test_rejects_bad_arguments():
