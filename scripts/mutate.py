@@ -1,0 +1,220 @@
+"""Run the mutation table: each row breaks the engine one way, and its tests
+must notice.
+
+Example:
+    python3 scripts/mutate.py
+
+A row names a file under ``src/`` or ``tests/``, an old text that must occur
+in it exactly once, the new text that replaces it, and the test node ids
+that must fail.  For each row, ``src/`` and ``tests/`` are copied to a
+temporary directory (every other top-level entry is linked, for the tests
+that read the README or the benchmark's tracer), the row is applied there,
+and ``pytest -x`` runs the node ids in a subprocess under a 2 GB address
+space limit and a timeout.  A row is *caught* when a named test fails,
+*stale* when its old text does not occur exactly once or pytest finds no
+named test, and *survived* otherwise, a timeout included.  First the named
+tests must all pass unmutated, or no row can be judged.  The run exits 0
+only when every row is caught: a row whose code moved must be updated, not
+dropped.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+# left out of the temporary tree: git's store, and the state that test and
+# benchmark runs write, so that no run writes into the repository
+UNLINKED = {".git", ".hypothesis", ".pytest_cache", ".cohitlab", ".perfbench_work"}
+MEMORY_BYTES = 2 << 30  # RLIMIT_AS of each pytest run
+TIMEOUT_S = 120  # per pytest run
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str  # relative to the repository root, under src/ or tests/
+    old: str  # must occur exactly once
+    new: str
+    tests: tuple[str, ...]  # node ids, one of which must fail
+
+
+LAMBDA = "src/cohitlab/lambda_algebra.py"
+STEENROD = "src/cohitlab/steenrod.py"
+CLI = "tests/test_cli.py"
+PRIMITIVE_PSI = ("tests/test_lambda.py::test_psi_of_a_primitive_reads_only_"
+                 "first_exponents_two_to_the_i_minus_one",)
+SQ0 = ("tests/test_properties.py::test_psi_commutes_with_sq0",)
+BELOW_BOUND = ("tests/test_steenrod.py::test_plane_by_plane_below_bound_equals_"
+               "the_weight_filter",)
+SPIKE_FREE = (f"{CLI}::test_a_spike_free_degree_past_the_column_budget_answers_zero",)
+
+MUTATIONS = (
+    # psi of a primitive reads the first exponents 2^i - 1 only
+    Mutation("psi split admits k = 2", LAMBDA,
+             "        if not (k + 1) & k:\n",
+             "        if not (k + 1) & k or k == 2:\n", PRIMITIVE_PSI),
+    Mutation("psi split drops k = 0", LAMBDA,
+             "        if not (k + 1) & k:\n",
+             "        if k and not (k + 1) & k:\n", PRIMITIVE_PSI),
+    # the letters psi writes
+    Mutation("psi(a^(j)) is l_(j + 1)", LAMBDA,
+             "return {j + 1 for (j,) in terms}",
+             "return {j + 2 for (j,) in terms}", SQ0),
+    Mutation("psi's leading letter shifted by one at q = 2", LAMBDA,
+             "_times(k, _psi_words(q - 1, bucket), words)",
+             "_times(k + (q == 2), _psi_words(q - 1, bucket), words)", SQ0),
+    Mutation("psi's leading letter shifted by one for k > 6", LAMBDA,
+             "_times(k, _psi_words(q - 1, bucket), words)",
+             "_times(k + (k > 6), _psi_words(q - 1, bucket), words)", SQ0),
+    # the plane-by-plane weight test of a monomial off the columns
+    Mutation("_below_bound returns w > b", STEENROD,
+             "                return w < b\n",
+             "                return w > b\n", BELOW_BOUND),
+    Mutation("_below_bound returns True on a tie", STEENROD,
+             "                return w < b\n        return False\n",
+             "                return w < b\n        return True\n", BELOW_BOUND),
+    Mutation("normal_form ignores index", "src/cohitlab/f2linalg.py",
+             "out |= row if index is None else 1 << index[p]",
+             "out |= row",
+             ("tests/test_f2linalg.py::test_indexed_normal_form_reads_the_"
+              "free_coordinates",)),
+    Mutation("a dead public name comes back", STEENROD,
+             "    def dual_terms(self, bits: int) -> list[list[int]]:\n",
+             "    def to_dual(self, bits: int) -> DualElement:\n"
+             "        return DualElement(self.q, self.dual_terms(bits))\n\n"
+             "    def dual_terms(self, bits: int) -> list[list[int]]:\n",
+             ("tests/test_source.py::test_every_public_name_has_a_caller",)),
+    # every budget, its check removed
+    Mutation("no column budget", "src/cohitlab/cohit.py",
+             "    if cols > MAX_COLUMNS:\n", "    if False:\n", SPIKE_FREE),
+    Mutation("no letter cap", LAMBDA,
+             "    if length > 0 and degree > MAX_LETTER:\n", "    if False:\n",
+             (f"{CLI}::test_ext_and_psi_refuse_letters_above_the_cap",)),
+    Mutation("no psi word budget", LAMBDA,
+             "    if count > cohit.MAX_COLUMNS:\n", "    if False:\n",
+             (f"{CLI}::test_psi_budget_refuses_before_building_a_word",)),
+    Mutation("no rewrite budget", LAMBDA,
+             "        if _rewrite_count > MAX_REWRITES:\n", "        if False:\n",
+             (f"{CLI}::test_rewrite_budget_exit_code",)),
+    Mutation("no recursion guard", LAMBDA,
+             "    if depth > sys.getrecursionlimit():\n", "    if False:\n",
+             (f"{CLI}::test_ext_refuses_words_too_long_to_recurse",)),
+    Mutation("no ext admissible-word budget", LAMBDA,
+             "        if compositions > cap and admissible_count(length, degree, cap) > cap:\n",
+             "        if False:\n", SPIKE_FREE),
+    # one value, one form
+    Mutation("transfer matrix printed bit k last", "src/cohitlab/transferlab.py",
+             '"matrix": [[row >> k & 1 for k in range(self.codomain_dim)]',
+             '"matrix": [[row >> self.codomain_dim - 1 - k & 1 '
+             "for k in range(self.codomain_dim)]",
+             ("tests/test_transferlab.py::test_matrix_rows_are_bit_vectors_"
+              "printed_bit_zero_first",)),
+    Mutation("class_coordinates reads no quotient index", "src/cohitlab/glaction.py",
+             "primitive_coordinates(theta),\n"
+             "                                          self._quotient_index)",
+             "primitive_coordinates(theta))",
+             ("tests/test_glaction.py::test_representatives_have_unit_coordinates",)),
+    Mutation("dual_terms out of the printed order", STEENROD,
+             "return [list(self.columns[p]) for p in support(bits)]",
+             "return [list(self.columns[p]) for p in support(bits)[::-1]]",
+             ("tests/test_steenrod.py::test_primitive_k_is_dual_to_basis_monomial_k",)),
+    Mutation("the span build tests each row with reduce first", STEENROD,
+             "            if not self.echelon.add(row):\n"
+             "                continue  # the whole orbit lies in the span already\n",
+             "            if not self.echelon.reduce(row):\n"
+             "                continue  # the whole orbit lies in the span already\n"
+             "            self.echelon.add(row)\n",
+             ("tests/test_steenrod.py::test_the_build_offers_each_orbit_row_with_one_add",)),
+)
+
+
+@contextmanager
+def _tree():
+    """A temporary tree: ``src/`` and ``tests/`` copied, every other entry
+    of the repository linked."""
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        root = Path(tmp)
+        for entry in ROOT.iterdir():
+            if entry.name in ("src", "tests"):
+                shutil.copytree(entry, root / entry.name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            elif entry.name not in UNLINKED:
+                (root / entry.name).symlink_to(entry)
+        yield root
+
+
+def apply(root: Path, row: Mutation) -> bool:
+    """Apply the row to the tree at root; False, changing nothing, when its
+    old text does not occur exactly once in a file of the copied folders
+    (any other file is linked to the repository's own)."""
+    path = root / row.file
+    copied = row.file.startswith(("src/", "tests/")) and path.is_file()
+    text = path.read_text() if copied else ""
+    if text.count(row.old) != 1:
+        return False
+    path.write_text(text.replace(row.old, row.new))
+    return True
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def _pytest(root: Path, tests: tuple[str, ...]) -> int | None:
+    """pytest's exit code on the node ids in the tree at root, None on timeout."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1", "COHITLAB_CACHE": str(root / ".cache")}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            *tests]
+    proc = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, preexec_fn=_limit_memory,
+                            start_new_session=True)
+    try:
+        return proc.wait(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the tests' own subprocesses too
+        proc.wait()
+        return None
+
+
+def run(row: Mutation) -> str:
+    """caught, survived or stale: the verdict on one row."""
+    with _tree() as root:
+        if not apply(root, row):
+            return "stale"
+        code = _pytest(root, row.tests)
+    if code in (4, 5):  # a node id pytest cannot find, or no test collected
+        return "stale"
+    return "caught" if code == 1 else "survived"
+
+
+def main() -> int:
+    tests = tuple(dict.fromkeys(t for row in MUTATIONS for t in row.tests))
+    with _tree() as root:
+        code = _pytest(root, tests)
+    print(f"unmutated: pytest exits {code} on the named tests", flush=True)
+    if code != 0:
+        return 1
+    missed = 0
+    for row in MUTATIONS:
+        start = time.perf_counter()
+        status = run(row)
+        missed += status != "caught"
+        print(f"{status:<8} {time.perf_counter() - start:6.1f} s  {row.name}",
+              flush=True)
+    print(f"{len(MUTATIONS) - missed} of {len(MUTATIONS)} caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cohit
-from .f2linalg import echelonize, from_support, image_kernel, support
+from .f2linalg import echelonize, image_kernel, support
 from .polyspace import (
     DualElement,
     Monomial,
@@ -360,11 +360,12 @@ class CoinvariantData:
 
     def class_coordinates(self, theta: DualElement) -> int:
         """Bit-vector of [theta] over the coinvariant basis."""
-        nf = self.relations.normal_form(self.span.primitive_coordinates(theta))
-        return from_support(self._quotient_index[k] for k in support(nf))
+        return self.relations.normal_form(self.span.primitive_coordinates(theta),
+                                          self._quotient_index)
 
     def representatives(self) -> list[DualElement]:
-        return [self.span.to_dual(v) for v in self._representatives]
+        return [DualElement(self.q, self.span.dual_terms(v))
+                for v in self._representatives]
 
     def to_json(self) -> dict:
         return {

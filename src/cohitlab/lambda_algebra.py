@@ -594,12 +594,12 @@ def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
     return not _homology_tag(diff, diff.length, diff.internal_degree)
 
 
-def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
-    """Coefficients of a cycle over the homology basis, modulo boundaries.
+def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
+    """Coefficient bit-vector of a cycle over the homology basis, modulo
+    boundaries: bit k is its coefficient on cycle k of ``_homology(s, n)``.
 
-    The basis is the cycles ``_homology(s, n)`` keeps.  The bidegree is
-    passed explicitly so the zero element resolves; raises on non-cycles and
-    on elements of the wrong bidegree.
+    The bidegree is passed explicitly so the zero element resolves; raises
+    on non-cycles and on elements of the wrong bidegree.
     """
     el = adem_reduce(el)
     if not el.is_zero():
@@ -610,8 +610,7 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> tuple[int, ...]:
             )
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
-    tag = _homology_tag(el, s, n)
-    return tuple(tag >> k & 1 for k in range(len(_homology(s, n)[1])))
+    return _homology_tag(el, s, n)
 
 
 def _homology_tag(cycle: LambdaElement, s: int, n: int) -> int:

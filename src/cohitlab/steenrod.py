@@ -323,10 +323,8 @@ class HitSpan:
         cols, pos = self.columns, self.position
         perms = _permutations(q)
         for row, g, ps in reps:
-            residual = self.echelon.reduce(row)
-            if not residual:
+            if not self.echelon.add(row):
                 continue  # the whole orbit lies in the span already
-            self.echelon.add(residual)  # its pivot is free: one step
             # one permutation per distinct permuted generator other than g
             (g,) = _unpack(q, n, (g,))
             members = {perm(g): perm for perm in perms}
@@ -374,12 +372,9 @@ class HitSpan:
                 return w < b
         return False
 
-    def to_dual(self, bits: int) -> DualElement:
-        return DualElement(self.q, [self.columns[p] for p in support(bits)])
-
     def dual_terms(self, bits: int) -> list[list[int]]:
-        """The terms of ``to_dual(bits)`` as JSON lists, already in the
-        monomial order that :meth:`DualElement.to_json` sorts by."""
+        """The dual monomials at a column vector's positions, as JSON lists,
+        already in the monomial order that :meth:`DualElement.to_json` sorts by."""
         return [list(self.columns[p]) for p in support(bits)]
 
     # -- queries -------------------------------------------------------------
@@ -410,11 +405,6 @@ class HitSpan:
         """
         return self.echelon.normal_form(self._column_bits(monomials), self._basis_index)
 
-    def basis_bits(self, bits: int) -> int:
-        """A column vector's entries at the admissible positions, over ``basis``."""
-        index = self._basis_index
-        return from_support(index[p] for p in support(bits) if p in index)
-
     def from_coordinates(self, bits: int) -> Polynomial:
         return Polynomial(self.q, [self.basis[i] for i in support(bits)])
 
@@ -444,7 +434,9 @@ class HitSpan:
         self._check_shape(theta)
         if not is_annihilated(theta):
             raise ValueError("element is not annihilated by all positive squares")
-        return self.basis_bits(self._column_bits(theta.terms))
+        index = self._basis_index
+        bits = self._column_bits(theta.terms)
+        return from_support(index[p] for p in support(bits) if p in index)
 
 
 @cache

@@ -175,7 +175,13 @@ def test_resource_limit_exit_code(sandbox, capsys, monkeypatch):
     assert data["detail"].endswith("budget is 100")
 
 
-def test_a_spike_free_degree_past_the_column_budget_answers_zero(sandbox, capsys):
+def test_a_spike_free_degree_past_the_column_budget_answers_zero(sandbox, capsys,
+                                                                monkeypatch):
+    from cohitlab import lambda_algebra, steenrod
+
+    def refuse(*args):
+        raise AssertionError("a refused basis or span was built")
+
     # mu(233) = 7 > 4: with no spike every monomial is hit (Wood), so the span
     # has no column, although the degree has more monomials than the budget
     assert mu(233) == 7 and count_monomials(4, 233) > cohit.MAX_COLUMNS
@@ -184,12 +190,18 @@ def test_a_spike_free_degree_past_the_column_budget_answers_zero(sandbox, capsys
         assert code == 0 and data["dim"] == 0, command
     code, out = run(capsys, "cohit", "--q", "4", "--n", "233", "--no-cache")
     assert out == '{"basis":[],"dim":0,"n":233,"q":4}\n'
-    # the transfer still needs Ext, whose words are past the budget
-    code, data = run_json(capsys, "transfer", "--q", "4", "--n", "233", "--no-cache")
+    # the transfer still needs Ext, whose words are past the budget; a budget
+    # that stopped refusing fails here at once instead of building them
+    with monkeypatch.context() as patch:
+        patch.setattr(lambda_algebra, "_admissible_words", refuse)
+        code, data = run_json(capsys, "transfer", "--q", "4", "--n", "233",
+                              "--no-cache")
     assert code == 3 and data["error"] == "resource-limit"
     assert data["detail"].startswith("length 5 and degree 232 ")
     # a degree with a spike is still refused before any row is built
-    code, data = run_json(capsys, "cohit", "--q", "5", "--n", "100", "--no-cache")
+    with monkeypatch.context() as patch:
+        patch.setattr(steenrod, "hit_span", refuse)
+        code, data = run_json(capsys, "cohit", "--q", "5", "--n", "100", "--no-cache")
     assert code == 3 and data["detail"].endswith(f"budget is {cohit.MAX_COLUMNS}")
 
 

@@ -5,7 +5,7 @@ from operator import xor
 
 import pytest
 
-from property_checks import transpose_images
+from property_checks import to_dual, transpose_images
 from cohitlab import cohit, glaction, refdata
 from cohitlab.cohit import ResourceLimit, span_for
 from cohitlab.f2linalg import EchelonForm, echelonize, from_support, image_kernel, support
@@ -316,7 +316,7 @@ def divided_power_relations(q: int, n: int, group: str) -> EchelonForm:
     gens = [transpose_images(g) for g in generator_images(q, group)]
     rows = []
     for v in span.primitive_vectors():
-        theta = span.to_dual(v)
+        theta = to_dual(span, v)
         for images in gens:
             moved = span._column_bits((act_dual(images, theta) ^ theta).terms)
             rows.append(from_support(index[p] for p in support(moved) if p in index))

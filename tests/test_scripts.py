@@ -1,4 +1,5 @@
-"""Smoke tests: each script under scripts/ runs and prints a row per degree."""
+"""Smoke tests: each scan script under scripts/ runs and prints a row per
+degree, and the mutation runner's table applies to the tree as it stands."""
 
 from __future__ import annotations
 
@@ -72,12 +73,17 @@ def test_transfer_report():
     assert run_script("transfer_report.py", "--q", "3", "--stop", "12") == list(range(13))
 
 
-def test_transfer_report_stops_with_exit_3_on_the_rewrite_budget(monkeypatch, capsys):
-    # in this process, so the budget can be lowered; cold memos must rewrite
-    spec = importlib.util.spec_from_file_location(
-        "transfer_report", ROOT / "scripts" / "transfer_report.py")
+def load_script(name: str):
+    """A script under scripts/, imported into this process as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_transfer_report_stops_with_exit_3_on_the_rewrite_budget(monkeypatch, capsys):
+    # in this process, so the budget can be lowered; cold memos must rewrite
+    script = load_script("transfer_report")
     lambda_algebra.clear_caches()
     monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 5)
     try:
@@ -98,3 +104,30 @@ def test_bad_input_is_one_line_and_exit_2():
         assert proc.returncode == 2, proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert not proc.stdout
+
+
+def test_a_mutation_whose_old_text_is_not_there_once_is_stale(monkeypatch):
+    mutate = load_script("mutate")
+
+    def no_pytest(root, tests):
+        raise AssertionError("pytest ran")
+
+    monkeypatch.setattr(mutate, "_pytest", no_pytest)
+    row = mutate.MUTATIONS[0]
+    assert mutate.run(row._replace(old="a text no source holds")) == "stale"
+    assert mutate.run(row._replace(old="\n")) == "stale"  # more than once
+    assert mutate.run(row._replace(file="src/cohitlab/gone.py")) == "stale"
+    # a file outside the copied folders is the repository's own: never written
+    assert mutate.run(row._replace(file="README.md", old="## Scripts")) == "stale"
+
+
+def test_every_mutation_row_applies_to_the_tree_as_it_stands():
+    mutate = load_script("mutate")
+    assert len(mutate.MUTATIONS) >= 19
+    for row in mutate.MUTATIONS:
+        assert row.file.startswith(("src/", "tests/")), row.name
+        assert (ROOT / row.file).read_text().count(row.old) == 1, row.name
+        assert row.tests, row.name
+        for node in row.tests:
+            path, _, name = node.partition("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(), (row.name, node)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import property_checks as pc
 from cohitlab.cohit import span_for
-from cohitlab import refdata
+from cohitlab import f2linalg, refdata
 from cohitlab.f2linalg import from_support, support
 from cohitlab.polyspace import (
     DualElement,
@@ -229,13 +229,27 @@ def test_hit_span_columns_ascend_in_the_monomial_order():
     assert positions == list(range(span.ncols))
 
 
+def test_the_build_offers_each_orbit_row_with_one_add(monkeypatch):
+    # add reduces the row, stores the residual at its free pivot and answers
+    # False for a row already in the span, so the build needs no reduce
+    want = span_for(4, 22).basis
+
+    def refuse(self, vec):
+        raise AssertionError("the build called reduce")
+
+    monkeypatch.setattr(f2linalg.EchelonForm, "reduce", refuse)
+    span = HitSpan(4, 22)
+    assert span.basis == want and span.dim == refdata.COHIT_DIMS_REGRESSION[(4, 22)]
+    assert span.rank + span.dim == span.ncols
+
+
 def test_round_trips_through_span_coordinates():
     span = hit_span(3, 5, None)
     rng = random.Random(3)
     monos = pc.ordered_monomials(3, 5)
     for _ in range(10):
         theta = DualElement(3, set(rng.sample(monos, 4)))
-        assert span.to_dual(span._column_bits(theta.terms)) == theta
+        assert pc.to_dual(span, span._column_bits(theta.terms)) == theta
 
 
 def test_normal_form_kills_hit_elements():
@@ -258,7 +272,7 @@ def test_power_generators_span_the_full_hit_space():
 
 def test_primitive_basis_is_annihilated_and_spans_the_kernel():
     span = hit_span(2, 6, None)
-    prims = [span.to_dual(v) for v in span.primitive_vectors()]
+    prims = [pc.to_dual(span, v) for v in span.primitive_vectors()]
     assert len(prims) == span.ncols - span.rank == span.dim
     for theta in prims:
         assert is_annihilated(theta)
@@ -270,8 +284,8 @@ def test_primitive_k_is_dual_to_basis_monomial_k():
         vectors = span.primitive_vectors()
         assert [span.primitive(k) for k in range(span.dim)] == vectors, (q, n)
         for v in vectors + [functools.reduce(xor, vectors, 0)]:
-            assert span.dual_terms(v) == span.to_dual(v).to_json()["terms"], (q, n)
-        prims = list(map(span.to_dual, vectors))
+            assert span.dual_terms(v) == pc.to_dual(span, v).to_json()["terms"], (q, n)
+        prims = [pc.to_dual(span, v) for v in vectors]
         assert len(prims) == span.dim
         for k, theta in enumerate(prims):
             pairs = [pairing(theta, Polynomial(q, [m])) for m in span.basis]
@@ -425,7 +439,7 @@ def test_is_annihilated_equals_the_per_square_reference():
         span, prims = span_for(q, n), span_for(q, n).primitive_vectors()
         for _ in range(20):  # a sum of primitives, alone and with one term more
             picked = rng.sample(prims, rng.randint(1, min(3, len(prims))))
-            theta = span.to_dual(functools.reduce(xor, picked))
+            theta = pc.to_dual(span, functools.reduce(xor, picked))
             duals += [theta, theta ^ DualElement(q, [rng.choice(span.columns)])]
     answers = [is_annihilated(theta) for theta in duals]
     assert answers == list(map(_is_annihilated_reference, duals))
@@ -440,7 +454,8 @@ def _primitive_coordinates_reference(span, theta):
     vec = from_support(span.position[m] for m in theta.terms)
     if any((row & vec).bit_count() & 1 for row in span.echelon.rows.values()):
         raise ValueError("not annihilated by all positive squares")
-    return span.basis_bits(vec)
+    return from_support(k for k, m in enumerate(span.basis)
+                        if vec >> span.position[m] & 1)
 
 
 def test_primitive_coordinates_equal_the_dot_with_every_row():
@@ -450,7 +465,7 @@ def test_primitive_coordinates_equal_the_dot_with_every_row():
         for _ in range(6):
             bits = rng.getrandbits(span.dim)
             picked = map(span.primitive, support(bits))
-            theta = span.to_dual(functools.reduce(xor, picked, 0))
+            theta = pc.to_dual(span, functools.reduce(xor, picked, 0))
             assert span.primitive_coordinates(theta) == bits, (q, n)
             assert _primitive_coordinates_reference(span, theta) == bits, (q, n)
         # a term on a pivot column, and one on a dropped (hit) monomial

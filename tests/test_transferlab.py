@@ -34,13 +34,13 @@ def test_degree_zero_is_the_identity():
         rep = verdict(q, 0)
         assert (rep.domain_dim, rep.codomain_dim, rep.rank) == (1, 1, 1)
         assert rep.isomorphism
-        assert rep.matrix == [(1,)]
+        assert rep.matrix == [1]
 
 
 def test_degree_nine_is_an_isomorphism():
     rep = verdict(4, 9)
     assert rep.domain_dim == rep.codomain_dim == rep.rank == 1
-    assert rep.matrix == [(1,)]
+    assert rep.matrix == [1]
     assert rep.isomorphism
     js = rep.to_json()
     assert js["isomorphism"] is True
@@ -60,10 +60,19 @@ def test_rank_three_degree_eight():
     assert (rep.domain_dim, rep.codomain_dim, rep.isomorphism) == (1, 1, True)
 
 
+def test_matrix_rows_are_bit_vectors_printed_bit_zero_first():
+    # the one pinned bidegree whose rows hold two bits: row 0 has both set,
+    # row 1 only bit 0, so JSON lists each row's codomain_dim bits low first
+    rep = verdict(4, 18)
+    assert rep.codomain_dim == 2 and rep.rank == 2
+    assert rep.matrix == [3, 1]
+    assert rep.to_json()["matrix"] == [[1, 1], [1, 0]]
+
+
 def test_transfer_matrix_rows_are_homology_coordinates():
     rep = verdict(4, 9)
     (theta,) = rep.coinvariants.representatives()
-    assert rep.matrix == [homology_coordinates(psi(theta), 4, 9)] == [(1,)]
+    assert rep.matrix == [homology_coordinates(psi(theta), 4, 9)] == [1]
 
 
 def test_small_fixture_verdicts():
