@@ -135,6 +135,11 @@ MUTATIONS = (
              "                continue  # the whole orbit lies in the span already\n"
              "            self.echelon.add(row)\n",
              ("tests/test_steenrod.py::test_the_build_offers_each_orbit_row_with_one_add",)),
+    # one parser: a leftover token is a suite of verify, or a usage error
+    Mutation("a stray token after a command is ignored", "src/cohitlab/cli.py",
+             '        if extra and args.command != "verify":\n',
+             "        if False:\n",
+             (f"{CLI}::test_a_stray_token_after_a_command_is_a_usage_error",)),
 )
 
 

@@ -1,14 +1,14 @@
 """Command-line front end: JSON reports, a persistent result cache, and
 named verification suites.
 
-Every subcommand prints one JSON object (or a plain-text table with
+Every command prints one JSON object (or a plain-text table with
 ``--out table``) and exits 0 on success, 1 when a verification suite
 mismatches its stored expectations, 2 on usage or input errors, and 3 when a
 computation refuses to start or finish inside the column budget
 (``cohit.MAX_COLUMNS``) or the Adem rewrite budget
 (``lambda_algebra.MAX_REWRITES``).
 
-Everything the front end knows about a subcommand is its row of
+Everything the front end knows about a command is its row of
 ``COMMANDS``.  The answers of the commands whose row has a key are the only
 thing cohitlab keeps on disk: one JSON entry per answer under
 ``$COHITLAB_CACHE`` (default ``.cohitlab/``, read on every call;
@@ -136,7 +136,7 @@ def _serve_cached(command: Command, args, cache_dir: Path | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return the JSON payload
+# command handlers: return the JSON payload
 # ---------------------------------------------------------------------------
 
 
@@ -330,15 +330,14 @@ def cmd_mu(args):
 
 
 class Command(NamedTuple):
-    """A subcommand: its handler, the parsed options that key its stored
-    answer (none: never stored), its help, whether its --q counts variables
-    (for ext it is a word length), and its positional arguments."""
+    """A command: its handler, the parsed options that key its stored
+    answer (none: never stored), its help, and whether its --q counts
+    variables (for ext it is a word length)."""
 
     handler: Callable[[argparse.Namespace], dict]
     key: tuple[str, ...]
     help: str
     polynomial: bool = True
-    positionals: tuple[tuple[str, dict], ...] = ()  # (name, add_argument keywords)
 
 
 COMMANDS = {
@@ -359,9 +358,7 @@ COMMANDS = {
     "ext": Command(cmd_ext, ("q", "n"),
                    "homology dimension at word length --q, degree --n", False),
     "transfer": Command(cmd_transfer, ("q", "n"), "transfer verdict at (--q, --n)"),
-    "verify": Command(cmd_verify, (), "run named verification suites", False, (
-        ("suites", dict(nargs="*", metavar="SUITE", help=(
-            f"one of {', '.join(transferlab.SUITE_NAMES)}, or 'all'"))),)),
+    "verify": Command(cmd_verify, (), "run the named suites (default all)", False),
     "spike": Command(cmd_spike, (), "minimal spike of degree n in q variables"),
     "mu": Command(cmd_mu, (), "alpha and mu of a degree", False),
 }
@@ -407,53 +404,50 @@ def emit(payload: dict, out: str) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, help="number of variables (or word length)")
-    common.add_argument("--n", type=int, help="internal degree")
-    common.add_argument(
-        "--omega", help="weight vector as comma-separated counts, e.g. 3,1,1"
-    )
-    common.add_argument(
-        "--group",
-        choices=("sigma", "gl"),
-        default="gl",
-        help="permutations only, or the full linear group",
-    )
-    common.add_argument("--file", help="JSON file holding one element")
-    common.add_argument(
-        "--out", choices=("json", "table"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers, one per suite at most"
-    )
-
+    """One parser for every command: the command is its first positional,
+    and ``verify``'s suites are the tokens it leaves over."""
+    commands = "".join(f"  {name:<13} {c.help}\n" for name, c in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="cohitlab",
+        usage="%(prog)s COMMAND [options] (verify: [SUITE ...])",
         description=(
-            "Hit-problem quotients, linear-group fixed points, admissible-word "
+            "Hit-problem quotients, linear-group fixed points, admissible-word\n"
             "homology, and rank-q transfer verdicts over GF(2)."
         ),
+        epilog=(
+            f"commands:\n{commands}\nsuites: "
+            f"{', '.join(transferlab.SUITE_NAMES)}, or all"
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(
-            name, parents=[common], help=command.help, description=command.help
-        )
-        for arg, options in command.positionals:
-            p.add_argument(arg, **options)
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                        help="one of the commands below")
+    parser.add_argument("--q", type=int, help="number of variables (or word length)")
+    parser.add_argument("--n", type=int, help="internal degree")
+    parser.add_argument("--omega",
+                        help="weight vector as comma-separated counts, e.g. 3,1,1")
+    parser.add_argument("--group", choices=("sigma", "gl"), default="gl",
+                        help="permutations only, or the full linear group")
+    parser.add_argument("--file", help="JSON file holding one element")
+    parser.add_argument("--out", choices=("json", "table"), default="json",
+                        help="output format")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the result cache")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="parallel workers, one per suite at most")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    args.suites = extra  # verify's suites; any other command takes none
     cache_dir = (
         None if args.no_cache else Path(os.environ.get("COHITLAB_CACHE", ".cohitlab"))
     )
     command = COMMANDS[args.command]
     try:
+        if extra and args.command != "verify":
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         _check_ranges(command, args)
         if command.key:
             payload = _serve_cached(command, args, cache_dir)

@@ -19,6 +19,7 @@ only persistent cache is the command line's result cache (:mod:`cohitlab.cli`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import steenrod
@@ -100,8 +101,8 @@ def weight_key(w: WeightVector) -> str:
 
 def weight_table(q: int, n: int) -> dict[WeightVector, int]:
     """dim (Q_n)^w for every weight w of degree n, largest first."""
-    span = span_for(q, n)
-    return {w: len(span.weight_block(w)) for w in reversed(weight_vectors(q, n))}
+    counts = Counter(map(weight_vector, span_for(q, n).basis))
+    return {w: counts[w] for w in reversed(weight_vectors(q, n))}
 
 
 def weight_subquotient(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cohitlab import cli, cohit, refdata
+from cohitlab import cli, cohit, refdata, transferlab
 from cohitlab.polyspace import count_monomials, mu
 from cohitlab.steenrod import HitSpan
 
@@ -642,3 +643,55 @@ def test_consecutive_calls_share_no_state(sandbox, capsys):
     assert code == 2
     code, data = run_json(capsys, "cohit", "--q", "2", "--n", "3")
     assert code == 0 and data["dim"] == 3
+
+
+def test_one_argument_parser_is_built_per_process(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # a parser tree builds one parser per command besides the top one
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        try:
+            parser = cli.build_parser()
+        finally:
+            cli.build_parser.cache_clear()
+    assert built == ["cohitlab"]
+    assert parser.parse_known_args(["mu", "--n", "9"])[1] == []
+
+
+def test_the_help_page_lists_every_command_and_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    rows = [line.split(None, 1) for line in out.splitlines()]
+    for name, command in cli.COMMANDS.items():
+        assert [name, command.help] in rows, name
+    (suites,) = [line for line in out.splitlines() if line.startswith("suites: ")]
+    assert suites == f"suites: {', '.join(transferlab.SUITE_NAMES)}, or all"
+
+
+def test_verify_suites_may_come_before_or_after_the_options(sandbox, capsys):
+    before = run(capsys, "verify", "--jobs", "2", "remark26")
+    after = run(capsys, "verify", "remark26", "--jobs", "2")
+    assert before == after
+    assert before[0] == 0 and json.loads(before[1])["passed"] is True
+    code, data = run_json(capsys, "verify", "remark26", "--out", "json", "eq6")
+    assert code == 0
+    assert [suite["name"] for suite in data["suites"]] == ["remark26", "eq6"]
+
+
+def test_a_stray_token_after_a_command_is_a_usage_error(sandbox, capsys):
+    for argv in (("cohit", "--q", "2", "--n", "3", "extra"),
+                 ("cohit", "extra", "--q", "2", "--n", "3"),
+                 ("mu", "--n", "9", "--bogus")):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith(f"cohitlab {argv[0]}: "), argv
+    assert not (sandbox / "cache").exists()
