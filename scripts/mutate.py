@@ -140,6 +140,15 @@ MUTATIONS = (
              '        if extra and args.command != "verify":\n',
              "        if False:\n",
              (f"{CLI}::test_a_stray_token_after_a_command_is_a_usage_error",)),
+    # a warm hit prints the stored answer line unparsed: its key line guards it
+    Mutation("cache_fetch skips the answer digest", "src/cohitlab/cli.py",
+             '    if stored.pop("answer", None) != hashlib.sha256(answer).hexdigest():\n',
+             '    if stored.pop("answer", None) is None:\n',
+             (f"{CLI}::test_an_edited_answer_line_under_a_matching_key_is_recomputed",)),
+    Mutation("cache_fetch ignores the engine digest", "src/cohitlab/cli.py",
+             '    if stored != {**key, "op": op, "engine": engine_digest()}:\n',
+             '    if stored != {**key, "op": op, "engine": stored.get("engine")}:\n',
+             (f"{CLI}::test_an_entry_of_another_engine_is_recomputed_in_place",)),
 )
 
 

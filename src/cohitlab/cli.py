@@ -10,14 +10,18 @@ computation refuses to start or finish inside the column budget
 
 Everything the front end knows about a command is its row of
 ``COMMANDS``.  The answers of the commands whose row has a key are the only
-thing cohitlab keeps on disk: one JSON entry per answer under
+thing cohitlab keeps on disk: one entry per answer under
 ``$COHITLAB_CACHE`` (default ``.cohitlab/``, read on every call;
 ``--no-cache`` bypasses it).  ``main`` fetches, computes and stores them on
-one path.  An entry is served only when its stored key equals the query
-(the row's key options), the command and :func:`engine_digest`, a hash of
-the package's source; so any edit to the engine, or to the entry format
-this module defines, recomputes every answer instead of serving one stored
-before it.
+one path.  An entry is two lines: a key line, the sorted JSON of the row's
+key options, the command, :func:`engine_digest` (a hash of the package's
+source) and the SHA-256 of the answer line; then the answer line, exactly
+what ``--out json`` prints, without its newline.  A warm call parses the key
+line only and prints the answer line as stored.  It is served only when the
+key line equals the query's and the answer line hashes to its digest; so any
+edit to the engine, or to the entry format this module defines, recomputes
+every answer instead of serving one stored before it, and so does an answer
+line that was truncated or edited by hand.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -67,7 +70,7 @@ def engine_digest() -> str:
 
 
 # ---------------------------------------------------------------------------
-# result cache (entry = key + payload + provenance)
+# result cache (entry = key line + answer line)
 # ---------------------------------------------------------------------------
 
 
@@ -78,49 +81,50 @@ def _entry_path(cache_dir: Path, op: str, key: dict) -> Path:
     return cache_dir / f"cli_{op}_{digest}.json"
 
 
-def cache_fetch(cache_dir: Path | None, op: str, key: dict) -> dict | None:
-    """Stored payload for (op, key), or None when absent, not shaped as
-    :func:`cache_put` writes it, or stored for another query or engine."""
+def cache_fetch(cache_dir: Path | None, op: str, key: dict) -> str | None:
+    """Stored answer line for (op, key), or None when absent, not shaped as
+    :func:`cache_put` writes it, stored for another query or engine, or not
+    the answer its key line hashes.  Only the key line is parsed."""
     if cache_dir is None:
         return None
     try:
-        with open(_entry_path(cache_dir, op, key)) as fh:
-            entry = json.load(fh)
+        with open(_entry_path(cache_dir, op, key), "rb") as fh:
+            head, newline, answer = fh.read().partition(b"\n")
+        stored = json.loads(head) if newline else None
     except (OSError, ValueError):
         return None
-    if not isinstance(entry, dict):
+    if not isinstance(stored, dict):
         return None
-    if entry.get("key") != {**key, "op": op, "engine": engine_digest()}:
+    if stored.pop("answer", None) != hashlib.sha256(answer).hexdigest():
+        return None  # an empty, truncated or edited answer line
+    if stored != {**key, "op": op, "engine": engine_digest()}:
         return None
-    payload = entry.get("payload")
-    return payload if isinstance(payload, dict) else None
+    return answer.decode()
 
 
-def cache_put(cache_dir: Path | None, op: str, key: dict, payload: dict) -> None:
+def cache_put(cache_dir: Path | None, op: str, key: dict, text: str) -> None:
+    """Store the answer line ``text`` under its key line, atomically."""
     if cache_dir is None:
         return
-    entry = {
-        "key": {**key, "op": op, "engine": engine_digest()},
-        "payload": payload,
-        "provenance": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        },
-    }
+    answer = text.encode()
+    head = {**key, "op": op, "engine": engine_digest(),
+            "answer": hashlib.sha256(answer).hexdigest()}
     path = _entry_path(cache_dir, op, key)
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(entry, sort_keys=True))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(json.dumps(head, sort_keys=True).encode() + b"\n" + answer)
         os.replace(tmp, path)
     except OSError:
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
 
 
-def _serve_cached(command: Command, args, cache_dir: Path | None):
-    """Answer a command with a key: its stored payload, or compute and store it.
+def _serve_cached(command: Command, args, cache_dir: Path | None) -> str:
+    """Answer a command with a key: its stored answer line, or compute and
+    store it.
 
     Every key holds q and n.  The parsed ``--omega``, without trailing
     zeros, is written back to ``args.omega`` for the key and the handler.
@@ -128,11 +132,11 @@ def _serve_cached(command: Command, args, cache_dir: Path | None):
     _require(args, "q", "n")
     args.omega = None if args.omega is None else _parse_omega(args.omega)
     key = {name: getattr(args, name) for name in command.key}
-    payload = cache_fetch(cache_dir, args.command, key)
-    if payload is None:
-        payload = command.handler(args)
-        cache_put(cache_dir, args.command, key, payload)
-    return payload
+    text = cache_fetch(cache_dir, args.command, key)
+    if text is None:
+        text = _dump(command.handler(args))
+        cache_put(cache_dir, args.command, key, text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +373,17 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def emit(payload: dict, out: str) -> None:
+def _dump(payload: dict) -> str:
+    """The answer line: what ``--out json`` prints and a cache entry stores."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def emit(text: str, out: str) -> None:
+    """Print an answer line as it is, or the table of the payload it encodes."""
     if out == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(text)
         return
+    payload = json.loads(text)
     if "suites" in payload:
         for suite in payload["suites"]:
             print(f"suite {suite['name']}: {'pass' if suite['passed'] else 'FAIL'}")
@@ -449,18 +460,20 @@ def main(argv: list[str] | None = None) -> int:
         if extra and args.command != "verify":
             raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         _check_ranges(command, args)
+        payload = {}
         if command.key:
-            payload = _serve_cached(command, args, cache_dir)
+            text = _serve_cached(command, args, cache_dir)
         else:
             payload = command.handler(args)
+            text = _dump(payload)
     except UsageError as exc:
         print(f"cohitlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimit as exc:
-        emit({"error": exc.error, "detail": str(exc)}, args.out)
+        emit(_dump({"error": exc.error, "detail": str(exc)}), args.out)
         return EXIT_RESOURCES
-    emit(payload, args.out)
-    # only a verification report has "passed"
+    emit(text, args.out)
+    # only a verification report has "passed", and no report is stored
     return EXIT_MISMATCH if payload.get("passed") is False else EXIT_OK
 
 

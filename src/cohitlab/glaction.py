@@ -264,7 +264,7 @@ class InvariantReport:
 
     def to_json(self) -> dict:
         """The classes print from their coordinates: the basis ascends in the
-        monomial order, which :meth:`Polynomial.to_json` sorts by."""
+        monomial order (:func:`polyspace.monomial_key`)."""
         basis = self.basis_monomials
         return {
             "q": self.q,

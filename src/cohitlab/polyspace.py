@@ -267,16 +267,11 @@ class _TermSet:
             return "0"
         return " + ".join(map(self._format, self.sorted_terms()))
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "degree": self.degree,
-            self._key: [list(t) for t in self.sorted_terms()],
-        }
-
     @classmethod
     def from_json(cls, data: dict):
-        """Read :meth:`to_json`'s form; q and every exponent must be ints."""
+        """Read a JSON object holding ``q`` and, under the class's key
+        (``monomials`` or ``terms``), the terms as exponent lists; q and every
+        exponent must be ints, and any other field is ignored."""
         q, terms = data["q"], data[cls._key]
         if not all(type(x) is int for x in (q, *(e for t in terms for e in t))):
             raise TypeError(f"q and the exponents of a {cls._name} must be integers")

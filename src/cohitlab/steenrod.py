@@ -374,7 +374,7 @@ class HitSpan:
 
     def dual_terms(self, bits: int) -> list[list[int]]:
         """The dual monomials at a column vector's positions, as JSON lists,
-        already in the monomial order that :meth:`DualElement.to_json` sorts by."""
+        already in the monomial order (:func:`polyspace.monomial_key`)."""
         return [list(self.columns[p]) for p in support(bits)]
 
     # -- queries -------------------------------------------------------------

@@ -113,6 +113,14 @@ def to_dual(span, bits: int) -> DualElement:
     return DualElement(span.q, [span.columns[p] for p in support(bits)])
 
 
+def to_json(element: Polynomial | DualElement) -> dict:
+    """A polynomial or dual element as ``from_json`` reads it: q, the degree,
+    and the terms as exponent lists in the monomial order."""
+    key = "monomials" if isinstance(element, Polynomial) else "terms"
+    return {"q": element.q, "degree": element.degree,
+            key: [list(t) for t in element.sorted_terms()]}
+
+
 def transpose_images(images: tuple) -> tuple:
     """The transposed substitution: x_j goes to the sum of the x_r whose
     image holds x_j."""

@@ -396,6 +396,28 @@ def test_verify_table_output(sandbox, capsys):
     assert out.endswith("passed: True\n")
 
 
+def _entry_lines(entry: Path) -> tuple[dict, str]:
+    """An entry's key line, parsed, and its answer line."""
+    head, answer = entry.read_text().split("\n")
+    return json.loads(head), answer
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _count_computes(monkeypatch, command: str) -> list:
+    """Record each call of a command's handler: one per answer computed."""
+    calls, row = [], cli.COMMANDS[command]
+
+    def counted(args):
+        calls.append(args.command)
+        return row.handler(args)
+
+    monkeypatch.setitem(cli.COMMANDS, command, row._replace(handler=counted))
+    return calls
+
+
 def test_cache_round_trip_is_byte_identical(sandbox, capsys):
     args = ("transfer", "--q", "4", "--n", "9")
     code1, out1 = run(capsys, *args)
@@ -405,56 +427,104 @@ def test_cache_round_trip_is_byte_identical(sandbox, capsys):
     assert out1 == out2 == out3
     entries = list((sandbox / "cache").glob("cli_transfer_*.json"))
     assert len(entries) == 1
-    entry = json.loads(entries[0].read_text())
-    assert entry["key"] == {
-        "q": 4, "n": 9, "op": "transfer", "engine": cli.engine_digest()
+    key, answer = _entry_lines(entries[0])
+    assert key == {"q": 4, "n": 9, "op": "transfer", "engine": cli.engine_digest(),
+                   "answer": _sha256(answer)}
+    assert answer + "\n" == out1  # no provenance: the answer line alone follows
+
+
+def test_every_keyed_table_is_byte_identical_cold_warm_and_uncached(sandbox, capsys):
+    # the table is rendered from the answer line, as stored or as computed
+    queries = ["cohit --q 4 --n 21", "weight --q 4 --n 21",
+               "weight --q 4 --n 21 --omega 3,1,1,1", "invariants --q 4 --n 21",
+               "invariants --q 4 --n 9 --omega 3,1,1", "coinvariants --q 4 --n 22",
+               "primitives --q 4 --n 21", "kameko --q 4 --n 22", "ext --q 4 --n 9",
+               "transfer --q 4 --n 18"]
+    assert {q.split()[0] for q in queries} == {
+        name for name, command in cli.COMMANDS.items() if command.key
     }
-    assert entry["payload"] == json.loads(out1)
-    assert "timestamp" in entry["provenance"]
+    for query in queries:
+        args = (*query.split(), "--out", "table")
+        cold = run(capsys, *args)
+        assert cold[0] == 0 and not cold[1].startswith("{"), query
+        assert run(capsys, *args) == cold, query  # warm
+        assert run(capsys, *args, "--no-cache") == cold, query
+    assert len(list((sandbox / "cache").iterdir())) == len(queries)
 
 
 def test_a_stored_entry_is_its_sorted_key_dump(sandbox, capsys):
-    assert run(capsys, "cohit", "--q", "4", "--n", "21")[0] == 0
+    _, out = run(capsys, "cohit", "--q", "4", "--n", "21")
     (path,) = (sandbox / "cache").glob("cli_cohit_*.json")
-    text = path.read_text()
-    # the C encoder's bytes: no indent, no trailing newline
-    assert text == json.dumps(json.loads(text), sort_keys=True)
+    head, answer = path.read_text().split("\n")
+    # the C encoder's bytes: no indent, and no newline after the answer line
+    assert head == json.dumps(json.loads(head), sort_keys=True)
+    assert answer + "\n" == out
 
 
-def test_stale_or_foreign_cache_entries_are_ignored(sandbox, capsys):
+def test_stale_or_foreign_cache_entries_are_ignored(sandbox, capsys, monkeypatch):
     args = ("ext", "--q", "2", "--n", "2")
-    code, out1 = run(capsys, *args)
+    _, out1 = run(capsys, *args)
     (entry,) = (sandbox / "cache").glob("cli_ext_*.json")
-    data = json.loads(entry.read_text())
-    data["payload"]["dim"] = 99
-    data["key"]["engine"] = "0" * 64
-    entry.write_text(json.dumps(data))
-    code, out2 = run(capsys, *args)
-    assert out2 == out1  # recomputed, not trusted
-    entry.write_text("{broken")
-    code, out3 = run(capsys, *args)
-    assert out3 == out1
-    # an entry of the first format: a schema number and a convention hash in
-    # place of the engine digest, and hex-packed matrices
-    data = json.loads(entry.read_text())
-    data["schema"] = 1
-    data["key"]["conventions"] = data["key"].pop("engine")[:12]
-    data["payload"].update(dim=99, matrix_hex=["1"], matrix_cols=1)
-    entry.write_text(json.dumps(data))
-    code, out4 = run(capsys, *args)
-    assert out4 == out1
+    good = entry.read_text()
+    key, answer = _entry_lines(entry)
+    computes = _count_computes(monkeypatch, "ext")
+    forged = answer.replace('"dim":1', '"dim":99')
+    assert forged != answer
+    stale = [
+        # another engine, its answer line hashed as written
+        json.dumps({**key, "engine": "0" * 64, "answer": _sha256(forged)},
+                   sort_keys=True) + "\n" + forged,
+        # another query's entry at this query's path
+        json.dumps({**key, "n": 3, "answer": _sha256(forged)},
+                   sort_keys=True) + "\n" + forged,
+        "{broken",
+        # the one-object entry before this format: key, payload and provenance
+        json.dumps({"key": {k: v for k, v in key.items() if k != "answer"},
+                    "payload": json.loads(forged),
+                    "provenance": {"timestamp": "then"}}, sort_keys=True),
+        # the first format: a schema number and a convention hash in place of
+        # the engine digest, and hex-packed matrices
+        json.dumps({"schema": 1, "key": {"q": 2, "n": 2, "op": "ext",
+                                         "conventions": key["engine"][:12]},
+                    "payload": {"dim": 99, "matrix_hex": ["1"], "matrix_cols": 1}}),
+    ]
+    for text in stale:
+        entry.write_text(text)
+        assert run(capsys, *args) == (0, out1), text  # recomputed, not trusted
+        assert entry.read_text() == good, text  # and stored in its place
+    assert computes == ["ext"] * len(stale)
 
 
-def test_entries_not_shaped_as_written_are_recomputed(sandbox, capsys):
+def test_entries_not_shaped_as_written_are_recomputed(sandbox, capsys, monkeypatch):
     args = ("ext", "--q", "2", "--n", "2")
     _, fresh = run(capsys, *args)
     (entry,) = (sandbox / "cache").glob("cli_ext_*.json")
-    good = json.loads(entry.read_text())
-    for bad in ([], None, "text", 3, {"key": []}, {**good, "key": None},
-                {**good, "payload": []}, {**good, "payload": None}):
-        entry.write_text(json.dumps(bad))
+    good = entry.read_text()
+    head, answer = good.split("\n")
+    key = json.loads(head)
+    computes = _count_computes(monkeypatch, "ext")
+    bad_entries = [
+        "", head, head + "\n",  # no newline, or no answer line
+        answer, "\n" + answer,  # no key line
+        # a bad key line
+        *(json.dumps(bad) + "\n" + answer
+          for bad in ([], None, "text", 3, [key], {**key, "answer": None})),
+        "{broken\n" + answer,
+        json.dumps({k: v for k, v in key.items() if k != "answer"}) + "\n" + answer,
+        json.dumps({**key, "extra": 1}) + "\n" + answer,
+        # an empty, truncated or edited answer line under the right key line
+        head + "\n",
+        head + "\n" + answer[:-1],
+        head + "\n" + answer[:5],
+        head + "\n" + answer.replace('"dim":1', '"dim":7'),
+        head + "\n" + answer + "\n",
+        head + "\n" + answer + "\n" + answer,
+    ]
+    for bad in bad_entries:
+        entry.write_text(bad)
         assert run(capsys, *args) == (0, fresh), bad
-        assert json.loads(entry.read_text())["key"] == good["key"], bad
+        assert entry.read_text() == good, bad
+    assert computes == ["ext"] * len(bad_entries)
 
 
 def test_an_entry_of_another_engine_is_recomputed_in_place(
@@ -464,20 +534,21 @@ def test_an_entry_of_another_engine_is_recomputed_in_place(
     monkeypatch.setattr(cli, "engine_digest", lambda: "a" * 64)
     _, cold = run(capsys, *args)
     (entry,) = (sandbox / "cache").iterdir()
-    data = json.loads(entry.read_text())
-    data["provenance"]["timestamp"] = "then"
-    entry.write_text(json.dumps(data, sort_keys=True))
-    stored = entry.read_bytes()
+    stored, inode = entry.read_bytes(), entry.stat().st_ino
+    computes = _count_computes(monkeypatch, "ext")
     # the same engine: served from the entry, which is left as it is
     assert run(capsys, *args) == (0, cold)
-    assert entry.read_bytes() == stored
+    assert computes == []
+    assert (entry.read_bytes(), entry.stat().st_ino) == (stored, inode)
     # another engine: recomputed, and its entry replaces the old one
     monkeypatch.setattr(cli, "engine_digest", lambda: "b" * 64)
     assert run(capsys, *args) == (0, cold)
+    assert computes == ["ext"]
     assert list((sandbox / "cache").iterdir()) == [entry]
-    data = json.loads(entry.read_text())
-    assert data["key"]["engine"] == "b" * 64
-    assert data["provenance"]["timestamp"] != "then"
+    assert entry.stat().st_ino != inode
+    key, answer = _entry_lines(entry)
+    assert key["engine"] == "b" * 64
+    assert answer + "\n" == cold
 
 
 def test_an_edit_to_the_source_recomputes_stored_answers(tmp_path):
@@ -497,27 +568,37 @@ def test_an_edit_to_the_source_recomputes_stored_answers(tmp_path):
     fresh = ext("--no-cache")
     assert ext() == fresh
     (entry,) = (tmp_path / "cache").glob("cli_ext_*.json")
-    data = json.loads(entry.read_text())
-    data["payload"]["dim"] = 7
-    entry.write_text(json.dumps(data))
-    assert json.loads(ext())["dim"] == 7  # the same source: served as stored
+    head, answer = entry.read_text().split("\n")
+    edited = answer.replace('"dim":1', '"dim":7')
+    assert edited != answer
+    # an edited answer line no longer hashes to its key line's digest
+    entry.write_text(head + "\n" + edited)
+    assert ext() == fresh
+    # a key line rehashed to the edited answer: the same source serves it
+    key = {**json.loads(head), "answer": _sha256(edited)}
+    entry.write_text(json.dumps(key, sort_keys=True) + "\n" + edited)
+    assert json.loads(ext())["dim"] == 7
     with open(package / "refdata.py", "a") as fh:
         fh.write("# an edit\n")
     assert ext() == fresh
 
 
-def test_tampered_payload_with_matching_key_is_served(sandbox, capsys):
-    # the cache is trusted once the query, the command and the engine all match
+def test_an_edited_answer_line_under_a_matching_key_is_recomputed(
+    sandbox, capsys, monkeypatch
+):
+    # the warm path prints the answer line unparsed: its digest guards it
     args = ("ext", "--q", "2", "--n", "6")
     run(capsys, *args)
     (entry,) = (sandbox / "cache").glob("cli_ext_*.json")
-    data = json.loads(entry.read_text())
-    data["payload"]["dim"] = 7
-    entry.write_text(json.dumps(data))
+    good = entry.read_text()
+    head, answer = good.split("\n")
+    entry.write_text(head + "\n" + answer.replace('"dim":1', '"dim":7'))
+    computes = _count_computes(monkeypatch, "ext")
     _, out = run_json(capsys, *args)
-    assert out["dim"] == 7
+    assert out["dim"] == 1 and computes == ["ext"]
+    assert entry.read_text() == good
     _, fresh = run_json(capsys, *args, "--no-cache")
-    assert fresh["dim"] == 1
+    assert fresh == out
 
 
 def test_cache_directory_is_read_on_every_call(sandbox, capsys, monkeypatch):
