@@ -5,17 +5,17 @@ Example:
     python3 scripts/mutate.py
 
 A row names a file under ``src/`` or ``tests/``, an old text that must occur
-in it exactly once, the new text that replaces it, and the test node ids
-that must fail.  For each row, ``src/`` and ``tests/`` are copied to a
-temporary directory (every other top-level entry is linked, for the tests
-that read the README or the benchmark's tracer), the row is applied there,
-and ``pytest -x`` runs the node ids in a subprocess under a 2 GB address
-space limit and a timeout.  A row is *caught* when a named test fails,
-*stale* when its old text does not occur exactly once or pytest finds no
-named test, and *survived* otherwise, a timeout included.  First the named
-tests must all pass unmutated, or no row can be judged.  The run exits 0
-only when every row is caught: a row whose code moved must be updated, not
-dropped.
+in it exactly once, the new text that replaces it, any further such pairs
+for the same file, and the test node ids that must fail.  For each row,
+``src/`` and ``tests/`` are copied to a temporary directory (every other
+top-level entry is linked, for the tests that read the README or the
+benchmark's tracer), the row is applied there, and ``pytest -x`` runs the
+node ids in a subprocess under a 2 GB address space limit and a timeout.  A
+row is *caught* when a named test fails, *stale* when one of its old texts
+does not occur exactly once or pytest finds no named test, and *survived*
+otherwise, a timeout included.  First the named tests must all pass
+unmutated, or no row can be judged.  The run exits 0 only when every row is
+caught: a row whose code moved must be updated, not dropped.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class Mutation(NamedTuple):
     old: str  # must occur exactly once
     new: str
     tests: tuple[str, ...]  # node ids, one of which must fail
+    also: tuple[tuple[str, str], ...] = ()  # more (old, new) edits to the file
+
+    def edits(self) -> tuple[tuple[str, str], ...]:
+        return ((self.old, self.new), *self.also)
 
 
 LAMBDA = "src/cohitlab/lambda_algebra.py"
@@ -149,6 +153,20 @@ MUTATIONS = (
              '    if stored != {**key, "op": op, "engine": engine_digest()}:\n',
              '    if stored != {**key, "op": op, "engine": stored.get("engine")}:\n',
              (f"{CLI}::test_an_entry_of_another_engine_is_recomputed_in_place",)),
+    Mutation("no annihilated budget", "src/cohitlab/cli.py",
+             "    if count > cohit.MAX_COLUMNS:\n", "    if False:\n",
+             (f"{CLI}::test_annihilated_budget_refuses_before_building_a_square",)),
+    # the reports are NamedTuples, and no package module imports dataclasses
+    Mutation("every suite report shares one default checks list",
+             "src/cohitlab/transferlab.py",
+             "    checks: list[CheckResult]  #", "    checks: list[CheckResult] = []  #",
+             ("tests/test_transferlab.py::test_suites_run_serially_each_hold_only_"
+              "their_own_checks",),
+             also=(("SuiteReport(name, [])", "SuiteReport(name)"),)),
+    Mutation("a package module imports dataclasses", "src/cohitlab/cohit.py",
+             "from collections import Counter\n",
+             "from collections import Counter\nfrom dataclasses import dataclass\n",
+             (f"{CLI}::test_no_package_module_imports_dataclasses",)),
 )
 
 
@@ -174,9 +192,11 @@ def apply(root: Path, row: Mutation) -> bool:
     path = root / row.file
     copied = row.file.startswith(("src/", "tests/")) and path.is_file()
     text = path.read_text() if copied else ""
-    if text.count(row.old) != 1:
-        return False
-    path.write_text(text.replace(row.old, row.new))
+    for old, new in row.edits():
+        if text.count(old) != 1:
+            return False
+        text = text.replace(old, new)
+    path.write_text(text)
     return True
 
 

@@ -20,7 +20,7 @@ only persistent cache is the command line's result cache (:mod:`cohitlab.cli`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import steenrod
 from .f2linalg import image_kernel
@@ -124,8 +124,7 @@ def kameko_down_monomial(mono: Monomial) -> Monomial | None:
     return tuple((e - 1) // 2 for e in mono)
 
 
-@dataclass
-class KamekoMap:
+class KamekoMap(NamedTuple):
     """The induced halving map on quotient bases Q_n -> Q_{(n-q)/2}."""
 
     q: int

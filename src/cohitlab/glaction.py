@@ -30,10 +30,9 @@ tests check the matrices and that duality against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cohit
 from .f2linalg import echelonize, image_kernel, support
@@ -159,13 +158,7 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 
 def _dual_subst_term(images: Images, term: Monomial) -> set[Monomial]:
-    q = len(term)
-    if is_permutation(images):
-        out = [0] * q
-        for r, e in enumerate(term):
-            out[images[r][0]] += e
-        return {tuple(out)}
-    states: set[Monomial] = {(0,) * q}
+    states: set[Monomial] = {(0,) * len(term)}
     for r, m in enumerate(term):
         if m == 0:
             continue
@@ -252,8 +245,7 @@ def _combine(vectors: Sequence[int], bits: int) -> int:
 # -- invariants -------------------------------------------------------------------
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     q: int
     n: int
     group: str

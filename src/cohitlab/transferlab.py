@@ -15,7 +15,7 @@ drift anywhere in the engine surfaces as a named failure here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cohit, glaction, refdata
 from .f2linalg import echelonize
@@ -34,8 +34,7 @@ from .polyspace import DualElement, Polynomial, pairing
 from .steenrod import is_annihilated
 
 
-@dataclass
-class TransferReport:
+class TransferReport(NamedTuple):
     """Verdict for one bidegree: domain/codomain dims, matrix, and flags."""
 
     q: int
@@ -97,8 +96,7 @@ def verdict(q: int, n: int) -> TransferReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     status: str  # "pass" | "fail"
@@ -117,10 +115,9 @@ class CheckResult:
         }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]  # no default: a [] default would be shared by all
 
     @property
     def passed(self) -> bool:
@@ -331,7 +328,7 @@ def verify_suite(name: str) -> SuiteReport:
     """
     if name not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    report = SuiteReport(name)
+    report = SuiteReport(name, [])
     _SUITE_RUNNERS[name](report)
     return report
 

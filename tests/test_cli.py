@@ -298,6 +298,31 @@ def test_psi_budget_refuses_before_building_a_word(sandbox, capsys, monkeypatch,
     assert data["degree"] == 230
 
 
+def test_annihilated_budget_refuses_before_building_a_square(sandbox, capsys,
+                                                             monkeypatch, tmp_path):
+    from cohitlab import steenrod
+
+    def no_squares(*args):
+        raise AssertionError("a dual square was built")
+
+    dual = tmp_path / "dual.json"
+    # the budget psi applies: (228, 1, 1, 1) is of degree 231, one past it,
+    # and (170, ..., 170) of degree 850 in 5 variables has C(854, 4) monomials
+    with monkeypatch.context() as patch:
+        patch.setattr(steenrod, "sq_dual_all", no_squares)
+        for terms in ([[228, 1, 1, 1]], [[170] * 5]):
+            dual.write_text(json.dumps({"q": len(terms[0]), "terms": terms}))
+            code, data = run_json(capsys, "annihilated", "--file", str(dual),
+                                  "--no-cache")
+            assert code == 3
+            assert data["error"] == "resource-limit"
+            assert data["detail"].endswith(f"budget is {cohit.MAX_COLUMNS}")
+    dual.write_text(json.dumps({"q": 4, "terms": [[227, 1, 1, 1]]}))
+    code, data = run_json(capsys, "annihilated", "--file", str(dual), "--no-cache")
+    assert code == 0
+    assert data["degree"] == 230
+
+
 def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 
@@ -776,3 +801,17 @@ def test_a_stray_token_after_a_command_is_a_usage_error(sandbox, capsys):
         assert (code, out) == (2, ""), argv
         assert err.count("\n") == 1 and err.startswith(f"cohitlab {argv[0]}: "), argv
     assert not (sandbox / "cache").exists()
+
+
+def test_no_package_module_imports_dataclasses():
+    # dataclasses, with the inspect and ast it pulls in, was about 40% of a
+    # CLI process's imports; the reports are NamedTuples instead
+    package = Path(cli.__file__).parent
+    modules = sorted(f"cohitlab.{p.stem}" for p in package.glob("*.py")
+                     if p.stem != "__init__")
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); "
+            f"import {', '.join(modules)}; print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert len(modules) >= 9
+    assert proc.stdout == "False\n"

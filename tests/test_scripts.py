@@ -117,6 +117,8 @@ def test_a_mutation_whose_old_text_is_not_there_once_is_stale(monkeypatch):
     assert mutate.run(row._replace(old="a text no source holds")) == "stale"
     assert mutate.run(row._replace(old="\n")) == "stale"  # more than once
     assert mutate.run(row._replace(file="src/cohitlab/gone.py")) == "stale"
+    # every further edit of the row must apply too
+    assert mutate.run(row._replace(also=(("a text no source holds", ""),))) == "stale"
     # a file outside the copied folders is the repository's own: never written
     assert mutate.run(row._replace(file="README.md", old="## Scripts")) == "stale"
 
@@ -126,7 +128,8 @@ def test_every_mutation_row_applies_to_the_tree_as_it_stands():
     assert len(mutate.MUTATIONS) >= 19
     for row in mutate.MUTATIONS:
         assert row.file.startswith(("src/", "tests/")), row.name
-        assert (ROOT / row.file).read_text().count(row.old) == 1, row.name
+        for old, _ in row.edits():
+            assert (ROOT / row.file).read_text().count(old) == 1, row.name
         assert row.tests, row.name
         for node in row.tests:
             path, _, name = node.partition("::")

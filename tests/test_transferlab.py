@@ -165,6 +165,12 @@ def test_verify_all_preserves_order():
     assert [r.name for r in reports] == ["eq6", "remark26"]
 
 
+def test_suites_run_serially_each_hold_only_their_own_checks():
+    # a shared default list would give the second report the first's checks
+    for r in verify_all(("remark26", "eq6")):
+        assert r.checks and {c.suite for c in r.checks} == {r.name}
+
+
 def test_verify_all_with_process_fanout():
     reports = verify_all(("remark26", "eq6"), jobs=2)
     assert [r.name for r in reports] == ["remark26", "eq6"]
@@ -187,7 +193,7 @@ class RecordingPool:
 
     def submit(self, fn, name: str) -> Future:
         done = Future()
-        done.set_result(SuiteReport(name))
+        done.set_result(SuiteReport(name, []))
         return done
 
 
