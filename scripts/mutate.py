@@ -55,7 +55,8 @@ class Mutation(NamedTuple):
 LAMBDA = "src/cohitlab/lambda_algebra.py"
 STEENROD = "src/cohitlab/steenrod.py"
 CLI = "tests/test_cli.py"
-PRIMITIVE_PSI = ("tests/test_lambda.py::test_psi_of_a_primitive_reads_only_"
+LAMBDA_TESTS = "tests/test_lambda.py"
+PRIMITIVE_PSI = (f"{LAMBDA_TESTS}::test_psi_of_a_primitive_reads_only_"
                  "first_exponents_two_to_the_i_minus_one",)
 SQ0 = ("tests/test_properties.py::test_psi_commutes_with_sq0",)
 BELOW_BOUND = ("tests/test_steenrod.py::test_plane_by_plane_below_bound_equals_"
@@ -116,6 +117,24 @@ MUTATIONS = (
     Mutation("no ext admissible-word budget", LAMBDA,
              "        if compositions > cap and admissible_count(length, degree, cap) > cap:\n",
              "        if False:\n", SPIKE_FREE),
+    # the lambda memos: tail differentials as tuples, words joined from tails
+    Mutation("the tail bound is one letter high", LAMBDA,
+             "bisect_left(tails, (j + 1) // 2 + 1,",
+             "bisect_left(tails, (j + 1) // 2 + 2,",
+             (f"{LAMBDA_TESTS}::test_admissible_basis_matches_brute_force_with_the_"
+              "feasibility_cut",)),
+    Mutation("several tails are summed with no cancelling", LAMBDA,
+             "below.symmetric_difference_update(_D[u])", "below.update(_D[u])",
+             (f"{LAMBDA_TESTS}::test_grouped_differential_matches_the_per_word_"
+              "reference",)),
+    Mutation("clear_caches skips the word table", LAMBDA,
+             "    _admissible_words.cache_clear()\n", "",
+             (f"{LAMBDA_TESTS}::test_clear_caches_empties_every_lambda_memo",)),
+    Mutation("a memo hit is returned as its bare tuple", LAMBDA,
+             "return LambdaElement._trusted(frozenset(d), True)",
+             "return LambdaElement._trusted(d, True)",
+             (f"{LAMBDA_TESTS}::test_differential_reads_a_memoized_word_and_stores_"
+              "no_new_one",)),
     # one value, one form
     Mutation("transfer matrix printed bit k last", "src/cohitlab/transferlab.py",
              '"matrix": [[row >> k & 1 for k in range(self.codomain_dim)]',

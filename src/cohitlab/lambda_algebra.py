@@ -48,9 +48,12 @@ afresh.
 The memos hold packed words only.  ``_L`` and ``_D`` are dicts whose
 ``__missing__`` computes and stores a value, so a hit is a plain subscript.
 ``_L`` holds a product of one word as that bare int, and no word or several
-as a frozenset (``_EMPTY`` when empty); ``_D`` holds frozensets.  The
-admissible words of one (length, degree) are enumerated packed, already in
-the order of their tuples, and kept once, as ``_coords(s, n).words``.
+as a frozenset (``_EMPTY`` when empty); ``_D`` holds tuples, which take a
+seventh of a frozenset's memory at 8 words, and the tuples of several tails
+are summed into one set.  The admissible words of one (length, degree) are
+memoized packed, already in the order of their tuples, each joined from a
+letter and the memoized words one letter shorter; ``_coords(s, n).words`` is
+that same tuple.
 
 An element records whether all its words are admissible.  The constructor
 checks the words it is given; the outputs of ``differential``,
@@ -75,6 +78,7 @@ group's image, already admissible, so the words come out reduced.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from functools import cache
 from typing import Collection, Iterable, Iterator
 
@@ -88,7 +92,7 @@ Word = tuple[int, ...]
 WIDTH = 10  # bits a letter of a packed word
 MASK = (1 << WIDTH) - 1
 MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
-_EMPTY: frozenset[int] = frozenset()  # every empty memo value; one word is a bare int
+_EMPTY: frozenset[int] = frozenset()  # every empty ``_L`` value; one word is a bare int
 
 # Generous guard for runaway rewriting: the most left products (``_L``
 # memo misses) one reduction, differential or psi may compute; never reached
@@ -340,24 +344,24 @@ def _d_grouped(tails: dict[int, list[int]]) -> set[int]:
             if us[0]:
                 _times(m, _D[us[0]], acc)
         else:  # distinct tails of one length: none is empty
-            below: set[int] = set()  # sum of D(u) over the tails u
-            for u in us:
-                below ^= _D[u]
+            below = set(_D[us[0]])  # sum of D(u) over the tails u
+            for u in us[1:]:
+                below.symmetric_difference_update(_D[u])
             _times(m, below, acc)
     return acc
 
 
 class _TailDifferentials(dict):
-    """Nonempty packed admissible tail u -> d(u) in admissible form, a frozenset.
+    """Nonempty packed admissible tail u -> d(u) in admissible form, a tuple
+    of distinct packed words.
 
     A miss that raises stores nothing.
     """
 
     __slots__ = ()
 
-    def __missing__(self, u: int) -> frozenset[int]:
-        d = _d_grouped({(u & MASK) - 1: [u >> WIDTH]})
-        r = self[u] = frozenset(d) if d else _EMPTY
+    def __missing__(self, u: int) -> tuple[int, ...]:
+        r = self[u] = tuple(_d_grouped({(u & MASK) - 1: [u >> WIDTH]}))
         return r
 
 
@@ -379,7 +383,7 @@ def differential(el: LambdaElement) -> LambdaElement:
         for w in words:
             d = _D.get(w)
             if d is not None:
-                return LambdaElement._trusted(d, True)
+                return LambdaElement._trusted(frozenset(d), True)
     return LambdaElement._trusted(frozenset(_d_grouped(_by_leading(words))), True)
 
 
@@ -387,20 +391,14 @@ def is_cycle(el: LambdaElement) -> bool:
     return differential(el).is_zero()
 
 
-def _least_tail(j: int, slots: int) -> int:
-    """Least index sum of ``slots`` indices that may follow index j."""
-    total = 0
-    for _ in range(slots):
-        j = (j + 1) // 2
-        total += j
-    return total
-
-
+@cache
 def _admissible_words(s: int, n: int) -> tuple[int, ...]:
     """Packed admissible words of length s and index sum n, in the tuple order.
 
-    The words are built depth first, one letter a level with ascending index,
-    which is already the lexicographic order of their tuples.  Raises
+    Letter j followed by each word of (s - 1, n - j) that may follow it: those
+    whose first index is at least j / 2.  Those words ascend by first index,
+    so they are one slice, and taking j in ascending order keeps the words in
+    the lexicographic order of their tuples.  Raises
     :class:`cohit.ResourceLimit` when a word may hold a letter above
     ``MAX_LETTER``, which a packed word cannot store.
     """
@@ -409,23 +407,13 @@ def _admissible_words(s: int, n: int) -> tuple[int, ...]:
     if s == 0:
         return (0,) if n == 0 else ()  # the empty word
     _check_letters(s, n)
+    if s == 1:
+        return (n + 1,)
     out: list[int] = []
-
-    def rec(prefix: int, shift: int, remaining: int, slots: int, lo: int) -> None:
-        # lo: the least index admissible after the letter before, half of it
-        if slots == 1:
-            if remaining >= lo:
-                out.append(prefix | (remaining + 1) << shift)
-            return
-        for j in range(lo, remaining + 1):
-            # each later slot needs at least half the index before it; once
-            # j leaves too little for that, every larger j does too
-            if remaining - j < _least_tail(j, slots - 1):
-                break
-            rec(prefix | (j + 1) << shift, shift + WIDTH, remaining - j,
-                slots - 1, (j + 1) // 2)
-
-    rec(0, 0, n, s, 0)
+    for j in range(n + 1):
+        tails = _admissible_words(s - 1, n - j)
+        first = bisect_left(tails, (j + 1) // 2 + 1, key=MASK.__and__)
+        out.extend(u << WIDTH | (j + 1) for u in tails[first:])
     return tuple(out)
 
 
@@ -563,7 +551,8 @@ def ext_dim(s: int, n: int) -> int:
     # d recurses once per letter, three frames deep: _d_grouped, the memo's
     # __missing__ and the interpreter entry the subscript makes to call it;
     # bisected, a bare script calling _homology needs 3 (s + 1) + 3 at
-    # s = 40 and s = 100
+    # s = 40 and s = 100.  The admissible words recurse two frames a letter,
+    # within this bound
     depth, frame = 3 * (s + 1) + 16, sys._getframe()
     while frame:
         depth, frame = depth + 1, frame.f_back
@@ -711,5 +700,6 @@ def clear_caches() -> None:
     _d_generator.cache_clear()
     _L.clear()
     _D.clear()
+    _admissible_words.cache_clear()
     _coords.cache_clear()
     _homology.cache_clear()

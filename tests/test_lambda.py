@@ -133,6 +133,9 @@ def test_admissible_basis_matches_brute_force_with_the_feasibility_cut():
             # the coordinates enumerate the same words packed, in this order
             want = tuple(map(pc.pack, brute))
             assert lambda_algebra._coords(s, n).words == want, (s, n)
+            # and share the memoized words: they are stored once
+            words = lambda_algebra._admissible_words(s, n)
+            assert lambda_algebra._coords(s, n).words is words, (s, n)
 
 
 def test_admissible_count_is_the_basis_size():
@@ -293,6 +296,11 @@ def test_d_memo_holds_tails_only(fresh_lambda_caches):
     pc.check_differential_squares_to_zero(4, 30)
     lengths = {-(-u.bit_length() // lambda_algebra.WIDTH) for u in lambda_algebra._D}
     assert lengths == {1, 2, 3, 4}
+    # a tail's d is stored as a tuple; a left product of several words stays
+    # a frozenset, and one of a single word a bare int
+    assert all(type(d) is tuple for d in lambda_algebra._D.values())
+    products = set(map(type, lambda_algebra._L.values()))
+    assert products == {int, frozenset}
 
 
 def test_differential_reads_a_memoized_word_and_stores_no_new_one(
