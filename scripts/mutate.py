@@ -54,6 +54,8 @@ class Mutation(NamedTuple):
 
 LAMBDA = "src/cohitlab/lambda_algebra.py"
 STEENROD = "src/cohitlab/steenrod.py"
+F2LINALG = "src/cohitlab/f2linalg.py"
+F2LINALG_TESTS = "tests/test_f2linalg.py"
 CLI = "tests/test_cli.py"
 LAMBDA_TESTS = "tests/test_lambda.py"
 PRIMITIVE_PSI = (f"{LAMBDA_TESTS}::test_psi_of_a_primitive_reads_only_"
@@ -88,10 +90,27 @@ MUTATIONS = (
     Mutation("_below_bound returns True on a tie", STEENROD,
              "                return w < b\n        return False\n",
              "                return w < b\n        return True\n", BELOW_BOUND),
-    Mutation("normal_form ignores index", "src/cohitlab/f2linalg.py",
+    # one elimination with tags: image_kernel; solve_modulo is one call to it
+    Mutation("image_kernel starts a tag at 0", F2LINALG,
+             "        tag = 1 << i\n", "        tag = 0\n",
+             (f"{F2LINALG_TESTS}::test_image_kernel_of_dependent_images",)),
+    Mutation("solve_modulo reads its coefficients at offset 0", F2LINALG,
+             "kernel[-1] >> len(modulus) + i & 1", "kernel[-1] >> i & 1",
+             (f"{F2LINALG_TESTS}::test_solve_modulo_small",)),
+    # the homology echelon keeps rows only: its tags are the t lowest columns
+    Mutation("t is one short", LAMBDA,
+             "    t = len(kernel) - ech.rank\n", "    t = len(kernel) - ech.rank - 1\n",
+             (f"{LAMBDA_TESTS}::test_ext_dim_known_classes",)),
+    Mutation("no check that t cycles are kept", LAMBDA,
+             "            if len(cycles) == t:", "            if False:",
+             (f"{LAMBDA_TESTS}::test_more_cycles_than_dim_ext_raise",)),
+    Mutation("_homology_tag drops its escape check", LAMBDA,
+             "    if tag >> len(cycles):\n", "    if False:\n",
+             (f"{LAMBDA_TESTS}::test_a_cycle_escaping_the_homology_echelon_raises",)),
+    Mutation("normal_form ignores index", F2LINALG,
              "out |= row if index is None else 1 << index[p]",
              "out |= row",
-             ("tests/test_f2linalg.py::test_indexed_normal_form_reads_the_"
+             (f"{F2LINALG_TESTS}::test_indexed_normal_form_reads_the_"
               "free_coordinates",)),
     Mutation("a dead public name comes back", STEENROD,
              "    def dual_terms(self, bits: int) -> list[list[int]]:\n",

@@ -5,7 +5,9 @@ column p, so an echelon form needs no width.  Echelon forms pivot on the
 *highest* set bit, so the last column has the highest elimination priority:
 callers lay their columns out in ascending order of seniority, and a
 column's position is its rank in that order.  The pivot is read in O(1) as
-``v.bit_length() - 1``, and a stored row is only as wide as its pivot.
+``v.bit_length() - 1``, and a stored row is only as wide as its pivot.  A
+tag is just the least senior columns: input i fed in as ``r << k | 1 << i``
+keeps in its low k bits the inputs its stored row sums.
 
 Everything here is exact arithmetic; there is no floating point anywhere.
 """
@@ -35,32 +37,19 @@ def support(v: int) -> list[int]:
 
 
 class EchelonForm:
-    """Incremental row echelon form over GF(2).
+    """Incremental row echelon form over GF(2), held as one dict of rows.
 
     Rows are reduced on insertion so that each stored row has a distinct
     pivot — its highest set bit — and support only at lower positions.
-    Supports membership tests, canonical normal forms modulo the row space,
-    and optional coefficient tags that express each stored row as a
-    combination of the rows fed in.
+    Supports membership tests and canonical normal forms modulo the span.
     """
 
     def __init__(self):
         self.rows: dict[int, int] = {}
-        self.tags: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def _insert(self, v: int, tag: int | None = None) -> bool:
-        """Store a residual of :meth:`reduce` at its pivot; False if it is 0."""
-        if not v:
-            return False
-        p = v.bit_length() - 1
-        self.rows[p] = v
-        if tag is not None:
-            self.tags[p] = tag
-        return True
 
     def add(self, vec: int) -> bool:
         """Insert a row; return True if the rank grew.  One loop reduces it
@@ -74,11 +63,6 @@ class EchelonForm:
                 return True
             vec ^= row
         return False
-
-    def add_tagged(self, vec: int, tag: int) -> bool:
-        """Insert a row carrying a coefficient tag; return True if rank grew."""
-        residual, acc = self.reduce_tagged(vec)
-        return self._insert(residual, tag ^ acc)
 
     def reduce(self, vec: int) -> int:
         """Residual of vec after eliminating pivot positions greedily.
@@ -96,20 +80,6 @@ class EchelonForm:
                 break
             v ^= row
         return v
-
-    def reduce_tagged(self, vec: int) -> tuple[int, int]:
-        """Like :meth:`reduce` but also accumulate the coefficient tag."""
-        v = vec
-        rows, tags = self.rows, self.tags
-        tag = 0
-        while v:
-            p = v.bit_length() - 1
-            row = rows.get(p)
-            if row is None:
-                break
-            v ^= row
-            tag ^= tags.get(p, 0)
-        return v, tag
 
     def normal_form(self, vec: int, index: Mapping[int, int] | None = None) -> int:
         """Canonical representative of vec modulo the row space.
@@ -173,22 +143,30 @@ def image_kernel(images: Iterable[int]) -> list[int]:
     """A basis of the kernel of a map, from the images of its source basis.
 
     ``images[i]`` is the image of source basis vector i.  Each image is
-    reduced against a tagged echelon of the images before it, the tag
-    recording which source vectors it combines, and stored if it is not
-    zero; one that reduces to zero gives the kernel vector of its tag, whose
-    highest bit is i.  A stored tag only ever combines sources whose image
-    was inserted, so the kernel vector of a dependent source i meets no
-    other dependent source: it is the unique kernel vector whose support on
-    the dependent sources is exactly {i}.  One per dependent source, in
-    source order, these vectors are a basis of the kernel; none of it
-    depends on the pivot rule.  The echelon is dropped on return.
+    reduced against the images before it, a tag from ``1 << i`` recording
+    which source vectors it combines, and stored if it is not zero; one that
+    reduces to zero gives the kernel vector of its tag, whose highest bit is
+    i.  A stored tag only ever combines sources whose image was inserted, so
+    the kernel vector of a dependent source i meets no other dependent
+    source: it is the unique kernel vector whose support on the dependent
+    sources is exactly {i}.  One per dependent source, in source order, these
+    vectors are a basis of the kernel; none of it depends on the pivot rule.
     """
-    ech = EchelonForm()
+    rows: dict[int, int] = {}  # pivot -> stored residual, as in EchelonForm
+    tags: dict[int, int] = {}  # pivot -> the sources that residual sums
     kernel = []
-    for i, image in enumerate(images):
-        residual, tag = ech.reduce_tagged(image)
-        if not ech._insert(residual, tag ^ 1 << i):
-            kernel.append(tag ^ 1 << i)
+    for i, v in enumerate(images):
+        tag = 1 << i
+        while v:
+            p = v.bit_length() - 1
+            row = rows.get(p)
+            if row is None:
+                rows[p], tags[p] = v, tag
+                break
+            v ^= row
+            tag ^= tags[p]
+        else:
+            kernel.append(tag)
     return kernel
 
 
@@ -199,18 +177,15 @@ def solve_modulo(
 ) -> tuple[int, ...] | None:
     """Coefficients c with target + sum(c_i * rows[i]) in span(modulus_rows).
 
-    Returns None when no such combination exists.  Used for expressing a
-    class in terms of chosen representatives modulo a subspace.
+    Returns None when no such combination exists: the target, the last
+    source of :func:`image_kernel`, is solvable exactly when the last kernel
+    vector tops out at it, and its bits after the modulus name the rows used.
     """
-    ech = EchelonForm()
-    for m in modulus_rows:
-        ech.add_tagged(m, 0)
-    for i, r in enumerate(rows):
-        ech.add_tagged(r, 1 << i)
-    residual, tag = ech.reduce_tagged(target)
-    if residual != 0:
+    modulus = list(modulus_rows)
+    kernel = image_kernel([*modulus, *rows, target])
+    if not kernel or not kernel[-1] >> len(modulus) + len(rows):
         return None
-    return tuple((tag >> i) & 1 for i in range(len(rows)))
+    return tuple(kernel[-1] >> len(modulus) + i & 1 for i in range(len(rows)))
 
 
 class BitMatrix:

@@ -64,7 +64,9 @@ reduce only elements without the flag.
 The differential raises word length by one and lowers the internal degree
 (the index sum) by one; the homology of ``(length s, index sum n)`` computes
 the degree-(s, s+n) derived functors of GF(2) over the Steenrod algebra, so
-``ext_dim(s, n)`` below is the dimension of that trigraded piece.
+``ext_dim(s, n)`` below is the dimension of that trigraded piece.  Its
+echelon holds rows only, shifted up t = dim Ext bits: in those low columns
+boundaries are zero and cycle k has bit k, its homology coordinates.
 
 ``psi`` sends a product of divided powers ``a_1^(j_1) ... a_q^(j_q)`` to
 ``sum_{k >= j_1} l_k psi(a_2^(j_2) ... a_q^(j_q) . Sq^{k - j_1})`` with
@@ -517,17 +519,25 @@ def _images(s: int, n: int) -> Iterator[int]:
 
 @cache
 def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
-    """One tagged echelon of (length s, degree n), and the cycles it kept.
+    """One echelon of (length s, degree n), and the cycles it kept.
 
-    d's images into (s, n) go in untagged.  Then each cycle independent
-    modulo the rows before it goes in tagged ``1 << k``, k its index among
-    the cycles kept, so a cycle reduces to 0 with its homology coordinates
-    as the tag.  The echelon of each map lives only while its kernel is read.
+    Boundaries are cycles (d∘d = 0), so t = dim Ext is the kernel's dimension
+    less the boundaries' rank.  The rows are shifted up t bits, boundaries
+    zero there; cycle k, independent modulo the rows before it, goes in with
+    bit k set, so a cycle shifted up t bits reduces to its coordinates.  The
+    echelon of each map lives only while its kernel is read.
     """
     ech = echelonize(_images(s - 1, n + 1))
+    kernel = image_kernel(_images(s, n))
+    t = len(kernel) - ech.rank
+    ech.rows = {p + t: row << t for p, row in ech.rows.items()}
     cycles: list[int] = []
-    for v in image_kernel(_images(s, n)):
-        if ech.add_tagged(v, 1 << len(cycles)):
+    for v in kernel:
+        residual = ech.reduce(v << t)
+        if residual >> t:
+            if len(cycles) == t:  # a tag would be written into a column
+                raise RuntimeError(f"over {t} cycles at {(s, n)}: d∘d is not zero")
+            ech.add(residual | 1 << len(cycles))
             cycles.append(v)
     return ech, tuple(cycles)
 
@@ -605,9 +615,9 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
 def _homology_tag(cycle: LambdaElement, s: int, n: int) -> int:
     """The homology coordinates of a reduced cycle of (s, n), as a bit-vector
     over the cycles ``_homology(s, n)`` keeps."""
-    ech, _ = _homology(s, n)
-    residual, tag = ech.reduce_tagged(_coords(s, n).vector(cycle))
-    if residual:
+    ech, cycles = _homology(s, n)
+    tag = ech.reduce(_coords(s, n).vector(cycle) << len(cycles))
+    if tag >> len(cycles):
         raise RuntimeError("cycle escaped the homology decomposition")
     return tag
 

@@ -173,18 +173,28 @@ def _xor_all(rows):
     return acc
 
 
-def test_tagged_reduction_tracks_the_combination():
-    rows = [0b0011, 0b0101, 0b1001]
-    ech = EchelonForm()
-    for i, r in enumerate(rows):
-        ech.add_tagged(r, 1 << i)
-    target = rows[0] ^ rows[2]
-    residual, tag = ech.reduce_tagged(target)
-    assert residual == 0
-    rebuilt = 0
+def combination(vectors: list[int], tag: int) -> int:
+    """The sum of the vectors whose indices the tag's bits name."""
+    out = 0
     for i in support(tag):
-        rebuilt ^= rows[i]
-    assert rebuilt == target
+        out ^= vectors[i]
+    return out
+
+
+@given(rows_strategy)
+def test_low_column_tags_name_the_inputs_each_row_sums(rows):
+    # a tag is just the least senior columns: input i goes in as r << k | 1 << i
+    k = len(rows)
+    ech = echelonize(r << k | 1 << i for i, r in enumerate(rows))
+    assert ech.rank == k
+    for row in ech.rows.values():
+        assert combination(rows, row & (1 << k) - 1) == row >> k
+    # the rows with a high part span the inputs; the rest are their relations
+    assert sum(1 for row in ech.rows.values() if row >> k) == naive_rank(rows, 12)
+    target = combination(rows, 0b101) if k >= 3 else 0
+    residual = ech.reduce(target << k)
+    assert not residual >> k
+    assert combination(rows, residual) == target
 
 
 def test_solve_modulo_small():
@@ -194,6 +204,8 @@ def test_solve_modulo_small():
     target = 0b0011 ^ 0b0110 ^ 0b1000
     sol = solve_modulo(target, rows, modulus)
     assert sol == (1, 1)
+    # the coefficients follow the modulus: here no modulus row is used
+    assert solve_modulo(0b0011, rows, modulus) == (1, 0)
     assert solve_modulo(0b0100 ^ 0b0011, [0b0011], [0b1000]) is None
 
 
@@ -257,24 +269,6 @@ def test_image_kernel_of_dependent_images():
     # image 2 = image 0 + image 1, image 3 = 0
     kernel = image_kernel([0b01, 0b10, 0b11, 0])
     assert kernel == [0b0111, 0b1000]
-
-
-def combination(vectors: list[int], tag: int) -> int:
-    """The sum of the vectors whose indices the tag's bits name."""
-    out = 0
-    for i in support(tag):
-        out ^= vectors[i]
-    return out
-
-
-@given(rows_strategy)
-def test_add_tagged_tags_name_the_inputs_each_row_sums(rows):
-    ech = EchelonForm()
-    grew = [ech.add_tagged(r, 1 << i) for i, r in enumerate(rows)]
-    assert sum(grew) == ech.rank == naive_rank(rows, 12)
-    assert ech.tags.keys() == ech.rows.keys()
-    for p, row in ech.rows.items():
-        assert combination(rows, ech.tags[p]) == row
 
 
 @given(rows_strategy)

@@ -446,16 +446,21 @@ def test_homology_memo_keeps_rows_of_its_own_bidegree_only(fresh_lambda_caches):
     width = len(lambda_algebra._coords(4, 37).words)
     # a row of d's image echelon at (4, 37) would be this wide
     assert len(lambda_algebra._coords(5, 36).words) > width
-    for row in (*boundaries.rows.values(), *cycles):
+    for row in cycles:
         assert row.bit_length() <= width
+    # the stored rows carry their tags in the len(cycles) lowest columns
+    for row in boundaries.rows.values():
+        assert row.bit_length() <= width + len(cycles)
 
 
 def boundary_space(s: int, n: int) -> list[LambdaElement]:
     """A basis of the boundaries inside (length s, degree n): the echelon's
-    untagged rows, since its tagged rows are the cycles kept."""
-    ech = lambda_algebra._homology(s, n)[0]
-    return [element(s, n, row) for p, row in sorted(ech.rows.items())
-            if p not in ech.tags]
+    rows whose tag, their ``len(cycles)`` lowest bits, is zero, since the
+    tagged rows are the cycles kept."""
+    ech, cycles = lambda_algebra._homology(s, n)
+    t = len(cycles)
+    return [element(s, n, row >> t) for _, row in sorted(ech.rows.items())
+            if not row & (1 << t) - 1]
 
 
 def test_boundary_space_consists_of_cycles():
@@ -535,6 +540,16 @@ def test_a_cycle_escaping_the_homology_echelon_raises(monkeypatch):
                   lambda: classes_equal(h9, LambdaElement())):
         with pytest.raises(RuntimeError, match="escaped"):
             check()
+
+
+def test_more_cycles_than_dim_ext_raise(fresh_lambda_caches, monkeypatch):
+    # a "boundary" that is no cycle (d∘d != 0): three words, two cycles, one
+    # boundary, so t = 1, and both cycles survive it; the second one's tag
+    # would land in a coordinate column
+    images = {(3, 9): [0b001], (4, 8): [0b001, 0, 0]}
+    monkeypatch.setattr(lambda_algebra, "_images", lambda s, n: iter(images[s, n]))
+    with pytest.raises(RuntimeError, match="d∘d is not zero"):
+        lambda_algebra._homology(4, 8)
 
 
 def test_psi_in_one_variable_is_the_generator_map():
