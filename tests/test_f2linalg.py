@@ -181,9 +181,21 @@ def combination(vectors: list[int], tag: int) -> int:
     return out
 
 
-@given(rows_strategy)
-def test_low_column_tags_name_the_inputs_each_row_sums(rows):
+def test_tagged_reduction_tracks_the_combination():
     # a tag is just the least senior columns: input i goes in as r << k | 1 << i
+    rows = [0b0011, 0b0101, 0b1001]
+    k = len(rows)
+    ech = echelonize(r << k | 1 << i for i, r in enumerate(rows))
+    target = rows[0] ^ rows[2]
+    residual = ech.reduce(target << k)
+    assert not residual >> k
+    assert support(residual) == [0, 2]
+    assert combination(rows, residual) == target
+
+
+@given(rows_strategy)
+def test_add_tagged_tags_name_the_inputs_each_row_sums(rows):
+    # each input row carries its own index as a one-bit tag in the low columns
     k = len(rows)
     ech = echelonize(r << k | 1 << i for i, r in enumerate(rows))
     assert ech.rank == k
