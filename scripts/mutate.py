@@ -108,8 +108,7 @@ MUTATIONS = (
              "    if tag >> len(cycles):\n", "    if False:\n",
              (f"{LAMBDA_TESTS}::test_a_cycle_escaping_the_homology_echelon_raises",)),
     Mutation("normal_form ignores index", F2LINALG,
-             "out |= row if index is None else 1 << index[p]",
-             "out |= row",
+             "out |= 1 << index[p]", "out |= row",
              (f"{F2LINALG_TESTS}::test_indexed_normal_form_reads_the_"
               "free_coordinates",)),
     Mutation("a dead public name comes back", STEENROD,
@@ -136,6 +135,20 @@ MUTATIONS = (
     Mutation("no ext admissible-word budget", LAMBDA,
              "        if compositions > cap and admissible_count(length, degree, cap) > cap:\n",
              "        if False:\n", SPIKE_FREE),
+    # every homology call is admitted where its maps are built
+    Mutation("_homology admits nothing", LAMBDA,
+             "    _check_letters(s - 1, n + 1)\n    _check_letters(s, n)\n", "",
+             (f"{LAMBDA_TESTS}::test_every_homology_call_is_admitted_where_the_maps_"
+              "are_built",
+              f"{CLI}::test_transfer_refuses_under_the_ext_word_budget"),
+             also=(("    if depth > sys.getrecursionlimit():\n", "    if False:\n"),
+                   ("        if compositions > cap and admissible_count(length, degree, "
+                    "cap) > cap:\n", "        if False:\n"))),
+    # every element is admissible: the constructor reduces what it is given
+    Mutation("the constructor stores inadmissible words unreduced", LAMBDA,
+             "            words = _reduce(words)\n", "",
+             (f"{LAMBDA_TESTS}::test_constructor_packs_and_flags_words_like_the_"
+              "reference",)),
     # the lambda memos: tail differentials as tuples, words joined from tails
     Mutation("the tail bound is one letter high", LAMBDA,
              "bisect_left(tails, (j + 1) // 2 + 1,",
@@ -150,8 +163,8 @@ MUTATIONS = (
              "    _admissible_words.cache_clear()\n", "",
              (f"{LAMBDA_TESTS}::test_clear_caches_empties_every_lambda_memo",)),
     Mutation("a memo hit is returned as its bare tuple", LAMBDA,
-             "return LambdaElement._trusted(frozenset(d), True)",
-             "return LambdaElement._trusted(d, True)",
+             "return LambdaElement._trusted(frozenset(d))",
+             "return LambdaElement._trusted(d)",
              (f"{LAMBDA_TESTS}::test_differential_reads_a_memoized_word_and_stores_"
               "no_new_one",)),
     # one value, one form

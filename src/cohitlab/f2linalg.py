@@ -68,8 +68,8 @@ class EchelonForm:
         """Residual of vec after eliminating pivot positions greedily.
 
         Stops at the first position that is not a pivot, so the result is 0
-        exactly when vec lies in the row space.  For the canonical coset
-        representative use :meth:`normal_form`.
+        exactly when vec lies in the row space.  For the coordinates of the
+        canonical coset representative use :meth:`normal_form`.
         """
         v = vec
         rows = self.rows
@@ -81,14 +81,13 @@ class EchelonForm:
             v ^= row
         return v
 
-    def normal_form(self, vec: int, index: Mapping[int, int] | None = None) -> int:
-        """Canonical representative of vec modulo the row space.
+    def normal_form(self, vec: int, index: Mapping[int, int]) -> int:
+        """Coordinates of the canonical representative of vec modulo the row
+        space, over the free columns.
 
-        The result is supported on non-pivot columns only, and is 0 exactly
-        when vec lies in the row space.  With ``index``, a map from every
-        free column to its own position, a free column p sets bit
-        ``index[p]`` instead of bit p: the coordinates over the free
-        columns, read in the same walk.
+        ``index`` maps every free column to its own position: a free column p
+        of the representative sets bit ``index[p]``, read in the same walk.
+        The result is 0 exactly when vec lies in the row space.
         """
         out = 0
         rows = self.rows
@@ -97,7 +96,7 @@ class EchelonForm:
             row = rows.get(p)
             if row is None:  # a free column: keep it
                 row = 1 << p
-                out |= row if index is None else 1 << index[p]
+                out |= 1 << index[p]
             vec ^= row
         return out
 

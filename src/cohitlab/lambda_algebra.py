@@ -18,9 +18,8 @@ leading generator at a time,
 
 with ``D(u)`` already admissible.  The first term needs no rewriting: an odd
 C(m-j, j) forces j <= m-j, so j-1 <= 2(m-j), and m-j <= m <= 2 u_1.  The
-second rewrites only the products ``l_m v`` with m > 2 v_1 (``_L``).  An
-inadmissible input word is reduced first; d is well defined on the algebra.
-The words of an element are grouped by their leading generator, and the
+second rewrites only the products ``l_m v`` with m > 2 v_1 (``_L``).  The
+words of an element are grouped by their leading generator, and the
 ``D(u)`` of one group are summed before l_m multiplies them, so terms cancel
 before any rewriting.  Only tails ``u`` are memoized (``_D``), and they are
 read as well: the d of a one-word element that is already a memoized tail
@@ -28,10 +27,10 @@ is looked up, and any other word of an element is differentiated once,
 without storing it.
 
 There is one rewriting path: the left product ``_L`` of l_m with an
-admissible word, reached through ``_times``.  ``adem_reduce`` groups words
-the same way, reduces the tails under each leading index together and
-multiplies them back by l_m; ``psi`` multiplies each leading l_k into the
-admissible image of its group as it recurses.
+admissible word, reached through ``_times``.  The constructor's reduction
+groups words the same way, reduces the tails under each leading index
+together and multiplies them back by l_m; ``psi`` multiplies each leading
+l_k into the admissible image of its group as it recurses.
 
 Inside this module a word is one int: ``WIDTH`` bits a letter, the leading
 letter lowest, each letter stored as its index + 1 so that l_0 and the empty
@@ -39,7 +38,7 @@ word (``0``) stay distinct.  Prepending l_m to v is ``(v << WIDTH) | (m +
 1)``, the leading index of w is ``(w & MASK) - 1`` and its tail ``w >>
 WIDTH``.  ``_L`` keys on the packed inadmissible word l_a u itself.  The
 letters are capped at ``MAX_LETTER``: ``LambdaElement`` refuses a larger
-index with ValueError, and ``ext_dim``, ``psi`` and the admissible words
+index with ValueError, and the homology, ``psi`` and the admissible words
 refuse a degree whose words could hold one with :class:`cohit.ResourceLimit`.
 Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``
 and ``admissible_basis``, an unmemoized view that unpacks the words
@@ -55,11 +54,12 @@ memoized packed, already in the order of their tuples, each joined from a
 letter and the memoized words one letter shorter; ``_coords(s, n).words`` is
 that same tuple.
 
-An element records whether all its words are admissible.  The constructor
-checks the words it is given; the outputs of ``differential``,
-``adem_reduce`` and the coordinates are admissible by construction, and so
-is the sum of two such elements.  ``differential`` and ``adem_reduce``
-reduce only elements without the flag.
+An element holds admissible words only, so ``==`` is equality in the
+algebra: ``LambdaElement([(3, 1)]) == LambdaElement()``, as l_3 l_1 = 0.
+The constructor packs and checks the words it is given and reduces them
+when one is inadmissible; ``differential``, ``psi`` and the homology build
+their elements from admissible words, and the sum of two elements is
+admissible.  ``adem_reduce`` is therefore the identity.
 
 The differential raises word length by one and lowers the internal degree
 (the index sum) by one; the homology of ``(length s, index sum n)`` computes
@@ -97,15 +97,15 @@ MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
 _EMPTY: frozenset[int] = frozenset()  # every empty ``_L`` value; one word is a bare int
 
 # Generous guard for runaway rewriting: the most left products (``_L``
-# memo misses) one reduction, differential or psi may compute; never reached
-# in supported degrees.
+# memo misses) one element's construction, differential or psi may compute;
+# never reached in supported degrees.
 MAX_REWRITES = 10_000_000
-_rewrite_count = 0  # left products of the reduction, d or psi in progress
+_rewrite_count = 0  # left products of the construction, d or psi in progress
 
 
 class RewriteBudget(cohit.ResourceLimit):
-    """Raised if one reduction, differential or psi needs over MAX_REWRITES
-    left products."""
+    """Raised if one element's construction, differential or psi needs over
+    MAX_REWRITES left products."""
 
     error = "rewrite-budget"
 
@@ -132,11 +132,13 @@ def adem_pair(a: int, b: int) -> frozenset[Word]:
 
 
 class LambdaElement:
-    """A homogeneous element: a set of packed words, not necessarily admissible."""
+    """A homogeneous element: a set of packed admissible words.  Inadmissible
+    words given are reduced as it is built, under :class:`RewriteBudget`."""
 
-    __slots__ = ("_words", "_admissible")
+    __slots__ = ("_words",)
 
     def __init__(self, terms: Iterable[Word] = ()):
+        global _rewrite_count
         words: set[int] = set()
         shape = None
         admissible = True
@@ -157,15 +159,16 @@ class LambdaElement:
                 w = (w << WIDTH) | (j + 1)
                 after = j
             words.add(w)
+        if not admissible:
+            _rewrite_count = 0
+            words = _reduce(words)
         self._words = frozenset(words)
-        self._admissible = admissible
 
     @classmethod
-    def _trusted(cls, words: frozenset[int], admissible: bool) -> "LambdaElement":
-        """An element over homogeneous packed words the engine built: no checks."""
+    def _trusted(cls, words: frozenset[int]) -> "LambdaElement":
+        """An element over admissible packed words of one shape: no checks."""
         el = object.__new__(cls)
         el._words = words
-        el._admissible = admissible
         return el
 
     @property
@@ -197,8 +200,7 @@ class LambdaElement:
             other.internal_degree,
         ):
             raise ValueError("cannot add inhomogeneous elements")
-        return LambdaElement._trusted(self._words ^ other._words,
-                                      self._admissible and other._admissible)
+        return LambdaElement._trusted(self._words ^ other._words)
 
     __add__ = __xor__
 
@@ -250,17 +252,9 @@ def _reduce(words: Collection[int]) -> set[int]:
 
 
 def adem_reduce(el: LambdaElement) -> LambdaElement:
-    """Rewrite into the admissible basis.
-
-    Raises :class:`RewriteBudget` if this one reduction computes more than
-    ``MAX_REWRITES`` left products; products computed before are memoized
-    and cost nothing.
-    """
-    global _rewrite_count
-    if el._admissible:
-        return el
-    _rewrite_count = 0
-    return LambdaElement._trusted(frozenset(_reduce(el._words)), True)
+    """The element itself: the constructor already holds it in the admissible
+    basis.  No engine path calls it; the benchmark's tracer traces this name."""
+    return el
 
 
 @cache
@@ -371,22 +365,22 @@ _D = _TailDifferentials()
 
 
 def differential(el: LambdaElement) -> LambdaElement:
-    """d in admissible form; an element without the admissible flag is reduced first.
+    """d in admissible form.
 
     Only tails are memoized, in ``_D``.  The d of a one-word element is read
     from there when the word is already a memoized tail, and otherwise
-    computed without storing it.  Shares :func:`adem_reduce`'s per-call
-    budget of ``MAX_REWRITES``.
+    computed without storing it.  Shares the constructor's per-call budget
+    of ``MAX_REWRITES``.
     """
     global _rewrite_count
     _rewrite_count = 0
-    words = el._words if el._admissible else _reduce(el._words)
+    words = el._words
     if len(words) == 1:
         for w in words:
             d = _D.get(w)
             if d is not None:
-                return LambdaElement._trusted(frozenset(d), True)
-    return LambdaElement._trusted(frozenset(_d_grouped(_by_leading(words))), True)
+                return LambdaElement._trusted(frozenset(d))
+    return LambdaElement._trusted(frozenset(_d_grouped(_by_leading(words))))
 
 
 def is_cycle(el: LambdaElement) -> bool:
@@ -491,7 +485,7 @@ class _Coordinates:
         self.index = {w: i for i, w in enumerate(self.words)}
 
     def vector(self, el: LambdaElement) -> int:
-        """Coordinates of an element already in admissible form."""
+        """Coordinates of an element of this length and degree."""
         index = self.index
         v = 0
         for w in el._words:
@@ -514,7 +508,7 @@ def _images(s: int, n: int) -> Iterator[int]:
     """d of each word of (length s, degree n), in (s + 1, n - 1) coordinates."""
     target = _coords(s + 1, n - 1)
     for w in _coords(s, n).words:
-        yield target.vector(differential(LambdaElement._trusted(frozenset((w,)), True)))
+        yield target.vector(differential(LambdaElement._trusted(frozenset((w,)))))
 
 
 @cache
@@ -526,7 +520,38 @@ def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
     zero there; cycle k, independent modulo the rows before it, goes in with
     bit k set, so a cycle shifted up t bits reduces to its coordinates.  The
     echelon of each map lives only while its kernel is read.
+
+    Every homology call builds its maps here, so its budgets are checked
+    here, before any basis: :class:`cohit.ResourceLimit` when (s, n) or
+    (s + 1, n - 1) has more admissible words than ``cohit.MAX_COLUMNS``, when
+    its words recurse past the interpreter's limit, or when a word of (s, n)
+    or (s - 1, n + 1) may hold a letter above ``MAX_LETTER``.
     """
+    _check_letters(s - 1, n + 1)
+    _check_letters(s, n)
+    # d recurses once per letter, three frames deep: _d_grouped, the memo's
+    # __missing__ and the interpreter entry the subscript makes to call it;
+    # bisected, a bare script calling _homology needs 3 (s + 1) + 3 at
+    # s = 40 and s = 100.  The admissible words recurse two frames a letter,
+    # within this bound
+    depth, frame = 3 * (s + 1) + 16, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    if depth > sys.getrecursionlimit():
+        raise cohit.ResourceLimit(f"words of length {s + 1} recurse deeper than "
+                                  f"the limit of {sys.getrecursionlimit()} frames")
+    cap = cohit.MAX_COLUMNS
+    for length, degree in ((s, n), (s + 1, n - 1)):
+        # at most one word has no letter or a negative degree; the others are
+        # compositions of degree, so most degrees need no count
+        if length < 1 or degree < 0:
+            continue
+        compositions = count_monomials(length, degree)
+        if compositions > cap and admissible_count(length, degree, cap) > cap:
+            raise cohit.ResourceLimit(
+                f"length {length} and degree {degree} have more admissible "
+                f"words than the budget of {cap}"
+            )
     ech = echelonize(_images(s - 1, n + 1))
     kernel = image_kernel(_images(s, n))
     t = len(kernel) - ech.rank
@@ -545,48 +570,22 @@ def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
 def ext_dim(s: int, n: int) -> int:
     """Dimension of the homology at (length s, internal degree n).
 
-    Raises :class:`cohit.ResourceLimit` before any basis is built when the
-    target of either map, (s, n) or (s + 1, n - 1), has more admissible
-    words than ``cohit.MAX_COLUMNS``, when its words are too long for the
-    interpreter's recursion limit, or when a word of either map may hold a
-    letter above ``MAX_LETTER``: the source of the map into (s, n) has
-    degree n + 1.
+    Raises :class:`cohit.ResourceLimit` where :func:`_homology` refuses.
     """
     if s == 0:
         return 1 if n == 0 else 0
     if s < 0 or n < 0:
         return 0
-    _check_letters(s - 1, n + 1)
-    _check_letters(s, n)
-    # d recurses once per letter, three frames deep: _d_grouped, the memo's
-    # __missing__ and the interpreter entry the subscript makes to call it;
-    # bisected, a bare script calling _homology needs 3 (s + 1) + 3 at
-    # s = 40 and s = 100.  The admissible words recurse two frames a letter,
-    # within this bound
-    depth, frame = 3 * (s + 1) + 16, sys._getframe()
-    while frame:
-        depth, frame = depth + 1, frame.f_back
-    if depth > sys.getrecursionlimit():
-        raise cohit.ResourceLimit(f"words of length {s + 1} recurse deeper than "
-                                  f"the limit of {sys.getrecursionlimit()} frames")
-    cap = cohit.MAX_COLUMNS
-    for length, degree in ((s, n), (s + 1, n - 1)):
-        # the words are compositions of degree, so most degrees need no count
-        compositions = count_monomials(length, degree)
-        if compositions > cap and admissible_count(length, degree, cap) > cap:
-            raise cohit.ResourceLimit(
-                f"length {length} and degree {degree} have more admissible "
-                f"words than the budget of {cap}"
-            )
     return len(_homology(s, n)[1])
 
 
 def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
-    """Whether two cycles are homologous; raises on non-cycles."""
+    """Whether two cycles are homologous; raises on non-cycles, and raises
+    :class:`cohit.ResourceLimit` where :func:`_homology` refuses."""
     for el, name in ((x, "left"), (y, "right")):
         if not el.is_zero() and not is_cycle(el):
             raise ValueError(f"{name} element is not a cycle")
-    diff = adem_reduce(x ^ y)
+    diff = x ^ y
     if diff.is_zero():
         return True
     # a sum of cycles is one: its class is read off the homology echelon
@@ -598,9 +597,9 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
     boundaries: bit k is its coefficient on cycle k of ``_homology(s, n)``.
 
     The bidegree is passed explicitly so the zero element resolves; raises
-    on non-cycles and on elements of the wrong bidegree.
+    on non-cycles and on elements of the wrong bidegree, and raises
+    :class:`cohit.ResourceLimit` where :func:`_homology` refuses.
     """
-    el = adem_reduce(el)
     if not el.is_zero():
         if (el.length, el.internal_degree) != (s, n):
             raise ValueError(
@@ -613,7 +612,7 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
 
 
 def _homology_tag(cycle: LambdaElement, s: int, n: int) -> int:
-    """The homology coordinates of a reduced cycle of (s, n), as a bit-vector
+    """The homology coordinates of a cycle of (s, n), as a bit-vector
     over the cycles ``_homology(s, n)`` keeps."""
     ech, cycles = _homology(s, n)
     tag = ech.reduce(_coords(s, n).vector(cycle) << len(cycles))
@@ -691,7 +690,7 @@ def psi(theta: DualElement, primitive: bool = False) -> LambdaElement:
     degree-n monomial, are more than ``cohit.MAX_COLUMNS``: the degrees whose
     hit span is refused.  The cost is the Adem rewriting, whose memo grows
     with the degree, and the budget refuses it before any word is built.
-    Shares :func:`adem_reduce`'s per-call budget of ``MAX_REWRITES``.
+    Shares the constructor's per-call budget of ``MAX_REWRITES``.
     """
     global _rewrite_count
     q, n = theta.q, theta.degree or 0
@@ -702,7 +701,7 @@ def psi(theta: DualElement, primitive: bool = False) -> LambdaElement:
                                   f"words; budget is {cohit.MAX_COLUMNS}")
     _rewrite_count = 0
     words = (_primitive_psi_words if primitive else _psi_words)(q, theta.terms)
-    return LambdaElement._trusted(frozenset(words), True)
+    return LambdaElement._trusted(frozenset(words))
 
 
 def clear_caches() -> None:

@@ -220,6 +220,30 @@ def test_ext_budget_refuses_before_building_a_basis(sandbox, capsys, monkeypatch
     assert data["detail"].endswith("budget of 1000")
 
 
+def test_transfer_refuses_under_the_ext_word_budget(sandbox, capsys, monkeypatch):
+    from functools import cache
+
+    from cohitlab import lambda_algebra
+
+    def no_basis(s, n):
+        raise AssertionError("a basis was built")
+
+    # (4, 45) has 17,296 monomials, the span's and psi's budget, but (5, 44)
+    # has 20,451 admissible words: the transfer's homology is refused as ext
+    # is, on a memo of its own
+    monkeypatch.setattr(cohit, "MAX_COLUMNS", count_monomials(4, 45))
+    monkeypatch.setattr(lambda_algebra, "_homology",
+                        cache(lambda_algebra._homology.__wrapped__))
+    monkeypatch.setattr(lambda_algebra, "_admissible_words", no_basis)
+    code, refused = run_json(capsys, "ext", "--q", "4", "--n", "45", "--no-cache")
+    assert code == 3
+    assert refused == {"detail": "length 5 and degree 44 have more admissible "
+                                 "words than the budget of 17296",
+                       "error": "resource-limit"}
+    code, data = run_json(capsys, "transfer", "--q", "4", "--n", "45", "--no-cache")
+    assert (code, data) == (3, refused)
+
+
 def test_ext_refuses_words_too_long_to_recurse(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 

@@ -80,14 +80,21 @@ def test_kernel_vectors_kill_every_row(rows):
         assert all((r & k).bit_count() % 2 == 0 for r in rows)
 
 
+def identity(ech: EchelonForm, ncols: int) -> dict[int, int]:
+    """The index that keeps each free column below ncols at its own bit, so
+    ``normal_form`` returns the canonical representative itself."""
+    return {p: p for p in ech.free_columns(ncols)}
+
+
 @given(rows_strategy, st.integers(0, (1 << 12) - 1))
 def test_normal_form_is_idempotent_and_span_invariant(rows, vec):
     ech = echelonize(rows)
-    nf = ech.normal_form(vec)
-    assert ech.normal_form(nf) == nf
+    index = identity(ech, 12)
+    nf = ech.normal_form(vec, index)
+    assert ech.normal_form(nf, index) == nf
     # subtracting any row keeps the normal form
     for r in rows[:4]:
-        assert ech.normal_form(vec ^ r) == nf
+        assert ech.normal_form(vec ^ r, index) == nf
 
 
 def two_loop_normal_form(ech: EchelonForm, vec: int) -> int:
@@ -104,15 +111,15 @@ def two_loop_normal_form(ech: EchelonForm, vec: int) -> int:
 @given(rows_strategy, st.integers(0, (1 << 12) - 1))
 def test_normal_form_matches_the_two_loop_reference(rows, vec):
     ech = echelonize(rows)
-    assert ech.normal_form(vec) == two_loop_normal_form(ech, vec)
+    assert ech.normal_form(vec, identity(ech, 12)) == two_loop_normal_form(ech, vec)
 
 
 @given(rows_strategy, st.integers(0, (1 << 12) - 1))
 def test_indexed_normal_form_reads_the_free_coordinates(rows, vec):
     ech = echelonize(rows)
     index = {p: i for i, p in enumerate(ech.free_columns(12))}
-    nf = ech.normal_form(vec)
-    assert nf == ech.normal_form(vec, None) == two_loop_normal_form(ech, vec)
+    nf = ech.normal_form(vec, identity(ech, 12))
+    assert nf == two_loop_normal_form(ech, vec)
     want = from_support(index[p] for p in support(nf))
     assert ech.normal_form(vec, index) == want
 
@@ -126,7 +133,7 @@ def test_row_membership(rows):
         for r in rows:
             if rng.getrandbits(1):
                 combo ^= r
-        assert ech.normal_form(combo) == 0
+        assert ech.normal_form(combo, identity(ech, 12)) == 0
         assert ech.contains(combo)
 
 
@@ -239,7 +246,8 @@ def test_solve_modulo_reconstructs_target(rows, modulus, noise):
     for i, c in enumerate(sol):
         if c:
             rebuilt ^= rows[i]
-    assert echelonize(modulus).normal_form(rebuilt ^ target) == 0
+    ech = echelonize(modulus)
+    assert ech.normal_form(rebuilt ^ target, identity(ech, 12)) == 0
 
 
 def test_bitmatrix_transpose_involution():

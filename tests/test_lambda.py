@@ -31,10 +31,9 @@ from cohitlab.steenrod import _submasks, is_annihilated, sq_dual_all
 
 def element(s: int, n: int, bits: int) -> LambdaElement:
     """The element with coordinates ``bits`` over the admissible words of
-    (length s, degree n): admissible by construction."""
+    (length s, degree n)."""
     words = lambda_algebra._coords(s, n).words
-    return LambdaElement._trusted(
-        frozenset(words[p] for p in f2linalg.support(bits)), True)
+    return LambdaElement._trusted(frozenset(words[p] for p in f2linalg.support(bits)))
 
 
 def homology_basis(s: int, n: int) -> list[LambdaElement]:
@@ -66,20 +65,22 @@ def test_adem_pair_preserves_degree_and_admissibility():
 
 
 def test_adem_reduce_is_idempotent_and_degreewise():
-    el = LambdaElement([(3, 1, 2), (5, 0, 1)])
-    red = adem_reduce(el)
-    assert adem_reduce(red) == red
-    assert red.internal_degree == el.internal_degree
-    assert red.length == el.length
+    # the constructor reduces; adem_reduce is the identity on its elements
+    red = LambdaElement([(3, 1, 2), (5, 0, 1)])
+    assert adem_reduce(red) is red
+    assert red.internal_degree == 6
+    assert red.length == 3
+    assert red.terms == reference_reduce({(3, 1, 2), (5, 0, 1)})
     for w in red.terms:
         assert pc.is_admissible(w)
 
 
 def test_reduction_kills_known_zero():
-    # lambda_2 lambda_2: n = 2 - 2*2 - 1 < 0 handled by the empty expansion?
-    # 2 > 2*2 is false, so it is already admissible; use 5,2 which rewrites to 0
-    assert adem_reduce(LambdaElement([(5, 2)])).is_zero()
-    assert adem_reduce(LambdaElement([(3, 1)])).is_zero()
+    # l5 l2 and l3 l1 rewrite to 0, so == is equality in the algebra
+    assert LambdaElement([(5, 2)]).is_zero()
+    assert LambdaElement([(3, 1)]).is_zero()
+    assert LambdaElement([(3, 1)]) == LambdaElement()
+    assert len(LambdaElement([(3, 1)])) == 0 and repr(LambdaElement([(3, 1)])) == "0"
 
 
 def test_differential_of_generators():
@@ -99,7 +100,7 @@ def test_differential_squares_to_zero_small():
     for s, n in ((1, 9), (2, 9), (3, 10), (4, 12)):
         for w in admissible_basis(s, n):
             dd = differential(differential(LambdaElement([w])))
-            assert adem_reduce(dd).is_zero(), w
+            assert dd.is_zero(), w
 
 
 def test_admissible_basis_enumerates_admissibles():
@@ -186,13 +187,13 @@ def test_ext_tables_from_fresh_caches(fresh_lambda_caches):
 
 def test_rewrite_budget_is_per_reduction(fresh_lambda_caches, monkeypatch):
     monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 4)
-    # each needs at most 4 left products; together they need 5 (7 with no
-    # product shared through the memo)
+    # the constructor reduces: each needs at most 4 left products; together
+    # they need 5 (7 with no product shared through the memo)
     for w in ((9, 3, 1), (13, 5, 1), (3, 1), (5, 1)):
-        reduced = adem_reduce(LambdaElement([w]))
+        reduced = LambdaElement([w])
         assert all(pc.is_admissible(v) for v in reduced.terms)
     with pytest.raises(RewriteBudget):
-        adem_reduce(LambdaElement([(15, 6, 1)]))  # needs 6
+        LambdaElement([(15, 6, 1)])  # needs 6
 
 
 def reference_reduce(words) -> frozenset:
@@ -232,8 +233,9 @@ def test_adem_reduce_matches_the_reference_rewriting(fresh_lambda_caches):
     for _ in range(400):
         s, n = rng.randint(1, 4), rng.randint(0, 24)
         words = {random_composition(rng, s, n) for _ in range(rng.randint(1, 3))}
-        got = adem_reduce(LambdaElement(words))
+        got = LambdaElement(words)
         assert got.terms == reference_reduce(words), words
+        assert adem_reduce(got) is got
 
 
 # length-4 words up to this degree keep the check under a second
@@ -481,7 +483,7 @@ def test_homology_coordinates_cases():
 def test_homology_coordinates_reject_non_cycles():
     word = next(
         w for w in admissible_basis(2, 6)
-        if not adem_reduce(differential(LambdaElement([w]))).is_zero()
+        if not differential(LambdaElement([w])).is_zero()
     )
     with pytest.raises(ValueError, match="not a cycle"):
         homology_coordinates(LambdaElement([word]), 2, 6)
@@ -531,6 +533,34 @@ def test_classes_equal_differentiates_each_side_once(monkeypatch):
         classes_equal(e, LambdaElement([(0, 0, 0, 9)]))
 
 
+def test_every_homology_call_is_admitted_where_the_maps_are_built(
+    fresh_lambda_caches, monkeypatch,
+):
+    # the budgets live in _homology, so all three calls refuse where ext_dim
+    # does, and none builds a basis first
+    def no_basis(s, n):
+        raise AssertionError("a basis was built")
+
+    h9 = LambdaElement([(1, 3, 3, 2)])
+    with monkeypatch.context() as patch:
+        patch.setattr(lambda_algebra.cohit, "MAX_COLUMNS", 10)
+        patch.setattr(lambda_algebra, "_admissible_words", no_basis)
+        for call in (lambda: ext_dim(4, 9), lambda: homology_coordinates(h9, 4, 9),
+                     lambda: classes_equal(h9, LambdaElement())):
+            with pytest.raises(lambda_algebra.cohit.ResourceLimit,
+                               match="^length 4 and degree 9 have more admissible "
+                                     "words than the budget of 10$"):
+                call()
+        with pytest.raises(lambda_algebra.cohit.ResourceLimit, match="above the cap"):
+            homology_coordinates(LambdaElement(), 2, 1022)
+    assert lambda_algebra._homology.cache_info().currsize == 0
+    assert homology_coordinates(h9, 4, 9) == 1
+    # a shape with no letter, or of negative degree, has at most one word
+    # and is never counted: count_monomials(0, 0) would raise
+    assert homology_coordinates(LambdaElement([()]), 0, 0) == 1
+    assert homology_coordinates(LambdaElement(), -1, 5) == 0
+
+
 def test_a_cycle_escaping_the_homology_echelon_raises(monkeypatch):
     # an echelon that lost its cycles: the class cannot be read, not "different"
     h9 = LambdaElement([(1, 3, 3, 2)])
@@ -566,7 +596,7 @@ def test_psi_in_two_variables_small_case():
 def test_psi_is_additive():
     a = DualElement(2, [(1, 2)])
     b = DualElement(2, [(3, 0)])
-    assert psi(a ^ b) == adem_reduce(psi(a) ^ psi(b))
+    assert psi(a ^ b) == psi(a) ^ psi(b)
 
 
 def reference_psi(theta: DualElement) -> LambdaElement:
@@ -588,7 +618,7 @@ def reference_psi(theta: DualElement) -> LambdaElement:
     acc: set = set()
     for term in theta.terms:
         acc ^= words(term)
-    return adem_reduce(LambdaElement(acc))
+    return LambdaElement(acc)
 
 
 def random_annihilated_dual(rng, q: int, n: int) -> DualElement:
@@ -654,10 +684,8 @@ def test_psi_reduces_as_it_recurses(monkeypatch):
         raise AssertionError("psi made a second reduction pass")
 
     monkeypatch.setattr(lambda_algebra, "_reduce", refuse)
-    monkeypatch.setattr(lambda_algebra, "adem_reduce", refuse)
     got = psi(DualElement(4, refdata.DUAL_GENERATOR_9))
     assert got.terms == frozenset(refdata.PSI_IMAGES[(4, 9)][1])
-    assert got._admissible
 
 
 def test_psi_has_a_rewrite_budget_of_its_own(fresh_lambda_caches, monkeypatch):
@@ -693,9 +721,11 @@ def test_psi_images_no_suite_reads():
 
 
 def test_psi_raw_identities_from_the_fixture():
+    # each raw list, inadmissible words and all, builds its reduced image
     for term, raw in refdata.PSI_RAW_TERM_IMAGES_9.items():
-        got = adem_reduce(psi(DualElement(4, [term])))
-        assert got == adem_reduce(LambdaElement(raw)), term
+        got = psi(DualElement(4, [term]))
+        assert got == LambdaElement(raw), term
+        assert got.terms == reference_reduce(set(raw)) != set(raw), term
 
 
 @given(st.sets(st.integers(0, 9), max_size=6))
@@ -732,6 +762,7 @@ def test_each_single_fault_keeps_its_message():
 
 
 def test_constructor_packs_and_flags_words_like_the_reference():
+    # admissible words are packed as given; any others are reduced
     rng = random.Random(23)
     admissible_seen = 0
     for _ in range(600):
@@ -739,9 +770,11 @@ def test_constructor_packs_and_flags_words_like_the_reference():
         words = [random_composition(rng, s, n) if s else ()
                  for _ in range(rng.randint(1, 4))]
         el = LambdaElement(iter(words))
-        assert el._words == frozenset(map(pc.pack, words)), words
-        assert el._admissible == all(map(pc.is_admissible, words)), words
-        admissible_seen += el._admissible
+        if all(map(pc.is_admissible, words)):
+            assert el._words == frozenset(map(pc.pack, words)), words
+            admissible_seen += 1
+        else:
+            assert el.terms == reference_reduce(set(words)), words
     assert 0 < admissible_seen < 600
 
 
@@ -767,12 +800,13 @@ def test_letters_above_the_cap_are_rejected():
 
 
 def test_sums_with_inadmissible_user_words_are_still_reduced(fresh_lambda_caches):
-    built = element(2, 6, 0b100)  # admissible by construction
+    built = element(2, 6, 0b100)
     assert built == LambdaElement([(2, 4)])
     user = LambdaElement([(5, 1)])  # l5 l1 = l3 l3
+    assert user == LambdaElement([(3, 3)])
     for el in (built ^ user, user ^ built):
         words = {(2, 4), (5, 1)}
-        assert adem_reduce(el).terms == reference_reduce(words) == {(2, 4), (3, 3)}
+        assert el.terms == reference_reduce(words) == {(2, 4), (3, 3)}
         want = reference_reduce(reference_derivation((2, 4))
                                 ^ reference_derivation((5, 1)))
         assert differential(el).terms == want
@@ -783,7 +817,10 @@ def test_coordinates_reject_words_outside_the_admissible_basis():
     coords = lambda_algebra._coords(2, 3)
     el = LambdaElement([(1, 2)])
     assert element(2, 3, coords.vector(el)) == el
+    # every element the constructor builds is admissible: the engine's own
+    # path is the only way an inadmissible word could reach the coordinates
+    inadmissible = LambdaElement._trusted(frozenset({pc.pack((3, 0))}))  # 3 > 2 * 0
     with pytest.raises(ValueError, match="not an admissible word"):
-        coords.vector(LambdaElement([(3, 0)]))  # inadmissible: 3 > 2 * 0
+        coords.vector(inadmissible)
     with pytest.raises(ValueError, match="not an admissible word"):
         coords.vector(LambdaElement([(1, 1)]))  # wrong degree
