@@ -137,13 +137,10 @@ MUTATIONS = (
              "        if False:\n", SPIKE_FREE),
     # every homology call is admitted where its maps are built
     Mutation("_homology admits nothing", LAMBDA,
-             "    _check_letters(s - 1, n + 1)\n    _check_letters(s, n)\n", "",
+             "    _admit(s, n)\n    ech = echelonize(", "    ech = echelonize(",
              (f"{LAMBDA_TESTS}::test_every_homology_call_is_admitted_where_the_maps_"
               "are_built",
-              f"{CLI}::test_transfer_refuses_under_the_ext_word_budget"),
-             also=(("    if depth > sys.getrecursionlimit():\n", "    if False:\n"),
-                   ("        if compositions > cap and admissible_count(length, degree, "
-                    "cap) > cap:\n", "        if False:\n"))),
+              f"{CLI}::test_transfer_refuses_under_the_ext_word_budget")),
     # every element is admissible: the constructor reduces what it is given
     Mutation("the constructor stores inadmissible words unreduced", LAMBDA,
              "            words = _reduce(words)\n", "",
@@ -190,6 +187,26 @@ MUTATIONS = (
              "                continue  # the whole orbit lies in the span already\n"
              "            self.echelon.add(row)\n",
              ("tests/test_steenrod.py::test_the_build_offers_each_orbit_row_with_one_add",)),
+    # each orbit's bookkeeping done once: column-orbit tables, coset tables,
+    # and the submasks of a lane walked up to the degree left only
+    Mutation("the orbit table is read at the wrong permutation index", STEENROD,
+             "from_support([table[k] for table in tables])",
+             "from_support([table[k - 1] for table in tables])",
+             ("tests/test_steenrod.py::test_orbit_build_equals_the_per_row_reference",)),
+    Mutation("the coset table keeps the identity", STEENROD,
+             "    del images[g]\n", "",
+             ("tests/test_steenrod.py::test_the_coset_table_lists_each_distinct_image_"
+              "once",)),
+    Mutation("the submask slice runs one past r", STEENROD,
+             "subs[:bisect_right(subs, r)]", "subs[:bisect_right(subs, r) + 1]",
+             ("tests/test_steenrod.py::test_the_submask_walk_stops_at_the_degree_left",)),
+    Mutation("homology_coordinates checks the cycle before admitting", LAMBDA,
+             "        _admit(s, n)\n        if not is_cycle(el):\n"
+             "            raise ValueError(\"element is not a cycle\")\n",
+             "        if not is_cycle(el):\n"
+             "            raise ValueError(\"element is not a cycle\")\n"
+             "        _admit(s, n)\n",
+             (f"{LAMBDA_TESTS}::test_homology_queries_admit_before_they_differentiate",)),
     # one parser: a leftover token is a suite of verify, or a usage error
     Mutation("a stray token after a command is ignored", "src/cohitlab/cli.py",
              '        if extra and args.command != "verify":\n',

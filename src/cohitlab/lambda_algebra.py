@@ -511,22 +511,12 @@ def _images(s: int, n: int) -> Iterator[int]:
         yield target.vector(differential(LambdaElement._trusted(frozenset((w,)))))
 
 
-@cache
-def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
-    """One echelon of (length s, degree n), and the cycles it kept.
-
-    Boundaries are cycles (d∘d = 0), so t = dim Ext is the kernel's dimension
-    less the boundaries' rank.  The rows are shifted up t bits, boundaries
-    zero there; cycle k, independent modulo the rows before it, goes in with
-    bit k set, so a cycle shifted up t bits reduces to its coordinates.  The
-    echelon of each map lives only while its kernel is read.
-
-    Every homology call builds its maps here, so its budgets are checked
-    here, before any basis: :class:`cohit.ResourceLimit` when (s, n) or
-    (s + 1, n - 1) has more admissible words than ``cohit.MAX_COLUMNS``, when
-    its words recurse past the interpreter's limit, or when a word of (s, n)
-    or (s - 1, n + 1) may hold a letter above ``MAX_LETTER``.
-    """
+def _admit(s: int, n: int) -> None:
+    """Raise :class:`cohit.ResourceLimit`, as every homology call does before
+    any d or basis, when (s, n) or (s + 1, n - 1) has more admissible words
+    than ``cohit.MAX_COLUMNS``, when its words recurse past the interpreter's
+    limit from the caller's frame, or when a word of (s, n) or (s - 1, n + 1)
+    may hold a letter above ``MAX_LETTER``."""
     _check_letters(s - 1, n + 1)
     _check_letters(s, n)
     # d recurses once per letter, three frames deep: _d_grouped, the memo's
@@ -534,7 +524,7 @@ def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
     # bisected, a bare script calling _homology needs 3 (s + 1) + 3 at
     # s = 40 and s = 100.  The admissible words recurse two frames a letter,
     # within this bound
-    depth, frame = 3 * (s + 1) + 16, sys._getframe()
+    depth, frame = 3 * (s + 1) + 16, sys._getframe(1)
     while frame:
         depth, frame = depth + 1, frame.f_back
     if depth > sys.getrecursionlimit():
@@ -552,6 +542,19 @@ def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
                 f"length {length} and degree {degree} have more admissible "
                 f"words than the budget of {cap}"
             )
+
+
+@cache
+def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
+    """One echelon of (length s, degree n), and the cycles it kept.
+
+    Boundaries are cycles (d∘d = 0), so t = dim Ext is the kernel's dimension
+    less the boundaries' rank.  The rows are shifted up t bits, boundaries
+    zero there; cycle k, independent modulo the rows before it, goes in with
+    bit k set, so a cycle shifted up t bits reduces to its coordinates.  The
+    echelon of each map lives only while its kernel is read.
+    """
+    _admit(s, n)
     ech = echelonize(_images(s - 1, n + 1))
     kernel = image_kernel(_images(s, n))
     t = len(kernel) - ech.rank
@@ -570,7 +573,7 @@ def _homology(s: int, n: int) -> tuple[EchelonForm, tuple[int, ...]]:
 def ext_dim(s: int, n: int) -> int:
     """Dimension of the homology at (length s, internal degree n).
 
-    Raises :class:`cohit.ResourceLimit` where :func:`_homology` refuses.
+    Raises :class:`cohit.ResourceLimit` where :func:`_admit` refuses.
     """
     if s == 0:
         return 1 if n == 0 else 0
@@ -581,10 +584,12 @@ def ext_dim(s: int, n: int) -> int:
 
 def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
     """Whether two cycles are homologous; raises on non-cycles, and raises
-    :class:`cohit.ResourceLimit` where :func:`_homology` refuses."""
+    :class:`cohit.ResourceLimit`, before any d, where :func:`_admit` refuses."""
     for el, name in ((x, "left"), (y, "right")):
-        if not el.is_zero() and not is_cycle(el):
-            raise ValueError(f"{name} element is not a cycle")
+        if not el.is_zero():
+            _admit(el.length, el.internal_degree)
+            if not is_cycle(el):
+                raise ValueError(f"{name} element is not a cycle")
     diff = x ^ y
     if diff.is_zero():
         return True
@@ -598,7 +603,7 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
 
     The bidegree is passed explicitly so the zero element resolves; raises
     on non-cycles and on elements of the wrong bidegree, and raises
-    :class:`cohit.ResourceLimit` where :func:`_homology` refuses.
+    :class:`cohit.ResourceLimit`, before any d, where :func:`_admit` refuses.
     """
     if not el.is_zero():
         if (el.length, el.internal_degree) != (s, n):
@@ -606,6 +611,7 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
                 f"element has bidegree {(el.length, el.internal_degree)}, "
                 f"expected {(s, n)}"
             )
+        _admit(s, n)
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
     return _homology_tag(el, s, n)

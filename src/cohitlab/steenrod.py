@@ -26,7 +26,7 @@ permutations at a time: Sq^t is computed on the packed orbit
 representatives only, its terms are kept where a packed index of the
 columns has them, and a representative already in the span stands for its
 whole orbit.  Words are unpacked to exponent tuples for ``columns`` and
-``position`` only, which the permuted rows of an orbit and every query read.
+``position`` only, which the column-orbit tables and every query read.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import cache
-from itertools import combinations, permutations
-from operator import itemgetter
+from itertools import accumulate, combinations, permutations
+from operator import eq, itemgetter
 from typing import Callable, Iterable
 
 from .f2linalg import EchelonForm, from_support, support
@@ -95,8 +95,10 @@ def _sq_word(t: int, g: int, q: int, n: int) -> list[int]:
     g has q lanes of ``_lane_width(n)`` bits.  A term adds to each lane e a
     binary submask d of e, the d summing to t, so every lane of a term stays
     within n and inside its lane.  Lanes are taken from the top, as
-    :func:`_unpack` reads them; a d leaving more than the lanes below can
-    take is cut, and the last d is whatever remains.
+    :func:`_unpack` reads them.  A lane walks only its submasks d up to the
+    degree r left to add, a prefix of the ascending :func:`_submasks` found
+    by bisection; a d leaving more than the lanes below can take is cut,
+    and the last d is whatever remains.
     """
     width = _lane_width(n)
     mask = (1 << width) - 1
@@ -105,11 +107,12 @@ def _sq_word(t: int, g: int, q: int, n: int) -> list[int]:
     for s in range(width * (q - 1), 0, -width):
         e = g >> s & mask
         cap -= e
+        subs = _submasks(e)
         partial = [
             (r - d, w + (d << s))
             for r, w in partial
-            for d in _submasks(e)
-            if r - cap <= d <= r
+            for d in subs[:bisect_right(subs, r)]
+            if d >= r - cap
         ]
     e = g & mask
     return [w + r for r, w in partial if r & e == r]
@@ -207,6 +210,17 @@ def _permutations(q: int) -> tuple[Callable[[Monomial], Monomial], ...]:
 
 
 @cache
+def _cosets(ties: tuple[bool, ...]) -> tuple[int, ...]:
+    """Indices into ``_permutations`` of the distinct σg other than g, first
+    found first, for a non-increasing g whose exponents j and j + 1 agree
+    where ``ties[j]`` holds: that alone decides which σg coincide."""
+    g = tuple(accumulate((not tie for tie in ties), initial=0))
+    images = {perm(g): k for k, perm in enumerate(_permutations(len(g)))}
+    del images[g]
+    return tuple(images.values())
+
+
+@cache
 def _dual_steps(e: int) -> tuple[int, ...]:
     """The d, ascending, with C(e - d, d) odd: (a^(e)) Sq^d = a^(e - d)."""
     return tuple(d for d in range(e // 2 + 1) if binom_odd(e - d, d))
@@ -268,8 +282,11 @@ class HitSpan:
     transposition maps each column to a column.  For
     each orbit representative (the g with non-increasing exponents) Sq^t(g)
     is computed once; if it reduces to zero the orbit is skipped, else the
-    row of every distinct σg is inserted, made by permuting its terms.  The
-    row space is Σ_q-stable after every orbit, so a representative in it
+    row of every distinct σg is inserted, made by permuting its terms.  Each
+    orbit's bookkeeping is done once: the distinct σg come from one table per
+    pattern of equal exponents (:func:`_cosets`), and each column's images
+    under Σ_q from one table per column, built when a row first touches it.
+    The row space is Σ_q-stable after every orbit, so a representative in it
     shows that its whole orbit is, and the final row space is the span of
     all the rows.  The stored rows depend on this order, but the pivots,
     coordinates, kernel vectors, admissible monomials and weight tables
@@ -322,15 +339,17 @@ class HitSpan:
         reps.sort(key=lambda rep: rep[0].bit_length())
         cols, pos = self.columns, self.position
         perms = _permutations(q)
+        orbit: dict[int, list[int]] = {}  # p -> the position of σ(cols[p]), per σ
         for row, g, ps in reps:
             if not self.echelon.add(row):
                 continue  # the whole orbit lies in the span already
-            # one permutation per distinct permuted generator other than g
-            (g,) = _unpack(q, n, (g,))
-            members = {perm(g): perm for perm in perms}
-            del members[g]
-            for perm in members.values():
-                self.echelon.add(from_support([pos[perm(cols[p])] for p in ps]))
+            for p in ps:
+                if p not in orbit:
+                    orbit[p] = [pos[perm(cols[p])] for perm in perms]
+            tables = [orbit[p] for p in ps]
+            (e,) = _unpack(q, n, [g])
+            for k in _cosets(tuple(map(eq, e, e[1:]))):  # σg's row: g's, permuted
+                self.echelon.add(from_support([table[k] for table in tables]))
 
     # -- vector conversions -------------------------------------------------
 

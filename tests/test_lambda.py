@@ -561,6 +561,20 @@ def test_every_homology_call_is_admitted_where_the_maps_are_built(
     assert homology_coordinates(LambdaElement(), -1, 5) == 0
 
 
+def test_homology_queries_admit_before_they_differentiate():
+    # d of a 400-letter word recurses past the interpreter's limit: the two
+    # queries that check their input is a cycle refuse as ext_dim does
+    # before they take d, on either side of classes_equal
+    long = LambdaElement([(1,) * 400])
+    message = "^words of length 401 recurse deeper than the limit of [0-9]+ frames$"
+    for call in (lambda: ext_dim(400, 400),
+                 lambda: homology_coordinates(long, 400, 400),
+                 lambda: classes_equal(long, LambdaElement()),
+                 lambda: classes_equal(LambdaElement(), long)):
+        with pytest.raises(lambda_algebra.cohit.ResourceLimit, match=message):
+            call()
+
+
 def test_a_cycle_escaping_the_homology_echelon_raises(monkeypatch):
     # an echelon that lost its cycles: the class cannot be read, not "different"
     h9 = LambdaElement([(1, 3, 3, 2)])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import property_checks as pc
 from cohitlab.cohit import span_for
-from cohitlab import f2linalg, refdata
+from cohitlab import f2linalg, refdata, steenrod
 from cohitlab.f2linalg import from_support, support
 from cohitlab.polyspace import (
     DualElement,
@@ -28,7 +28,9 @@ from cohitlab.polyspace import (
 )
 from cohitlab.steenrod import (
     HitSpan,
+    _cosets,
     _lane_width,
+    _permutations,
     _reaches,
     _sq_word,
     _submasks,
@@ -571,3 +573,45 @@ def test_packed_squares_equal_the_tuple_reference():
                 assert got == pc.sq_monomial(t, mono), (q, n, t, mono)
                 count, terms = count + 1, terms + len(got)
     assert count > 5000 and terms > 100
+    # a top lane of 131,071 with one degree left to add: two submasks of its
+    # 131,072 are walked, and one term is kept
+    got = _unpack(2, 196606, _sq_word(1, 131071 << 18 | 65534, 2, 196606))
+    assert got == pc.sq_monomial(1, (131071, 65534)) == [(131072, 65534)]
+
+
+def test_the_submask_walk_stops_at_the_degree_left(monkeypatch):
+    # with two lanes the top lane is walked once, with all of t left, so the
+    # walk takes exactly the submasks of the top exponent up to t
+    taken = []
+
+    class Slices(tuple):
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            if isinstance(key, slice):
+                taken.append(got)
+            return got
+
+    monkeypatch.setattr(steenrod, "_submasks", lambda e: Slices(_submasks.__wrapped__(e)))
+    n = 196606
+    for t in (1, 2, 3, 1 << 15, 1 << 16):
+        for top in (131071, 65534, 98304, 1 << 16):
+            taken.clear()
+            got = _unpack(2, n, _sq_word(t, top << _lane_width(n) | n - t - top, 2, n))
+            assert got == pc.sq_monomial(t, (top, n - t - top)), (t, top)
+            assert taken == [tuple(d for d in _submasks(top) if d <= t)], (t, top)
+
+
+def test_the_coset_table_lists_each_distinct_image_once():
+    assert _permutations(1) == (tuple,)
+    for q in range(1, 6):
+        perms = _permutations(q)
+        for ties in itertools.product((False, True), repeat=q - 1):
+            # a non-increasing g whose exponents j and j + 1 agree exactly
+            # where ties[j] holds
+            g = [9]
+            for tie in ties:
+                g.append(g[-1] - (not tie))
+            g = tuple(g)
+            images = {perm(g): perm for perm in perms}
+            del images[g]
+            assert [perms[k](g) for k in _cosets(ties)] == list(images), (q, ties)
