@@ -104,7 +104,7 @@ MUTATIONS = (
     Mutation("no check that t cycles are kept", LAMBDA,
              "            if len(cycles) == t:", "            if False:",
              (f"{LAMBDA_TESTS}::test_more_cycles_than_dim_ext_raise",)),
-    Mutation("_homology_tag drops its escape check", LAMBDA,
+    Mutation("homology_coordinates drops its escape check", LAMBDA,
              "    if tag >> len(cycles):\n", "    if False:\n",
              (f"{LAMBDA_TESTS}::test_a_cycle_escaping_the_homology_echelon_raises",)),
     Mutation("normal_form ignores index", F2LINALG,
@@ -120,11 +120,14 @@ MUTATIONS = (
     # every budget, its check removed
     Mutation("no column budget", "src/cohitlab/cohit.py",
              "    if cols > MAX_COLUMNS:\n", "    if False:\n", SPIKE_FREE),
+    Mutation("live_monomials drops the spike-free guard", STEENROD,
+             "    if bound and bound[0] > q:\n        return []\n", "",
+             ("tests/test_cohit.py::test_a_spike_free_degree_lists_no_weight_vector",)),
     Mutation("no letter cap", LAMBDA,
              "    if length > 0 and degree > MAX_LETTER:\n", "    if False:\n",
              (f"{CLI}::test_ext_and_psi_refuse_letters_above_the_cap",)),
     Mutation("no psi word budget", LAMBDA,
-             "    if count > cohit.MAX_COLUMNS:\n", "    if False:\n",
+             "    cohit.check_columns(q, n)\n", "",
              (f"{CLI}::test_psi_budget_refuses_before_building_a_word",)),
     Mutation("no rewrite budget", LAMBDA,
              "        if _rewrite_count > MAX_REWRITES:\n", "        if False:\n",
@@ -207,6 +210,9 @@ MUTATIONS = (
              "            raise ValueError(\"element is not a cycle\")\n"
              "        _admit(s, n)\n",
              (f"{LAMBDA_TESTS}::test_homology_queries_admit_before_they_differentiate",)),
+    Mutation("classes_equal takes its bidegree from the left side only", LAMBDA,
+             "    el = y if x.is_zero() else x\n", "    el = x\n",
+             (f"{LAMBDA_TESTS}::test_homology_queries_admit_before_they_differentiate",)),
     # one parser: a leftover token is a suite of verify, or a usage error
     Mutation("a stray token after a command is ignored", "src/cohitlab/cli.py",
              '        if extra and args.command != "verify":\n',
@@ -222,7 +228,8 @@ MUTATIONS = (
              '    if stored != {**key, "op": op, "engine": stored.get("engine")}:\n',
              (f"{CLI}::test_an_entry_of_another_engine_is_recomputed_in_place",)),
     Mutation("no annihilated budget", "src/cohitlab/cli.py",
-             "    if count > cohit.MAX_COLUMNS:\n", "    if False:\n",
+             "    cohit.check_columns(element.q, element.degree or 0)"
+             "  # before any square\n", "",
              (f"{CLI}::test_annihilated_budget_refuses_before_building_a_square",)),
     # the reports are NamedTuples, and no package module imports dataclasses
     Mutation("every suite report shares one default checks list",

@@ -43,7 +43,6 @@ from .polyspace import (
     DualElement,
     alpha,
     check_rank,
-    count_monomials,
     minimal_spike,
     mu,
     trim_weight,
@@ -253,11 +252,7 @@ def cmd_primitives(args):
 
 def cmd_annihilated(args):
     element = _load_dual(args)
-    q, n = element.q, element.degree or 0
-    count = count_monomials(q, n)  # refused as psi refuses, before any square
-    if count > cohit.MAX_COLUMNS:
-        raise ResourceLimit(f"degree {n} in {q} variables has {count} "
-                            f"monomials; budget is {cohit.MAX_COLUMNS}")
+    cohit.check_columns(element.q, element.degree or 0)  # before any square
     return {
         "q": element.q,
         "degree": element.degree,

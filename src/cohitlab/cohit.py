@@ -40,13 +40,22 @@ MAX_COLUMNS = 1 << 21
 
 
 class ResourceLimit(RuntimeError):
-    """A query refused by a budget: a degree with a spike and more monomials
-    than ``MAX_COLUMNS``, or (``lambda_algebra.ext_dim``, ``psi``) words that may
-    hold a letter above ``MAX_LETTER``, recurse past the recursion limit or
-    outnumber ``MAX_COLUMNS``.  Every budget raises this class or a subclass
+    """A query refused by a budget: a degree past :func:`check_columns` (a span
+    with a spike, ``psi``, ``annihilated``), or homology words that may hold a
+    letter above ``MAX_LETTER``, recurse too deep or have more admissible words
+    than ``MAX_COLUMNS``.  Every budget raises this class or a subclass
     (``lambda_algebra.RewriteBudget``); ``error`` names it in CLI JSON."""
 
     error = "resource-limit"
+
+
+def check_columns(q: int, n: int) -> None:
+    """Raise :class:`ResourceLimit` when degree n in q variables has more
+    monomials than ``MAX_COLUMNS``: the one column budget."""
+    cols = count_monomials(q, n)
+    if cols > MAX_COLUMNS:
+        raise ResourceLimit(f"degree {n} in {q} variables needs {cols} columns; "
+                            f"budget is {MAX_COLUMNS}")
 
 
 # -- the quotient engine ------------------------------------------------------
@@ -67,12 +76,7 @@ def span_for(q: int, n: int) -> steenrod.HitSpan:
     spike = minimal_spike(q, n)
     if spike is None and n:
         return steenrod.hit_span(q, n, (q + 1,))
-    cols = count_monomials(q, n)
-    if cols > MAX_COLUMNS:
-        raise ResourceLimit(
-            f"degree {n} in {q} variables needs {cols} columns; "
-            f"budget is {MAX_COLUMNS}"
-        )
+    check_columns(q, n)
     return steenrod.hit_span(q, n, None if spike is None else weight_vector(spike))
 
 

@@ -583,18 +583,13 @@ def ext_dim(s: int, n: int) -> int:
 
 
 def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
-    """Whether two cycles are homologous; raises on non-cycles, and raises
-    :class:`cohit.ResourceLimit`, before any d, where :func:`_admit` refuses."""
-    for el, name in ((x, "left"), (y, "right")):
-        if not el.is_zero():
-            _admit(el.length, el.internal_degree)
-            if not is_cycle(el):
-                raise ValueError(f"{name} element is not a cycle")
-    diff = x ^ y
-    if diff.is_zero():
+    """Whether two cycles are homologous: their :func:`homology_coordinates`
+    at the bidegree of the nonzero one agree.  Raises as that does."""
+    el = y if x.is_zero() else x
+    if el.is_zero():
         return True
-    # a sum of cycles is one: its class is read off the homology echelon
-    return not _homology_tag(diff, diff.length, diff.internal_degree)
+    s, n = el.length, el.internal_degree
+    return homology_coordinates(x, s, n) == homology_coordinates(y, s, n)
 
 
 def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
@@ -614,14 +609,8 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
         _admit(s, n)
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
-    return _homology_tag(el, s, n)
-
-
-def _homology_tag(cycle: LambdaElement, s: int, n: int) -> int:
-    """The homology coordinates of a cycle of (s, n), as a bit-vector
-    over the cycles ``_homology(s, n)`` keeps."""
     ech, cycles = _homology(s, n)
-    tag = ech.reduce(_coords(s, n).vector(cycle) << len(cycles))
+    tag = ech.reduce(_coords(s, n).vector(el) << len(cycles))
     if tag >> len(cycles):
         raise RuntimeError("cycle escaped the homology decomposition")
     return tag
@@ -692,19 +681,16 @@ def psi(theta: DualElement, primitive: bool = False) -> LambdaElement:
     exponents 2^i - 1 are read (:func:`_primitive_psi_words`).
 
     Raises :class:`cohit.ResourceLimit` when theta's degree n is above
-    ``MAX_LETTER``, or when the words of length q and degree n, one per
-    degree-n monomial, are more than ``cohit.MAX_COLUMNS``: the degrees whose
-    hit span is refused.  The cost is the Adem rewriting, whose memo grows
+    ``MAX_LETTER``, or where :func:`cohit.check_columns` refuses (q, n): the
+    words of length q and degree n, one per degree-n monomial, outnumber the
+    column budget.  The cost is the Adem rewriting, whose memo grows
     with the degree, and the budget refuses it before any word is built.
     Shares the constructor's per-call budget of ``MAX_REWRITES``.
     """
     global _rewrite_count
     q, n = theta.q, theta.degree or 0
     _check_letters(q, n)
-    count = count_monomials(q, n)
-    if count > cohit.MAX_COLUMNS:
-        raise cohit.ResourceLimit(f"degree {n} in {q} variables has {count} "
-                                  f"words; budget is {cohit.MAX_COLUMNS}")
+    cohit.check_columns(q, n)
     _rewrite_count = 0
     words = (_primitive_psi_words if primitive else _psi_words)(q, theta.terms)
     return LambdaElement._trusted(frozenset(words))

@@ -3,8 +3,9 @@
 Dimension tables, explicit admissible bases, invariant and coinvariant
 generators, lambda-algebra cycles, and transfer verdicts.  The test-suite
 and the verification suites of :mod:`cohitlab.transferlab`, the only engine
-module that imports it, compare live computations against these constants;
-nothing in this module is computed at import time.
+module that imports it, compare live computations against these constants.
+Every entry is a literal except ``COHIT_BASIS_4_17``, which
+:func:`_zero_insertions` builds in part from the rank-3 basis at import.
 
 Two kinds of entries are mixed here and marked in the comments:
 

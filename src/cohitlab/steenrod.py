@@ -134,7 +134,10 @@ def live_monomials(
     ascending order and each is expanded into its monomials.  The set is
     closed under permuting the exponents; with ``descending`` only its
     orbit representatives are built, the g with non-increasing exponents.
+    No weight has more than q ones in a plane, so a bound above q leaves none.
     """
+    if bound and bound[0] > q:
+        return []
     width = _lane_width(m + t)
     return [
         g

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cohitlab import cli, cohit, refdata, transferlab
-from cohitlab.polyspace import count_monomials, mu
+from cohitlab.polyspace import DualElement, count_monomials, mu
 from cohitlab.steenrod import HitSpan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -316,6 +316,10 @@ def test_psi_budget_refuses_before_building_a_word(sandbox, capsys, monkeypatch,
             assert code == 3
             assert data["error"] == "resource-limit"
             assert data["detail"].endswith(f"budget is {cohit.MAX_COLUMNS}")
+    # the span's message: one column budget, one text
+    assert data == {"detail": "degree 231 in 4 variables needs 2108184 columns; "
+                              "budget is 2097152",
+                    "error": "resource-limit"}
     dual.write_text(json.dumps({"q": 4, "terms": [[227, 1, 1, 1]]}))
     code, data = run_json(capsys, "psi", "--file", str(dual), "--no-cache")
     assert code == 0
@@ -341,10 +345,43 @@ def test_annihilated_budget_refuses_before_building_a_square(sandbox, capsys,
             assert code == 3
             assert data["error"] == "resource-limit"
             assert data["detail"].endswith(f"budget is {cohit.MAX_COLUMNS}")
+    assert data == {"detail": "degree 850 in 5 variables needs 22007201251 "
+                              "columns; budget is 2097152",
+                    "error": "resource-limit"}
     dual.write_text(json.dumps({"q": 4, "terms": [[227, 1, 1, 1]]}))
     code, data = run_json(capsys, "annihilated", "--file", str(dual), "--no-cache")
     assert code == 0
     assert data["degree"] == 230
+
+
+def test_every_column_budget_is_the_one_check(sandbox, monkeypatch, tmp_path):
+    from cohitlab import lambda_algebra, steenrod
+
+    class Refused(Exception):
+        pass
+
+    def refuse(q, n):
+        raise Refused(q, n)
+
+    def built(*args):
+        raise AssertionError("a span, word or dual square was built")
+
+    # the span at a degree with a spike, psi and annihilated all ask
+    # check_columns, and before any work
+    monkeypatch.setattr(cohit, "check_columns", refuse)
+    monkeypatch.setattr(steenrod, "hit_span", built)
+    monkeypatch.setattr(steenrod, "sq_dual_all", built)
+    monkeypatch.setattr(lambda_algebra, "_psi_words", built)
+    monkeypatch.setattr(lambda_algebra, "_primitive_psi_words", built)
+    theta = DualElement(4, [(3, 3, 2, 1)])
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps({"q": 4, "terms": [[3, 3, 2, 1]]}))
+    for call in (lambda: cohit.span_for(4, 9), lambda: lambda_algebra.psi(theta),
+                 lambda: lambda_algebra.psi(theta, primitive=True),
+                 lambda: cli.main(["annihilated", "--file", str(dual), "--no-cache"])):
+        with pytest.raises(Refused) as refused:
+            call()
+        assert refused.value.args == (4, 9)
 
 
 def test_rewrite_budget_exit_code(sandbox, capsys, monkeypatch):

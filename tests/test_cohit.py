@@ -129,6 +129,19 @@ def test_spike_free_degrees_have_no_column():
     assert [cohit_dim(q, 0) for q in (1, 2, 3, 4)] == [1, 1, 1, 1]
 
 
+def test_a_spike_free_degree_lists_no_weight_vector(monkeypatch):
+    # the bound (q + 1,) is above the ones any plane holds, so the empty span
+    # is built without a weight of the degree, however large it is
+    from cohitlab import steenrod
+
+    def refuse(q, n):
+        raise AssertionError("the weight vectors of a degree were listed")
+
+    assert mu(10**6) > 4
+    monkeypatch.setattr(steenrod, "weight_vectors", refuse)
+    assert span_for(4, 10**6).dim == 0
+
+
 def test_kameko_monomial_maps():
     assert kameko_down_monomial((3, 1, 5)) == (1, 0, 2)
     assert kameko_down_monomial((2, 1, 5)) is None  # an even exponent

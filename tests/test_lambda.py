@@ -529,8 +529,11 @@ def test_classes_equal_differentiates_each_side_once(monkeypatch):
         calls.clear()
         assert classes_equal(e, y) is same
         assert len(calls) == 2
-    with pytest.raises(ValueError, match="right element is not a cycle"):
+    with pytest.raises(ValueError, match="^element is not a cycle$"):
         classes_equal(e, LambdaElement([(0, 0, 0, 9)]))
+    # both sides are read at the nonzero one's bidegree
+    with pytest.raises(ValueError, match="expected \\(4, 9\\)$"):
+        classes_equal(e, LambdaElement([(1, 3, 3, 3)]))
 
 
 def test_every_homology_call_is_admitted_where_the_maps_are_built(
