@@ -213,6 +213,24 @@ MUTATIONS = (
     Mutation("classes_equal takes its bidegree from the left side only", LAMBDA,
              "    el = y if x.is_zero() else x\n", "    el = x\n",
              (f"{LAMBDA_TESTS}::test_homology_queries_admit_before_they_differentiate",)),
+    # one bidegree and one word index per lambda bidegree
+    Mutation("bidegree reports the length one short", LAMBDA,
+             "            return len(word), sum(word)\n",
+             "            return len(word) - 1, sum(word)\n",
+             (f"{LAMBDA_TESTS}::test_bidegree_is_the_length_and_index_sum_of_the_"
+              "words",)),
+    Mutation("_vector drops its unknown-word check", LAMBDA,
+             "        if i is None:\n", "        if False:\n",
+             (f"{LAMBDA_TESTS}::test_coordinates_reject_words_outside_the_"
+              "admissible_basis",)),
+    Mutation("_images reads its source words from the target's index", LAMBDA,
+             "    for w in _admissible_words(s, n):\n        yield _vector(target,",
+             "    for w in target:\n        yield _vector(target,",
+             (f"{LAMBDA_TESTS}::test_homology_matches_kernel_minus_boundary_rank",)),
+    Mutation("weight_table drops its weight-count comparison", "src/cohitlab/cohit.py",
+             "    if weights > MAX_COLUMNS:\n", "    if False:\n",
+             (f"{CLI}::test_a_weight_table_past_the_budget_refuses_before_listing_"
+              "a_weight",)),
     # one parser: a leftover token is a suite of verify, or a usage error
     Mutation("a stray token after a command is ignored", "src/cohitlab/cli.py",
              '        if extra and args.command != "verify":\n',

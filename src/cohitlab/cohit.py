@@ -29,6 +29,7 @@ from .polyspace import (
     WeightVector,
     check_rank,
     count_monomials,
+    count_weight_vectors,
     minimal_spike,
     weight_vector,
     weight_vectors,
@@ -104,8 +105,13 @@ def weight_key(w: WeightVector) -> str:
 
 
 def weight_table(q: int, n: int) -> dict[WeightVector, int]:
-    """dim (Q_n)^w for every weight w of degree n, largest first."""
+    """dim (Q_n)^w for every weight w of degree n, largest first; refused
+    past ``MAX_COLUMNS`` weight vectors, counted before any is listed."""
     counts = Counter(map(weight_vector, span_for(q, n).basis))
+    weights = count_weight_vectors(q, n)
+    if weights > MAX_COLUMNS:
+        raise ResourceLimit(f"degree {n} in {q} variables has {weights} weight "
+                            f"vectors; budget is {MAX_COLUMNS}")
     return {w: counts[w] for w in reversed(weight_vectors(q, n))}
 
 

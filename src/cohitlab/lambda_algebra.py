@@ -51,8 +51,8 @@ as a frozenset (``_EMPTY`` when empty); ``_D`` holds tuples, which take a
 seventh of a frozenset's memory at 8 words, and the tuples of several tails
 are summed into one set.  The admissible words of one (length, degree) are
 memoized packed, already in the order of their tuples, each joined from a
-letter and the memoized words one letter shorter; ``_coords(s, n).words`` is
-that same tuple.
+letter and the memoized words one letter shorter; ``_coords(s, n)`` maps
+each of them to its position there.
 
 An element holds admissible words only, so ``==`` is equality in the
 algebra: ``LambdaElement([(3, 1)]) == LambdaElement()``, as l_3 l_1 = 0.
@@ -176,15 +176,11 @@ class LambdaElement:
         return frozenset(map(_unpack, self._words))
 
     @property
-    def length(self) -> int | None:
+    def bidegree(self) -> tuple[int, int] | None:
+        """(length, index sum) of the words, or None for zero."""
         for w in self._words:
-            return -(-w.bit_length() // WIDTH)
-        return None
-
-    @property
-    def internal_degree(self) -> int | None:
-        for w in self._words:
-            return sum(_unpack(w))
+            word = _unpack(w)
+            return len(word), sum(word)
         return None
 
     def is_zero(self) -> bool:
@@ -195,10 +191,7 @@ class LambdaElement:
             return other
         if not other._words:
             return self
-        if (self.length, self.internal_degree) != (
-            other.length,
-            other.internal_degree,
-        ):
+        if self.bidegree != other.bidegree:
             raise ValueError("cannot add inhomogeneous elements")
         return LambdaElement._trusted(self._words ^ other._words)
 
@@ -417,7 +410,7 @@ def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
     """Admissible words of length s and index sum n, lexicographically sorted.
 
     A tuple view of the packed words, built afresh on every call: the
-    engine reads ``_coords(s, n).words``.
+    engine reads the packed ``_admissible_words(s, n)``.
     """
     return tuple(map(_unpack, _admissible_words(s, n)))
 
@@ -476,39 +469,29 @@ def _check_letters(length: int, degree: int) -> None:
                                   f"above the cap of {MAX_LETTER}")
 
 
-class _Coordinates:
-    """Bit coordinates over the packed admissible basis of one (length, degree)."""
-
-    def __init__(self, s: int, n: int):
-        self.s, self.n = s, n
-        self.words = _admissible_words(s, n)
-        self.index = {w: i for i, w in enumerate(self.words)}
-
-    def vector(self, el: LambdaElement) -> int:
-        """Coordinates of an element of this length and degree."""
-        index = self.index
-        v = 0
-        for w in el._words:
-            i = index.get(w)
-            if i is None:
-                raise ValueError(
-                    f"word {_unpack(w)} is not an admissible word of length "
-                    f"{self.s} and degree {self.n}"
-                )
-            v ^= 1 << i
-        return v
-
-
 @cache
-def _coords(s: int, n: int) -> _Coordinates:
-    return _Coordinates(s, n)
+def _coords(s: int, n: int) -> dict[int, int]:
+    """Packed admissible word of (length s, degree n) -> its bit position."""
+    return {w: i for i, w in enumerate(_admissible_words(s, n))}
+
+
+def _vector(index: dict[int, int], words: Iterable[int]) -> int:
+    """Bit coordinates of a sum of packed words over one bidegree's index."""
+    v = 0
+    for w in words:
+        i = index.get(w)
+        if i is None:
+            raise ValueError(f"word {_unpack(w)} is not an admissible word "
+                             "of this bidegree")
+        v ^= 1 << i
+    return v
 
 
 def _images(s: int, n: int) -> Iterator[int]:
     """d of each word of (length s, degree n), in (s + 1, n - 1) coordinates."""
     target = _coords(s + 1, n - 1)
-    for w in _coords(s, n).words:
-        yield target.vector(differential(LambdaElement._trusted(frozenset((w,)))))
+    for w in _admissible_words(s, n):
+        yield _vector(target, differential(LambdaElement._trusted(frozenset((w,))))._words)
 
 
 def _admit(s: int, n: int) -> None:
@@ -588,7 +571,7 @@ def classes_equal(x: LambdaElement, y: LambdaElement) -> bool:
     el = y if x.is_zero() else x
     if el.is_zero():
         return True
-    s, n = el.length, el.internal_degree
+    s, n = el.bidegree
     return homology_coordinates(x, s, n) == homology_coordinates(y, s, n)
 
 
@@ -601,16 +584,13 @@ def homology_coordinates(el: LambdaElement, s: int, n: int) -> int:
     :class:`cohit.ResourceLimit`, before any d, where :func:`_admit` refuses.
     """
     if not el.is_zero():
-        if (el.length, el.internal_degree) != (s, n):
-            raise ValueError(
-                f"element has bidegree {(el.length, el.internal_degree)}, "
-                f"expected {(s, n)}"
-            )
+        if el.bidegree != (s, n):
+            raise ValueError(f"element has bidegree {el.bidegree}, expected {(s, n)}")
         _admit(s, n)
         if not is_cycle(el):
             raise ValueError("element is not a cycle")
     ech, cycles = _homology(s, n)
-    tag = ech.reduce(_coords(s, n).vector(el) << len(cycles))
+    tag = ech.reduce(_vector(_coords(s, n), el._words) << len(cycles))
     if tag >> len(cycles):
         raise RuntimeError("cycle escaped the homology decomposition")
     return tag

@@ -14,6 +14,7 @@ order.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable
 
 Monomial = tuple[int, ...]
@@ -135,6 +136,15 @@ def count_monomials(q: int, n: int) -> int:
     from math import comb
 
     return comb(n + q - 1, q - 1)
+
+
+@cache
+def count_weight_vectors(q: int, n: int) -> int:
+    """``len(weight_vectors(q, n))`` by the same recursion, listing none."""
+    if n == 0:
+        return 1
+    return sum(count_weight_vectors(q, (n - w0) >> 1)
+               for w0 in range(n & 1, min(q, n) + 1, 2))
 
 
 def is_spike(mono: Monomial) -> bool:

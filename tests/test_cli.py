@@ -206,6 +206,26 @@ def test_a_spike_free_degree_past_the_column_budget_answers_zero(sandbox, capsys
     assert code == 3 and data["detail"].endswith(f"budget is {cohit.MAX_COLUMNS}")
 
 
+def test_a_weight_table_past_the_budget_refuses_before_listing_a_weight(
+        sandbox, capsys, monkeypatch):
+    from cohitlab import steenrod
+
+    def refuse(*args):
+        raise AssertionError("the weight vectors of a degree were listed")
+
+    # spike-free, so its span has no column, but its table would list
+    # 9,004,875 weights: the count refuses it without listing one
+    assert mu(400000) > 4
+    monkeypatch.setattr(cohit, "weight_vectors", refuse)
+    monkeypatch.setattr(steenrod, "weight_vectors", refuse)
+    code, out = run(capsys, "weight", "--q", "4", "--n", "400000", "--no-cache")
+    assert code == 3
+    assert out == ('{"detail":"degree 400000 in 4 variables has 9004875 weight '
+                   'vectors; budget is 2097152","error":"resource-limit"}\n')
+    # the refusal is not stored: no entry stands in for the answer
+    assert not list((sandbox / "cache").glob("cli_weight_*.json"))
+
+
 def test_ext_budget_refuses_before_building_a_basis(sandbox, capsys, monkeypatch):
     from cohitlab import lambda_algebra
 

@@ -14,7 +14,14 @@ from cohitlab.cohit import (
     weight_subquotient,
     weight_table,
 )
-from cohitlab.polyspace import Polynomial, mu, trim_weight, weight_vector, weight_vectors
+from cohitlab.polyspace import (
+    Polynomial,
+    count_weight_vectors,
+    mu,
+    trim_weight,
+    weight_vector,
+    weight_vectors,
+)
 from cohitlab.steenrod import hit_span
 
 
@@ -140,6 +147,17 @@ def test_a_spike_free_degree_lists_no_weight_vector(monkeypatch):
     assert mu(10**6) > 4
     monkeypatch.setattr(steenrod, "weight_vectors", refuse)
     assert span_for(4, 10**6).dim == 0
+
+
+def test_the_weight_count_is_the_length_of_the_listing():
+    for q in range(1, 6):
+        for n in range(130):
+            assert count_weight_vectors(q, n) == len(weight_vectors(q, n)), (q, n)
+    # at q = 4 the count does not grow with n, so the budget is checked per
+    # degree: 117,332 is past it, and 117,331 fits with fewer than 100,000
+    assert count_weight_vectors(4, 100000) == 1539525
+    assert count_weight_vectors(4, 117331) == 1363421
+    assert count_weight_vectors(4, 117332) == 2098950 > cohit.MAX_COLUMNS
 
 
 def test_kameko_monomial_maps():

@@ -32,7 +32,7 @@ from cohitlab.steenrod import _submasks, is_annihilated, sq_dual_all
 def element(s: int, n: int, bits: int) -> LambdaElement:
     """The element with coordinates ``bits`` over the admissible words of
     (length s, degree n)."""
-    words = lambda_algebra._coords(s, n).words
+    words = lambda_algebra._admissible_words(s, n)
     return LambdaElement._trusted(frozenset(words[p] for p in f2linalg.support(bits)))
 
 
@@ -68,11 +68,17 @@ def test_adem_reduce_is_idempotent_and_degreewise():
     # the constructor reduces; adem_reduce is the identity on its elements
     red = LambdaElement([(3, 1, 2), (5, 0, 1)])
     assert adem_reduce(red) is red
-    assert red.internal_degree == 6
-    assert red.length == 3
+    assert red.bidegree == (3, 6)
     assert red.terms == reference_reduce({(3, 1, 2), (5, 0, 1)})
     for w in red.terms:
         assert pc.is_admissible(w)
+
+
+def test_bidegree_is_the_length_and_index_sum_of_the_words():
+    assert LambdaElement([(1, 3, 3, 2)]).bidegree == (4, 9)
+    assert LambdaElement([()]).bidegree == (0, 0)  # the empty word
+    assert LambdaElement().bidegree is None
+    assert LambdaElement([(5, 2)]).bidegree is None  # l5 l2 = 0
 
 
 def test_reduction_kills_known_zero():
@@ -131,12 +137,14 @@ def test_admissible_basis_matches_brute_force_with_the_feasibility_cut():
         for n in range(31):
             brute = sorted(w for w in compositions(n, s) if pc.is_admissible(w))
             assert list(admissible_basis(s, n)) == brute, (s, n)
-            # the coordinates enumerate the same words packed, in this order
+            # the memoized words are the same words packed, in this order
             want = tuple(map(pc.pack, brute))
-            assert lambda_algebra._coords(s, n).words == want, (s, n)
-            # and share the memoized words: they are stored once
-            words = lambda_algebra._admissible_words(s, n)
-            assert lambda_algebra._coords(s, n).words is words, (s, n)
+            assert lambda_algebra._admissible_words(s, n) == want, (s, n)
+            # and the coordinate index is a dict over exactly those words,
+            # each mapped to its position
+            index = lambda_algebra._coords(s, n)
+            assert type(index) is dict, (s, n)
+            assert index == {w: i for i, w in enumerate(want)}, (s, n)
 
 
 def test_admissible_count_is_the_basis_size():
@@ -444,10 +452,13 @@ def test_homology_matches_kernel_minus_boundary_rank():
 def test_homology_memo_keeps_rows_of_its_own_bidegree_only(fresh_lambda_caches):
     ext_dim(4, 37)
     assert lambda_algebra._homology.cache_info().currsize == 1
+    # indexed: the targets (4, 37) and (5, 36) of its two maps, not the
+    # boundary source (3, 38), whose words are only read
+    assert lambda_algebra._coords.cache_info().currsize == 2
     boundaries, cycles = lambda_algebra._homology(4, 37)
-    width = len(lambda_algebra._coords(4, 37).words)
+    width = len(lambda_algebra._coords(4, 37))
     # a row of d's image echelon at (4, 37) would be this wide
-    assert len(lambda_algebra._coords(5, 36).words) > width
+    assert len(lambda_algebra._coords(5, 36)) > width
     for row in cycles:
         assert row.bit_length() <= width
     # the stored rows carry their tags in the len(cycles) lowest columns
@@ -831,13 +842,13 @@ def test_sums_with_inadmissible_user_words_are_still_reduced(fresh_lambda_caches
 
 
 def test_coordinates_reject_words_outside_the_admissible_basis():
-    coords = lambda_algebra._coords(2, 3)
+    index = lambda_algebra._coords(2, 3)
     el = LambdaElement([(1, 2)])
-    assert element(2, 3, coords.vector(el)) == el
+    assert element(2, 3, lambda_algebra._vector(index, el._words)) == el
     # every element the constructor builds is admissible: the engine's own
     # path is the only way an inadmissible word could reach the coordinates
     inadmissible = LambdaElement._trusted(frozenset({pc.pack((3, 0))}))  # 3 > 2 * 0
     with pytest.raises(ValueError, match="not an admissible word"):
-        coords.vector(inadmissible)
+        lambda_algebra._vector(index, inadmissible._words)
     with pytest.raises(ValueError, match="not an admissible word"):
-        coords.vector(LambdaElement([(1, 1)]))  # wrong degree
+        lambda_algebra._vector(index, LambdaElement([(1, 1)])._words)  # wrong degree
