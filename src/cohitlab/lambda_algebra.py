@@ -18,7 +18,7 @@ leading generator at a time,
 
 with ``D(u)`` already admissible.  The first term needs no rewriting: an odd
 C(m-j, j) forces j <= m-j, so j-1 <= 2(m-j), and m-j <= m <= 2 u_1.  The
-second rewrites only the products ``l_m v`` with m > 2 v_1 (``_L``).  The
+second rewrites only the products ``l_m v`` with m > 2 v_1 (``_times``).  The
 words of an element are grouped by their leading generator, and the
 ``D(u)`` of one group are summed before l_m multiplies them, so terms cancel
 before any rewriting.  Only tails ``u`` are memoized (``_D``), and they are
@@ -26,8 +26,11 @@ read as well: the d of a one-word element that is already a memoized tail
 is looked up, and any other word of an element is differentiated once,
 without storing it.
 
-There is one rewriting path: the left product ``_L`` of l_m with an
-admissible word, reached through ``_times``.  The constructor's reduction
+There is one rewriting path: ``_times``, the left product of l_m with
+admissible words.  A product l_a l_b r whose Adem terms l_p l_q all leave
+l_q r admissible is *shallow*: it is written from the pair's terms in
+``_P`` on every use.  Only a deep product, which rewrites again, goes to
+``_L``, whose misses recurse through ``_times``.  The constructor's reduction
 groups words the same way, reduces the tails under each leading index
 together and multiplies them back by l_m; ``psi`` multiplies each leading
 l_k into the admissible image of its group as it recurses.
@@ -36,16 +39,19 @@ Inside this module a word is one int: ``WIDTH`` bits a letter, the leading
 letter lowest, each letter stored as its index + 1 so that l_0 and the empty
 word (``0``) stay distinct.  Prepending l_m to v is ``(v << WIDTH) | (m +
 1)``, the leading index of w is ``(w & MASK) - 1`` and its tail ``w >>
-WIDTH``.  ``_L`` keys on the packed inadmissible word l_a u itself.  The
-letters are capped at ``MAX_LETTER``: ``LambdaElement`` refuses a larger
-index with ValueError, and the homology, ``psi`` and the admissible words
-refuse a degree whose words could hold one with :class:`cohit.ResourceLimit`.
+WIDTH``.  ``_L`` keys on the packed inadmissible word l_a u itself and
+``_P`` on its leading pair, the low ``PAIR`` bits.  The letters are capped
+at ``MAX_LETTER``: ``LambdaElement`` refuses a larger index with
+ValueError, and the homology, ``psi`` and the admissible words refuse a
+degree whose words could hold one with :class:`cohit.ResourceLimit`.
 Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``
 and ``admissible_basis``, an unmemoized view that unpacks the words
 afresh.
 
-The memos hold packed words only.  ``_L`` and ``_D`` are dicts whose
-``__missing__`` computes and stores a value, so a hit is a plain subscript.
+The memos hold packed words only.  ``_P``, ``_L`` and ``_D`` are dicts
+whose ``__missing__`` computes and stores a value, so a hit is a plain
+subscript.  ``_P`` holds a pair's Adem terms as packed two-letter words:
+113 pairs after d(d(w)) up to (4, 34), against 57,647 shallow products.
 ``_L`` holds a product of one word as that bare int, and no word or several
 as a frozenset (``_EMPTY`` when empty); ``_D`` holds tuples, which take a
 seventh of a frozenset's memory at 8 words, and the tuples of several tails
@@ -93,12 +99,13 @@ Word = tuple[int, ...]
 
 WIDTH = 10  # bits a letter of a packed word
 MASK = (1 << WIDTH) - 1
+PAIR = (1 << 2 * WIDTH) - 1  # the two leading letters of a packed word
 MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
 _EMPTY: frozenset[int] = frozenset()  # every empty ``_L`` value; one word is a bare int
 
-# Generous guard for runaway rewriting: the most left products (``_L``
-# memo misses) one element's construction, differential or psi may compute;
-# never reached in supported degrees.
+# Generous guard for runaway rewriting: the most left products (shallow
+# ones on every use, ``_L`` misses) one element's construction, d or psi
+# may compute; never reached in supported degrees.
 MAX_REWRITES = 10_000_000
 _rewrite_count = 0  # left products of the construction, d or psi in progress
 
@@ -118,7 +125,6 @@ def _unpack(w: int) -> Word:
     return tuple(out)
 
 
-@cache
 def adem_pair(a: int, b: int) -> frozenset[Word]:
     """Admissible-direction expansion of one inadmissible pair l_a l_b."""
     if a <= 2 * b:
@@ -260,30 +266,73 @@ def _d_generator(m: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _charge(products: int) -> None:
+    """Count left products against ``MAX_REWRITES``; raise past it."""
+    global _rewrite_count
+    _rewrite_count += products
+    if _rewrite_count > MAX_REWRITES:
+        raise RewriteBudget(f"more than {MAX_REWRITES} left products")
+
+
+class _AdemPairs(dict):
+    """Packed inadmissible pair l_a l_b -> (its Adem terms l_p l_q as packed
+    two-letter words, the least stored first letter of a tail r with every
+    l_q r admissible: 0 when there is no term)."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair: int) -> tuple[tuple[int, ...], int]:
+        terms = adem_pair((pair & MASK) - 1, (pair >> WIDTH) - 1)
+        r = self[pair] = (tuple((q + 1) << WIDTH | (p + 1) for p, q in terms),
+                          max(((q + 1) // 2 + 1 for _, q in terms), default=0))
+        return r
+
+
+_P = _AdemPairs()
+
+
 def _times(m: int, words: Iterable[int], acc: set[int]) -> set[int]:
-    """Add l_m v to acc for each packed admissible word v, in admissible form."""
+    """Add l_m v to acc for each packed admissible word v, in admissible form.
+
+    A shallow l_m v is written from ``_P`` and counts as one left product
+    against ``MAX_REWRITES`` on every use; a deep one is read from ``_L``.
+    """
     lead = m + 1
     # l_m v is admissible when v is empty or its leading letter, stored as
     # index + 1, is at least this: m <= 2 v_1
     least = (m + 1) // 2 + 1
+    shallow = 0
     for v in words:
         t = (v << WIDTH) | lead
         if (v & MASK) >= least or not v:
             acc.remove(t) if t in acc else acc.add(t)
+            continue
+        terms, low = _P[t & PAIR]
+        r = v >> WIDTH
+        if (r & MASK) >= low or not r:
+            shallow += 1
+            r <<= 2 * WIDTH
+            for t in terms:
+                t |= r
+                acc.remove(t) if t in acc else acc.add(t)
         else:
             r = _L[t]
             if type(r) is int:
                 acc.remove(r) if r in acc else acc.add(r)
             else:
                 acc ^= r
+    if shallow:
+        _charge(shallow)
     return acc
 
 
 class _LeftProducts(dict):
-    """Packed word l_a u, with u admissible and a > 2 u_1 -> its admissible form.
+    """Packed deep product l_a l_b r -> its admissible form: u = l_b r is
+    admissible, a > 2b, and some Adem term l_p l_q of l_a l_b has q > 2 r_1.
 
     One word is stored bare, as its packed int; no word or several as a
-    frozenset.  The only place an inadmissible pair is rewritten; each
+    frozenset.  Each term is l_p times the admissible form of l_q r, both
+    through ``_times``, so shallow products are never stored here.  Each
     product computed (a miss) counts against ``MAX_REWRITES``, and a miss
     that raises stores nothing.
     """
@@ -291,21 +340,11 @@ class _LeftProducts(dict):
     __slots__ = ()
 
     def __missing__(self, w: int) -> int | frozenset[int]:
-        global _rewrite_count
-        _rewrite_count += 1
-        if _rewrite_count > MAX_REWRITES:
-            raise RewriteBudget(f"more than {MAX_REWRITES} left products")
-        u = w >> WIDTH
-        rest = u >> WIDTH
+        _charge(1)
+        rest = w >> 2 * WIDTH
         acc: set[int] = set()
-        for p, q in adem_pair((w & MASK) - 1, (u & MASK) - 1):
-            t = (rest << WIDTH) | (q + 1)
-            if not rest or q <= 2 * ((rest & MASK) - 1):
-                t = (t << WIDTH) | (p + 1)  # admissible: so is the pair (p, q)
-                acc.remove(t) if t in acc else acc.add(t)
-            else:
-                r = self[t]
-                _times(p, (r,) if type(r) is int else r, acc)
+        for t in _P[w & PAIR][0]:
+            _times((t & MASK) - 1, _times((t >> WIDTH) - 1, (rest,), set()), acc)
         if len(acc) == 1:
             r = acc.pop()
         else:
@@ -324,7 +363,7 @@ def _d_grouped(tails: dict[int, list[int]]) -> set[int]:
     l_{j-1} l_{m-j} u determines m and u, so these terms are distinct and
     are collected with no cancelling.  The tails of one leading index share
     one left product: their D(u) are summed first, so terms cancel before
-    ``_L``.
+    any rewriting.
     """
     acc = {pair | u << 2 * WIDTH
            for m, us in tails.items() for pair in _d_generator(m) for u in us}
@@ -677,7 +716,7 @@ def psi(theta: DualElement, primitive: bool = False) -> LambdaElement:
 
 
 def clear_caches() -> None:
-    adem_pair.cache_clear()
+    _P.clear()
     _d_generator.cache_clear()
     _L.clear()
     _D.clear()

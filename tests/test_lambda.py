@@ -196,7 +196,7 @@ def test_ext_tables_from_fresh_caches(fresh_lambda_caches):
 def test_rewrite_budget_is_per_reduction(fresh_lambda_caches, monkeypatch):
     monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 4)
     # the constructor reduces: each needs at most 4 left products; together
-    # they need 5 (7 with no product shared through the memo)
+    # they need 7, for the shallow l3 l1 and l5 l1 count on every use
     for w in ((9, 3, 1), (13, 5, 1), (3, 1), (5, 1)):
         reduced = LambdaElement([w])
         assert all(pc.is_admissible(v) for v in reduced.terms)
@@ -345,26 +345,51 @@ def test_differential_reads_a_memoized_word_and_stores_no_new_one(
 
 
 def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
-    # l6 l0 l0 rewrites to l3 (l1 l2) among others: a product that needs
-    # _L again on its leading index, which d does not reach at small degree
+    # shallow and deep products alike: l6 l0 l0 rewrites to l3 (l1 l2) among
+    # others, and l3 l1 rewrites again on the leading index, which d does
+    # not reach at small degree
     for s in range(1, 4):
         for n in range(13):
             for u in admissible_basis(s, n):
                 for a in range(2 * u[0] + 1, 2 * u[0] + 9):
+                    got = lambda_algebra._times(a, (pc.pack(u),), set())
                     want = reference_reduce({(a,) + u})
-                    got = lambda_algebra._L[pc.pack((a,) + u)]
-                    if isinstance(got, int):  # one word is stored bare
-                        got = {got}
                     assert set(map(lambda_algebra._unpack, got)) == want, (a, u)
 
 
 def test_a_one_word_left_product_is_stored_bare(fresh_lambda_caches):
-    # l4 l1 = l3 l2: n = a - 2b - 1 = 1 leaves the one term j = 0
-    pack = pc.pack
-    assert lambda_algebra._L[pack((4, 1))] == pack((3, 2))
-    # no word and two words stay sets: l3 l1 = 0, l6 l1 = l3 l4 + l4 l3
-    assert lambda_algebra._L[pack((3, 1))] == frozenset()
-    assert lambda_algebra._L[pack((6, 1))] == {pack((3, 4)), pack((4, 3))}
+    pack, products = pc.pack, lambda_algebra._L
+    # a shallow product is written from its pair's Adem terms, held packed:
+    # l4 l1 = l3 l2 (n = a - 2b - 1 = 1 leaves the one term j = 0), l3 l1 = 0,
+    # l6 l1 = l3 l4 + l4 l3
+    assert lambda_algebra._P[pack((4, 1))][0] == (pack((3, 2)),)
+    assert lambda_algebra._P[pack((3, 1))][0] == ()
+    assert set(lambda_algebra._P[pack((6, 1))][0]) == {pack((3, 4)), pack((4, 3))}
+    # a deep product is stored in _L, one word bare: l3 l0 l0 = l1 l1 l1
+    assert products[pack((3, 0, 0))] == pack((1, 1, 1))
+    # no word and two words stay sets: l2 l0 l0 = 0,
+    # l4 l0 l0 = l2 l1 l1 + l1 l1 l2
+    assert products[pack((2, 0, 0))] == frozenset()
+    assert products[pack((4, 0, 0))] == {pack((2, 1, 1)), pack((1, 1, 2))}
+
+
+def test_left_product_memo_holds_deep_products_only(fresh_lambda_caches):
+    # after the d^2 sweep every key l_a l_b r of _L has an Adem term l_p l_q
+    # of l_a l_b with q > 2 r_1: a shallow product is never stored
+    pc.check_differential_squares_to_zero(4, 30)
+    assert lambda_algebra._L
+    for w in map(lambda_algebra._unpack, lambda_algebra._L):
+        assert len(w) > 2 and any(q > 2 * w[2] for _, q in adem_pair(*w[:2])), w
+
+
+def test_a_shallow_product_counts_on_every_use(fresh_lambda_caches, monkeypatch):
+    # l3 l1 = 0 is shallow: it is computed, and charged, on every use
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 1)
+    assert LambdaElement([(3, 1)]).is_zero()
+    assert lambda_algebra._rewrite_count == 1
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 0)
+    with pytest.raises(RewriteBudget):
+        LambdaElement([(3, 1)])
 
 
 def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):
@@ -390,8 +415,9 @@ def test_clear_caches_empties_every_lambda_memo():
         if (hasattr(memo, "cache_info") or isinstance(memo, dict))
         and getattr(memo, "__module__", None) == lambda_algebra.__name__
     }
-    assert {"_L", "_D", "_coords", "_homology"} <= set(memos)
+    assert {"_L", "_D", "_P", "_coords", "_homology"} <= set(memos)
     assert size(memos["_L"]) > 0
+    assert size(memos["_P"]) > 0
     assert size(memos["_D"]) > 0
     lambda_algebra.clear_caches()
     sizes = {name: size(memo) for name, memo in memos.items()}
