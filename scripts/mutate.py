@@ -130,7 +130,7 @@ MUTATIONS = (
              "    cohit.check_columns(q, n)\n", "",
              (f"{CLI}::test_psi_budget_refuses_before_building_a_word",)),
     Mutation("no rewrite budget", LAMBDA,
-             "    if _rewrite_count > MAX_REWRITES:\n", "    if False:\n",
+             "        if _rewrite_count > MAX_REWRITES:\n", "        if False:\n",
              (f"{CLI}::test_rewrite_budget_exit_code",)),
     Mutation("no recursion guard", LAMBDA,
              "    if depth > sys.getrecursionlimit():\n", "    if False:\n",
@@ -167,16 +167,19 @@ MUTATIONS = (
              "return LambdaElement._trusted(d)",
              (f"{LAMBDA_TESTS}::test_differential_reads_a_memoized_word_and_stores_"
               "no_new_one",)),
-    # one-step Adem products come from the pair table; _L keeps deep ones only
+    # one-step Adem products come from the pair table, deep ones recurse;
+    # every left product is counted on every use
     Mutation("every product is treated as shallow", LAMBDA,
              "        if (r & MASK) >= low or not r:\n", "        if True:\n",
              (f"{LAMBDA_TESTS}::test_left_product_matches_the_reference_rewriting",)),
     Mutation("shallow products are not charged to the budget", LAMBDA,
-             "    if shallow:\n        _charge(shallow)\n", "",
+             "            r <<= 2 * WIDTH\n",
+             "            products -= 1\n            r <<= 2 * WIDTH\n",
              (f"{LAMBDA_TESTS}::test_a_shallow_product_counts_on_every_use",)),
-    Mutation("a shallow product is stored in _L", LAMBDA,
-             "        if (r & MASK) >= low or not r:\n", "        if False:\n",
-             (f"{LAMBDA_TESTS}::test_left_product_memo_holds_deep_products_only",)),
+    Mutation("deep products are not charged", LAMBDA,
+             "        else:\n            for t in terms:\n",
+             "        else:\n            products -= 1\n            for t in terms:\n",
+             (f"{LAMBDA_TESTS}::test_a_deep_product_counts_on_every_use",)),
     # one value, one form
     Mutation("transfer matrix printed bit k last", "src/cohitlab/transferlab.py",
              '"matrix": [[row >> k & 1 for k in range(self.codomain_dim)]',

@@ -29,33 +29,32 @@ without storing it.
 There is one rewriting path: ``_times``, the left product of l_m with
 admissible words.  A product l_a l_b r whose Adem terms l_p l_q all leave
 l_q r admissible is *shallow*: it is written from the pair's terms in
-``_P`` on every use.  Only a deep product, which rewrites again, goes to
-``_L``, whose misses recurse through ``_times``.  The constructor's reduction
-groups words the same way, reduces the tails under each leading index
-together and multiplies them back by l_m; ``psi`` multiplies each leading
-l_k into the admissible image of its group as it recurses.
+``_P``.  A deep product, which rewrites again, recurses through ``_times``
+for each term.  No product is stored, so each is computed on every use.
+The constructor's reduction groups words the same way, reduces the tails
+under each leading index together and multiplies them back by l_m;
+``psi`` multiplies each leading l_k into the admissible image of its group
+as it recurses.
 
 Inside this module a word is one int: ``WIDTH`` bits a letter, the leading
 letter lowest, each letter stored as its index + 1 so that l_0 and the empty
 word (``0``) stay distinct.  Prepending l_m to v is ``(v << WIDTH) | (m +
 1)``, the leading index of w is ``(w & MASK) - 1`` and its tail ``w >>
-WIDTH``.  ``_L`` keys on the packed inadmissible word l_a u itself and
-``_P`` on its leading pair, the low ``PAIR`` bits.  The letters are capped
-at ``MAX_LETTER``: ``LambdaElement`` refuses a larger index with
-ValueError, and the homology, ``psi`` and the admissible words refuse a
-degree whose words could hold one with :class:`cohit.ResourceLimit`.
-Tuples stay at the boundary: ``LambdaElement.terms``, ``sorted_words``
-and ``admissible_basis``, an unmemoized view that unpacks the words
-afresh.
+WIDTH``.  ``_P`` keys on the leading pair of an inadmissible word, its low
+``PAIR`` bits.  The letters are capped at ``MAX_LETTER``: ``LambdaElement``
+refuses a larger index with ValueError, and the homology, ``psi`` and the
+admissible words refuse a degree whose words could hold one with
+:class:`cohit.ResourceLimit`.  Tuples stay at the boundary:
+``LambdaElement.terms``, ``sorted_words`` and ``admissible_basis``, an
+unmemoized view that unpacks the words afresh.
 
-The memos hold packed words only.  ``_P``, ``_L`` and ``_D`` are dicts
-whose ``__missing__`` computes and stores a value, so a hit is a plain
+The memos hold packed words only.  ``_P`` and ``_D`` are dicts whose
+``__missing__`` computes and stores a value, so a hit is a plain
 subscript.  ``_P`` holds a pair's Adem terms as packed two-letter words:
-113 pairs after d(d(w)) up to (4, 34), against 57,647 shallow products.
-``_L`` holds a product of one word as that bare int, and no word or several
-as a frozenset (``_EMPTY`` when empty); ``_D`` holds tuples, which take a
-seventh of a frozenset's memory at 8 words, and the tuples of several tails
-are summed into one set.  The admissible words of one (length, degree) are
+113 pairs after d(d(w)) up to (4, 34), against 57,647 distinct shallow
+products written from them.  ``_D`` holds tuples, which take a seventh of
+a frozenset's memory at 8 words, and the tuples of several tails are
+summed into one set.  The admissible words of one (length, degree) are
 memoized packed, already in the order of their tuples, each joined from a
 letter and the memoized words one letter shorter; ``_coords(s, n)`` maps
 each of them to its position there.
@@ -101,11 +100,10 @@ WIDTH = 10  # bits a letter of a packed word
 MASK = (1 << WIDTH) - 1
 PAIR = (1 << 2 * WIDTH) - 1  # the two leading letters of a packed word
 MAX_LETTER = MASK - 1  # a letter is stored as its index + 1
-_EMPTY: frozenset[int] = frozenset()  # every empty ``_L`` value; one word is a bare int
 
-# Generous guard for runaway rewriting: the most left products (shallow
-# ones on every use, ``_L`` misses) one element's construction, d or psi
-# may compute; never reached in supported degrees.
+# Generous guard for runaway rewriting: the most left products, each
+# counted on every use, one element's construction, d or psi may compute;
+# never reached in supported degrees.
 MAX_REWRITES = 10_000_000
 _rewrite_count = 0  # left products of the construction, d or psi in progress
 
@@ -266,14 +264,6 @@ def _d_generator(m: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _charge(products: int) -> None:
-    """Count left products against ``MAX_REWRITES``; raise past it."""
-    global _rewrite_count
-    _rewrite_count += products
-    if _rewrite_count > MAX_REWRITES:
-        raise RewriteBudget(f"more than {MAX_REWRITES} left products")
-
-
 class _AdemPairs(dict):
     """Packed inadmissible pair l_a l_b -> (its Adem terms l_p l_q as packed
     two-letter words, the least stored first letter of a tail r with every
@@ -294,66 +284,39 @@ _P = _AdemPairs()
 def _times(m: int, words: Iterable[int], acc: set[int]) -> set[int]:
     """Add l_m v to acc for each packed admissible word v, in admissible form.
 
-    A shallow l_m v is written from ``_P`` and counts as one left product
-    against ``MAX_REWRITES`` on every use; a deep one is read from ``_L``.
+    An inadmissible l_m v = l_m l_b r is one left product, counted against
+    ``MAX_REWRITES`` on every use.  Each Adem term l_p l_q of l_m l_b gives
+    l_p l_q r: written from ``_P`` when every l_q r is admissible (shallow),
+    and otherwise l_p times the admissible form of l_q r, both through
+    ``_times`` (deep).
     """
+    global _rewrite_count
     lead = m + 1
     # l_m v is admissible when v is empty or its leading letter, stored as
     # index + 1, is at least this: m <= 2 v_1
     least = (m + 1) // 2 + 1
-    shallow = 0
+    products = 0
     for v in words:
         t = (v << WIDTH) | lead
         if (v & MASK) >= least or not v:
             acc.remove(t) if t in acc else acc.add(t)
             continue
+        products += 1
         terms, low = _P[t & PAIR]
         r = v >> WIDTH
         if (r & MASK) >= low or not r:
-            shallow += 1
             r <<= 2 * WIDTH
             for t in terms:
                 t |= r
                 acc.remove(t) if t in acc else acc.add(t)
         else:
-            r = _L[t]
-            if type(r) is int:
-                acc.remove(r) if r in acc else acc.add(r)
-            else:
-                acc ^= r
-    if shallow:
-        _charge(shallow)
+            for t in terms:
+                _times((t & MASK) - 1, _times((t >> WIDTH) - 1, (r,), set()), acc)
+    if products:
+        _rewrite_count += products
+        if _rewrite_count > MAX_REWRITES:
+            raise RewriteBudget(f"more than {MAX_REWRITES} left products")
     return acc
-
-
-class _LeftProducts(dict):
-    """Packed deep product l_a l_b r -> its admissible form: u = l_b r is
-    admissible, a > 2b, and some Adem term l_p l_q of l_a l_b has q > 2 r_1.
-
-    One word is stored bare, as its packed int; no word or several as a
-    frozenset.  Each term is l_p times the admissible form of l_q r, both
-    through ``_times``, so shallow products are never stored here.  Each
-    product computed (a miss) counts against ``MAX_REWRITES``, and a miss
-    that raises stores nothing.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, w: int) -> int | frozenset[int]:
-        _charge(1)
-        rest = w >> 2 * WIDTH
-        acc: set[int] = set()
-        for t in _P[w & PAIR][0]:
-            _times((t & MASK) - 1, _times((t >> WIDTH) - 1, (rest,), set()), acc)
-        if len(acc) == 1:
-            r = acc.pop()
-        else:
-            r = frozenset(acc) if acc else _EMPTY
-        self[w] = r
-        return r
-
-
-_L = _LeftProducts()
 
 
 def _d_grouped(tails: dict[int, list[int]]) -> set[int]:
@@ -542,10 +505,11 @@ def _admit(s: int, n: int) -> None:
     _check_letters(s - 1, n + 1)
     _check_letters(s, n)
     # d recurses once per letter, three frames deep: _d_grouped, the memo's
-    # __missing__ and the interpreter entry the subscript makes to call it;
-    # bisected, a bare script calling _homology needs 3 (s + 1) + 3 at
-    # s = 40 and s = 100.  The admissible words recurse two frames a letter,
-    # within this bound
+    # __missing__ and the interpreter entry the subscript makes to call it.
+    # A deep left product nests _times one frame per letter it rewrites, and
+    # the admissible words recurse two frames a letter, both within this
+    # bound: bisected, a bare script calling _homology needs 3 (s + 1) + 3
+    # at (40, 3), (40, 12), (100, 3) and (20, 20)
     depth, frame = 3 * (s + 1) + 16, sys._getframe(1)
     while frame:
         depth, frame = depth + 1, frame.f_back
@@ -702,8 +666,8 @@ def psi(theta: DualElement, primitive: bool = False) -> LambdaElement:
     Raises :class:`cohit.ResourceLimit` when theta's degree n is above
     ``MAX_LETTER``, or where :func:`cohit.check_columns` refuses (q, n): the
     words of length q and degree n, one per degree-n monomial, outnumber the
-    column budget.  The cost is the Adem rewriting, whose memo grows
-    with the degree, and the budget refuses it before any word is built.
+    column budget.  The cost is the Adem rewriting, which grows with the
+    degree, and the budget refuses it before any word is built.
     Shares the constructor's per-call budget of ``MAX_REWRITES``.
     """
     global _rewrite_count
@@ -718,7 +682,6 @@ def psi(theta: DualElement, primitive: bool = False) -> LambdaElement:
 def clear_caches() -> None:
     _P.clear()
     _d_generator.cache_clear()
-    _L.clear()
     _D.clear()
     _admissible_words.cache_clear()
     _coords.cache_clear()

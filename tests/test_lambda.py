@@ -195,8 +195,9 @@ def test_ext_tables_from_fresh_caches(fresh_lambda_caches):
 
 def test_rewrite_budget_is_per_reduction(fresh_lambda_caches, monkeypatch):
     monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 4)
-    # the constructor reduces: each needs at most 4 left products; together
-    # they need 7, for the shallow l3 l1 and l5 l1 count on every use
+    # the constructor reduces: each needs at most 4 left products (l13 l5 l1:
+    # l5 l1, the deep l13 l3 l3, then l9 l3 and l7 l3); together they need 7,
+    # as every left product counts on every use
     for w in ((9, 3, 1), (13, 5, 1), (3, 1), (5, 1)):
         reduced = LambdaElement([w])
         assert all(pc.is_admissible(v) for v in reduced.terms)
@@ -306,11 +307,8 @@ def test_d_memo_holds_tails_only(fresh_lambda_caches):
     pc.check_differential_squares_to_zero(4, 30)
     lengths = {-(-u.bit_length() // lambda_algebra.WIDTH) for u in lambda_algebra._D}
     assert lengths == {1, 2, 3, 4}
-    # a tail's d is stored as a tuple; a left product of several words stays
-    # a frozenset, and one of a single word a bare int
+    # a tail's d is stored as a tuple
     assert all(type(d) is tuple for d in lambda_algebra._D.values())
-    products = set(map(type, lambda_algebra._L.values()))
-    assert products == {int, frozenset}
 
 
 def test_differential_reads_a_memoized_word_and_stores_no_new_one(
@@ -357,29 +355,39 @@ def test_left_product_matches_the_reference_rewriting(fresh_lambda_caches):
                     assert set(map(lambda_algebra._unpack, got)) == want, (a, u)
 
 
-def test_a_one_word_left_product_is_stored_bare(fresh_lambda_caches):
-    pack, products = pc.pack, lambda_algebra._L
+def test_pair_terms_are_packed_and_deep_products_recurse_through_them(
+    fresh_lambda_caches,
+):
+    pack = pc.pack
+
+    def times(word):
+        got = lambda_algebra._times(word[0], (pack(word[1:]),), set())
+        return set(map(lambda_algebra._unpack, got))
+
     # a shallow product is written from its pair's Adem terms, held packed:
     # l4 l1 = l3 l2 (n = a - 2b - 1 = 1 leaves the one term j = 0), l3 l1 = 0,
     # l6 l1 = l3 l4 + l4 l3
     assert lambda_algebra._P[pack((4, 1))][0] == (pack((3, 2)),)
     assert lambda_algebra._P[pack((3, 1))][0] == ()
     assert set(lambda_algebra._P[pack((6, 1))][0]) == {pack((3, 4)), pack((4, 3))}
-    # a deep product is stored in _L, one word bare: l3 l0 l0 = l1 l1 l1
-    assert products[pack((3, 0, 0))] == pack((1, 1, 1))
-    # no word and two words stay sets: l2 l0 l0 = 0,
-    # l4 l0 l0 = l2 l1 l1 + l1 l1 l2
-    assert products[pack((2, 0, 0))] == frozenset()
-    assert products[pack((4, 0, 0))] == {pack((2, 1, 1)), pack((1, 1, 2))}
+    # a deep product rewrites l_q r again: l3 l0 = l1 l2, and l2 l0 = l1 l1,
+    # so l3 l0 l0 = l1 l1 l1; l2 l0 l0 = 0 and l4 l0 l0 = l2 l1 l1 + l1 l1 l2
+    assert times((3, 0, 0)) == {(1, 1, 1)}
+    assert times((2, 0, 0)) == set()
+    assert times((4, 0, 0)) == {(2, 1, 1), (1, 1, 2)}
 
 
-def test_left_product_memo_holds_deep_products_only(fresh_lambda_caches):
-    # after the d^2 sweep every key l_a l_b r of _L has an Adem term l_p l_q
-    # of l_a l_b with q > 2 r_1: a shallow product is never stored
+def test_the_dict_memos_are_the_pair_terms_and_the_tail_differentials(
+    fresh_lambda_caches,
+):
+    # no left product is stored: after the d^2 sweep, the module's dict
+    # memos are the Adem pair table and the tail differentials
     pc.check_differential_squares_to_zero(4, 30)
-    assert lambda_algebra._L
-    for w in map(lambda_algebra._unpack, lambda_algebra._L):
-        assert len(w) > 2 and any(q > 2 * w[2] for _, q in adem_pair(*w[:2])), w
+    memos = {name for name, memo in vars(lambda_algebra).items()
+             if isinstance(memo, dict)
+             and type(memo).__module__ == lambda_algebra.__name__}
+    assert memos == {"_P", "_D"}
+    assert lambda_algebra._P and lambda_algebra._D
 
 
 def test_a_shallow_product_counts_on_every_use(fresh_lambda_caches, monkeypatch):
@@ -392,9 +400,22 @@ def test_a_shallow_product_counts_on_every_use(fresh_lambda_caches, monkeypatch)
         LambdaElement([(3, 1)])
 
 
+def test_a_deep_product_counts_on_every_use(fresh_lambda_caches, monkeypatch):
+    # l3 l0 l0 is deep: l3 l0 = l1 l2 leaves l2 l0 = l1 l1 to rewrite, two
+    # left products, both computed and charged again when it is built again
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 2)
+    for _ in range(2):
+        assert LambdaElement([(3, 0, 0)]).terms == {(1, 1, 1)}
+        assert lambda_algebra._rewrite_count == 2
+    monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 1)
+    with pytest.raises(RewriteBudget):
+        LambdaElement([(3, 0, 0)])
+
+
 def test_differential_raises_rewrite_budget(fresh_lambda_caches, monkeypatch):
     monkeypatch.setattr(lambda_algebra, "MAX_REWRITES", 3)
-    # d(l4 l2 l1) needs 2 left products, d(l8 l8 l8 l8) needs 16
+    # counted on every use, d(l4 l2 l1) needs 2 left products and
+    # d(l8 l8 l8 l8) needs 16
     got = differential(LambdaElement([(4, 2, 1)]))
     assert got.terms == reference_reduce(reference_derivation((4, 2, 1)))
     with pytest.raises(RewriteBudget):
@@ -415,8 +436,7 @@ def test_clear_caches_empties_every_lambda_memo():
         if (hasattr(memo, "cache_info") or isinstance(memo, dict))
         and getattr(memo, "__module__", None) == lambda_algebra.__name__
     }
-    assert {"_L", "_D", "_P", "_coords", "_homology"} <= set(memos)
-    assert size(memos["_L"]) > 0
+    assert {"_D", "_P", "_coords", "_homology"} <= set(memos)
     assert size(memos["_P"]) > 0
     assert size(memos["_D"]) > 0
     lambda_algebra.clear_caches()
