@@ -273,6 +273,33 @@ MUTATIONS = (
              "from collections import Counter\n",
              "from collections import Counter\nfrom dataclasses import dataclass\n",
              (f"{CLI}::test_no_package_module_imports_dataclasses",)),
+    # one Lucas table, _dual_steps, for the dual squares, the Adem pairs, d(l_m)
+    # and the annihilation test; one composition enumerator for act_dual
+    Mutation("_dual_steps stops one short", STEENROD,
+             "    return tuple(d for d in range(e // 2 + 1) if binom_odd(e - d, d))\n",
+             "    return tuple(d for d in range(e // 2) if binom_odd(e - d, d))\n",
+             ("tests/test_steenrod.py::test_sq_dual_equals_the_recursive_reference",
+              f"{LAMBDA_TESTS}::test_adem_pair_fixture_cases")),
+    Mutation("is_annihilated skips t = 1", STEENROD,
+             "            if t and not t & (t - 1):\n",
+             "            if t > 1 and not t & (t - 1):\n",
+             ("tests/test_steenrod.py::test_is_annihilated_examples",)),
+    Mutation("_d_generator keeps j = 0", LAMBDA,
+             "for j in _dual_steps(m) if j)", "for j in _dual_steps(m))",
+             (f"{LAMBDA_TESTS}::test_differential_of_generators",
+              f"{LAMBDA_TESTS}::test_d_generator_equals_its_binomial_sum")),
+    Mutation("adem_pair reads the steps of a - 2b - 1", LAMBDA,
+             "    steps = _dual_steps(a - 2 * b - 2)\n",
+             "    steps = _dual_steps(a - 2 * b - 1)\n",
+             (f"{LAMBDA_TESTS}::test_adem_pair_fixture_cases",
+              f"{LAMBDA_TESTS}::test_adem_pair_equals_its_binomial_sum")),
+    Mutation("_dual_subst_term drops the last composition", "src/cohitlab/glaction.py",
+             "            for comp in comps:\n", "            for comp in comps[:-1]:\n",
+             ("tests/test_glaction.py::test_relations_match_the_divided_power_action",)),
+    Mutation("lambda_algebra imports binom_odd again", LAMBDA,
+             "from .steenrod import _dual_steps, sq_dual_all\n",
+             "from .steenrod import _dual_steps, binom_odd, sq_dual_all\n",
+             ("tests/test_source.py::test_the_package_imports_no_name_it_never_reads",)),
 )
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import cohit
 from .f2linalg import echelonize, image_kernel, support
@@ -42,6 +42,7 @@ from .polyspace import (
     Polynomial,
     WeightVector,
     check_rank,
+    enumerate_monomials,
     trim_weight,
 )
 from .steenrod import HitSpan, _submasks
@@ -148,40 +149,24 @@ def substitute(images: Images, f: Polynomial) -> Polynomial:
 # -- action on divided powers ----------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _dual_subst_term(images: Images, term: Monomial) -> set[Monomial]:
+    """a_r^(m) spreads over images[r] in every composition of m; a part c
+    lands on a_j^(s) as C(s + c, c) a_j^(s + c), odd when s & c = 0."""
     states: set[Monomial] = {(0,) * len(term)}
-    for r, m in enumerate(term):
+    for S, m in zip(images, term):
         if m == 0:
             continue
-        S = images[r]
+        comps = enumerate_monomials(len(S), m)
         new: set[Monomial] = set()
-        if len(S) == 1:
-            j = S[0]
-            for st in states:
-                if st[j] & m:
-                    continue  # C(st_j + m, m) is even
-                new ^= {st[:j] + (st[j] + m,) + st[j + 1 :]}
-        else:
-            for st in states:
-                for comp in _compositions(m, len(S)):
-                    t = list(st)
-                    ok = True
-                    for j, c in zip(S, comp):
-                        if t[j] & c:
-                            ok = False
-                            break
-                        t[j] += c
-                    if ok:
-                        new ^= {tuple(t)}
+        for st in states:
+            for comp in comps:
+                t = list(st)
+                for j, c in zip(S, comp):
+                    if t[j] & c:
+                        break
+                    t[j] += c
+                else:
+                    new ^= {tuple(t)}
         states = new
     return states
 

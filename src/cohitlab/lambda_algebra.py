@@ -92,7 +92,7 @@ from typing import Collection, Iterable, Iterator
 from . import cohit
 from .f2linalg import EchelonForm, echelonize, image_kernel
 from .polyspace import DualElement, DualMonomial, count_monomials
-from .steenrod import binom_odd, sq_dual_all
+from .steenrod import _dual_steps, sq_dual_all
 
 Word = tuple[int, ...]
 
@@ -124,15 +124,12 @@ def _unpack(w: int) -> Word:
 
 
 def adem_pair(a: int, b: int) -> frozenset[Word]:
-    """Admissible-direction expansion of one inadmissible pair l_a l_b."""
+    """Admissible-direction expansion of one inadmissible pair l_a l_b: its j
+    with C(n-1-j, j) odd, n = a-2b-1, are the ``_dual_steps`` of n - 1."""
     if a <= 2 * b:
         raise ValueError(f"pair ({a}, {b}) is already admissible")
-    n = a - 2 * b - 1
-    out = set()
-    for j in range(0, (n - 1) // 2 + 1):
-        if binom_odd(n - 1 - j, j):
-            out.add((2 * b + 1 + j, a - b - 1 - j))
-    return frozenset(out)
+    steps = _dual_steps(a - 2 * b - 2)
+    return frozenset((2 * b + 1 + j, a - b - 1 - j) for j in steps)
 
 
 class LambdaElement:
@@ -256,12 +253,9 @@ def adem_reduce(el: LambdaElement) -> LambdaElement:
 
 @cache
 def _d_generator(m: int) -> frozenset[int]:
-    """d(l_m) as packed pairs (j - 1, m - j)."""
-    out = set()
-    for j in range(1, m + 1):
-        if binom_odd(m - j, j):
-            out.add(((m - j + 1) << WIDTH) | j)
-    return frozenset(out)
+    """d(l_m) as packed pairs (j - 1, m - j): its j >= 1 with C(m-j, j) odd
+    are the nonzero ``_dual_steps`` of m."""
+    return frozenset(((m - j + 1) << WIDTH) | j for j in _dual_steps(m) if j)
 
 
 class _AdemPairs(dict):

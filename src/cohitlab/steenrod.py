@@ -225,7 +225,9 @@ def _cosets(ties: tuple[bool, ...]) -> tuple[int, ...]:
 
 @cache
 def _dual_steps(e: int) -> tuple[int, ...]:
-    """The d, ascending, with C(e - d, d) odd: (a^(e)) Sq^d = a^(e - d)."""
+    """The d, ascending, with C(e - d, d) odd: (a^(e)) Sq^d = a^(e - d); none
+    when e < 0.  The one table of this rule, read by :func:`sq_dual_all` and
+    by the lambda algebra's ``adem_pair`` and ``_d_generator``."""
     return tuple(d for d in range(e // 2 + 1) if binom_odd(e - d, d))
 
 
@@ -243,19 +245,15 @@ def is_annihilated(theta: DualElement) -> bool:
     """True when (theta) Sq^t = 0 for every t > 0.
 
     Checking t = 2^i suffices because those generate all squares and the
-    right action is an algebra action.  One pass toggles each (2^i, u) of
-    each term: the last factor e takes d = 2^i - s after each (s, head) of
-    :func:`sq_dual_all` on the others, so only terms of the Sq^(2^i) are built.
+    right action is an algebra action.  One pass toggles the (t, u) of
+    :func:`sq_dual_all` of each term whose t is a power of two.
     """
     left: set[tuple[int, Monomial]] = set()
     for term in theta.terms:
-        e = term[-1]
-        for s, head in sq_dual_all(term[:-1]):
-            t = 1
-            while t - s <= e >> 1:  # binom_odd is False while t < s
-                if binom_odd(e - t + s, t - s):
-                    left ^= {(t, head + (e - t + s,))}
-                t <<= 1
+        for tu in sq_dual_all(term):
+            t = tu[0]
+            if t and not t & (t - 1):
+                left.remove(tu) if tu in left else left.add(tu)
     return not left
 
 

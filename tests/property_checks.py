@@ -34,7 +34,7 @@ from cohitlab.polyspace import (
     pairing,
     weight_vector,
 )
-from cohitlab.steenrod import hit_span, is_annihilated, sq_dual_all
+from cohitlab.steenrod import binom_odd, hit_span, is_annihilated, sq_dual_all
 
 
 # -- references: the whole-element squares and the word rules that the engine
@@ -93,6 +93,28 @@ def pack(word: Word) -> int:
     for j in reversed(word):
         w = (w << WIDTH) | (j + 1)
     return w
+
+
+def adem_pair_reference(a: int, b: int) -> frozenset[Word]:
+    """The Adem relation of an inadmissible l_a l_b from its binomials:
+    sum over j >= 0 of C(n-1-j, j) l_(2b+1+j) l_(a-b-1-j), n = a-2b-1; the
+    reference for ``lambda_algebra.adem_pair``."""
+    n = a - 2 * b - 1
+    out = set()
+    for j in range(0, (n - 1) // 2 + 1):
+        if binom_odd(n - 1 - j, j):
+            out.add((2 * b + 1 + j, a - b - 1 - j))
+    return frozenset(out)
+
+
+def d_generator_reference(m: int) -> frozenset[Word]:
+    """d(l_m) from its binomials: sum over j >= 1 of C(m-j, j) l_(j-1)
+    l_(m-j); the reference for ``lambda_algebra._d_generator``."""
+    out = set()
+    for j in range(1, m + 1):
+        if binom_odd(m - j, j):
+            out.add((j - 1, m - j))
+    return frozenset(out)
 
 
 def sq0(el: LambdaElement) -> LambdaElement:

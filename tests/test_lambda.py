@@ -56,6 +56,13 @@ def test_adem_pair_fixture_cases():
         assert adem_pair(a, b) == frozenset(words), (a, b)
 
 
+def test_adem_pair_equals_its_binomial_sum():
+    pairs = [(a, b) for a in range(200) for b in range((a + 1) // 2)]
+    assert len(pairs) == 10_000
+    for a, b in pairs:
+        assert adem_pair(a, b) == pc.adem_pair_reference(a, b), (a, b)
+
+
 def test_adem_pair_preserves_degree_and_admissibility():
     for a in range(3, 12):
         for b in range(0, (a - 1) // 2 + 1):
@@ -100,6 +107,12 @@ def test_differential_of_generators():
     assert differential(LambdaElement([(5,)])) == LambdaElement([(1, 3)])
     # m = 6: C(5,1) and C(3,3) are odd
     assert differential(LambdaElement([(6,)])) == LambdaElement([(0, 5), (2, 3)])
+
+
+def test_d_generator_equals_its_binomial_sum():
+    for m in range(lambda_algebra.MAX_LETTER + 1):
+        want = {pc.pack(w) for w in pc.d_generator_reference(m)}
+        assert lambda_algebra._d_generator(m) == want, m
 
 
 def test_differential_squares_to_zero_small():

@@ -154,3 +154,42 @@ def test_the_package_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names a module imports and never reads; ``from __future__``
+    imports are exempt.  A read is a loaded name, which is also the root of
+    any dotted name."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in read]
+
+
+def test_an_unread_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from typing import Iterable, Sequence\n"
+        "from .steenrod import binom_odd, sq_dual_all\n"
+        "def f(x: Sequence[int]) -> str:\n"
+        "    return f'{os.sep}{sq_dual_all(x)}'\n"
+    )
+    assert _unread_imports(source) == ["system:3", "Iterable:4", "binom_odd:5"]
+
+
+def test_the_package_imports_no_name_it_never_reads():
+    found = [
+        f"{path.name}:{entry}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in _unread_imports(path.read_text())
+    ]
+    assert found == []

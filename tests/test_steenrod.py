@@ -433,7 +433,7 @@ def test_is_annihilated_equals_the_per_square_reference():
     assert len(duals) == 8 and all(map(is_annihilated, duals))
     rng = random.Random(29)
     for _ in range(200):  # random sums of a few terms
-        q, n = rng.randint(1, 4), rng.randint(0, 40)
+        q, n = rng.randint(1, 5), rng.randint(0, 40)
         monos = enumerate_monomials(q, n)
         size = min(len(monos), rng.randint(1, 6))
         duals.append(DualElement(q, rng.sample(monos, size)))
