@@ -135,6 +135,15 @@ MUTATIONS = (
     Mutation("no recursion guard", LAMBDA,
              "    if depth > sys.getrecursionlimit():\n", "    if False:\n",
              (f"{CLI}::test_ext_refuses_words_too_long_to_recurse",)),
+    # the count reads the listing's rule: a tail's first index is at least
+    # (j + 1) // 2, and a length-1 word is its one letter
+    Mutation("the count's tail bound is j // 2", LAMBDA,
+             "                least = (lo + 1) // 2\n",
+             "                least = lo // 2\n",
+             (f"{LAMBDA_TESTS}::test_admissible_count_is_the_basis_size",)),
+    Mutation("the count has no word of length 1", LAMBDA,
+             "tables[0].append([1] * (r + 1) + [0])", "tables[0].append([0] * (r + 2))",
+             (f"{LAMBDA_TESTS}::test_admissible_count_is_the_basis_size",)),
     Mutation("no ext admissible-word budget", LAMBDA,
              "        if compositions > cap and admissible_count(length, degree, cap) > cap:\n",
              "        if False:\n", SPIKE_FREE),

@@ -141,7 +141,6 @@ class KamekoMap(NamedTuple):
     n: int
     domain: steenrod.HitSpan
     codomain: steenrod.HitSpan
-    images: list[int]  # codomain coordinates of each domain basis class
     kernel: list[int]  # kernel basis of the images; rank is dim minus its size
 
     @property
@@ -163,9 +162,6 @@ def kameko_matrix(q: int, n: int) -> KamekoMap:
     m = (n - q) // 2
     domain = span_for(q, n)
     codomain = span_for(q, m)
-    images = []
-    for b in domain.basis:
-        d = kameko_down_monomial(b)
-        images.append(0 if d is None else codomain.sum_coordinates((d,)))
-    kernel = image_kernel(images)
-    return KamekoMap(q, n, domain, codomain, images, kernel)
+    images = [0 if d is None else codomain.sum_coordinates((d,))
+              for d in map(kameko_down_monomial, domain.basis)]
+    return KamekoMap(q, n, domain, codomain, image_kernel(images))

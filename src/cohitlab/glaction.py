@@ -149,14 +149,15 @@ def substitute(images: Images, f: Polynomial) -> Polynomial:
 # -- action on divided powers ----------------------------------------------------
 
 
-def _dual_subst_term(images: Images, term: Monomial) -> set[Monomial]:
+def _dual_subst_term(images: Images, term: Monomial,
+                     compositions: Callable[..., list[Monomial]]) -> set[Monomial]:
     """a_r^(m) spreads over images[r] in every composition of m; a part c
     lands on a_j^(s) as C(s + c, c) a_j^(s + c), odd when s & c = 0."""
     states: set[Monomial] = {(0,) * len(term)}
     for S, m in zip(images, term):
         if m == 0:
             continue
-        comps = enumerate_monomials(len(S), m)
+        comps = compositions(len(S), m)
         new: set[Monomial] = set()
         for st in states:
             for comp in comps:
@@ -180,7 +181,8 @@ def act_dual(images: Images, theta: DualElement) -> DualElement:
     """
     if len(images) != theta.q:
         raise ValueError("substitution size does not match variable count")
-    return theta.map_terms(lambda t: _dual_subst_term(images, t))
+    compositions = cache(enumerate_monomials)  # one list per (len(S), m)
+    return theta.map_terms(lambda t: _dual_subst_term(images, t, compositions))
 
 
 # -- the matrices of g + 1 on Q_n ---------------------------------------------------

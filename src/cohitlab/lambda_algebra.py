@@ -411,51 +411,35 @@ def admissible_basis(s: int, n: int) -> tuple[Word, ...]:
     return tuple(map(_unpack, _admissible_words(s, n)))
 
 
-def _pairs(r: int, lo: int) -> int:
-    """Admissible words (a, b) with a + b = r and a >= lo: a <= 2b is a <= 2r/3."""
-    return max(0, 2 * r // 3 - lo + 1)
-
-
 def admissible_count(s: int, n: int, cap: int) -> int:
     """``len(admissible_basis(s, n))`` when at most cap, else a count above cap.
 
-    No word is built.  With c(k, r, lo) the number of admissible words of
-    length k and index sum r whose first index is at least lo,
-
-        c(k, r, lo) = c(k, r, lo + 1) + c(k - 1, r - lo, ceil(lo / 2)),
-
-    and two slots have a closed form.  Longer words are counted one index
-    sum r at a time, in one loop that stops once the count passes cap: it
-    never falls as r grows (raising the last index keeps a word admissible).
+    Counts by the rule :func:`_admissible_words` lists by, and builds no
+    word: a word of length k and index sum r is a letter j followed by a
+    word of length k - 1 and index sum r - j whose first index is at least
+    (j + 1) // 2.  Entry ``[r][lo]`` of length k's table counts the words of
+    index sum r whose first index is at least lo.  The tables, some s r^2 / 2
+    entries, grow one r at a time until the count passes cap: it never falls
+    as r grows (raising the last index keeps a word admissible).
     """
-    if s < 0 or n < 0:
-        return 0
+    if s <= 0 or n < 0:
+        return int(s == 0 == n)  # the empty word
     # the nonzero indices of a word are a tail of at most n: longer words
     # only add leading zeros
     s = min(s, max(n, 1))
-    if s < 2:
-        return 1 if s == 1 or n == 0 else 0
-    if s == 2:
-        return _pairs(n, 0)
-    tables: list[list[list[int]]] = [[] for _ in range(3, s)]  # c(3..s-1, r, lo)
-
-    def below(k: int, r: int, lo: int) -> int:
-        if k == 2:
-            return _pairs(r, lo)
-        return tables[k - 3][r][lo] if lo <= r else 0
-
-    for r in range(n + 1) if tables else (n,):
-        for k, table in enumerate(tables, 3):
+    tables: list[list[list[int]]] = [[] for _ in range(s)]  # lengths 1..s
+    for r in range(n + 1):
+        tables[0].append([1] * (r + 1) + [0])
+        for tails, table in zip(tables, tables[1:]):
             row = [0] * (r + 2)
             for lo in range(r, -1, -1):
-                row[lo] = row[lo + 1] + below(k - 1, r - lo, (lo + 1) // 2)
+                least = (lo + 1) // 2
+                tail = tails[r - lo][least] if least <= r - lo else 0
+                row[lo] = row[lo + 1] + tail
             table.append(row)
-        count = 0
-        for lo in range(r + 1):
-            count += below(s - 1, r - lo, (lo + 1) // 2)
-            if count > cap:
-                return count
-    return count
+        if tables[-1][r][0] > cap:
+            break
+    return tables[-1][-1][0]
 
 
 def _check_letters(length: int, degree: int) -> None:

@@ -168,6 +168,22 @@ def test_admissible_count_is_the_basis_size():
             if size:
                 # past the cap the count stops early, somewhere above it
                 assert admissible_count(s, n, size - 1) > size - 1, (s, n)
+    # frozen counts of bidegrees too large to list, up to just under the
+    # budget...
+    cap = 2**21
+    for (s, n), size in {(4, 129): 76_135, (5, 128): 1_267_413, (4, 393): 2_086_965,
+                         (5, 145): 2_068_380, (6, 83): 2_089_091}.items():
+        assert admissible_count(s, n, cap) == size, (s, n)
+    # ... one degree above it, and under a cap no count reaches
+    for s, n in ((4, 394), (5, 146), (6, 84)):
+        assert admissible_count(s, n, cap) > cap, (s, n)
+    assert admissible_count(5, 199, 10**12) == 7_203_464  # the README's figure
+    assert admissible_count(5, 164, 10**12) == 3_358_228
+    # a word longer than its index sum only adds leading zeros, and long
+    # words are counted with no recursion
+    for s, n in ((7, 5), (41, 40), (50, 12)):
+        assert admissible_count(s, n, cap) == admissible_count(n, n, cap), (s, n)
+    assert admissible_count(600, 600, cap) > cap
 
 
 def test_ext_dim_length_one_is_the_doubling_family():
