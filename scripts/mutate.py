@@ -56,6 +56,8 @@ LAMBDA = "src/cohitlab/lambda_algebra.py"
 STEENROD = "src/cohitlab/steenrod.py"
 F2LINALG = "src/cohitlab/f2linalg.py"
 F2LINALG_TESTS = "tests/test_f2linalg.py"
+TRANSFERLAB = "src/cohitlab/transferlab.py"
+TRANSFERLAB_TESTS = "tests/test_transferlab.py"
 CLI = "tests/test_cli.py"
 LAMBDA_TESTS = "tests/test_lambda.py"
 PRIMITIVE_PSI = (f"{LAMBDA_TESTS}::test_psi_of_a_primitive_reads_only_"
@@ -190,12 +192,22 @@ MUTATIONS = (
              "        else:\n            products -= 1\n            for t in terms:\n",
              (f"{LAMBDA_TESTS}::test_a_deep_product_counts_on_every_use",)),
     # one value, one form
-    Mutation("transfer matrix printed bit k last", "src/cohitlab/transferlab.py",
+    Mutation("transfer matrix printed bit k last", TRANSFERLAB,
              '"matrix": [[row >> k & 1 for k in range(self.codomain_dim)]',
              '"matrix": [[row >> self.codomain_dim - 1 - k & 1 '
              "for k in range(self.codomain_dim)]",
-             ("tests/test_transferlab.py::test_matrix_rows_are_bit_vectors_"
+             (f"{TRANSFERLAB_TESTS}::test_matrix_rows_are_bit_vectors_"
               "printed_bit_zero_first",)),
+    # every verify helper can fail: one fixed-point check, one kernel check
+    Mutation("the fixed-point check accepts any nonzero dimension", TRANSFERLAB,
+             "    if report.dim != 1:\n", "    if not report.dim:\n",
+             (f"{TRANSFERLAB_TESTS}::test_fixed_points_of_two_dimensions_are_not_"
+              "generated_by_one_class",)),
+    Mutation("the halving-kernel check returns True without testing membership",
+             TRANSFERLAB,
+             "    return not any(ech.reduce(v) for v in frozen)\n", "    return True\n",
+             (f"{TRANSFERLAB_TESTS}::test_a_class_outside_the_halving_kernel_fails_"
+              "the_kernel_check",)),
     Mutation("class_coordinates reads no quotient index", "src/cohitlab/glaction.py",
              "primitive_coordinates(theta),\n"
              "                                          self._quotient_index)",
@@ -272,10 +284,9 @@ MUTATIONS = (
              "  # before any square\n", "",
              (f"{CLI}::test_annihilated_budget_refuses_before_building_a_square",)),
     # the reports are NamedTuples, and no package module imports dataclasses
-    Mutation("every suite report shares one default checks list",
-             "src/cohitlab/transferlab.py",
+    Mutation("every suite report shares one default checks list", TRANSFERLAB,
              "    checks: list[CheckResult]  #", "    checks: list[CheckResult] = []  #",
-             ("tests/test_transferlab.py::test_suites_run_serially_each_hold_only_"
+             (f"{TRANSFERLAB_TESTS}::test_suites_run_serially_each_hold_only_"
               "their_own_checks",),
              also=(("SuiteReport(name, [])", "SuiteReport(name)"),)),
     Mutation("a package module imports dataclasses", "src/cohitlab/cohit.py",

@@ -226,7 +226,7 @@ def cmd_weight(args):
     return {
         "q": args.q,
         "n": args.n,
-        "weights": {cohit.weight_key(w): d for w, d in sorted(table.items())},
+        "weights": {",".join(map(str, w)): d for w, d in sorted(table.items())},
         "total": sum(table.values()),
     }
 

@@ -73,7 +73,6 @@ def span_for(q: int, n: int) -> steenrod.HitSpan:
     Raises :class:`ResourceLimit` past the column budget, memo or not; a
     degree with no spike has no column, so the budget never refuses it.
     """
-    check_rank(q)
     spike = minimal_spike(q, n)
     if spike is None and n:
         return steenrod.hit_span(q, n, (q + 1,))
@@ -98,10 +97,6 @@ def cohit_basis(q: int, n: int) -> list[Monomial]:
 
 def cohit_dim(q: int, n: int) -> int:
     return span_for(q, n).dim
-
-
-def weight_key(w: WeightVector) -> str:
-    return ",".join(str(x) for x in w)
 
 
 def weight_table(q: int, n: int) -> dict[WeightVector, int]:

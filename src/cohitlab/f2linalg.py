@@ -100,9 +100,6 @@ class EchelonForm:
             vec ^= row
         return out
 
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
-
     def kernel_vector(self, f: int, pivots: Sequence[int] | None = None) -> int:
         """The kernel vector whose free-column support is exactly {f}.
 

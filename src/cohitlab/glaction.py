@@ -82,10 +82,6 @@ def generator_images(q: int, group: str = "gl") -> list[Images]:
     return gens
 
 
-def is_permutation(images: Images) -> bool:
-    return all(len(S) == 1 for S in images)
-
-
 # -- action on polynomials -----------------------------------------------------
 
 
@@ -209,7 +205,7 @@ def _basis_images(span: HitSpan, images: Images) -> Iterator[int]:
     one column: when it is admissible its coordinate is its basis index,
     with no normal form.
     """
-    if not is_permutation(images):
+    if any(len(S) != 1 for S in images):
         for mono in span.basis:
             yield span.sum_coordinates(_subst_monomial(images, mono))
         return

@@ -405,7 +405,7 @@ def test_kernel_invariants_see_the_full_kernel():
         for m in refdata.KAMEKO_KERNEL_BASIS_4_4
     ]
     ech = echelonize(kernel)
-    assert all(ech.contains(v) for v in frozen)
+    assert not any(ech.reduce(v) for v in frozen)
     assert echelonize(frozen).rank == 20
 
 

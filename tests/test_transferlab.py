@@ -7,7 +7,8 @@ from concurrent.futures import Future
 
 import pytest
 
-from cohitlab import cohit, lambda_algebra, refdata, transferlab
+from cohitlab import cohit, glaction, lambda_algebra, refdata, transferlab
+from cohitlab.f2linalg import support
 from cohitlab.lambda_algebra import homology_coordinates, psi
 from cohitlab.transferlab import (
     SUITE_NAMES,
@@ -213,7 +214,7 @@ def test_verify_all_asks_for_one_worker_per_suite_at_most(monkeypatch):
 
 def test_check_result_json_round_trip():
     c = CheckResult("s", "check", "fail", "got 1, want 2")
-    assert c.to_json() == {
+    assert c._asdict() == {
         "suite": "s",
         "name": "check",
         "status": "fail",
@@ -222,4 +223,31 @@ def test_check_result_json_round_trip():
     assert not c.ok
     report = SuiteReport("s", [c])
     assert not report.passed
-    assert report.to_json() == {"name": "s", "passed": False, "checks": [c.to_json()]}
+    assert report.to_json() == {"name": "s", "passed": False, "checks": [c._asdict()]}
+
+
+def test_fixed_points_of_two_dimensions_are_not_generated_by_one_class():
+    report = glaction.invariants(4, 18, "gl")
+    assert report.dim == 2
+    first = [report.basis_monomials[i] for i in support(report.vectors[0])]
+    assert not transferlab._generates_fixed_points(4, 18, first)
+
+
+def test_a_generator_missing_a_monomial_generates_no_fixed_points():
+    gen = refdata.GL_INVARIANT_GENERATOR_9
+    assert transferlab._generates_fixed_points(4, 9, gen)
+    for i in range(len(gen)):
+        assert not transferlab._generates_fixed_points(4, 9, gen[:i] + gen[i + 1:])
+    weight = refdata.GL_INVARIANT_GENERATOR_45_WEIGHT
+    omega = (3, 3, 3, 3)
+    assert transferlab._generates_fixed_points(4, 45, weight, omega)
+    assert not transferlab._generates_fixed_points(4, 45, weight[1:], omega)
+
+
+def test_a_class_outside_the_halving_kernel_fails_the_kernel_check():
+    frozen = refdata.KAMEKO_KERNEL_BASIS_4_4
+    assert transferlab._kameko_kernel_matches(4, 4, frozen)
+    assert not transferlab._kameko_kernel_matches(4, 4, frozen[1:])
+    # 20 classes of rank 20, as many as the kernel has: only membership fails
+    swapped = [(1, 1, 1, 1), *frozen[1:]]
+    assert not transferlab._kameko_kernel_matches(4, 4, swapped)
